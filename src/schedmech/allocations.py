@@ -9,7 +9,6 @@ hints and scalability metadata.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
@@ -22,36 +21,10 @@ from .core import (
     Instance,
     rounded_speed,
 )
+from .workcurve import power_of_two_points, subset_ratio_points
 
 OPT_STATE_BUDGET = 10 ** 7
 TWO_MACHINE_BUDGET = 1 << 20
-
-
-@dataclass(frozen=True)
-class TieBreakPolicy:
-    """Deterministic resolution of the choices the rules leave open.
-
-    Greedy argmin ties go to the lowest machine index; when bundles are
-    reassigned within a rounded-speed class, machines are ordered by
-    (bid, index) ascending and bundles by (workload descending, original
-    machine index).
-    """
-
-    def argmin(self, keys: Sequence[Fraction]) -> int:
-        best = 0
-        for i in range(1, len(keys)):
-            if keys[i] < keys[best]:
-                best = i
-        return best
-
-    def machine_order(self, machines: Sequence[int], bids) -> list[int]:
-        return sorted(machines, key=lambda i: (bids[i], i))
-
-    def bundle_order(self, bundles: list[tuple[Fraction, int, list[int]]]):
-        return sorted(bundles, key=lambda t: (-t[0], t[1]))
-
-
-DEFAULT_TIEBREAK = TieBreakPolicy()
 
 
 class LptStar:
@@ -61,20 +34,24 @@ class LptStar:
     minimizing (current workload + length) * rounded speed, then reorders
     whole bundles within each rounded-speed class so that a strictly
     smaller raw bid never carries a strictly smaller workload.
+
+    Ties are broken deterministically: greedy argmin ties go to the lowest
+    machine index; within a rounded-speed class, machines are ordered by
+    (bid, index) ascending and bundles by (workload descending, original
+    machine index).
     """
 
     name = "lpt-star"
     scalable = False
 
-    def __call__(
-        self, instance: Instance, policy: TieBreakPolicy = DEFAULT_TIEBREAK
-    ) -> Assignment:
+    def __call__(self, instance: Instance) -> Assignment:
         speeds = [rounded_speed(b) for b in instance.bids]
         loads = [Fraction(0)] * instance.m
         job_to_machine = [0] * instance.n
         for j, length in enumerate(instance.jobs):
             keys = [(loads[i] + length) * speeds[i] for i in range(instance.m)]
-            winner = policy.argmin(keys)
+            # min keeps the first of equal keys: ties go to the lowest index
+            winner = min(range(instance.m), key=keys.__getitem__)
             job_to_machine[j] = winner
             loads[winner] += length
         # Bundle reordering within each rounded-speed class.
@@ -84,12 +61,13 @@ class LptStar:
         for members in by_speed.values():
             if len(members) < 2:
                 continue
-            machines = policy.machine_order(members, instance.bids)
-            bundles = policy.bundle_order(
-                [
+            machines = sorted(members, key=lambda i: (instance.bids[i], i))
+            bundles = sorted(
+                (
                     (loads[i], i, [j for j, mi in enumerate(job_to_machine) if mi == i])
                     for i in members
-                ]
+                ),
+                key=lambda t: (-t[0], t[1]),
             )
             for target, (_, _, jobs_in_bundle) in zip(machines, bundles):
                 for j in jobs_in_bundle:
@@ -99,15 +77,8 @@ class LptStar:
     def breakpoint_hints(self, others_bids, jobs, cap):
         """Powers of two (rounded-speed flips) plus raw competitor bids
         (bundle-reorder comparisons)."""
-        hints = set(others_bids)
         lo = min(others_bids) * min(jobs) / (2 * sum(jobs))
-        e = 0
-        while Fraction(2) ** e <= cap:
-            e += 1
-        while Fraction(2) ** e >= lo:
-            hints.add(Fraction(2) ** e)
-            e -= 1
-        return {h for h in hints if 0 < h <= cap}
+        return {b for b in others_bids if b <= cap} | power_of_two_points(lo, cap)
 
 
 class VcgAllocate:
@@ -160,25 +131,7 @@ class TwoMachineOpt:
         )
 
     def breakpoint_hints(self, others_bids, jobs, cap):
-        return _ratio_hints(others_bids, jobs, cap)
-
-
-def _ratio_hints(others_bids, jobs, cap):
-    """Competitor bids scaled by every ratio of job subset sums: the points
-    where exact makespan or running-time comparisons can flip."""
-    sums = {Fraction(0)}
-    for l in jobs:
-        sums |= {s + l for s in sums}
-    sums.discard(Fraction(0))
-    hints = set()
-    for b in others_bids:
-        hints.add(b)
-        for s1 in sums:
-            for s2 in sums:
-                x = b * s1 / s2
-                if 0 < x <= cap:
-                    hints.add(x)
-    return hints
+        return subset_ratio_points(others_bids, jobs, cap)
 
 
 lpt_star = LptStar()
@@ -293,7 +246,8 @@ def _fractional_completion_bound(
         if next_cost is None or level <= next_cost:
             best = level
             break
-    assert best is not None
+    if best is None:
+        raise AssertionError
     return best
 
 

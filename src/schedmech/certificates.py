@@ -29,6 +29,7 @@ from .allocations import (
 from .core import (
     BudgetExceeded,
     DomainError,
+    ExpectedAllocation,
     Instance,
     RationalLike,
     makespan,
@@ -45,6 +46,7 @@ from .properties import (
     check_monotone,
     check_scalable,
 )
+from .sampling import sample_instance
 from .workcurve import (
     CurvePiece,
     build_response_curve,
@@ -52,6 +54,7 @@ from .workcurve import (
     expected_workcurve,
     integrate,
     piecewise_integral,
+    subset_ratio_points,
 )
 
 
@@ -108,6 +111,10 @@ class CertificateReport:
         record = CheckRecord(label, rat(lhs), relation, rat(rhs))
         self.checks.append(record)
         return record
+
+    def require(self, label: str, ok: bool) -> CheckRecord:
+        """Record a yes/no fact as the exact check ``1 == 1`` (``0 == 1`` if not)."""
+        return self.add(label, 1 if ok else 0, "==", 1)
 
     def to_json_dict(self) -> dict:
         return {
@@ -267,8 +274,10 @@ def theorem7_certificate(
     total = piecewise_integral(pieces)
     report.constants["integral"] = total.to_json_dict()
     report.add("rational part of the integral", total.rational, "==", Fraction(7, 2))
-    log_ok = total.logs == ((Fraction(1), Fraction(3, 2)),)
-    report.add("log part is exactly one ln(3/2) atom", 1 if log_ok else 0, "==", 1)
+    report.require(
+        "log part is exactly one ln(3/2) atom",
+        total.logs == ((Fraction(1), Fraction(3, 2)),),
+    )
     lo, hi = total.enclosure(tolerance)
     report.constants["enclosure"] = [rat_str(lo), rat_str(hi)]
     report.add("enclosure width below tolerance", hi - lo, "<", tolerance)
@@ -296,11 +305,9 @@ def theorem7_certificate(
                 lower / inst.bids[i],
             )
         sorted_loads = [expected.expected_workloads[i] for i in order]
-        report.add(
+        report.require(
             f"expected workloads nonincreasing in bid order at x={rat_str(x)}",
-            1 if all(a >= b for a, b in zip(sorted_loads, sorted_loads[1:])) else 0,
-            "==",
-            1,
+            all(a >= b for a, b in zip(sorted_loads, sorted_loads[1:])),
         )
     report.notes.append(
         "beyond x = L*a/min_job the competitor bin holds every job, so the "
@@ -470,8 +477,13 @@ def lemma6_g(
     # Busy-below-k precondition: w(x, 1) > 0 for sampled x < k.
     for j in range(1, 16):
         x = k * Fraction(j, 16)
-        w = rule(Instance(jobs, (x, Fraction(1)))).workloads[0]
-        if w == 0:
+        allocation = rule(Instance(jobs, (x, Fraction(1))))
+        if isinstance(allocation, ExpectedAllocation):
+            raise DomainError(
+                "rule returns expected allocations; the g(k) integrals need "
+                "deterministic workloads"
+            )
+        if allocation.workloads[0] == 0:
             raise DomainError(
                 f"rule idles the machine bidding {rat_str(x)} against bid 1, "
                 f"violating the busy-below-{rat_str(k)} precondition"
@@ -482,9 +494,8 @@ def lemma6_g(
     def unit_machine_response(y: Fraction) -> Fraction:
         return rule(Instance(jobs, (Fraction(1), y))).workloads[0]
 
-    candidates = _subset_ratio_points(jobs, Fraction(1))
     unit_curve = build_response_curve(
-        unit_machine_response, sorted(candidates), cap=2
+        unit_machine_response, subset_ratio_points((Fraction(1),), jobs, 2), cap=2
     )
     if unit_curve.approximate:
         raise CertificateFailure("competitor response could not be resolved exactly")
@@ -514,9 +525,8 @@ def lemma6_g(
         def cross_response(x: Fraction) -> Fraction:
             return rule(Instance(jobs, (a, x))).workloads[0]
 
-        cross_candidates = _subset_ratio_points(jobs, a)
         cross_curve = build_response_curve(
-            cross_response, sorted(cross_candidates), cap=2 * a
+            cross_response, subset_ratio_points((a,), jobs, 2 * a), cap=2 * a
         )
         rhs = integrate(cross_curve, a / k, a) + g * a
         report.add(
@@ -526,20 +536,6 @@ def lemma6_g(
             rhs,
         )
     return g, report
-
-
-def _subset_ratio_points(jobs, scale: Fraction) -> set[Fraction]:
-    """Points where exact comparisons against a bid can flip: the bid scaled
-    by every ratio of job subset sums."""
-    sums = {Fraction(0)}
-    for l in jobs:
-        sums |= {s + l for s in sums}
-    sums.discard(Fraction(0))
-    out = {scale}
-    for s1 in sums:
-        for s2 in sums:
-            out.add(scale * s1 / s2)
-    return {p for p in out if p > 0}
 
 
 # ---------------------------------------------------------------------------
@@ -564,12 +560,9 @@ def prop12_verify(
     )
     failures = 0
     for trial in range(sample_budget):
-        n = rng.randint(1, 5)
-        jobs = [Fraction(rng.randint(1, 24), rng.choice((1, 2, 4))) for _ in range(n)]
-        bids = [Fraction(rng.randint(1, 16), rng.choice((1, 2, 3))) for _ in range(2)]
-        instance = Instance(jobs, bids)
+        instance = sample_instance(rng, m_min=2, m_max=2, n_max=5)
         allocation = two_machine_opt(instance)
-        grid = tuple(max(bids) * Fraction(j, 4) for j in range(1, 9))
+        grid = tuple(max(instance.bids) * Fraction(j, 4) for j in range(1, 9))
         verdicts = [
             check_local_efficiency(instance.bids, allocation.workloads),
             check_monotone(two_machine_opt, instance, grid),
@@ -594,25 +587,23 @@ def prop12_verify(
     vcg = vcg_allocate(separating).workloads
     report.constants["separating_workloads"] = [rat_str(w) for w in ours]
     report.constants["vcg_workloads"] = [rat_str(w) for w in vcg]
-    report.add(
+    report.require(
         "two-machine rule differs from all-to-fastest on jobs (2,1), bids (1,3/2)",
-        1 if ours != vcg else 0,
-        "==",
-        1,
+        ours != vcg,
     )
     report.add("two-machine rule splits the jobs there", ours[0], "==", 2)
     # Raising the second bid never hands the second machine more work.
     sweep = Instance((2, 1), (1, 1))
     prev = None
-    monotone_ok = 1
+    monotone_ok = True
     for step in range(1, 33):
         b2 = Fraction(step, 8)
         w2 = two_machine_opt(sweep.with_bid(1, b2)).workloads[1]
         if prev is not None and w2 > prev:
-            monotone_ok = 0
+            monotone_ok = False
             report.notes.append(f"second-machine workload rose at bid {rat_str(b2)}")
         prev = w2
-    report.add("raised-bid sweep finds no monotonicity violation", monotone_ok, "==", 1)
+    report.require("raised-bid sweep finds no monotonicity violation", monotone_ok)
     return report
 
 
@@ -796,7 +787,8 @@ def payment_polytope_feasible(
             n_variables=n_vars,
         )
     subset = irreducible_infeasible_subset(n_vars, constraints)
-    assert solve_feasibility(n_vars, subset) is None
+    if solve_feasibility(n_vars, subset) is not None:
+        raise AssertionError
     return FeasibilityResult(
         False,
         None,
@@ -821,24 +813,27 @@ def _verify_witness(grid, profiles, machines, workloads, payments):
     for b in profiles:
         w = workloads[b]
         for i in range(machines):
-            assert payments[(i, b)] - b[i] * w[i] >= 0, "IR violated by witness"
+            if not payments[(i, b)] - b[i] * w[i] >= 0:
+                raise AssertionError("IR violated by witness")
             for j in range(machines):
                 if i == j:
                     continue
-                assert (
+                if not (
                     payments[(i, b)] - b[i] * w[i]
                     >= payments[(j, b)] - b[i] * w[j]
-                ), "EF violated by witness"
+                ):
+                    raise AssertionError("EF violated by witness")
             for d in grid:
                 if d == b[i]:
                     continue
                 deviated = list(b)
                 deviated[i] = d
                 deviated = tuple(deviated)
-                assert (
+                if not (
                     payments[(i, b)] - b[i] * w[i]
                     >= payments[(i, deviated)] - b[i] * workloads[deviated][i]
-                ), "IC violated by witness"
+                ):
+                    raise AssertionError("IC violated by witness")
         for kpos in range(machines):
             if b.count(b[kpos]) != 1:
                 continue
@@ -848,6 +843,5 @@ def _verify_witness(grid, profiles, machines, workloads, payments):
                 swapped = list(b)
                 swapped[kpos], swapped[lpos] = swapped[lpos], swapped[kpos]
                 swapped = tuple(swapped)
-                assert payments[(lpos, swapped)] == payments[(kpos, b)], (
-                    "anonymity violated by witness"
-                )
+                if not payments[(lpos, swapped)] == payments[(kpos, b)]:
+                    raise AssertionError("anonymity violated by witness")

@@ -61,6 +61,8 @@ def _load_instance(path: str) -> tuple[Instance, int | None]:
     try:
         with open(path) as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise DomainError("instance JSON must be an object")
         seed = payload.get("seed")
         if seed is not None and not isinstance(seed, int):
             raise DomainError("instance seed must be an integer")
@@ -212,8 +214,13 @@ def cmd_check(args) -> int:
 
 def _cmd_check_ratio(args) -> int:
     if args.theorem1:
-        params = dict(tok.split("=", 1) for tok in args.theorem1)
-        m = int(params.get("m", "3"))
+        params = dict(tok.partition("=")[::2] for tok in args.theorem1)
+        if "" in params.values():
+            raise UsageError("--theorem1 takes k=v pairs, e.g. m=3 c=3/2")
+        try:
+            m = int(params.get("m", "3"))
+        except ValueError as exc:
+            raise UsageError(f"--theorem1 m must be an integer: {exc}") from exc
         c = rat(params.get("c", "1"))
         eps = rat(params.get("eps", "1/2"))
         if args.mechanism != "vcg":
@@ -298,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_alloc = sub.add_parser("allocate", help="run an allocation rule")
     p_alloc.add_argument(
         "rule",
-        choices=["lpt-star", "at-expected", "at-sample", "vcg", "opt", "two-opt"],
+        choices=[*RULES, "at-sample"],
     )
     p_alloc.add_argument("instance", help="instance JSON file")
     p_alloc.add_argument("--seed", type=int, default=None)

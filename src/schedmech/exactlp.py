@@ -151,7 +151,8 @@ def solve_feasibility(
         if b < n_vars:
             x[b] = tableau[r][width]
     for con in constraints:
-        assert con.satisfied_by(x), "witness fails a constraint; solver bug"
+        if not con.satisfied_by(x):
+            raise AssertionError("witness fails a constraint; solver bug")
     return x
 
 
@@ -173,5 +174,6 @@ def irreducible_infeasible_subset(
             kept = trial
         else:
             idx += 1
-    assert solve_feasibility(n_vars, kept) is None
+    if solve_feasibility(n_vars, kept) is not None:
+        raise AssertionError
     return kept

@@ -27,6 +27,7 @@ from .core import (
     rat_str,
     rats,
 )
+from .properties import _local_efficiency_violation
 from .workcurve import WorkCurve, build_workcurve, integrate
 
 
@@ -59,14 +60,6 @@ class NotTruthfulEvidence(RuntimeError):
         )
 
 
-def _pairwise_locally_efficient(bids, workloads) -> bool:
-    for i in range(len(bids)):
-        for k in range(len(bids)):
-            if bids[i] > bids[k] and workloads[i] > workloads[k]:
-                return False
-    return True
-
-
 def ef_chain_payments(
     bids: Sequence[RationalLike], workloads: Sequence[RationalLike]
 ) -> tuple[Fraction, ...]:
@@ -81,7 +74,7 @@ def ef_chain_payments(
     workloads = rats(workloads)
     if len(bids) != len(workloads):
         raise DomainError("bids and workloads must have equal length")
-    if not _pairwise_locally_efficient(bids, workloads):
+    if _local_efficiency_violation(bids, workloads) is not None:
         raise NotLocallyEfficient(
             "chain payments require locally efficient workloads"
         )
@@ -188,7 +181,7 @@ _curve_lock = threading.Lock()
 
 
 def _mechanism_curve(mechanism: Mechanism, jobs, others_bids, cap) -> WorkCurve:
-    key = (id(mechanism.rule), jobs, others_bids)
+    key = (mechanism.rule, jobs, others_bids)
     with _curve_lock:
         cached = _curve_cache.get(key)
     if cached is not None and cached.cap >= cap:

@@ -77,7 +77,8 @@ class PropertyVerdict:
 def _verdict(prop: str, ce: Optional[Counterexample]) -> PropertyVerdict:
     if ce is None:
         return PropertyVerdict(prop, True)
-    assert ce.violation_holds(), "counterexample must re-evaluate to a violation"
+    if not ce.violation_holds():
+        raise AssertionError("counterexample must re-evaluate to a violation")
     return PropertyVerdict(prop, False, ce)
 
 
@@ -87,6 +88,18 @@ def default_grid(instance: Instance, points: int = 64) -> tuple[Fraction, ...]:
     grid = {scale * Fraction(j, 8) for j in range(1, points + 1)}
     grid.update(instance.bids)
     return tuple(sorted(grid))
+
+
+def _local_efficiency_violation(
+    bids: Sequence[Fraction], workloads: Sequence[Fraction]
+) -> Optional[tuple[int, int]]:
+    """First (i, k) where machine i bids more than machine k yet carries
+    strictly more work, or None for locally efficient workloads."""
+    for i in range(len(bids)):
+        for k in range(len(bids)):
+            if bids[i] > bids[k] and workloads[i] > workloads[k]:
+                return i, k
+    return None
 
 
 def check_local_efficiency(
@@ -106,24 +119,21 @@ def check_local_efficiency(
     if len(bids) != len(workloads):
         raise DomainError("bids and workloads must have equal length")
     ce = None
-    for i in range(len(bids)):
-        for k in range(len(bids)):
-            if bids[i] > bids[k] and workloads[i] > workloads[k]:
-                ce = Counterexample(
-                    "slower machine carries more workload",
-                    workloads[i],
-                    "<=",
-                    workloads[k],
-                    {
-                        "i": i,
-                        "k": k,
-                        "bid_i": rat_str(bids[i]),
-                        "bid_k": rat_str(bids[k]),
-                    },
-                )
-                break
-        if ce:
-            break
+    pair = _local_efficiency_violation(bids, workloads)
+    if pair is not None:
+        i, k = pair
+        ce = Counterexample(
+            "slower machine carries more workload",
+            workloads[i],
+            "<=",
+            workloads[k],
+            {
+                "i": i,
+                "k": k,
+                "bid_i": rat_str(bids[i]),
+                "bid_k": rat_str(bids[k]),
+            },
+        )
     if permutation_check and len(bids) <= PERMUTATION_CHECK_LIMIT:
         base = sum((b * w for b, w in zip(bids, workloads)), Fraction(0))
         best_perm = None
@@ -134,9 +144,10 @@ def check_local_efficiency(
             if value < base:
                 best_perm = (perm, value)
                 break
-        assert (best_perm is None) == (ce is None), (
-            "pairwise criterion and permutation enumeration disagree"
-        )
+        if (best_perm is None) != (ce is None):
+            raise AssertionError(
+                "pairwise criterion and permutation enumeration disagree"
+            )
         if best_perm is not None and ce is not None:
             perm, value = best_perm
             ce = Counterexample(

@@ -22,6 +22,7 @@ from .core import (
     ExpectedAllocation,
     Instance,
     RationalLike,
+    ceil_log2,
     rat,
     rat_str,
     rats,
@@ -288,40 +289,33 @@ def _own_bid_eval(rule, others_bids, jobs) -> Callable[[Fraction], Fraction]:
     return f
 
 
-def _generic_candidates(others_bids, jobs, cap) -> set[Fraction]:
-    """Seed set good for the rules in this package.
+def subset_ratio_points(
+    scales: Sequence[Fraction], jobs: Sequence[Fraction], cap: Fraction
+) -> set[Fraction]:
+    """Points where exact makespan or running-time comparisons can flip.
 
-    Covers bid-comparison thresholds (competitor bids scaled by ratios of
-    job subset sums, where makespan comparisons flip), plus every power of
-    two in range (where rounded speeds change).
+    Each scale, plus each scale times s1/s2 over the nonzero job subset
+    sums, limited to (0, cap].  Up to 12 jobs every subset sum is used;
+    above that, prefix sums plus single jobs keep the set small.
     """
-    cands: set[Fraction] = set()
     sums = {Fraction(0)}
     if len(jobs) <= 12:
         for l in jobs:
             sums |= {s + l for s in sums}
     else:
-        acc = Fraction(0)
-        for l in jobs:
-            acc += l
-            sums.add(acc)
-            sums.add(l)
+        sums.update(itertools.accumulate(jobs))
+        sums.update(jobs)
     sums.discard(Fraction(0))
-    for b in others_bids:
-        cands.add(rat(b))
-        for s1 in sums:
-            for s2 in sums:
-                x = rat(b) * s1 / s2
-                if 0 < x <= cap:
-                    cands.add(x)
-    e = 0
-    while Fraction(2) ** e <= cap:
-        e += 1
-    lo_ref = min(list(others_bids) + [cap]) * min(jobs) / (sum(jobs) * 2)
-    while Fraction(2) ** e >= lo_ref:
-        cands.add(Fraction(2) ** e)
-        e -= 1
-    return {c for c in cands if 0 < c <= cap}
+    points = {b for b in scales if 0 < b <= cap}
+    for b in scales:
+        points.update(x for s1 in sums for s2 in sums if 0 < (x := b * s1 / s2) <= cap)
+    return points
+
+
+def power_of_two_points(lo: Fraction, cap: Fraction) -> set[Fraction]:
+    """Every power of two in [lo, cap]: where rounded speeds change."""
+    powers = (Fraction(2) ** e for e in range(ceil_log2(lo), ceil_log2(cap) + 1))
+    return {p for p in powers if p <= cap}
 
 
 def build_workcurve(
@@ -347,7 +341,11 @@ def build_workcurve(
         # candidate set; the quantile verification still guards it.
         candidates = {rat(c) for c in hints(others_bids, jobs, cap)}
     else:
-        candidates = _generic_candidates(others_bids, jobs, cap)
+        # Bid-comparison thresholds plus rounded-speed flips: good for the
+        # rules in this package.
+        lo = min((*others_bids, cap)) * min(jobs) / (2 * sum(jobs))
+        candidates = subset_ratio_points(others_bids, jobs, cap)
+        candidates |= power_of_two_points(lo, cap)
     bps, vals, tail, approx = discover_step_function(
         f, sorted(candidates), cap, max_denominator
     )

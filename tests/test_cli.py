@@ -234,6 +234,27 @@ class TestCertify:
         assert json.loads(out)["constants"]["ratio"] == "5/3"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "ratio", "vcg", "--theorem1", "m3"],
+        ["check", "ratio", "vcg", "--theorem1", "m=x"],
+        ["allocate", "vcg", "LIST_JSON"],
+        ["certify", "lemma6", "--rule", "at-expected"],
+    ],
+    ids=["theorem1-pair-without-equals", "theorem1-non-integer-m",
+         "instance-file-holds-a-list", "lemma6-expected-allocation-rule"],
+)
+def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    argv = [str(listed) if a == "LIST_JSON" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "schedmech.cli", "certify", "theorem5", "--a", "8"],

@@ -1,0 +1,57 @@
+"""The package's verdict and witness checks are explicit raises, so they
+still run under ``python -O``, which strips ``assert`` statements."""
+
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
+import schedmech
+
+PACKAGE = pathlib.Path(schedmech.__file__).parent
+# The first line stops the run unless -O stripped assert statements.
+PRELUDE = "assert False, 'assert statements were not stripped'\nfrom fractions import Fraction as F\n"
+
+
+def run_optimized(code: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", PRELUDE + code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_verdict_rejects_a_counterexample_that_holds_under_O():
+    proc = run_optimized(
+        "from schedmech.properties import Counterexample, _verdict\n"
+        "_verdict('ir', Counterexample('not a violation', F(1), '>=', F(0), {}))\n"
+    )
+    assert proc.returncode != 0
+    assert "AssertionError: counterexample must re-evaluate to a violation" in proc.stderr
+
+
+def test_witness_check_rejects_a_broken_ic_row_under_O():
+    # One machine on the grid {1, 2}: paid 5 at bid 2 against 3 at bid 1,
+    # the bid-1 type gains by deviating, so an IC row fails.
+    proc = run_optimized(
+        "from schedmech.certificates import _verify_witness\n"
+        "one, two = (F(1),), (F(2),)\n"
+        "_verify_witness((F(1), F(2)), [one, two], 1,\n"
+        "                {one: (F(3),), two: (F(0),)},\n"
+        "                {(0, one): F(3), (0, two): F(5)})\n"
+    )
+    assert proc.returncode != 0
+    assert "AssertionError: IC violated by witness" in proc.stderr
+
+
+def test_package_has_no_assert_statements():
+    offenders = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []

@@ -1,11 +1,12 @@
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from schedmech.allocations import lpt_star, vcg_allocate
-from schedmech.core import DomainError, Instance
+from schedmech.core import Assignment, DomainError, Instance
 from schedmech.payments import (
     HFunction,
     Mechanism,
@@ -104,6 +105,17 @@ class TestVcgPayments:
             vcg_payments(inst, other)
 
 
+class _Threshold:
+    """All work to machine 0 while its bid is below the threshold."""
+
+    def __init__(self, threshold):
+        self.threshold = threshold
+
+    def __call__(self, instance):
+        target = 0 if instance.bids[0] < self.threshold else 1
+        return Assignment.from_map(instance, [target] * instance.n)
+
+
 class TestExtractH:
     def test_probe_invariant_on_all_to_fastest(self):
         assert extract_h(vcg_mechanism, (2, 1), (2,), 1) == 6
@@ -131,6 +143,29 @@ class TestExtractH:
         evidence = exc.value
         assert evidence.h_a != evidence.h_b
         assert {evidence.probe_a, evidence.probe_b} == {1, 4}
+
+    def test_curve_cache_never_serves_a_freed_rules_curve(self):
+        def h_of(rule):
+            zero = Mechanism("threshold", rule, lambda inst, alloc: (F(0),) * inst.m)
+            return extract_h(zero, (2, 1), (4,), 8)
+
+        rule_a = _Threshold(F(1))
+        assert h_of(rule_a) == 3
+        alive = weakref.ref(rule_a)
+        freed_id = id(rule_a)
+        two = F(2)
+        del rule_a
+        rule_b = _Threshold(two)
+        if alive() is None:
+            # A is gone, so CPython may hand its id to a new object:
+            # allocate rules until B carries A's old id.
+            spares = []
+            while id(rule_b) != freed_id and len(spares) < 1000:
+                spares.append(rule_b)
+                rule_b = _Threshold(two)
+            if id(rule_b) != freed_id:
+                pytest.skip("CPython did not reuse the freed rule's id")
+        assert h_of(rule_b) == 6
 
     def test_probe_must_be_positive(self):
         with pytest.raises(DomainError):

@@ -23,7 +23,9 @@ from schedmech.workcurve import (
     ln_enclosure,
     piecewise_integral,
     piecewise_value_at,
+    power_of_two_points,
     simplest_between,
+    subset_ratio_points,
 )
 
 F = Fraction
@@ -119,6 +121,25 @@ def two_machine_opt_reference_value(x, a):
     ]
     best = min(candidates, key=lambda t: (t[0], t[1]))
     return best[2]
+
+
+class TestCandidateSeeding:
+    def test_subset_ratio_points_scale_every_sum_ratio_within_cap(self):
+        # subset sums of (2, 1) are 1, 2, 3; the ratios times 2, up to 4
+        points = subset_ratio_points((F(2),), (F(2), F(1)), F(4))
+        assert points == {F(2, 3), F(1), F(4, 3), F(2), F(3), F(4)}
+
+    def test_above_twelve_jobs_only_prefix_sums_and_single_jobs(self):
+        jobs = tuple(F(2) ** e for e in range(13))  # 8191 distinct subset sums
+        sums = {F(2) ** (e + 1) - 1 for e in range(13)} | set(jobs)
+        points = subset_ratio_points((F(1),), jobs, F(10) ** 9)
+        assert points == {s1 / s2 for s1 in sums for s2 in sums}
+
+    def test_power_of_two_points_include_both_ends(self):
+        assert power_of_two_points(F(3, 16), F(5)) == {
+            F(1, 4), F(1, 2), F(1), F(2), F(4)
+        }
+        assert power_of_two_points(F(1, 4), F(1)) == {F(1, 4), F(1, 2), F(1)}
 
 
 class TestBuildWorkcurve:
