@@ -77,6 +77,8 @@ class LptStar:
     def breakpoint_hints(self, others_bids, jobs, cap):
         """Powers of two (rounded-speed flips) plus raw competitor bids
         (bundle-reorder comparisons)."""
+        if not others_bids:
+            return set()  # a lone machine takes every job at any bid
         lo = min(others_bids) * min(jobs) / (2 * sum(jobs))
         return {b for b in others_bids if b <= cap} | power_of_two_points(lo, cap)
 

@@ -38,7 +38,7 @@ from .core import (
     rats,
     rounded_speed,
 )
-from .exactlp import Constraint, irreducible_infeasible_subset, solve_feasibility
+from .exactlp import Constraint, irreducible_infeasible_subset
 from .payments import HFunction, Mechanism
 from .properties import (
     check_anonymous,
@@ -674,7 +674,57 @@ def payment_polytope_feasible(
     truthful-report utilities so IR becomes plain nonnegativity, and
     anonymity ties collapse to variable merges whenever the rule's own
     workloads swap correctly.
+
+    Every row then reads ``u_a - u_b (>=|==) c`` and the system is
+    translation-invariant, so it is a difference-constraint system: the
+    witness is a set of shortest-path potentials and an infeasible verdict
+    names one simple negative cycle, which the exact simplex re-checks.
     """
+    grid, profiles, workloads, var, n_vars, constraints, notes = _polytope_rows(
+        rule, bid_grid, jobs, machines, profile_budget
+    )
+    potentials, cycle = _difference_solve(n_vars, constraints)
+    if cycle is None:
+        low = min(potentials)
+        payments = {
+            (i, b): potentials[var[(i, b)]] - low + b[i] * workloads[b][i]
+            for b in profiles
+            for i in range(machines)
+        }
+        _verify_witness(grid, profiles, machines, workloads, payments)
+        witness = {
+            f"p[{i}]({','.join(rat_str(x) for x in b)})": rat_str(payments[(i, b)])
+            for b in profiles
+            for i in range(machines)
+        }
+        return FeasibilityResult(
+            True, witness, None, len(profiles), len(constraints), notes,
+            n_variables=n_vars,
+        )
+    # A simple negative cycle is irreducible by construction; the deletion
+    # filter of the independent simplex must agree row for row.
+    try:
+        rechecked = irreducible_infeasible_subset(n_vars, cycle)
+    except DomainError:
+        raise AssertionError("simplex finds the negative cycle feasible") from None
+    if rechecked != cycle:
+        raise AssertionError("simplex reduces the negative cycle further")
+    return FeasibilityResult(
+        False,
+        None,
+        [c.label for c in cycle],
+        len(profiles),
+        len(constraints),
+        notes,
+        infeasible_constraints=cycle,
+        n_variables=n_vars,
+    )
+
+
+def _polytope_rows(rule, bid_grid, jobs, machines, profile_budget):
+    """The grid, its profiles, the rule's workloads, the merged variable of
+    each (machine, profile), the variable count, the labelled rows and the
+    notes on broken anonymity swaps."""
     grid = tuple(sorted({rat(b) for b in bid_grid}))
     if not grid or grid[0] <= 0:
         raise DomainError("grid bids must be positive")
@@ -713,9 +763,7 @@ def payment_polytope_feasible(
                         f"{tuple(rat_str(x) for x in b)} swap ({kpos},{lpos})"
                     )
                     broken_swaps.append((b, kpos, swapped, lpos))
-
-    def rep(i: int, b) -> int:
-        return uf.find(var_index[(i, b)])
+    var = {key: uf.find(t) for key, t in var_index.items()}
 
     # Payment anonymity at a broken workload swap stays an explicit row;
     # built after the union pass so it names final representatives.
@@ -724,7 +772,7 @@ def payment_polytope_feasible(
         rhs = b[kpos] * (workloads[b][kpos] - workloads[swapped][lpos])
         constraints.append(
             Constraint(
-                _combine(((rep(lpos, swapped), 1), (rep(kpos, b), -1))),
+                _combine(((var[(lpos, swapped)], 1), (var[(kpos, b)], -1))),
                 "==",
                 rhs,
                 label=(
@@ -740,7 +788,7 @@ def payment_polytope_feasible(
                 if i == j:
                     continue
                 # utility_i >= utility_j's bundle at bid_i, in shifted vars
-                coeffs = _combine(((rep(i, b), 1), (rep(j, b), -1)))
+                coeffs = _combine(((var[(i, b)], 1), (var[(j, b)], -1)))
                 constraints.append(
                     Constraint(
                         coeffs,
@@ -759,7 +807,7 @@ def payment_polytope_feasible(
                 deviated[i] = d
                 deviated = tuple(deviated)
                 w_dev = workloads[deviated][i]
-                coeffs = _combine(((rep(i, b), 1), (rep(i, deviated), -1)))
+                coeffs = _combine(((var[(i, b)], 1), (var[(i, deviated)], -1)))
                 constraints.append(
                     Constraint(
                         coeffs,
@@ -771,34 +819,58 @@ def payment_polytope_feasible(
                         ),
                     )
                 )
-    solution = solve_feasibility(n_vars, constraints)
-    if solution is not None:
-        witness = {}
-        for b in profiles:
-            for i in range(machines):
-                q = solution[rep(i, b)]
-                payment = q + b[i] * workloads[b][i]
-                witness[f"p[{i}]({','.join(rat_str(x) for x in b)})"] = rat_str(payment)
-        _verify_witness(grid, profiles, machines, workloads,
-                        {(i, b): solution[rep(i, b)] + b[i] * workloads[b][i]
-                         for b in profiles for i in range(machines)})
-        return FeasibilityResult(
-            True, witness, None, len(profiles), len(constraints), notes,
-            n_variables=n_vars,
-        )
-    subset = irreducible_infeasible_subset(n_vars, constraints)
-    if solve_feasibility(n_vars, subset) is not None:
-        raise AssertionError
-    return FeasibilityResult(
-        False,
-        None,
-        [c.label for c in subset],
-        len(profiles),
-        len(constraints),
-        notes,
-        infeasible_constraints=subset,
-        n_variables=n_vars,
-    )
+    return grid, profiles, workloads, var, n_vars, constraints, notes
+
+
+def _difference_solve(n_vars: int, rows: Sequence[Constraint]):
+    """Bellman–Ford over ``u_a - u_b (>=|==) c`` rows, exact in Fraction.
+
+    ``u_a - u_b >= c`` is ``u_b <= u_a - c``: an edge a -> b of weight -c;
+    an equality adds b -> a of weight c.  Every distance starts at 0, as if
+    a virtual source reached each variable.  Returns ``(potentials, None)``
+    when no negative cycle exists (the potentials satisfy every row), else
+    ``(None, cycle)`` with the rows of one simple negative cycle in cycle
+    order.
+    """
+    edges = []
+    for row in rows:
+        if not row.coeffs:
+            if row.satisfied_by(()):
+                continue
+            return None, [row]
+        if [c for _, c in row.coeffs] != [1, -1] or row.relation not in (">=", "=="):
+            raise AssertionError(f"not a difference constraint: {row.label}")
+        (a, _), (b, _) = row.coeffs
+        edges.append((a, b, -row.rhs, row))
+        if row.relation == "==":
+            edges.append((b, a, row.rhs, row))
+    dist = [Fraction(0)] * n_vars
+    pred: list[Optional[int]] = [None] * n_vars
+    for _ in range(n_vars + 1):
+        last = None
+        for k, (a, b, w, _row) in enumerate(edges):
+            d = dist[a] + w
+            if d < dist[b]:
+                dist[b] = d
+                pred[b] = k
+                last = b
+        if last is None:
+            return dist, None
+    # Still relaxing after n_vars + 1 passes: walking back n_vars edges from
+    # the last relaxed variable lands on a cycle of the predecessor graph.
+    v = last
+    for _ in range(n_vars):
+        v = edges[pred[v]][0]
+    cycle = []
+    u = v
+    while True:
+        a, _b, _w, row = edges[pred[u]]
+        cycle.append(row)
+        u = a
+        if u == v:
+            break
+    cycle.reverse()
+    return None, cycle
 
 
 def _combine(pairs) -> tuple[tuple[int, Fraction], ...]:

@@ -12,6 +12,7 @@ the mechanism is not truthful).
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -176,19 +177,22 @@ def bid_proportional_mechanism(rule) -> Mechanism:
     return Mechanism(f"{getattr(rule, 'name', 'rule')}+bid-cost", rule, pay)
 
 
-_curve_cache: dict = {}
+# rule -> {(jobs, others_bids): curve}; weak in the rule, so a rule's curves
+# go when the rule does.
+_curve_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _curve_lock = threading.Lock()
 
 
 def _mechanism_curve(mechanism: Mechanism, jobs, others_bids, cap) -> WorkCurve:
-    key = (mechanism.rule, jobs, others_bids)
+    rule = mechanism.rule
+    key = (jobs, others_bids)
     with _curve_lock:
-        cached = _curve_cache.get(key)
+        cached = _curve_cache.get(rule, {}).get(key)
     if cached is not None and cached.cap >= cap:
         return cached
-    curve = build_workcurve(mechanism.rule, others_bids, jobs, cap)
+    curve = build_workcurve(rule, others_bids, jobs, cap)
     with _curve_lock:
-        _curve_cache[key] = curve
+        _curve_cache.setdefault(rule, {})[key] = curve
     return curve
 
 

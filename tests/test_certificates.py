@@ -1,10 +1,13 @@
+import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from schedmech.allocations import (
+    RULES,
     lpt_star,
     two_machine_opt,
     vcg_allocate,
@@ -13,6 +16,8 @@ from schedmech.certificates import (
     CertificateReport,
     CheckRecord,
     Theorem1Params,
+    _difference_solve,
+    _polytope_rows,
     lemma6_g,
     payment_polytope_feasible,
     prop12_verify,
@@ -21,6 +26,7 @@ from schedmech.certificates import (
     theorem7_certificate,
 )
 from schedmech.core import Assignment, DomainError, Instance
+from schedmech.exactlp import Constraint, solve_feasibility
 from schedmech.payments import (
     Mechanism,
     NotTruthfulEvidence,
@@ -29,6 +35,13 @@ from schedmech.payments import (
 )
 
 F = Fraction
+
+
+class FirstTakesAll:
+    name = "first-takes-all"
+
+    def __call__(self, instance):
+        return Assignment.from_map(instance, [0] * instance.n)
 
 
 class SlowestTakesAll:
@@ -224,12 +237,6 @@ class TestPaymentPolytope:
             )
 
     def test_non_anonymous_rule_keeps_explicit_payment_ties(self):
-        class FirstTakesAll:
-            name = "first-takes-all"
-
-            def __call__(self, instance):
-                return Assignment.from_map(instance, [0] * instance.n)
-
         result = payment_polytope_feasible(FirstTakesAll(), (1, 2), (2, 1))
         # the rule's workloads ignore bid swaps, so anonymity cannot merge
         # variables and is recorded both as notes and explicit equalities
@@ -239,3 +246,71 @@ class TestPaymentPolytope:
                 label.startswith("ANON") or label.startswith("EF")
                 for label in result.infeasible_subset
             )
+
+    def test_difference_solver_agrees_with_the_simplex(self):
+        rng = random.Random(2024)
+        rules = [RULES["lpt-star"], RULES["opt"], RULES["two-opt"],
+                 RULES["vcg"], FirstTakesAll()]
+        bid_pool = [F(1, 2), F(3, 4), F(1), F(3, 2), F(2), F(3), F(4), F(8)]
+        job_pool = [F(1, 2), F(1), F(2), F(3), F(4)]
+        verdicts = []
+        # The simplex oracle takes about 0.15 s on a 3-bid grid and 0.3 s on
+        # three machines, so those draws are a tenth and a fortieth.
+        for trial in range(220):
+            machines = 3 if trial % 40 == 0 else 2
+            rule = rng.choice([r for r in rules if machines == 2 or r is not two_machine_opt])
+            grid = rng.sample(bid_pool, 3 if trial % 10 == 5 else 2)
+            jobs = [rng.choice(job_pool) for _ in range(rng.randint(1, 3))]
+            result = payment_polytope_feasible(rule, grid, jobs, machines=machines)
+            *_, n_vars, rows, _ = _polytope_rows(rule, grid, jobs, machines, 4096)
+            assert result.n_constraints == len(rows)
+            assert result.feasible == (solve_feasibility(n_vars, rows) is not None)
+            verdicts.append(result.feasible)
+            if result.feasible:
+                continue
+            subset = result.infeasible_constraints
+            assert [c.label for c in subset] == result.infeasible_subset
+            assert set(subset) <= set(rows)
+            assert _sums_to_a_contradiction(subset)
+            for k in range(len(subset)):
+                assert solve_feasibility(n_vars, subset[:k] + subset[k + 1:]) is not None
+        assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+    def test_an_equality_bounds_the_difference_from_both_sides(self):
+        # The package's anonymity rows come in mirrored pairs, so on its own
+        # grids an equality is never the only upper bound on a difference.
+        diff = (0, F(1)), (1, F(-1))
+        equal = Constraint(diff, "==", F(1), "u0 - u1 == 1")
+        above = Constraint(diff, ">=", F(2), "u0 - u1 >= 2")
+        potentials, cycle = _difference_solve(2, [equal, above])
+        assert potentials is None and sorted(c.label for c in cycle) == [
+            "u0 - u1 == 1", "u0 - u1 >= 2"
+        ]
+        potentials, cycle = _difference_solve(2, [equal])
+        assert cycle is None and potentials[0] - potentials[1] == 1
+
+    def test_a_row_whose_variables_merged_is_checked_directly(self):
+        # With three machines a chain of anonymity merges can join both
+        # sides of a broken swap, leaving ``0 == rhs``.
+        slack = Constraint((), ">=", F(-1), "slack")
+        broken = Constraint((), "==", F(1), "ANON merged")
+        assert _difference_solve(2, [slack]) == ([0, 0], None)
+        assert _difference_solve(2, [slack, broken]) == (None, [broken])
+
+
+def _sums_to_a_contradiction(rows):
+    """Some signed sum of the rows (>= rows taken as they are, == rows either
+    way round) reads ``0 >= c`` with ``c > 0``."""
+    equalities = [k for k, r in enumerate(rows) if r.relation == "=="]
+    for flips in itertools.product((1, -1), repeat=len(equalities)):
+        sign = dict(zip(equalities, flips))
+        lhs, rhs = {}, F(0)
+        for k, row in enumerate(rows):
+            assert row.relation in (">=", "==")
+            s = sign.get(k, 1)
+            for var, coef in row.coeffs:
+                lhs[var] = lhs.get(var, 0) + s * coef
+            rhs += s * row.rhs
+        if all(c == 0 for c in lhs.values()) and rhs > 0:
+            return True
+    return False

@@ -5,7 +5,10 @@ import sys
 import jsonschema
 import pytest
 
+from schedmech.allocations import RULES
+from schedmech.certificates import _polytope_rows
 from schedmech.cli import main
+from schedmech.exactlp import solve_feasibility
 
 VERDICT_SCHEMA = {
     "type": "object",
@@ -220,6 +223,25 @@ class TestCertify:
         assert code == 0
         payload = json.loads(out)
         assert payload["feasible"] in (True, False)
+
+    @pytest.mark.parametrize(
+        "grid, jobs", [("1/2,3/4,2", "3,1"), ("1,3/2,3", "2,1,1")]
+    )
+    def test_infeasible_three_bid_grid_names_a_short_cycle(self, capsys, grid, jobs):
+        code, out, _ = run_cli(
+            capsys,
+            "certify", "polytope", "--rule", "opt", "--grid", grid, "--jobs", jobs,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["feasible"] is False
+        assert 1 <= len(payload["infeasible_subset"]) <= 4
+        *_, n_vars, rows, _ = _polytope_rows(
+            RULES["opt"], grid.split(","), jobs.split(","), 2, 4096
+        )
+        by_label = {row.label: row for row in rows}
+        subset = [by_label[label] for label in payload["infeasible_subset"]]
+        assert solve_feasibility(n_vars, subset) is None
 
     def test_lemma6_certificate(self, capsys):
         code, out, _ = run_cli(capsys, "certify", "lemma6", "--k", "3")

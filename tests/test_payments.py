@@ -1,3 +1,4 @@
+import gc
 import random
 import weakref
 from fractions import Fraction
@@ -155,16 +156,18 @@ class TestExtractH:
         freed_id = id(rule_a)
         two = F(2)
         del rule_a
+        gc.collect()
+        # The cache must not keep a rule alive.
+        assert alive() is None
+        # A is gone, so CPython may hand its id to a new object:
+        # allocate rules until B carries A's old id.
         rule_b = _Threshold(two)
-        if alive() is None:
-            # A is gone, so CPython may hand its id to a new object:
-            # allocate rules until B carries A's old id.
-            spares = []
-            while id(rule_b) != freed_id and len(spares) < 1000:
-                spares.append(rule_b)
-                rule_b = _Threshold(two)
-            if id(rule_b) != freed_id:
-                pytest.skip("CPython did not reuse the freed rule's id")
+        spares = []
+        while id(rule_b) != freed_id and len(spares) < 100_000:
+            spares.append(rule_b)
+            rule_b = _Threshold(two)
+        if id(rule_b) != freed_id:
+            pytest.skip("CPython did not reuse the freed rule's id")
         assert h_of(rule_b) == 6
 
     def test_probe_must_be_positive(self):

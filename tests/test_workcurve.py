@@ -157,6 +157,12 @@ class TestBuildWorkcurve:
         assert c.tail == 0
         assert integrate(c, 0, None) == 3
 
+    def test_lpt_star_without_competitors_is_the_flat_curve(self):
+        jobs = (F(2), F(1), F(1, 2))
+        c = build_workcurve(lpt_star, (), jobs, cap=8)
+        assert c == build_workcurve(vcg_allocate, (), jobs, cap=8)
+        assert c.breakpoints == () and c.tail == sum(jobs)
+
     def test_two_machine_opt_shape(self):
         a = F(1)
         c = build_workcurve(two_machine_opt, (a,), (2, 1), cap=6)
