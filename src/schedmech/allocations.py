@@ -19,7 +19,7 @@ from .core import (
     DomainError,
     ExpectedAllocation,
     Instance,
-    rounded_speed,
+    ceil_log2,
 )
 from .workcurve import power_of_two_points, subset_ratio_points
 
@@ -45,19 +45,24 @@ class LptStar:
     scalable = False
 
     def __call__(self, instance: Instance) -> Assignment:
-        speeds = [rounded_speed(b) for b in instance.bids]
-        loads = [Fraction(0)] * instance.m
+        # Machine i's rounded speed is 2**exps[i].  Every key
+        # (load + length) * 2**exps[i] is scaled by D * 2**-min(exps), with D
+        # the jobs' common denominator, which makes it an exact int.
+        exps = [ceil_log2(b) for b in instance.bids]
+        low = min(exps)
+        shifts = [e - low for e in exps]
+        loads = [0] * instance.m
         job_to_machine = [0] * instance.n
-        for j, length in enumerate(instance.jobs):
-            keys = [(loads[i] + length) * speeds[i] for i in range(instance.m)]
-            # min keeps the first of equal keys: ties go to the lowest index
-            winner = min(range(instance.m), key=keys.__getitem__)
+        for j, length in enumerate(_integer_jobs(instance.jobs)):
+            keys = [(loads[i] + length) << shifts[i] for i in range(instance.m)]
+            # index finds the first of equal keys: ties go to the lowest index
+            winner = keys.index(min(keys))
             job_to_machine[j] = winner
             loads[winner] += length
         # Bundle reordering within each rounded-speed class.
-        by_speed: dict[Fraction, list[int]] = {}
-        for i, s in enumerate(speeds):
-            by_speed.setdefault(s, []).append(i)
+        by_speed: dict[int, list[int]] = {}
+        for i, e in enumerate(exps):
+            by_speed.setdefault(e, []).append(i)
         for members in by_speed.values():
             if len(members) < 2:
                 continue
@@ -114,17 +119,22 @@ class TwoMachineOpt:
         if 2 ** instance.n > budget:
             raise BudgetExceeded(f"2^{instance.n} assignments exceed budget {budget}")
         b0, b1 = instance.bids
-        total_length = instance.total_length
+        # Workloads are scaled by D (the jobs' common denominator) and the
+        # bids by b0.denominator * b1.denominator, so every key is the exact
+        # key times that positive constant, as ints.
+        c0 = b0.numerator * b1.denominator
+        c1 = b1.numerator * b0.denominator
+        sums = [0]  # sums[mask]: machine 0's workload when it takes the mask's jobs
+        for length in _integer_jobs(instance.jobs):
+            sums += [w0 + length for w0 in sums]
+        total = sums[-1]
         best = None
         best_mask = 0
-        for mask in range(2 ** instance.n):
-            w0 = Fraction(0)
-            for j in range(instance.n):
-                if mask >> j & 1:
-                    w0 += instance.jobs[j]
-            w1 = total_length - w0
-            key = (max(w0 * b0, w1 * b1), w0 * b0 + w1 * b1)
-            if best is None or key < best:
+        for mask, w0 in enumerate(sums):
+            t0 = w0 * c0
+            t1 = (total - w0) * c1
+            key = (t0 if t0 > t1 else t1, t0 + t1)
+            if best is None or key < best:  # strict: ties keep the lowest mask
                 best = key
                 best_mask = mask
         return Assignment.from_map(
@@ -134,6 +144,12 @@ class TwoMachineOpt:
 
     def breakpoint_hints(self, others_bids, jobs, cap):
         return subset_ratio_points(others_bids, jobs, cap)
+
+
+def _integer_jobs(jobs: Sequence[Fraction]) -> list[int]:
+    """Job lengths times their common denominator: exact ints."""
+    denominator = lcm(*(length.denominator for length in jobs))
+    return [length.numerator * (denominator // length.denominator) for length in jobs]
 
 
 lpt_star = LptStar()

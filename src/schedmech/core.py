@@ -71,11 +71,12 @@ def ceil_log2(b: RationalLike) -> int:
     b = rat(b)
     if b <= 0:
         raise DomainError(f"ceil_log2 requires a positive argument, got {rat_str(b)}")
-    e = b.numerator.bit_length() - b.denominator.bit_length()
-    while Fraction(2) ** e < b:
+    p, q = b.numerator, b.denominator
+    # With P, Q the bit lengths of p, q, p/q lies strictly between
+    # 2**(P-Q-1) and 2**(P-Q+1), so the answer is P-Q or P-Q+1.
+    e = p.bit_length() - q.bit_length()
+    if (p > q << e) if e >= 0 else (p << -e > q):  # 2**e < p/q
         e += 1
-    while Fraction(2) ** (e - 1) >= b:
-        e -= 1
     return e
 
 
@@ -126,22 +127,36 @@ class Instance:
     def total_length(self) -> Fraction:
         return sum(self.jobs, Fraction(0))
 
+    def _with_bids(self, bids: list[Fraction]) -> "Instance":
+        """Same (already canonical) jobs with new, already validated bids;
+        skips ``__init__``.  A cached job total carries over with the jobs."""
+        new = object.__new__(Instance)
+        state = vars(new)
+        state["jobs"] = self.jobs
+        state["bids"] = tuple(bids)
+        if "total_length" in vars(self):
+            state["total_length"] = self.total_length
+        return new
+
     def with_bid(self, machine: int, bid: RationalLike) -> "Instance":
         """Same jobs, with machine's bid replaced (for deviation checks)."""
+        bid = rat(bid)
+        if bid <= 0:
+            raise DomainError("bids must be strictly positive")
         new_bids = list(self.bids)
-        new_bids[machine] = rat(bid)
-        return Instance(self.jobs, new_bids)
+        new_bids[machine] = bid
+        return self._with_bids(new_bids)
 
     def with_swapped_bids(self, k: int, l: int) -> "Instance":
         new_bids = list(self.bids)
         new_bids[k], new_bids[l] = new_bids[l], new_bids[k]
-        return Instance(self.jobs, new_bids)
+        return self._with_bids(new_bids)
 
     def scaled(self, c: RationalLike) -> "Instance":
         c = rat(c)
         if c <= 0:
             raise DomainError("scaling factor must be positive")
-        return Instance(self.jobs, [b * c for b in self.bids])
+        return self._with_bids([b * c for b in self.bids])
 
     def to_json_dict(self) -> dict:
         return {

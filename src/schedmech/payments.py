@@ -116,28 +116,23 @@ def vcg_payments(
 
     Each machine is paid the externality it imposes: the minimum total
     running time without it, minus the running time the others actually
-    incur.  A single machine is paid its cost (the pivot is vacuous, so
-    utility is pinned at zero).
+    incur.  The rule gives all the work L to the lowest bid (ties to the
+    lowest index), so in closed form the winner is paid the runner-up bid
+    times L and every other machine 0.  A single machine is paid its cost
+    (the pivot is vacuous, so utility is pinned at zero).
     """
-    expected = vcg_allocate(instance)
-    if assignment.workloads != expected.workloads:
-        raise DomainError("payments are defined on the rule's own allocation")
+    bids = instance.bids
     L = instance.total_length
+    winner = bids.index(min(bids))
+
+    def winner_only(value: Fraction) -> tuple[Fraction, ...]:
+        return tuple(value if i == winner else Fraction(0) for i in range(len(bids)))
+
+    if assignment.workloads != winner_only(L):
+        raise DomainError("payments are defined on the rule's own allocation")
     if instance.m == 1:
-        return (instance.bids[0] * L,)
-    payments = []
-    for i in range(instance.m):
-        min_without = min(b for k, b in enumerate(instance.bids) if k != i) * L
-        others_cost = sum(
-            (
-                instance.bids[k] * assignment.workloads[k]
-                for k in range(instance.m)
-                if k != i
-            ),
-            Fraction(0),
-        )
-        payments.append(min_without - others_cost)
-    return tuple(payments)
+        return (bids[0] * L,)
+    return winner_only(min(bids[:winner] + bids[winner + 1:]) * L)
 
 
 @dataclass

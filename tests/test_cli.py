@@ -7,6 +7,7 @@ import pytest
 
 from schedmech.allocations import RULES
 from schedmech.certificates import _polytope_rows
+from schedmech import cli
 from schedmech.cli import main
 from schedmech.exactlp import solve_feasibility
 
@@ -285,3 +286,24 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verified"] is True
+
+
+def test_repeated_calls_share_one_parser_and_match_fresh_ones(capsys, instance_file):
+    path = instance_file([3, 2, 1], ["1", "5/2"])
+    calls = [
+        ["allocate", "two-opt", path],
+        ["check", "monotone", "lpt-star", "--random", "3", "--seed", "4"],
+        ["check", "truthful", "vcg", path, "--grid", "1,2,3"],
+        ["check", "monotone", "two-opt", "--random", "x"],  # bad argument
+        ["certify", "theorem1", "--m", "2"],
+        ["check", "le", "--bids", "1,2", "--workloads", "1,2"],
+        ["allocate", "vcg", path, "--text"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._shared_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv)[:2])
+    assert fresh[3][0] == 2
+    for _ in range(2):  # one parser for every call, twice through
+        assert [run_cli(capsys, *argv)[:2] for argv in calls] == fresh
+    assert cli._shared_parser.cache_info().currsize == 1

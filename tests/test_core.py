@@ -97,6 +97,29 @@ class TestInstance:
         assert inst.scaled(Fraction(1, 2)).bids == (Fraction(1, 2), 1)
         assert inst.with_swapped_bids(0, 1).bids == (2, 1)
 
+    @pytest.mark.parametrize("bid", [0, -1, Fraction(-1, 2), "0", 0.5, True, False])
+    def test_with_bid_rejects_bad_bids(self, bid):
+        inst = Instance((2, 1), (1, 2))
+        with pytest.raises(DomainError):
+            inst.with_bid(1, bid)
+
+    def test_derived_instances_equal_fresh_ones(self):
+        inst = Instance((1, Fraction(5, 2), 2), (Fraction(3, 4), 2, 1))
+        assert inst.total_length == Fraction(11, 2)  # cached before deriving
+        derived = [
+            (inst.with_bid(0, "7/3"), (Fraction(7, 3), 2, 1)),
+            (inst.with_bid(2, 5), (Fraction(3, 4), 2, 5)),
+            (inst.with_swapped_bids(0, 2), (1, 2, Fraction(3, 4))),
+            (inst.scaled(Fraction(2, 3)), (Fraction(1, 2), Fraction(4, 3), Fraction(2, 3))),
+        ]
+        for got, bids in derived:
+            fresh = Instance((1, Fraction(5, 2), 2), bids)
+            assert got == fresh
+            assert hash(got) == hash(fresh)
+            assert got.jobs == fresh.jobs and got.bids == fresh.bids
+            assert all(type(b) is Fraction for b in got.bids)
+            assert got.total_length == fresh.total_length
+
     def test_json_roundtrip_rejects_floats(self):
         inst = Instance((2, 1), (Fraction(1, 3), 2))
         again = Instance.from_json_dict(inst.to_json_dict())

@@ -105,6 +105,18 @@ class TestVcgPayments:
         with pytest.raises(DomainError):
             vcg_payments(inst, other)
 
+    def test_rejects_work_on_the_second_tied_lowest_bidder(self):
+        inst = Instance((2, 1), (1, 1, 3))
+        with pytest.raises(DomainError):
+            vcg_payments(inst, Assignment.from_map(inst, (1, 1)))
+
+    def test_rejects_split_work(self):
+        inst = Instance((2, 1), (1, 3))
+        with pytest.raises(DomainError):
+            vcg_payments(inst, Assignment.from_map(inst, (0, 1)))
+        with pytest.raises(DomainError):
+            vcg_payments(inst, Assignment.from_map(inst, (1, 0)))
+
 
 class _Threshold:
     """All work to machine 0 while its bid is below the threshold."""
