@@ -3,7 +3,7 @@
 All rules are pure functions of the instance; the sampling rule takes an
 explicit seeded random source so replays are deterministic.  Rules are
 small callable objects so curve construction can ask them for breakpoint
-hints and scalability metadata.
+hints.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from .core import (
     DomainError,
     ExpectedAllocation,
     Instance,
+    bid_order,
     ceil_log2,
+    lowest_bidder,
 )
 from .workcurve import power_of_two_points, subset_ratio_points
 
@@ -42,7 +44,6 @@ class LptStar:
     """
 
     name = "lpt-star"
-    scalable = False
 
     def __call__(self, instance: Instance) -> Assignment:
         # Machine i's rounded speed is 2**exps[i].  Every key
@@ -59,18 +60,18 @@ class LptStar:
             winner = keys.index(min(keys))
             job_to_machine[j] = winner
             loads[winner] += length
-        # Bundle reordering within each rounded-speed class.
+        # Bundle reordering within each rounded-speed class, whose members
+        # are listed in bid order.
         by_speed: dict[int, list[int]] = {}
-        for i, e in enumerate(exps):
-            by_speed.setdefault(e, []).append(i)
-        for members in by_speed.values():
-            if len(members) < 2:
+        for i in bid_order(instance.bids):
+            by_speed.setdefault(exps[i], []).append(i)
+        for machines in by_speed.values():
+            if len(machines) < 2:
                 continue
-            machines = sorted(members, key=lambda i: (instance.bids[i], i))
             bundles = sorted(
                 (
                     (loads[i], i, [j for j, mi in enumerate(job_to_machine) if mi == i])
-                    for i in members
+                    for i in machines
                 ),
                 key=lambda t: (-t[0], t[1]),
             )
@@ -93,10 +94,9 @@ class VcgAllocate:
     minimizer); ties go to the lowest index."""
 
     name = "vcg"
-    scalable = True
 
     def __call__(self, instance: Instance) -> Assignment:
-        winner = min(range(instance.m), key=lambda i: (instance.bids[i], i))
+        winner = lowest_bidder(instance.bids)
         return Assignment.from_map(instance, [winner] * instance.n)
 
     def breakpoint_hints(self, others_bids, jobs, cap):
@@ -108,16 +108,15 @@ class TwoMachineOpt:
     running time, remaining ties by lowest assignment bitmask."""
 
     name = "two-opt"
-    scalable = True
     machine_count = 2
 
-    def __call__(
-        self, instance: Instance, budget: int = TWO_MACHINE_BUDGET
-    ) -> Assignment:
+    def __call__(self, instance: Instance) -> Assignment:
         if instance.m != 2:
             raise DomainError("rule is defined for exactly two machines")
-        if 2 ** instance.n > budget:
-            raise BudgetExceeded(f"2^{instance.n} assignments exceed budget {budget}")
+        if 2 ** instance.n > TWO_MACHINE_BUDGET:
+            raise BudgetExceeded(
+                f"2^{instance.n} assignments exceed budget {TWO_MACHINE_BUDGET}"
+            )
         b0, b1 = instance.bids
         # Workloads are scaled by D (the jobs' common denominator) and the
         # bids by b0.denominator * b1.denominator, so every key is the exact
@@ -164,8 +163,7 @@ def at_lower_bound(instance: Instance) -> Fraction:
     max over job prefixes of min over machine prefixes of
     max(per-job bound, averaged-load bound).
     """
-    order = sorted(range(instance.m), key=lambda i: (instance.bids[i], i))
-    bids = [instance.bids[i] for i in order]
+    bids = [instance.bids[i] for i in bid_order(instance.bids)]
     best = Fraction(0)
     prefix = Fraction(0)
     harmonics = list(itertools.accumulate(Fraction(1) / b for b in bids))
@@ -184,11 +182,10 @@ class AtFractional:
     fractions double as each job's machine distribution."""
 
     name = "at-expected"
-    scalable = True
 
     def __call__(self, instance: Instance) -> ExpectedAllocation:
         lower = at_lower_bound(instance)
-        order = sorted(range(instance.m), key=lambda i: (instance.bids[i], i))
+        order = bid_order(instance.bids)
         sizes = [lower / instance.bids[i] for i in order]
         if sum(sizes, Fraction(0)) < instance.total_length:
             raise AssertionError(
@@ -335,13 +332,9 @@ class OptRule:
     """Adapter exposing the exact optimum as an allocation rule."""
 
     name = "opt"
-    scalable = True
-
-    def __init__(self, budget: int = OPT_STATE_BUDGET):
-        self.budget = budget
 
     def __call__(self, instance: Instance) -> Assignment:
-        assignment, _ = opt_makespan(instance, self.budget)
+        assignment, _ = opt_makespan(instance)
         return assignment
 
 

@@ -32,6 +32,8 @@ from .core import (
     ExpectedAllocation,
     Instance,
     RationalLike,
+    bid_order,
+    compare,
     makespan,
     rat,
     rat_str,
@@ -41,6 +43,7 @@ from .core import (
 from .exactlp import Constraint, irreducible_infeasible_subset
 from .payments import HFunction, Mechanism
 from .properties import (
+    SCALING_FACTORS,
     check_anonymous,
     check_local_efficiency,
     check_monotone,
@@ -62,16 +65,6 @@ class CertificateFailure(RuntimeError):
     """An exact computation came out different from the certified shape."""
 
 
-_RELATIONS = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    ">=": lambda a, b: a >= b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    "<": lambda a, b: a < b,
-}
-
-
 @dataclass(frozen=True)
 class CheckRecord:
     """One exact comparison; ``holds`` is recomputed, never stored."""
@@ -83,7 +76,7 @@ class CheckRecord:
 
     @property
     def holds(self) -> bool:
-        return _RELATIONS[self.relation](self.lhs, self.rhs)
+        return compare(self.lhs, self.relation, self.rhs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -290,7 +283,7 @@ def theorem7_certificate(
         inst = Instance(jobs, (x, Fraction(1)))
         lower = at_lower_bound(inst)
         expected = at_fractional(inst)
-        order = sorted(range(2), key=lambda i: (inst.bids[i], i))
+        order = bid_order(inst.bids)
         last_nonempty = max(
             (pos for pos in range(2) if expected.expected_workloads[order[pos]] > 0),
             default=0,
@@ -470,7 +463,7 @@ def lemma6_g(
     # Scalability spot-check.
     for y in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 2), Fraction(2)):
         verdict = check_scalable(
-            rule, Instance(jobs, (Fraction(1), y)), (2, Fraction(1, 3), Fraction(7, 5))
+            rule, Instance(jobs, (Fraction(1), y)), SCALING_FACTORS
         )
         if not verdict:
             raise DomainError(f"rule is not scalable at competitor bid {rat_str(y)}")
@@ -566,9 +559,7 @@ def prop12_verify(
         verdicts = [
             check_local_efficiency(instance.bids, allocation.workloads),
             check_monotone(two_machine_opt, instance, grid),
-            check_scalable(
-                two_machine_opt, instance, (2, Fraction(1, 3), Fraction(7, 5))
-            ),
+            check_scalable(two_machine_opt, instance, SCALING_FACTORS),
             check_anonymous(two_machine_opt, instance),
         ]
         for v in verdicts:

@@ -29,6 +29,7 @@ from .payments import (
     vcg_mechanism,
 )
 from .properties import (
+    SCALING_FACTORS,
     approx_ratio,
     check_anonymous,
     check_envy_free,
@@ -141,16 +142,8 @@ def _check_on_instance(property_name, mechanism_name, instance, grid):
     if property_name == "monotone":
         return check_monotone(rule, instance, grid)
     if property_name == "scalable":
-        scalars = (2, Fraction(1, 3), Fraction(7, 5))
-        return check_scalable(rule, instance, scalars)
+        return check_scalable(rule, instance, SCALING_FACTORS)
     raise UsageError(f"unknown property {property_name!r}")
-
-
-def _batch_worker(payload):
-    property_name, mechanism_name, instance_dict, grid = payload
-    instance = Instance.from_json_dict(instance_dict)
-    verdict = _check_on_instance(property_name, mechanism_name, instance, grid)
-    return instance_dict, verdict.to_json_dict()
 
 
 def cmd_check(args) -> int:
@@ -188,24 +181,23 @@ def cmd_check(args) -> int:
         instances = [_load_instance(args.instance)[0]]
     else:
         raise UsageError("provide an instance file or --random N")
-    payloads = [
-        (args.property, args.mechanism, inst.to_json_dict(), grid)
-        for inst in instances
-    ]
+    check = functools.partial(
+        _check_on_instance, args.property, args.mechanism, grid=grid
+    )
     if args.jobs_parallel > 1:
         with ProcessPoolExecutor(max_workers=args.jobs_parallel) as pool:
-            results = list(pool.map(_batch_worker, payloads, chunksize=8))
+            verdicts = list(pool.map(check, instances, chunksize=8))
     else:
-        results = [_batch_worker(p) for p in payloads]
+        verdicts = [check(inst) for inst in instances]
     failures = [
-        {"instance": inst, "verdict": verdict}
-        for inst, verdict in results
-        if not verdict["pass"]
+        {"instance": inst.to_json_dict(), "verdict": verdict.to_json_dict()}
+        for inst, verdict in zip(instances, verdicts)
+        if not verdict.passed
     ]
     summary = {
         "property": args.property,
         "mechanism": args.mechanism,
-        "instances": len(results),
+        "instances": len(verdicts),
         "failures": failures,
         "pass": not failures,
     }

@@ -9,12 +9,25 @@ all rely on exact comparisons, so floats are rejected at the boundary.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
+
+# Every exact comparison a verdict, certificate or constraint records.
+RELATIONS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<=": operator.le,
+    ">=": operator.ge,
+    "<": operator.lt,
+    ">": operator.gt,
+}
+# The relations of a linear constraint or a counterexample inequality.
+WEAK_RELATIONS = ("<=", ">=", "==")
 
 
 class DomainError(ValueError):
@@ -78,6 +91,24 @@ def ceil_log2(b: RationalLike) -> int:
     if (p > q << e) if e >= 0 else (p << -e > q):  # 2**e < p/q
         e += 1
     return e
+
+
+def compare(lhs, relation: str, rhs, accepted=RELATIONS) -> bool:
+    """``lhs relation rhs``; DomainError for a relation outside ``accepted``."""
+    if relation not in accepted:
+        raise DomainError(f"unknown relation {relation!r}")
+    return RELATIONS[relation](lhs, rhs)
+
+
+def bid_order(bids: Sequence[Fraction]) -> list[int]:
+    """Machine indices in nondecreasing bid order, ties to the lower index
+    (the sort is stable)."""
+    return sorted(range(len(bids)), key=bids.__getitem__)
+
+
+def lowest_bidder(bids: Sequence[Fraction]) -> int:
+    """The machine with the minimum bid, ties to the lowest index."""
+    return bids.index(min(bids))
 
 
 def rounded_speed(b: RationalLike) -> Fraction:

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import DomainError
+from .core import WEAK_RELATIONS, DomainError, compare
+
+MAX_PIVOTS = 200_000
 
 
 @dataclass(frozen=True)
@@ -26,20 +28,16 @@ class Constraint:
     label: str = ""
 
     def __post_init__(self):
-        if self.relation not in ("<=", ">=", "=="):
+        if self.relation not in WEAK_RELATIONS:
             raise DomainError(f"unknown relation {self.relation!r}")
 
     def satisfied_by(self, x: Sequence[Fraction]) -> bool:
         lhs = sum((c * x[i] for i, c in self.coeffs), Fraction(0))
-        if self.relation == "<=":
-            return lhs <= self.rhs
-        if self.relation == ">=":
-            return lhs >= self.rhs
-        return lhs == self.rhs
+        return compare(lhs, self.relation, self.rhs, WEAK_RELATIONS)
 
 
 def solve_feasibility(
-    n_vars: int, constraints: Sequence[Constraint], max_pivots: int = 200_000
+    n_vars: int, constraints: Sequence[Constraint]
 ) -> Optional[list[Fraction]]:
     """A nonnegative solution satisfying every constraint, or None.
 
@@ -48,7 +46,6 @@ def solve_feasibility(
     zero with Bland's smallest-index rule.
     """
     rows = []  # (dense coeffs, rhs) with rhs >= 0, equality form
-    needs_artificial = []
     for con in constraints:
         dense = [Fraction(0)] * n_vars
         for i, c in con.coeffs:
@@ -129,7 +126,7 @@ def solve_feasibility(
         if leaving is None:
             raise ArithmeticError("phase-1 objective unbounded; encoding bug")
         pivots += 1
-        if pivots > max_pivots:
+        if pivots > MAX_PIVOTS:
             raise ArithmeticError("pivot budget exhausted")
         piv = tableau[leaving][entering]
         tableau[leaving] = [v / piv for v in tableau[leaving]]

@@ -24,6 +24,7 @@ from .core import (
     Instance,
     Outcome,
     RationalLike,
+    lowest_bidder,
     rat,
     rat_str,
     rats,
@@ -123,7 +124,7 @@ def vcg_payments(
     """
     bids = instance.bids
     L = instance.total_length
-    winner = bids.index(min(bids))
+    winner = lowest_bidder(bids)
 
     def winner_only(value: Fraction) -> tuple[Fraction, ...]:
         return tuple(value if i == winner else Fraction(0) for i in range(len(bids)))
@@ -235,6 +236,11 @@ def extract_h_checked(
     return values[0]
 
 
+# HFunction probes below the lowest competitor bid and above the highest.
+LOW_PROBE_FACTORS = (Fraction(1, 2), Fraction(1, 3))
+HIGH_PROBE_FACTOR = Fraction(2)
+
+
 @dataclass
 class HFunction:
     """Memoized additive-term evaluations for an (assumed) truthful mechanism.
@@ -248,8 +254,6 @@ class HFunction:
 
     mechanism: Mechanism
     jobs: tuple[Fraction, ...]
-    low_factors: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(1, 3))
-    high_factor: Fraction = Fraction(2)
     _memo: dict = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock)
 
@@ -258,8 +262,8 @@ class HFunction:
         with self._lock:
             if key in self._memo:
                 return self._memo[key]
-        probes = [min(key) * f for f in self.low_factors]
-        probes.append(max(key) * self.high_factor)
+        probes = [min(key) * f for f in LOW_PROBE_FACTORS]
+        probes.append(max(key) * HIGH_PROBE_FACTOR)
         value = extract_h_checked(self.mechanism, self.jobs, key, probes)
         with self._lock:
             self._memo[key] = value

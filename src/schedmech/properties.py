@@ -17,15 +17,19 @@ from typing import Optional, Sequence
 
 from .allocations import opt_makespan
 from .core import (
+    WEAK_RELATIONS,
     DomainError,
     Instance,
     RationalLike,
+    compare,
     makespan,
     rat_str,
     rats,
 )
 
 PERMUTATION_CHECK_LIMIT = 6
+# The bid scalings every scalability check in the package tries.
+SCALING_FACTORS = (Fraction(2), Fraction(1, 3), Fraction(7, 5))
 
 
 @dataclass(frozen=True)
@@ -40,13 +44,7 @@ class Counterexample:
 
     def violation_holds(self) -> bool:
         """True when the recorded comparison is indeed violated."""
-        if self.relation == ">=":
-            return self.lhs < self.rhs
-        if self.relation == "<=":
-            return self.lhs > self.rhs
-        if self.relation == "==":
-            return self.lhs != self.rhs
-        raise DomainError(f"unknown relation {self.relation!r}")
+        return not compare(self.lhs, self.relation, self.rhs, WEAK_RELATIONS)
 
     def to_json_dict(self) -> dict:
         return {

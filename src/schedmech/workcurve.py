@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (
     DomainError,
@@ -28,7 +28,8 @@ from .core import (
     rats,
 )
 
-DEFAULT_MAX_DENOMINATOR = 2 ** 64
+# Largest denominator a jump hypothesis may have before bisection goes on.
+MAX_DENOMINATOR = 2 ** 64
 
 
 class CurveResolutionError(RuntimeError):
@@ -105,8 +106,7 @@ class WorkCurve:
         return self.tail
 
     def is_nonincreasing(self) -> bool:
-        seq = list(self.values) + [self.tail]
-        return all(a >= b for a, b in zip(seq, seq[1:]))
+        return not self.monotonicity_violations()
 
     def monotonicity_violations(self) -> list[tuple[Fraction, Fraction, Fraction]]:
         """(breakpoint, value before, value after) wherever the curve rises."""
@@ -169,7 +169,6 @@ def _locate_jumps(
     v1: Fraction,
     x2: Fraction,
     v2: Fraction,
-    max_denominator: int,
     depth: int = 0,
 ) -> Optional[list[Fraction]]:
     """Exact jump points of a step function in [x1, x2], given f(x1) != f(x2).
@@ -194,7 +193,7 @@ def _locate_jumps(
         if all(f(hi - width / (1 << k)) == vlo for k in (14, 34, 54)):
             return [hi]
         z = simplest_between(lo, hi)
-        if z.denominator <= max_denominator:
+        if z.denominator <= MAX_DENOMINATOR:
             left_gap = z - lo
             right_gap = hi - z
             left_ok = all(
@@ -212,8 +211,8 @@ def _locate_jumps(
         elif vm == vhi:
             hi = mid
         else:
-            left = _locate_jumps(f, lo, vlo, mid, vm, max_denominator, depth + 1)
-            right = _locate_jumps(f, mid, vm, hi, vhi, max_denominator, depth + 1)
+            left = _locate_jumps(f, lo, vlo, mid, vm, depth + 1)
+            right = _locate_jumps(f, mid, vm, hi, vhi, depth + 1)
             if left is None or right is None:
                 return None
             return left + right
@@ -225,19 +224,19 @@ MAX_BREAKPOINTS = 512
 
 def discover_step_function(
     f: Callable[[Fraction], Fraction],
-    candidates: Sequence[Fraction],
-    cap: Fraction,
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], Fraction, bool]:
+    candidates: Iterable[RationalLike],
+    cap: RationalLike,
+) -> WorkCurve:
     """Recover a piecewise-constant f on (0, cap] exactly.
 
     ``candidates`` delimit the initial sampling grid (three quantiles per
     candidate interval); every jump is then located exactly between adjacent
     samples that disagree, so candidates guide the search but are never
-    trusted to be jumps themselves.  Returns (breakpoints, values, tail,
-    approximate) where tail is the value on the final interval ending at cap.
-    A jump hiding between two equal-valued samples is invisible; candidate
-    sets must be dense enough to expose one sign of every change.
+    trusted to be jumps themselves.  The curve's tail is the value on the
+    final interval ending at cap, and it is flagged approximate when a jump
+    could not be located exactly.  A jump hiding between two equal-valued
+    samples is invisible; candidate sets must be dense enough to expose one
+    sign of every change.
     """
     cap = rat(cap)
     if cap <= 0:
@@ -252,7 +251,7 @@ def discover_step_function(
     jumps: set[Fraction] = set()
     for (xa, va), (xb, vb) in zip(zip(samples, values), zip(samples[1:], values[1:])):
         if va != vb:
-            found = _locate_jumps(f, xa, va, xb, vb, max_denominator)
+            found = _locate_jumps(f, xa, va, xb, vb)
             if found is None:
                 approximate = True
                 jumps.add(xb)  # best effort: split at the right sample
@@ -274,7 +273,7 @@ def discover_step_function(
             breakpoints.append(lo)
         vals.append(v)
     tail = vals.pop()
-    return tuple(breakpoints), tuple(vals), tail, approximate
+    return WorkCurve(tuple(breakpoints), tuple(vals), tail, cap, approximate)
 
 
 def _own_bid_eval(rule, others_bids, jobs) -> Callable[[Fraction], Fraction]:
@@ -323,7 +322,6 @@ def build_workcurve(
     others_bids: Sequence[RationalLike],
     jobs: Sequence[RationalLike],
     cap: RationalLike,
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
 ) -> WorkCurve:
     """Exact bid-response step function of ``rule`` for the first machine.
 
@@ -339,35 +337,27 @@ def build_workcurve(
     if hints is not None:
         # A rule that knows its own comparison structure supplies a complete
         # candidate set; the quantile verification still guards it.
-        candidates = {rat(c) for c in hints(others_bids, jobs, cap)}
+        candidates = hints(others_bids, jobs, cap)
     else:
         # Bid-comparison thresholds plus rounded-speed flips: good for the
         # rules in this package.
         lo = min((*others_bids, cap)) * min(jobs) / (2 * sum(jobs))
         candidates = subset_ratio_points(others_bids, jobs, cap)
         candidates |= power_of_two_points(lo, cap)
-    bps, vals, tail, approx = discover_step_function(
-        f, sorted(candidates), cap, max_denominator
-    )
-    return WorkCurve(bps, vals, tail, cap, approx)
+    return discover_step_function(f, candidates, cap)
 
 
 def build_response_curve(
     eval_fn: Callable[[Fraction], Fraction],
     candidates: Sequence[RationalLike],
     cap: RationalLike,
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
 ) -> WorkCurve:
     """Step-function discovery for an arbitrary one-dimensional response.
 
     Used for curves in a *competitor's* bid, which the certificate for
     scalable two-machine rules integrates on both sides of its inequality.
     """
-    cap = rat(cap)
-    bps, vals, tail, approx = discover_step_function(
-        eval_fn, [rat(c) for c in candidates], cap, max_denominator
-    )
-    return WorkCurve(bps, vals, tail, cap, approx)
+    return discover_step_function(eval_fn, candidates, cap)
 
 
 # ---------------------------------------------------------------------------

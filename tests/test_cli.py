@@ -175,6 +175,18 @@ class TestCheck:
         _, parallel, _ = run_cli(capsys, *base, "--jobs-parallel", "2")
         assert serial == parallel
 
+    @pytest.mark.parametrize(
+        "base",
+        [
+            ("check", "scalable", "lpt-star", "--random", "60", "--seed", "9"),
+            ("check", "ef", "lpt-star:efchain", "--random", "200"),
+        ],
+    )
+    def test_parallel_matches_serial_with_failures(self, capsys, base):
+        code, serial, _ = run_cli(capsys, *base)
+        assert code == 1 and json.loads(serial)["failures"]
+        assert run_cli(capsys, *base, "--jobs-parallel", "2") == (code, serial, "")
+
     def test_ratio_csv_batch(self, capsys, tmp_path):
         out_csv = tmp_path / "ratios.csv"
         code, _, _ = run_cli(
