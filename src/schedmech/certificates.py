@@ -535,8 +535,11 @@ def lemma6_g(
 # Two-machine optimal rule: the property sweep and the VCG separation
 
 
+PROP12_SEED = 20250809
+
+
 def prop12_verify(
-    sample_budget: int = 1000, seed: int = 20250809
+    sample_budget: int = 1000, seed: int = PROP12_SEED
 ) -> CertificateReport:
     """Sweep the two-machine min-makespan/min-running-time rule.
 
@@ -545,6 +548,8 @@ def prop12_verify(
     allocation; combined with the scalable-rule certificate this shows those
     four properties do not buy a payment scheme.
     """
+    if sample_budget < 1:
+        raise DomainError(f"prop12 needs at least one sample, got {sample_budget}")
     rng = random.Random(seed)
     report = CertificateReport(
         name="prop12",
@@ -583,18 +588,15 @@ def prop12_verify(
         ours != vcg,
     )
     report.add("two-machine rule splits the jobs there", ours[0], "==", 2)
-    # Raising the second bid never hands the second machine more work.
-    sweep = Instance((2, 1), (1, 1))
-    prev = None
-    monotone_ok = True
-    for step in range(1, 33):
-        b2 = Fraction(step, 8)
-        w2 = two_machine_opt(sweep.with_bid(1, b2)).workloads[1]
-        if prev is not None and w2 > prev:
-            monotone_ok = False
-            report.notes.append(f"second-machine workload rose at bid {rat_str(b2)}")
-        prev = w2
-    report.require("raised-bid sweep finds no monotonicity violation", monotone_ok)
+    # Raising a bid through 1/8, 2/8, ..., 4 never hands that machine more work.
+    sweep = check_monotone(
+        two_machine_opt,
+        Instance((2, 1), (1, 1)),
+        [Fraction(step, 8) for step in range(1, 33)],
+    )
+    if not sweep:
+        report.notes.append(f"raised-bid sweep: {sweep.counterexample.to_json_dict()}")
+    report.require("raised-bid sweep finds no monotonicity violation", sweep.passed)
     return report
 
 

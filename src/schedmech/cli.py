@@ -123,8 +123,9 @@ def cmd_allocate(args) -> int:
     return EXIT_OK
 
 
-def _check_on_instance(property_name, mechanism_name, instance, grid):
-    """One property verdict on one instance; used by the batch fan-out."""
+def _check_on_instance(property_name, mechanism_name, instance, grid, budget):
+    """One property verdict (for ``ratio``, the exact approximation ratio)
+    on one instance; used by the batch fan-out."""
     if property_name in ("ef", "ir", "truthful", "anonymous"):
         mech = _mechanism_for(mechanism_name)
         if property_name == "truthful":
@@ -137,6 +138,8 @@ def _check_on_instance(property_name, mechanism_name, instance, grid):
             instance.bids, outcome.allocation.workloads, outcome.payments
         )
     rule = _rule_for(mechanism_name)
+    if property_name == "ratio":
+        return approx_ratio(rule, instance, budget=budget)
     if property_name == "le":
         return check_local_efficiency(instance.bids, rule(instance).workloads)
     if property_name == "monotone":
@@ -148,8 +151,6 @@ def _check_on_instance(property_name, mechanism_name, instance, grid):
 
 def cmd_check(args) -> int:
     grid = _rat_list(args.grid) if args.grid else None
-    if args.property == "ratio":
-        return _cmd_check_ratio(args)
     if args.property == "le" and args.workloads:
         if not args.bids:
             raise UsageError("--workloads needs --bids")
@@ -168,6 +169,8 @@ def cmd_check(args) -> int:
         return EXIT_OK if verdict.passed else EXIT_FAIL
     if not args.mechanism:
         raise UsageError("property checks need a mechanism or rule name")
+    if args.random < 0:
+        raise UsageError(f"--random takes a positive count, got {args.random}")
     if args.random:
         rng = random.Random(args.seed)
         base = args.mechanism.partition(":")[0]
@@ -182,13 +185,16 @@ def cmd_check(args) -> int:
     else:
         raise UsageError("provide an instance file or --random N")
     check = functools.partial(
-        _check_on_instance, args.property, args.mechanism, grid=grid
+        _check_on_instance, args.property, args.mechanism,
+        grid=grid, budget=args.budget,
     )
     if args.jobs_parallel > 1:
         with ProcessPoolExecutor(max_workers=args.jobs_parallel) as pool:
             verdicts = list(pool.map(check, instances, chunksize=8))
     else:
         verdicts = [check(inst) for inst in instances]
+    if args.property == "ratio":
+        return _emit_ratios(args, instances, verdicts)
     failures = [
         {"instance": inst.to_json_dict(), "verdict": verdict.to_json_dict()}
         for inst, verdict in zip(instances, verdicts)
@@ -205,46 +211,19 @@ def cmd_check(args) -> int:
     return EXIT_OK if not failures else EXIT_FAIL
 
 
-def _cmd_check_ratio(args) -> int:
-    if args.theorem1:
-        params = dict(tok.partition("=")[::2] for tok in args.theorem1)
-        if "" in params.values():
-            raise UsageError("--theorem1 takes k=v pairs, e.g. m=3 c=3/2")
-        try:
-            m = int(params.get("m", "3"))
-        except ValueError as exc:
-            raise UsageError(f"--theorem1 m must be an integer: {exc}") from exc
-        c = rat(params.get("c", "1"))
-        eps = rat(params.get("eps", "1/2"))
-        if args.mechanism != "vcg":
-            raise UsageError("the adversarial-instance ratio is wired to vcg")
-        report = certificates.theorem1_harness(vcg_mechanism, m, c, eps)
-        print(report.constants["ratio"])
-        return EXIT_OK if report.verified else EXIT_FAIL
-    rule = _rule_for(args.mechanism)
-    rows = []
-    if args.random:
-        rng = random.Random(args.seed)
-        instances = [sample_instance(rng) for _ in range(args.random)]
-    elif args.instance:
-        instances = [_load_instance(args.instance)[0]]
-    else:
-        raise UsageError("provide an instance file, --random N, or --theorem1")
-    for inst in instances:
-        ratio = approx_ratio(rule, inst, budget=args.budget)
-        rows.append(
-            {
-                "rule": args.mechanism,
-                "m": inst.m,
-                "n": inst.n,
-                "ratio": rat_str(ratio),
-            }
-        )
+def _emit_ratios(args, instances, ratios) -> int:
+    rows = [
+        {"rule": args.mechanism, "m": inst.m, "n": inst.n, "ratio": rat_str(ratio)}
+        for inst, ratio in zip(instances, ratios)
+    ]
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["rule", "m", "n", "ratio"])
-            writer.writeheader()
-            writer.writerows(rows)
+        try:
+            with open(args.csv, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=["rule", "m", "n", "ratio"])
+                writer.writeheader()
+                writer.writerows(rows)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.csv}: {exc}") from exc
     if len(rows) == 1 and not args.csv:
         print(rows[0]["ratio"])
     else:
@@ -269,7 +248,8 @@ def cmd_certify(args) -> int:
         samples = _rat_list(args.samples_at) if args.samples_at else (1, 2, 5)
         _, report = certificates.lemma6_g(rule, rat(args.k), jobs, samples)
     elif name == "prop12":
-        report = certificates.prop12_verify(args.samples, args.seed or 20250809)
+        seed = certificates.PROP12_SEED if args.seed is None else args.seed
+        report = certificates.prop12_verify(args.samples, seed)
     elif name == "polytope":
         rule = _rule_for(args.rule or "lpt-star")
         grid = _rat_list(args.grid) if args.grid else [1, 2, 8]
@@ -321,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--workloads", default=None)
     p_check.add_argument("--bids", default=None)
     p_check.add_argument("--payments", default=None)
-    p_check.add_argument("--theorem1", nargs="+", default=None,
-                         help="k=v pairs: m=3 c=3/2 [eps=1/2]")
     p_check.add_argument("--csv", default=None, help="write batch ratios as CSV")
     p_check.add_argument("--budget", type=int, default=10 ** 7)
     p_check.add_argument("--jobs-parallel", type=int, default=1)
@@ -366,10 +344,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DomainError as exc:
+    except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceeded as exc:

@@ -200,6 +200,8 @@ class Instance:
         for key in ("jobs", "bids"):
             if key not in obj:
                 raise DomainError(f"instance JSON missing {key!r}")
+            if not isinstance(obj[key], list):
+                raise DomainError(f"instance JSON field {key!r} must be a list")
             for v in obj[key]:
                 if isinstance(v, float):
                     raise DomainError(

@@ -148,13 +148,6 @@ class TestCheck:
         assert "counterexample" in payload
         jsonschema.validate(payload, VERDICT_SCHEMA)
 
-    def test_adversarial_ratio(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "check", "ratio", "vcg", "--theorem1", "m=3", "c=3/2"
-        )
-        assert code == 0
-        assert out.strip() == "5/3"
-
     def test_batch_is_seed_deterministic(self, capsys):
         args = ("check", "truthful", "vcg", "--random", "5", "--seed", "3",
                 "--grid", "1,2,3")
@@ -198,6 +191,27 @@ class TestCheck:
         lines = out_csv.read_text().strip().splitlines()
         assert lines[0] == "rule,m,n,ratio"
         assert len(lines) == 6
+
+    def test_ratio_batch_of_a_two_machine_rule_samples_two_machines(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check", "ratio", "two-opt", "--random", "5", "--seed", "0"
+        )
+        assert code == 0
+        rows = json.loads(out)["ratios"]
+        assert len(rows) == 5
+        assert all(row["m"] == 2 for row in rows)
+
+    def test_ratio_batch_honours_straddle(self, capsys):
+        base = ("check", "ratio", "lpt-star", "--random", "8", "--seed", "5")
+        _, plain, _ = run_cli(capsys, *base)
+        _, straddled, _ = run_cli(capsys, *base, "--straddle")
+        assert plain != straddled
+
+    def test_ratio_batch_parallel_matches_serial(self, capsys):
+        base = ("check", "ratio", "opt", "--random", "12", "--seed", "4")
+        code, serial, _ = run_cli(capsys, *base)
+        assert code == 0 and len(json.loads(serial)["ratios"]) == 12
+        assert run_cli(capsys, *base, "--jobs-parallel", "2") == (code, serial, "")
 
     def test_missing_inputs_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "check", "ef", "vcg")
@@ -268,22 +282,46 @@ class TestCertify:
         assert code == 0
         assert json.loads(out)["constants"]["ratio"] == "5/3"
 
+    def test_prop12_records_seed_zero(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "certify", "prop12", "--samples", "5", "--seed", "0"
+        )
+        assert code == 0
+        assert json.loads(out)["inputs"] == {"sample_budget": 5, "seed": 0}
+
+
+BAD_INSTANCE_FILES = {
+    "LIST_JSON": "[1, 2]",
+    "INT_JOBS_JSON": '{"jobs": 5, "bids": ["1", "2"]}',
+    "STRING_JOBS_JSON": '{"jobs": "21", "bids": ["1", "2"]}',
+    "STRING_BIDS_JSON": '{"jobs": ["2", "1"], "bids": "12"}',
+}
+
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["check", "ratio", "vcg", "--theorem1", "m3"],
-        ["check", "ratio", "vcg", "--theorem1", "m=x"],
         ["allocate", "vcg", "LIST_JSON"],
         ["certify", "lemma6", "--rule", "at-expected"],
+        ["allocate", "vcg", "INT_JOBS_JSON"],
+        ["check", "ratio", "lpt-star", "STRING_JOBS_JSON"],
+        ["check", "ef", "vcg", "STRING_BIDS_JSON"],
+        ["check", "ratio", "lpt-star", "--random", "3", "--csv", "MISSING_DIR_CSV"],
+        ["check", "truthful", "vcg", "--random", "-3"],
+        ["certify", "prop12", "--samples", "0"],
+        ["certify", "prop12", "--samples", "-5"],
     ],
-    ids=["theorem1-pair-without-equals", "theorem1-non-integer-m",
-         "instance-file-holds-a-list", "lemma6-expected-allocation-rule"],
+    ids=["instance-file-holds-a-list", "lemma6-expected-allocation-rule",
+         "instance-jobs-not-a-list", "instance-jobs-a-string",
+         "instance-bids-a-string", "csv-in-missing-directory",
+         "negative-random-count", "prop12-zero-samples", "prop12-negative-samples"],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
-    listed = tmp_path / "list.json"
-    listed.write_text("[1, 2]")
-    argv = [str(listed) if a == "LIST_JSON" else a for a in argv]
+    paths = {"MISSING_DIR_CSV": str(tmp_path / "missing" / "ratios.csv")}
+    for placeholder, text in BAD_INSTANCE_FILES.items():
+        paths[placeholder] = str(tmp_path / f"{placeholder.lower()}.json")
+        (tmp_path / f"{placeholder.lower()}.json").write_text(text)
+    argv = [paths.get(a, a) for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
