@@ -484,8 +484,10 @@ def lemma6_g(
 
     ratio_cap = (k + 1) / (2 * k)
 
+    unit_base = Instance(jobs, (1, 1))
+
     def unit_machine_response(y: Fraction) -> Fraction:
-        return rule(Instance(jobs, (Fraction(1), y))).workloads[0]
+        return rule(unit_base.with_bid(1, y)).workloads[0]
 
     unit_curve = build_response_curve(
         unit_machine_response, subset_ratio_points((Fraction(1),), jobs, 2), cap=2
@@ -515,8 +517,10 @@ def lemma6_g(
         own_curve = build_workcurve(rule, (a,), jobs, cap=2 * k * a)
         lhs = integrate(own_curve, a, k * a)
 
+        cross_base = Instance(jobs, (a, a))
+
         def cross_response(x: Fraction) -> Fraction:
-            return rule(Instance(jobs, (a, x))).workloads[0]
+            return rule(cross_base.with_bid(1, x)).workloads[0]
 
         cross_curve = build_response_curve(
             cross_response, subset_ratio_points((a,), jobs, 2 * a), cap=2 * a

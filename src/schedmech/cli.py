@@ -171,6 +171,12 @@ def cmd_check(args) -> int:
         raise UsageError("property checks need a mechanism or rule name")
     if args.random < 0:
         raise UsageError(f"--random takes a positive count, got {args.random}")
+    if args.jobs_parallel < 1:
+        raise UsageError(
+            f"--jobs-parallel takes a positive count, got {args.jobs_parallel}"
+        )
+    if args.random and args.instance:
+        raise UsageError("give an instance file or --random N, not both")
     if args.random:
         rng = random.Random(args.seed)
         base = args.mechanism.partition(":")[0]
@@ -188,8 +194,9 @@ def cmd_check(args) -> int:
         _check_on_instance, args.property, args.mechanism,
         grid=grid, budget=args.budget,
     )
-    if args.jobs_parallel > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs_parallel) as pool:
+    workers = min(args.jobs_parallel, len(instances))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             verdicts = list(pool.map(check, instances, chunksize=8))
     else:
         verdicts = [check(inst) for inst in instances]

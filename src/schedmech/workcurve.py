@@ -3,15 +3,17 @@
 For a deterministic allocation rule and fixed competitor bids, the first
 machine's workload as a function of its own bid is a nonincreasing step
 function with rational breakpoints.  This module discovers those
-breakpoints exactly (candidate seeding plus simplest-rational bisection),
-integrates the curve exactly, and, for the fractional binning rule, derives
-the piecewise closed form of the *expected* workload, whose integral picks
-up logarithmic terms that are kept symbolic with rational enclosures.
+breakpoints exactly (candidate seeding, each candidate tested as a jump,
+simplest-rational bisection as the fallback), integrates the curve
+exactly, and, for the fractional binning rule, derives the piecewise
+closed form of the *expected* workload, whose integral picks up
+logarithmic terms that are kept symbolic with rational enclosures.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -163,17 +165,42 @@ def integrate(
 # Step-function discovery
 
 
+def _steps_at(
+    f: Callable[[Fraction], Fraction],
+    lo: Fraction,
+    vlo: Fraction,
+    z: Fraction,
+    hi: Fraction,
+    vhi: Fraction,
+) -> bool:
+    """Jump hypothesis: f steps from vlo to vhi at z inside (lo, hi).
+
+    Probes at z - (z-lo)/2^k and z + (hi-z)/2^k for k in (1, 16, 40) must
+    read vlo and vhi, and f(z) itself must be one of the two values.
+    """
+    left_gap = z - lo
+    right_gap = hi - z
+    return (
+        all(f(z - left_gap / (1 << k)) == vlo for k in (1, 16, 40))
+        and all(f(z + right_gap / (1 << k)) == vhi for k in (1, 16, 40))
+        and f(z) in (vlo, vhi)
+    )
+
+
 def _locate_jumps(
     f: Callable[[Fraction], Fraction],
     x1: Fraction,
     v1: Fraction,
     x2: Fraction,
     v2: Fraction,
+    candidates: Sequence[Fraction],
     depth: int = 0,
 ) -> Optional[list[Fraction]]:
     """Exact jump points of a step function in [x1, x2], given f(x1) != f(x2).
 
-    Alternates a simplest-rational hypothesis test with plain bisection.
+    Each candidate strictly inside the bracket is first tested as the
+    jump under the same hypothesis test the bisection uses.  Failing that, a
+    simplest-rational hypothesis test alternates with plain bisection.
     Bisection shrinks the bracket geometrically; once it is tight enough
     that the true jump is the simplest rational inside (any two rationals
     with denominator at most q are at least 1/q^2 apart), the hypothesis
@@ -184,6 +211,9 @@ def _locate_jumps(
     if depth > 8:
         return None
     lo, vlo, hi, vhi = x1, v1, x2, v2
+    for z in candidates:
+        if lo < z < hi and _steps_at(f, lo, vlo, z, hi, vhi):
+            return [z]
     for _ in range(260):
         width = hi - lo
         # Endpoint hypotheses: the value changes immediately after lo
@@ -193,17 +223,8 @@ def _locate_jumps(
         if all(f(hi - width / (1 << k)) == vlo for k in (14, 34, 54)):
             return [hi]
         z = simplest_between(lo, hi)
-        if z.denominator <= MAX_DENOMINATOR:
-            left_gap = z - lo
-            right_gap = hi - z
-            left_ok = all(
-                f(z - left_gap / (1 << k)) == vlo for k in (1, 16, 40)
-            )
-            right_ok = all(
-                f(z + right_gap / (1 << k)) == vhi for k in (1, 16, 40)
-            )
-            if left_ok and right_ok and f(z) in (vlo, vhi):
-                return [z]
+        if z.denominator <= MAX_DENOMINATOR and _steps_at(f, lo, vlo, z, hi, vhi):
+            return [z]
         mid = lo + width / 2
         vm = f(mid)
         if vm == vlo:
@@ -211,8 +232,8 @@ def _locate_jumps(
         elif vm == vhi:
             hi = mid
         else:
-            left = _locate_jumps(f, lo, vlo, mid, vm, depth + 1)
-            right = _locate_jumps(f, mid, vm, hi, vhi, depth + 1)
+            left = _locate_jumps(f, lo, vlo, mid, vm, candidates, depth + 1)
+            right = _locate_jumps(f, mid, vm, hi, vhi, candidates, depth + 1)
             if left is None or right is None:
                 return None
             return left + right
@@ -231,12 +252,13 @@ def discover_step_function(
 
     ``candidates`` delimit the initial sampling grid (three quantiles per
     candidate interval); every jump is then located exactly between adjacent
-    samples that disagree, so candidates guide the search but are never
-    trusted to be jumps themselves.  The curve's tail is the value on the
-    final interval ending at cap, and it is flagged approximate when a jump
-    could not be located exactly.  A jump hiding between two equal-valued
-    samples is invisible; candidate sets must be dense enough to expose one
-    sign of every change.
+    samples that disagree.  A candidate between them is tested first, and
+    accepted as the jump only under the probe test a simplest-rational
+    hypothesis must pass; otherwise simplest-rational bisection finds it.
+    The curve's tail is the value on the final interval ending at cap, and
+    it is flagged approximate when a jump could not be located exactly.  A
+    jump hiding between two equal-valued samples is invisible; candidate
+    sets must be dense enough to expose one sign of every change.
     """
     cap = rat(cap)
     if cap <= 0:
@@ -251,7 +273,8 @@ def discover_step_function(
     jumps: set[Fraction] = set()
     for (xa, va), (xb, vb) in zip(zip(samples, values), zip(samples[1:], values[1:])):
         if va != vb:
-            found = _locate_jumps(f, xa, va, xb, vb)
+            inside = points[bisect_right(points, xa):bisect_left(points, xb)]
+            found = _locate_jumps(f, xa, va, xb, vb, inside)
             if found is None:
                 approximate = True
                 jumps.add(xb)  # best effort: split at the right sample
@@ -277,8 +300,10 @@ def discover_step_function(
 
 
 def _own_bid_eval(rule, others_bids, jobs) -> Callable[[Fraction], Fraction]:
+    base = Instance(jobs, (1, *others_bids))
+
     def f(x: Fraction) -> Fraction:
-        result = rule(Instance(jobs, (x, *others_bids)))
+        result = rule(base.with_bid(0, x))
         if isinstance(result, ExpectedAllocation):
             raise DomainError(
                 "rule returns expected allocations; use expected_workcurve"

@@ -213,6 +213,30 @@ class TestCheck:
         assert code == 0 and len(json.loads(serial)["ratios"]) == 12
         assert run_cli(capsys, *base, "--jobs-parallel", "2") == (code, serial, "")
 
+    def test_parallel_workers_capped_at_the_batch_size(self, capsys, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            # Runs the batch in this process; records the requested size.
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        base = ("check", "le", "lpt-star", "--random", "3", "--seed", "11")
+        _, serial, _ = run_cli(capsys, *base)
+        assert run_cli(capsys, *base, "--jobs-parallel", "64") == (0, serial, "")
+        assert run_cli(capsys, *base, "--jobs-parallel", "2") == (0, serial, "")
+        assert started == [3, 2]
+
     def test_missing_inputs_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "check", "ef", "vcg")
         assert code == 2
@@ -295,6 +319,7 @@ BAD_INSTANCE_FILES = {
     "INT_JOBS_JSON": '{"jobs": 5, "bids": ["1", "2"]}',
     "STRING_JOBS_JSON": '{"jobs": "21", "bids": ["1", "2"]}',
     "STRING_BIDS_JSON": '{"jobs": ["2", "1"], "bids": "12"}',
+    "VALID_JSON": '{"jobs": ["2", "1"], "bids": ["1", "2"]}',
 }
 
 
@@ -310,11 +335,15 @@ BAD_INSTANCE_FILES = {
         ["check", "truthful", "vcg", "--random", "-3"],
         ["certify", "prop12", "--samples", "0"],
         ["certify", "prop12", "--samples", "-5"],
+        ["check", "ratio", "lpt-star", "VALID_JSON", "--random", "2"],
+        ["check", "truthful", "vcg", "--random", "3", "--jobs-parallel", "0"],
+        ["check", "truthful", "vcg", "--random", "3", "--jobs-parallel", "-1"],
     ],
     ids=["instance-file-holds-a-list", "lemma6-expected-allocation-rule",
          "instance-jobs-not-a-list", "instance-jobs-a-string",
          "instance-bids-a-string", "csv-in-missing-directory",
-         "negative-random-count", "prop12-zero-samples", "prop12-negative-samples"],
+         "negative-random-count", "prop12-zero-samples", "prop12-negative-samples",
+         "instance-file-and-random", "zero-parallel-jobs", "negative-parallel-jobs"],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     paths = {"MISSING_DIR_CSV": str(tmp_path / "missing" / "ratios.csv")}
