@@ -677,6 +677,8 @@ def payment_polytope_feasible(
     witness is a set of shortest-path potentials and an infeasible verdict
     names one simple negative cycle, which the exact simplex re-checks.
     """
+    if machines < 1:
+        raise DomainError("machines must be at least 1")
     grid, profiles, workloads, var, n_vars, constraints, notes = _polytope_rows(
         rule, bid_grid, jobs, machines, profile_budget
     )
@@ -731,91 +733,58 @@ def _polytope_rows(rule, bid_grid, jobs, machines, profile_budget):
         raise BudgetExceeded(
             f"{len(grid)}^{machines} profiles exceed budget {profile_budget}"
         )
-    workloads: dict[tuple, tuple] = {}
-    for b in profiles:
-        allocation = rule(Instance(jobs, b))
-        workloads[b] = allocation.workloads
+    workloads = {b: rule(Instance(jobs, b)).workloads for b in profiles}
+    text = {b: str(tuple(rat_str(x) for x in b)) for b in profiles}
     notes: list[str] = []
-    var_index = {(i, b): t for t, (b, i) in enumerate(
-        (b, i) for b in profiles for i in range(machines)
-    )}
+    var_index = {
+        key: t
+        for t, key in enumerate((i, b) for b in profiles for i in range(machines))
+    }
     n_vars = len(var_index)
     uf = _UnionFind(n_vars)
     broken_swaps = []
     for b in profiles:
-        for kpos in range(machines):
+        for kpos, lpos in itertools.permutations(range(machines), 2):
             if b.count(b[kpos]) != 1:
                 continue
-            for lpos in range(machines):
-                if lpos == kpos:
-                    continue
-                swapped = list(b)
-                swapped[kpos], swapped[lpos] = swapped[lpos], swapped[kpos]
-                swapped = tuple(swapped)
-                if workloads[swapped][lpos] == workloads[b][kpos]:
-                    uf.union(var_index[(kpos, b)], var_index[(lpos, swapped)])
-                else:
-                    notes.append(
-                        f"rule workloads break anonymity at profile "
-                        f"{tuple(rat_str(x) for x in b)} swap ({kpos},{lpos})"
-                    )
-                    broken_swaps.append((b, kpos, swapped, lpos))
+            swapped = list(b)
+            swapped[kpos], swapped[lpos] = swapped[lpos], swapped[kpos]
+            swapped = tuple(swapped)
+            if workloads[swapped][lpos] == workloads[b][kpos]:
+                uf.union(var_index[(kpos, b)], var_index[(lpos, swapped)])
+            else:
+                notes.append(
+                    f"rule workloads break anonymity at profile "
+                    f"{text[b]} swap ({kpos},{lpos})"
+                )
+                broken_swaps.append((b, kpos, swapped, lpos))
     var = {key: uf.find(t) for key, t in var_index.items()}
+    constraints: list[Constraint] = []
+
+    def row(head, tail, relation, rhs, label):
+        """``u[head] - u[tail] (relation) rhs``; no coefficients when
+        anonymity merged the two variables."""
+        h, t = var[head], var[tail]
+        coeffs = ((h, 1), (t, -1)) if h != t else ()
+        constraints.append(Constraint(coeffs, relation, rhs, label))
 
     # Payment anonymity at a broken workload swap stays an explicit row;
     # built after the union pass so it names final representatives.
-    constraints: list[Constraint] = []
     for b, kpos, swapped, lpos in broken_swaps:
         rhs = b[kpos] * (workloads[b][kpos] - workloads[swapped][lpos])
-        constraints.append(
-            Constraint(
-                _combine(((var[(lpos, swapped)], 1), (var[(kpos, b)], -1))),
-                "==",
-                rhs,
-                label=(
-                    f"ANON profile={tuple(rat_str(x) for x in b)} "
-                    f"swap=({kpos},{lpos})"
-                ),
-            )
-        )
+        row((lpos, swapped), (kpos, b), "==", rhs,
+            f"ANON profile={text[b]} swap=({kpos},{lpos})")
     for b in profiles:
         w = workloads[b]
-        for i in range(machines):
-            for j in range(machines):
-                if i == j:
-                    continue
-                # utility_i >= utility_j's bundle at bid_i, in shifted vars
-                coeffs = _combine(((var[(i, b)], 1), (var[(j, b)], -1)))
-                constraints.append(
-                    Constraint(
-                        coeffs,
-                        ">=",
-                        (b[j] - b[i]) * w[j],
-                        label=(
-                            f"EF profile={tuple(rat_str(x) for x in b)} i={i} j={j}"
-                        ),
-                    )
-                )
-        for i in range(machines):
-            for d in grid:
-                if d == b[i]:
-                    continue
-                deviated = list(b)
-                deviated[i] = d
-                deviated = tuple(deviated)
-                w_dev = workloads[deviated][i]
-                coeffs = _combine(((var[(i, b)], 1), (var[(i, deviated)], -1)))
-                constraints.append(
-                    Constraint(
-                        coeffs,
-                        ">=",
-                        (d - b[i]) * w_dev,
-                        label=(
-                            f"IC profile={tuple(rat_str(x) for x in b)} "
-                            f"i={i} dev={rat_str(d)}"
-                        ),
-                    )
-                )
+        for i, j in itertools.permutations(range(machines), 2):
+            # utility_i >= utility_j's bundle at bid_i, in shifted vars
+            row((i, b), (j, b), ">=", (b[j] - b[i]) * w[j],
+                f"EF profile={text[b]} i={i} j={j}")
+        for i, d in itertools.product(range(machines), grid):
+            if d != b[i]:
+                deviated = b[:i] + (d,) + b[i + 1:]
+                row((i, b), (i, deviated), ">=", (d - b[i]) * workloads[deviated][i],
+                    f"IC profile={text[b]} i={i} dev={rat_str(d)}")
     return grid, profiles, workloads, var, n_vars, constraints, notes
 
 
@@ -868,13 +837,6 @@ def _difference_solve(n_vars: int, rows: Sequence[Constraint]):
             break
     cycle.reverse()
     return None, cycle
-
-
-def _combine(pairs) -> tuple[tuple[int, Fraction], ...]:
-    acc: dict[int, Fraction] = {}
-    for idx, coef in pairs:
-        acc[idx] = acc.get(idx, Fraction(0)) + Fraction(coef)
-    return tuple((i, c) for i, c in acc.items() if c != 0)
 
 
 def _verify_witness(grid, profiles, machines, workloads, payments):

@@ -66,7 +66,7 @@ def _load_instance(path: str) -> tuple[Instance, int | None]:
         if not isinstance(payload, dict):
             raise DomainError("instance JSON must be an object")
         seed = payload.get("seed")
-        if seed is not None and not isinstance(seed, int):
+        if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
             raise DomainError("instance seed must be an integer")
         return Instance.from_json_dict(payload), seed
     except (OSError, json.JSONDecodeError, DomainError) as exc:

@@ -103,7 +103,6 @@ def _local_efficiency_violation(
 def check_local_efficiency(
     bids: Sequence[RationalLike],
     workloads: Sequence[RationalLike],
-    permutation_check: bool = True,
 ) -> PropertyVerdict:
     """No bid-workload dot product can be reduced by permuting the bundles.
 
@@ -132,7 +131,7 @@ def check_local_efficiency(
                 "bid_k": rat_str(bids[k]),
             },
         )
-    if permutation_check and len(bids) <= PERMUTATION_CHECK_LIMIT:
+    if len(bids) <= PERMUTATION_CHECK_LIMIT:
         base = sum((b * w for b, w in zip(bids, workloads)), Fraction(0))
         best_perm = None
         for perm in itertools.permutations(range(len(bids))):

@@ -195,8 +195,9 @@ def _locate_jumps(
     v2: Fraction,
     candidates: Sequence[Fraction],
     depth: int = 0,
-) -> Optional[list[Fraction]]:
-    """Exact jump points of a step function in [x1, x2], given f(x1) != f(x2).
+) -> Optional[list[tuple[Fraction, Fraction]]]:
+    """Exact jump points of a step function in [x1, x2], given f(x1) != f(x2),
+    each with the value just right of it.
 
     Each candidate strictly inside the bracket is first tested as the
     jump under the same hypothesis test the bisection uses.  Failing that, a
@@ -213,18 +214,18 @@ def _locate_jumps(
     lo, vlo, hi, vhi = x1, v1, x2, v2
     for z in candidates:
         if lo < z < hi and _steps_at(f, lo, vlo, z, hi, vhi):
-            return [z]
+            return [(z, vhi)]
     for _ in range(260):
         width = hi - lo
         # Endpoint hypotheses: the value changes immediately after lo
         # (breakpoint lo itself), or only at hi.
         if all(f(lo + width / (1 << k)) == vhi for k in (14, 34, 54)):
-            return [lo]
+            return [(lo, vhi)]
         if all(f(hi - width / (1 << k)) == vlo for k in (14, 34, 54)):
-            return [hi]
+            return [(hi, vhi)]
         z = simplest_between(lo, hi)
         if z.denominator <= MAX_DENOMINATOR and _steps_at(f, lo, vlo, z, hi, vhi):
-            return [z]
+            return [(z, vhi)]
         mid = lo + width / 2
         vm = f(mid)
         if vm == vlo:
@@ -270,14 +271,14 @@ def discover_step_function(
         samples.extend(lo + (hi - lo) * Fraction(k, 4) for k in (1, 2, 3))
     values = [f(q) for q in samples]
     approximate = False
-    jumps: set[Fraction] = set()
+    jumps: dict[Fraction, Fraction] = {}
     for (xa, va), (xb, vb) in zip(zip(samples, values), zip(samples[1:], values[1:])):
         if va != vb:
             inside = points[bisect_right(points, xa):bisect_left(points, xb)]
             found = _locate_jumps(f, xa, va, xb, vb, inside)
             if found is None:
                 approximate = True
-                jumps.add(xb)  # best effort: split at the right sample
+                jumps[xb] = vb  # best effort: split at the right sample
             else:
                 jumps.update(found)
             if len(jumps) > MAX_BREAKPOINTS:
@@ -285,16 +286,12 @@ def discover_step_function(
                     f"more than {MAX_BREAKPOINTS} jumps on (0, {rat_str(cap)}]; "
                     "the response does not look like a bounded step function"
                 )
-    edges = [Fraction(0)] + sorted(jumps) + [cap]
     breakpoints: list[Fraction] = []
-    vals: list[Fraction] = []
-    for lo, hi in zip(edges, edges[1:]):
-        v = f(lo + (hi - lo) / 2)
-        if vals and vals[-1] == v:
-            continue
-        if vals:
-            breakpoints.append(lo)
-        vals.append(v)
+    vals = [values[0]]
+    for x, v in sorted(jumps.items()):
+        if v != vals[-1]:
+            breakpoints.append(x)
+            vals.append(v)
     tail = vals.pop()
     return WorkCurve(tuple(breakpoints), tuple(vals), tail, cap, approximate)
 

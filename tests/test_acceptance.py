@@ -160,9 +160,7 @@ def test_criterion_07_pairwise_criterion_equals_permutation_oracle():
         m = rng.randint(2, 6)
         bids = [F(rng.randint(1, 10), rng.choice((1, 2))) for _ in range(m)]
         workloads = [F(rng.randint(0, 12), rng.choice((1, 2))) for _ in range(m)]
-        pairwise = check_local_efficiency(
-            bids, workloads, permutation_check=False
-        ).passed
+        pairwise = check_local_efficiency(bids, workloads).passed
         base = sum(b * w for b, w in zip(bids, workloads))
         brute = all(
             sum(bids[i] * workloads[p] for i, p in enumerate(perm)) >= base

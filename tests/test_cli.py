@@ -320,6 +320,7 @@ BAD_INSTANCE_FILES = {
     "STRING_JOBS_JSON": '{"jobs": "21", "bids": ["1", "2"]}',
     "STRING_BIDS_JSON": '{"jobs": ["2", "1"], "bids": "12"}',
     "VALID_JSON": '{"jobs": ["2", "1"], "bids": ["1", "2"]}',
+    "BOOL_SEED_JSON": '{"jobs": ["2", "1"], "bids": ["1", "2"], "seed": true}',
 }
 
 
@@ -338,12 +339,17 @@ BAD_INSTANCE_FILES = {
         ["check", "ratio", "lpt-star", "VALID_JSON", "--random", "2"],
         ["check", "truthful", "vcg", "--random", "3", "--jobs-parallel", "0"],
         ["check", "truthful", "vcg", "--random", "3", "--jobs-parallel", "-1"],
+        ["certify", "polytope", "--machines", "0"],
+        ["certify", "polytope", "--machines", "-1"],
+        ["allocate", "at-sample", "BOOL_SEED_JSON"],
     ],
     ids=["instance-file-holds-a-list", "lemma6-expected-allocation-rule",
          "instance-jobs-not-a-list", "instance-jobs-a-string",
          "instance-bids-a-string", "csv-in-missing-directory",
          "negative-random-count", "prop12-zero-samples", "prop12-negative-samples",
-         "instance-file-and-random", "zero-parallel-jobs", "negative-parallel-jobs"],
+         "instance-file-and-random", "zero-parallel-jobs", "negative-parallel-jobs",
+         "polytope-zero-machines", "polytope-negative-machines",
+         "instance-seed-a-boolean"],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     paths = {"MISSING_DIR_CSV": str(tmp_path / "missing" / "ratios.csv")}

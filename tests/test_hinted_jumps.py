@@ -255,9 +255,9 @@ def test_probe_counts_stay_pinned():
     rule = CountingRule(lpt_star)
     curve = build_workcurve(rule, (F(8),), (F(2), F(1)), cap=32)
     assert curve.breakpoints == (2, 8, 16) and not curve.approximate
-    assert rule.calls == 40
+    assert rule.calls == 36
 
     rule = CountingRule(two_machine_opt)
     g, _ = lemma6_g(rule, F(3), (F(2), F(1)))
     assert g == F(5, 12)
-    assert rule.calls == 318
+    assert rule.calls == 294
