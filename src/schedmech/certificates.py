@@ -762,10 +762,8 @@ def _polytope_rows(rule, bid_grid, jobs, machines, profile_budget):
     constraints: list[Constraint] = []
 
     def row(head, tail, relation, rhs, label):
-        """``u[head] - u[tail] (relation) rhs``; no coefficients when
-        anonymity merged the two variables."""
-        h, t = var[head], var[tail]
-        coeffs = ((h, 1), (t, -1)) if h != t else ()
+        """``u[head] - u[tail] (relation) rhs``."""
+        coeffs = ((var[head], 1), (var[tail], -1))
         constraints.append(Constraint(coeffs, relation, rhs, label))
 
     # Payment anonymity at a broken workload swap stays an explicit row;
@@ -800,10 +798,6 @@ def _difference_solve(n_vars: int, rows: Sequence[Constraint]):
     """
     edges = []
     for row in rows:
-        if not row.coeffs:
-            if row.satisfied_by(()):
-                continue
-            return None, [row]
         if [c for _, c in row.coeffs] != [1, -1] or row.relation not in (">=", "=="):
             raise AssertionError(f"not a difference constraint: {row.label}")
         (a, _), (b, _) = row.coeffs

@@ -46,8 +46,8 @@ def rat(value: RationalLike) -> Fraction:
     """Convert to an exact Fraction.
 
     Accepts Fraction, int, or strings like ``"3"``, ``"3/4"`` and ``"0.25"``
-    (finite decimal expansions only).  Floats are rejected: binary floats
-    would silently break exactness.
+    (finite decimal expansions only, no exponent notation).  Floats are
+    rejected: binary floats would silently break exactness.
     """
     if isinstance(value, Fraction):
         return value
@@ -57,6 +57,9 @@ def rat(value: RationalLike) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
+            if "e" in value.lower():
+                # Fraction("1e999999999") would compute 10**999999999.
+                raise ValueError("exponent notation")
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"cannot parse rational from {value!r}") from exc

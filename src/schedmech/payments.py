@@ -11,9 +11,7 @@ the mechanism is not truthful).
 
 from __future__ import annotations
 
-import threading
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -33,7 +31,7 @@ from .properties import _local_efficiency_violation
 from .workcurve import WorkCurve, build_workcurve, integrate
 
 
-class NotLocallyEfficient(ValueError):
+class NotLocallyEfficient(DomainError):
     """Workloads violate the faster-machine-gets-no-less ordering."""
 
 
@@ -173,65 +171,44 @@ def bid_proportional_mechanism(rule) -> Mechanism:
     return Mechanism(f"{getattr(rule, 'name', 'rule')}+bid-cost", rule, pay)
 
 
-# rule -> {(jobs, others_bids): curve}; weak in the rule, so a rule's curves
-# go when the rule does.
-_curve_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_curve_lock = threading.Lock()
-
-
-def _mechanism_curve(mechanism: Mechanism, jobs, others_bids, cap) -> WorkCurve:
-    rule = mechanism.rule
-    key = (jobs, others_bids)
-    with _curve_lock:
-        cached = _curve_cache.get(rule, {}).get(key)
-    if cached is not None and cached.cap >= cap:
-        return cached
-    curve = build_workcurve(rule, others_bids, jobs, cap)
-    with _curve_lock:
-        _curve_cache.setdefault(rule, {})[key] = curve
-    return curve
+def _mechanism_curve(mechanism: Mechanism, jobs, others_bids, probes) -> WorkCurve:
+    """The bid response against ``others_bids``, out to twice the larger of
+    twice the highest probe and the highest competitor bid."""
+    cap = max(max(probes) * 2, *others_bids) * 2
+    return build_workcurve(mechanism.rule, others_bids, jobs, cap)
 
 
 def extract_h(
     mechanism: Mechanism,
     jobs: Sequence[RationalLike],
     others_bids: Sequence[RationalLike],
-    probe_bid: RationalLike,
+    *probes: RationalLike,
 ) -> Fraction:
     """Evaluate the additive term h at one competitor profile.
 
-    Rearranges the truthful payment identity at the probe bid:
-    h = p - probe*w + integral of the bid response from 0 to the probe.
-    For a truthful mechanism the result is independent of the probe.
+    Rearranges the truthful payment identity at each probe bid:
+    h = p - probe*w + integral of the bid response from 0 to the probe,
+    with every probe read off one response curve.  For a truthful mechanism
+    the result is independent of the probe; two probes that disagree raise
+    NotTruthfulEvidence.
     """
     jobs = rats(jobs)
     others_bids = rats(others_bids)
-    probe_bid = rat(probe_bid)
-    if probe_bid <= 0:
-        raise DomainError("probe bid must be positive")
-    outcome = mechanism.run(Instance(jobs, (probe_bid, *others_bids)))
-    w = outcome.allocation.workloads[0]
-    p = outcome.payments[0]
-    cap = max(probe_bid * 2, *others_bids) * 2
-    curve = _mechanism_curve(mechanism, jobs, others_bids, cap)
-    return p - probe_bid * w + integrate(curve, 0, probe_bid)
-
-
-def extract_h_checked(
-    mechanism: Mechanism,
-    jobs: Sequence[RationalLike],
-    others_bids: Sequence[RationalLike],
-    probes: Sequence[RationalLike],
-) -> Fraction:
-    """Extract h at several probes; disagreement raises NotTruthfulEvidence."""
     probes = rats(probes)
-    if len(probes) < 2:
-        raise DomainError("need at least two probes to cross-check")
-    values = [extract_h(mechanism, jobs, others_bids, p) for p in probes]
+    if not probes:
+        raise DomainError("need at least one probe bid")
+    if min(probes) <= 0:
+        raise DomainError("probe bid must be positive")
+    outcomes = [mechanism.run(Instance(jobs, (b, *others_bids))) for b in probes]
+    curve = _mechanism_curve(mechanism, jobs, others_bids, probes)
+    values = [
+        out.payments[0] - b * out.allocation.workloads[0] + integrate(curve, 0, b)
+        for b, out in zip(probes, outcomes)
+    ]
     for probe, value in zip(probes[1:], values[1:]):
         if value != values[0]:
             raise NotTruthfulEvidence(
-                rats(others_bids), probes[0], values[0], probe, value
+                others_bids, probes[0], values[0], probe, value
             )
     return values[0]
 
@@ -243,28 +220,20 @@ HIGH_PROBE_FACTOR = Fraction(2)
 
 @dataclass
 class HFunction:
-    """Memoized additive-term evaluations for an (assumed) truthful mechanism.
+    """Additive-term evaluations for an (assumed) truthful mechanism.
 
     Values are represented extensionally: certificates only ever need h at
     finitely many competitor profiles.  Every evaluation is cross-checked
     at probes below the lowest competitor bid and above the highest (the
     response curve differs across that range, which is what exposes
-    untruthful payments) and cached behind a lock for concurrent use.
+    untruthful payments).
     """
 
     mechanism: Mechanism
     jobs: tuple[Fraction, ...]
-    _memo: dict = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock)
 
     def __call__(self, others_bids: Sequence[RationalLike]) -> Fraction:
         key = rats(others_bids)
-        with self._lock:
-            if key in self._memo:
-                return self._memo[key]
         probes = [min(key) * f for f in LOW_PROBE_FACTORS]
         probes.append(max(key) * HIGH_PROBE_FACTOR)
-        value = extract_h_checked(self.mechanism, self.jobs, key, probes)
-        with self._lock:
-            self._memo[key] = value
-        return value
+        return extract_h(self.mechanism, self.jobs, key, *probes)

@@ -290,10 +290,12 @@ class TestPaymentPolytope:
         assert cycle is None and potentials[0] - potentials[1] == 1
 
     def test_a_row_whose_variables_merged_is_checked_directly(self):
-        # With three machines a chain of anonymity merges can join both
-        # sides of a broken swap, leaving ``0 == rhs``.
-        slack = Constraint((), ">=", F(-1), "slack")
-        broken = Constraint((), "==", F(1), "ANON merged")
+        # A rule whose workload equality is not transitive can have anonymity
+        # merge both sides of a row, leaving ``u0 - u0 rel rhs``: a self-loop
+        # that is a one-row negative cycle exactly when ``0 rel rhs`` fails.
+        loop = (0, F(1)), (0, F(-1))
+        slack = Constraint(loop, ">=", F(-1), "slack")
+        broken = Constraint(loop, "==", F(1), "ANON merged")
         assert _difference_solve(2, [slack]) == ([0, 0], None)
         assert _difference_solve(2, [slack, broken]) == (None, [broken])
 

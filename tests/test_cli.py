@@ -321,6 +321,12 @@ BAD_INSTANCE_FILES = {
     "STRING_BIDS_JSON": '{"jobs": ["2", "1"], "bids": "12"}',
     "VALID_JSON": '{"jobs": ["2", "1"], "bids": ["1", "2"]}',
     "BOOL_SEED_JSON": '{"jobs": ["2", "1"], "bids": ["1", "2"], "seed": true}',
+    "EXPONENT_BIDS_JSON": '{"jobs": ["2", "1"], "bids": ["1e3", "1"]}',
+    # opt gives the bid-7/3 machine more work than the bid-2 machine
+    "NOT_LOCALLY_EFFICIENT_JSON": (
+        '{"jobs": ["13", "10", "11/4", "2", "2", "3/2"],'
+        ' "bids": ["1/2", "5", "7/3", "2"]}'
+    ),
 }
 
 
@@ -342,6 +348,9 @@ BAD_INSTANCE_FILES = {
         ["certify", "polytope", "--machines", "0"],
         ["certify", "polytope", "--machines", "-1"],
         ["allocate", "at-sample", "BOOL_SEED_JSON"],
+        ["check", "le", "--bids", "1e3,1", "--workloads", "1,2"],
+        ["allocate", "vcg", "EXPONENT_BIDS_JSON"],
+        ["check", "ef", "opt:efchain", "NOT_LOCALLY_EFFICIENT_JSON"],
     ],
     ids=["instance-file-holds-a-list", "lemma6-expected-allocation-rule",
          "instance-jobs-not-a-list", "instance-jobs-a-string",
@@ -349,7 +358,8 @@ BAD_INSTANCE_FILES = {
          "negative-random-count", "prop12-zero-samples", "prop12-negative-samples",
          "instance-file-and-random", "zero-parallel-jobs", "negative-parallel-jobs",
          "polytope-zero-machines", "polytope-negative-machines",
-         "instance-seed-a-boolean"],
+         "instance-seed-a-boolean", "bids-in-exponent-notation",
+         "instance-bids-in-exponent-notation", "ef-chain-not-locally-efficient"],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     paths = {"MISSING_DIR_CSV": str(tmp_path / "missing" / "ratios.csv")}

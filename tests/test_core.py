@@ -41,6 +41,11 @@ class TestRat:
         with pytest.raises(DomainError):
             rat(True)
 
+    def test_rejects_exponent_notation(self):
+        for text in ("1e3", "2E-1"):
+            with pytest.raises(DomainError):
+                rat(text)
+
     def test_rat_str_roundtrip(self):
         for text in ("3", "3/4", "-7/5", "0"):
             assert rat_str(rat(text)) == text

@@ -55,3 +55,14 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def test_probe_disagreement_raises_under_O():
+    proc = run_optimized(
+        "from schedmech.allocations import vcg_allocate\n"
+        "from schedmech.payments import Mechanism, extract_h\n"
+        "flat = Mechanism('flat', vcg_allocate, lambda inst, alloc: (F(1),) * inst.m)\n"
+        "extract_h(flat, (2, 1), (2,), 1, 4)\n"
+    )
+    assert proc.returncode != 0
+    assert "NotTruthfulEvidence" in proc.stderr

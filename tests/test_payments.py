@@ -18,14 +18,13 @@ from schedmech.payments import (
     ef_chain_mechanism,
     ef_chain_payments,
     extract_h,
-    extract_h_checked,
     truthful_payment,
     vcg_mechanism,
     vcg_payments,
 )
 from schedmech.properties import check_envy_free, check_ir
 from schedmech.sampling import sample_locally_efficient
-from schedmech.workcurve import WorkCurve
+from schedmech.workcurve import WorkCurve, build_workcurve
 
 F = Fraction
 
@@ -133,7 +132,7 @@ class TestExtractH:
     def test_probe_invariant_on_all_to_fastest(self):
         assert extract_h(vcg_mechanism, (2, 1), (2,), 1) == 6
         assert extract_h(vcg_mechanism, (2, 1), (2,), F(1, 2)) == 6
-        assert extract_h_checked(vcg_mechanism, (2, 1), (2,), (1, F(1, 2))) == 6
+        assert extract_h(vcg_mechanism, (2, 1), (2,), 1, F(1, 2)) == 6
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -152,7 +151,7 @@ class TestExtractH:
             "flat", vcg_allocate, lambda inst, alloc: (F(1),) * inst.m
         )
         with pytest.raises(NotTruthfulEvidence) as exc:
-            extract_h_checked(flat, (2, 1), (2,), (1, 4))
+            extract_h(flat, (2, 1), (2,), 1, 4)
         evidence = exc.value
         assert evidence.h_a != evidence.h_b
         assert {evidence.probe_a, evidence.probe_b} == {1, 4}
@@ -185,14 +184,33 @@ class TestExtractH:
     def test_probe_must_be_positive(self):
         with pytest.raises(DomainError):
             extract_h(vcg_mechanism, (2, 1), (2,), 0)
+        with pytest.raises(DomainError):
+            extract_h(vcg_mechanism, (2, 1), (2,), 1, 0)
+
+    def test_needs_a_probe(self):
+        with pytest.raises(DomainError):
+            extract_h(vcg_mechanism, (2, 1), (2,))
 
 
 class TestHFunction:
-    def test_memoizes_and_matches_direct_extraction(self):
+    def test_repeated_calls_match_direct_extraction(self):
         h = HFunction(vcg_mechanism, (F(2), F(1)))
         assert h((2,)) == 6
-        assert h((2,)) == 6  # memoized path
-        assert (F(2),) in h._memo
+        assert h((2,)) == 6
+
+    def test_one_curve_per_competitor_profile(self, monkeypatch):
+        built = []
+
+        def counting_build(*args, **kwargs):
+            built.append(args)
+            return build_workcurve(*args, **kwargs)
+
+        monkeypatch.setattr("schedmech.payments.build_workcurve", counting_build)
+        h = HFunction(vcg_mechanism, (2, 1))
+        assert h((F(7, 3),)) == 7
+        assert len(built) == 1
+        assert h((F(7, 3),)) == 7
+        assert len(built) == 2
 
     def test_ten_random_probe_pairs_agree(self):
         rng = random.Random(17)
@@ -203,7 +221,7 @@ class TestHFunction:
             )[:2]
             if len(probes) < 2:
                 continue
-            value = extract_h_checked(vcg_mechanism, (2, 1), others, probes)
+            value = extract_h(vcg_mechanism, (2, 1), others, *probes)
             assert value == 3 * others[0]
 
 
