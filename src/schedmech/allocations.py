@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 from .core import (
@@ -22,6 +21,7 @@ from .core import (
     bid_order,
     ceil_log2,
     lowest_bidder,
+    scaled_to_ints,
 )
 from .workcurve import power_of_two_points, subset_ratio_points
 
@@ -54,14 +54,15 @@ class LptStar:
         shifts = [e - low for e in exps]
         loads = [0] * instance.m
         job_to_machine = [0] * instance.n
-        for j, length in enumerate(_integer_jobs(instance.jobs)):
+        denominator, lengths = scaled_to_ints(instance.jobs)
+        for j, length in enumerate(lengths):
             keys = [(loads[i] + length) << shifts[i] for i in range(instance.m)]
             # index finds the first of equal keys: ties go to the lowest index
             winner = keys.index(min(keys))
             job_to_machine[j] = winner
             loads[winner] += length
         # Bundle reordering within each rounded-speed class, whose members
-        # are listed in bid order.
+        # are listed in bid order; each bundle's integer load moves with it.
         by_speed: dict[int, list[int]] = {}
         for i in bid_order(instance.bids):
             by_speed.setdefault(exps[i], []).append(i)
@@ -75,10 +76,13 @@ class LptStar:
                 ),
                 key=lambda t: (-t[0], t[1]),
             )
-            for target, (_, _, jobs_in_bundle) in zip(machines, bundles):
+            for target, (load, _, jobs_in_bundle) in zip(machines, bundles):
+                loads[target] = load
                 for j in jobs_in_bundle:
                     job_to_machine[j] = target
-        return Assignment.from_map(instance, job_to_machine)
+        return Assignment(
+            tuple(job_to_machine), tuple(Fraction(load, denominator) for load in loads)
+        )
 
     def breakpoint_hints(self, others_bids, jobs, cap):
         """Powers of two (rounded-speed flips) plus raw competitor bids
@@ -97,7 +101,9 @@ class VcgAllocate:
 
     def __call__(self, instance: Instance) -> Assignment:
         winner = lowest_bidder(instance.bids)
-        return Assignment.from_map(instance, [winner] * instance.n)
+        workloads = [Fraction(0)] * instance.m
+        workloads[winner] = instance.total_length
+        return Assignment((winner,) * instance.n, tuple(workloads))
 
     def breakpoint_hints(self, others_bids, jobs, cap):
         return {b for b in others_bids if b <= cap}
@@ -124,7 +130,8 @@ class TwoMachineOpt:
         c0 = b0.numerator * b1.denominator
         c1 = b1.numerator * b0.denominator
         sums = [0]  # sums[mask]: machine 0's workload when it takes the mask's jobs
-        for length in _integer_jobs(instance.jobs):
+        denominator, lengths = scaled_to_ints(instance.jobs)
+        for length in lengths:
             sums += [w0 + length for w0 in sums]
         total = sums[-1]
         best = None
@@ -136,19 +143,14 @@ class TwoMachineOpt:
             if best is None or key < best:  # strict: ties keep the lowest mask
                 best = key
                 best_mask = mask
-        return Assignment.from_map(
-            instance,
-            [0 if best_mask >> j & 1 else 1 for j in range(instance.n)],
+        w0 = sums[best_mask]
+        return Assignment(
+            tuple(0 if best_mask >> j & 1 else 1 for j in range(instance.n)),
+            (Fraction(w0, denominator), Fraction(total - w0, denominator)),
         )
 
     def breakpoint_hints(self, others_bids, jobs, cap):
         return subset_ratio_points(others_bids, jobs, cap)
-
-
-def _integer_jobs(jobs: Sequence[Fraction]) -> list[int]:
-    """Job lengths times their common denominator: exact ints."""
-    denominator = lcm(*(length.denominator for length in jobs))
-    return [length.numerator * (denominator // length.denominator) for length in jobs]
 
 
 lpt_star = LptStar()
@@ -230,11 +232,11 @@ def at_sample(instance: Instance, rng) -> Assignment:
         if len(machines) == 1:
             job_to_machine.append(machines[0])
             continue
-        denom = lcm(*(p.denominator for p in probs))
+        denom, weights = scaled_to_ints(probs)
         draw = rng.randrange(denom)
         acc = 0
-        for i, p in zip(machines, probs):
-            acc += p.numerator * (denom // p.denominator)
+        for i, weight in zip(machines, weights):
+            acc += weight
             if draw < acc:
                 job_to_machine.append(i)
                 break

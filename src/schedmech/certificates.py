@@ -16,7 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .allocations import (
     at_fractional,
@@ -39,6 +39,7 @@ from .core import (
     rat_str,
     rats,
     rounded_speed,
+    scaled_to_ints,
 )
 from .exactlp import Constraint, irreducible_infeasible_subset
 from .payments import HFunction, Mechanism
@@ -679,31 +680,34 @@ def payment_polytope_feasible(
     """
     if machines < 1:
         raise DomainError("machines must be at least 1")
-    grid, profiles, workloads, var, n_vars, constraints, notes = _polytope_rows(
-        rule, bid_grid, jobs, machines, profile_budget
-    )
-    potentials, cycle = _difference_solve(n_vars, constraints)
+    system = _polytope_rows(rule, bid_grid, jobs, machines, profile_budget)
+    potentials, cycle = _difference_solve(system.n_vars, system.rows)
     if cycle is None:
         low = min(potentials)
         payments = {
-            (i, b): potentials[var[(i, b)]] - low + b[i] * workloads[b][i]
-            for b in profiles
+            (i, b): Fraction(potentials[system.var[p * machines + i]] - low, system.scale)
+            + b[i] * w[i]
+            for p, (b, w) in enumerate(zip(system.profiles, system.workloads))
             for i in range(machines)
         }
-        _verify_witness(grid, profiles, machines, workloads, payments)
+        _verify_witness(
+            system.grid, system.profiles, machines,
+            dict(zip(system.profiles, system.workloads)), payments,
+        )
         witness = {
             f"p[{i}]({','.join(rat_str(x) for x in b)})": rat_str(payments[(i, b)])
-            for b in profiles
+            for b in system.profiles
             for i in range(machines)
         }
         return FeasibilityResult(
-            True, witness, None, len(profiles), len(constraints), notes,
-            n_variables=n_vars,
+            True, witness, None, len(system.profiles), len(system.rows), system.notes,
+            n_variables=system.n_vars,
         )
     # A simple negative cycle is irreducible by construction; the deletion
     # filter of the independent simplex must agree row for row.
+    cycle = [system.constraint(row) for row in cycle]
     try:
-        rechecked = irreducible_infeasible_subset(n_vars, cycle)
+        rechecked = irreducible_infeasible_subset(system.n_vars, cycle)
     except DomainError:
         raise AssertionError("simplex finds the negative cycle feasible") from None
     if rechecked != cycle:
@@ -712,103 +716,143 @@ def payment_polytope_feasible(
         False,
         None,
         [c.label for c in cycle],
-        len(profiles),
-        len(constraints),
-        notes,
+        len(system.profiles),
+        len(system.rows),
+        system.notes,
         infeasible_constraints=cycle,
-        n_variables=n_vars,
+        n_variables=system.n_vars,
     )
 
 
-def _polytope_rows(rule, bid_grid, jobs, machines, profile_budget):
-    """The grid, its profiles, the rule's workloads, the merged variable of
-    each (machine, profile), the variable count, the labelled rows and the
-    notes on broken anonymity swaps."""
+class _PolytopeRows(NamedTuple):
+    """The grid payment polytope on integers.
+
+    Profile ``p`` is ``profiles[p]`` (in ``itertools.product`` order) and
+    the rule gives it ``workloads[p]``; machine ``i``'s variable at ``p`` is
+    ``var[p * machines + i]`` after the anonymity merges.  Each row
+    ``(head, tail, is_eq, rhs, label_spec)`` reads
+    ``u[head] - u[tail] (== if is_eq else >=) rhs / scale``, where
+    ``scale`` is the lcm of the grid denominators times the lcm of the
+    workload denominators, so every ``rhs`` is an exact int.
+    ``constraint`` renders one row with its label.
+    """
+
+    grid: tuple
+    profiles: list
+    workloads: list
+    scale: int
+    var: list
+    n_vars: int
+    rows: list
+    notes: list
+
+    def constraint(self, row) -> Constraint:
+        head, tail, is_eq, rhs, (kind, p, a, b) = row
+        text = _profile_text(self.profiles[p])
+        if kind == "ANON":
+            label = f"ANON profile={text} swap=({a},{b})"
+        elif kind == "EF":
+            label = f"EF profile={text} i={a} j={b}"
+        else:
+            label = f"IC profile={text} i={a} dev={rat_str(self.grid[b])}"
+        return Constraint(
+            ((head, 1), (tail, -1)), "==" if is_eq else ">=",
+            Fraction(rhs, self.scale), label,
+        )
+
+
+def _profile_text(bids) -> str:
+    return str(tuple(rat_str(x) for x in bids))
+
+
+def _polytope_rows(rule, bid_grid, jobs, machines, profile_budget) -> _PolytopeRows:
+    """The rule's workloads on every grid profile, the anonymity merges and
+    the rows of the polytope, in order: ANON rows at broken swaps, then EF
+    and IC rows per profile; notes name the broken swaps."""
     grid = tuple(sorted({rat(b) for b in bid_grid}))
     if not grid or grid[0] <= 0:
         raise DomainError("grid bids must be positive")
     jobs = rats(jobs)
+    n = len(grid)
+    if n ** machines > profile_budget:
+        raise BudgetExceeded(f"{n}^{machines} profiles exceed budget {profile_budget}")
     profiles = list(itertools.product(grid, repeat=machines))
-    if len(profiles) > profile_budget:
-        raise BudgetExceeded(
-            f"{len(grid)}^{machines} profiles exceed budget {profile_budget}"
-        )
-    workloads = {b: rule(Instance(jobs, b)).workloads for b in profiles}
-    text = {b: str(tuple(rat_str(x) for x in b)) for b in profiles}
+    points = list(itertools.product(range(n), repeat=machines))
+    # Raising machine i's grid index by one moves strides[i] profiles on.
+    strides = [n ** (machines - 1 - i) for i in range(machines)]
+    workloads = [rule(Instance(jobs, b)).workloads for b in profiles]
+    grid_scale, g = scaled_to_ints(grid)
+    load_scale, flat = scaled_to_ints([w for ws in workloads for w in ws])
+    wi = [flat[t: t + machines] for t in range(0, len(flat), machines)]
     notes: list[str] = []
-    var_index = {
-        key: t
-        for t, key in enumerate((i, b) for b in profiles for i in range(machines))
-    }
-    n_vars = len(var_index)
+    n_vars = len(profiles) * machines
     uf = _UnionFind(n_vars)
+    pairs = list(itertools.permutations(range(machines), 2))
     broken_swaps = []
-    for b in profiles:
-        for kpos, lpos in itertools.permutations(range(machines), 2):
-            if b.count(b[kpos]) != 1:
+    for p, idx in enumerate(points):
+        for k, l in pairs:
+            if idx.count(idx[k]) != 1:
                 continue
-            swapped = list(b)
-            swapped[kpos], swapped[lpos] = swapped[lpos], swapped[kpos]
-            swapped = tuple(swapped)
-            if workloads[swapped][lpos] == workloads[b][kpos]:
-                uf.union(var_index[(kpos, b)], var_index[(lpos, swapped)])
+            q = p + (idx[l] - idx[k]) * (strides[k] - strides[l])
+            if workloads[q][l] == workloads[p][k]:
+                uf.union(p * machines + k, q * machines + l)
             else:
                 notes.append(
                     f"rule workloads break anonymity at profile "
-                    f"{text[b]} swap ({kpos},{lpos})"
+                    f"{_profile_text(profiles[p])} swap ({k},{l})"
                 )
-                broken_swaps.append((b, kpos, swapped, lpos))
-    var = {key: uf.find(t) for key, t in var_index.items()}
-    constraints: list[Constraint] = []
-
-    def row(head, tail, relation, rhs, label):
-        """``u[head] - u[tail] (relation) rhs``."""
-        coeffs = ((var[head], 1), (var[tail], -1))
-        constraints.append(Constraint(coeffs, relation, rhs, label))
-
+                broken_swaps.append((p, k, q, l))
+    var = [uf.find(t) for t in range(n_vars)]
     # Payment anonymity at a broken workload swap stays an explicit row;
     # built after the union pass so it names final representatives.
-    for b, kpos, swapped, lpos in broken_swaps:
-        rhs = b[kpos] * (workloads[b][kpos] - workloads[swapped][lpos])
-        row((lpos, swapped), (kpos, b), "==", rhs,
-            f"ANON profile={text[b]} swap=({kpos},{lpos})")
-    for b in profiles:
-        w = workloads[b]
-        for i, j in itertools.permutations(range(machines), 2):
-            # utility_i >= utility_j's bundle at bid_i, in shifted vars
-            row((i, b), (j, b), ">=", (b[j] - b[i]) * w[j],
-                f"EF profile={text[b]} i={i} j={j}")
-        for i, d in itertools.product(range(machines), grid):
-            if d != b[i]:
-                deviated = b[:i] + (d,) + b[i + 1:]
-                row((i, b), (i, deviated), ">=", (d - b[i]) * workloads[deviated][i],
-                    f"IC profile={text[b]} i={i} dev={rat_str(d)}")
-    return grid, profiles, workloads, var, n_vars, constraints, notes
+    rows = [
+        (var[q * machines + l], var[p * machines + k], True,
+         g[points[p][k]] * (wi[p][k] - wi[q][l]), ("ANON", p, k, l))
+        for p, k, q, l in broken_swaps
+    ]
+    for p, idx in enumerate(points):
+        u = var[p * machines: (p + 1) * machines]
+        w = wi[p]
+        # utility_i >= utility_j's bundle at bid_i, in shifted vars
+        rows += [
+            (u[i], u[j], False, (g[idx[j]] - g[idx[i]]) * w[j], ("EF", p, i, j))
+            for i, j in pairs
+        ]
+        for i, gi in enumerate(idx):
+            for d in range(n):
+                if d != gi:
+                    q = p + (d - gi) * strides[i]
+                    rows.append((u[i], var[q * machines + i], False,
+                                 (g[d] - g[gi]) * wi[q][i], ("IC", p, i, d)))
+    return _PolytopeRows(
+        grid, profiles, workloads, grid_scale * load_scale, var, n_vars, rows, notes
+    )
 
 
-def _difference_solve(n_vars: int, rows: Sequence[Constraint]):
-    """Bellman–Ford over ``u_a - u_b (>=|==) c`` rows, exact in Fraction.
+def _difference_solve(n_vars: int, rows):
+    """Bellman–Ford over ``u_a - u_b (>=|==) c`` rows, exact on ints.
 
-    ``u_a - u_b >= c`` is ``u_b <= u_a - c``: an edge a -> b of weight -c;
-    an equality adds b -> a of weight c.  Every distance starts at 0, as if
-    a virtual source reached each variable.  Returns ``(potentials, None)``
-    when no negative cycle exists (the potentials satisfy every row), else
-    ``(None, cycle)`` with the rows of one simple negative cycle in cycle
-    order.
+    Each row is ``(a, b, is_eq, c, label_spec)``.  ``u_a - u_b >= c`` is
+    ``u_b <= u_a - c``: an edge a -> b of weight -c; an equality adds
+    b -> a of weight c.  Every distance starts at 0, as if a virtual source
+    reached each variable.  Returns ``(potentials, None)`` when no negative
+    cycle exists (the potentials satisfy every row), else ``(None, cycle)``
+    with the rows of one simple negative cycle in cycle order.
     """
     edges = []
+    edge_rows = []
     for row in rows:
-        if [c for _, c in row.coeffs] != [1, -1] or row.relation not in (">=", "=="):
-            raise AssertionError(f"not a difference constraint: {row.label}")
-        (a, _), (b, _) = row.coeffs
-        edges.append((a, b, -row.rhs, row))
-        if row.relation == "==":
-            edges.append((b, a, row.rhs, row))
-    dist = [Fraction(0)] * n_vars
+        a, b, is_eq, c, _spec = row
+        edges.append((a, b, -c))
+        edge_rows.append(row)
+        if is_eq:
+            edges.append((b, a, c))
+            edge_rows.append(row)
+    dist = [0] * n_vars
     pred: list[Optional[int]] = [None] * n_vars
     for _ in range(n_vars + 1):
         last = None
-        for k, (a, b, w, _row) in enumerate(edges):
+        for k, (a, b, w) in enumerate(edges):
             d = dist[a] + w
             if d < dist[b]:
                 dist[b] = d
@@ -824,9 +868,9 @@ def _difference_solve(n_vars: int, rows: Sequence[Constraint]):
     cycle = []
     u = v
     while True:
-        a, _b, _w, row = edges[pred[u]]
-        cycle.append(row)
-        u = a
+        k = pred[u]
+        cycle.append(edge_rows[k])
+        u = edges[k][0]
         if u == v:
             break
     cycle.reverse()

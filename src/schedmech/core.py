@@ -13,6 +13,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -76,6 +77,12 @@ def rat_str(value: Fraction) -> str:
 
 def rats(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     return tuple(rat(v) for v in values)
+
+
+def scaled_to_ints(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The values' common denominator D and each value times D: exact ints."""
+    denominator = lcm(*(v.denominator for v in values))
+    return denominator, [v.numerator * (denominator // v.denominator) for v in values]
 
 
 def ceil_log2(b: RationalLike) -> int:

@@ -43,13 +43,18 @@ def solve_feasibility(
 
     Builds the phase-1 problem (slack per inequality, artificial per row
     that a slack basis cannot satisfy) and drives the artificial sum to
-    zero with Bland's smallest-index rule.
+    zero with Bland's smallest-index rule.  Only the variables the rows
+    mention get a column, in index order; the others are nonnegative and
+    unconstrained, so they stay 0.
     """
+    used = sorted({i for con in constraints for i, _ in con.coeffs})
+    column = {i: k for k, i in enumerate(used)}
+    n_cols = len(used)
     rows = []  # (dense coeffs, rhs) with rhs >= 0, equality form
     for con in constraints:
-        dense = [Fraction(0)] * n_vars
+        dense = [Fraction(0)] * n_cols
         for i, c in con.coeffs:
-            dense[i] += c
+            dense[column[i]] += c
         rhs = con.rhs
         rel = con.relation
         if rel == ">=":
@@ -71,7 +76,7 @@ def solve_feasibility(
     n_rows = len(rows)
     n_slack = sum(1 for _, _, s, _ in rows if s != 0)
     n_art = sum(1 for _, _, _, a in rows if a)
-    width = n_vars + n_slack + n_art
+    width = n_cols + n_slack + n_art
     tableau: list[list[Fraction]] = []
     basis: list[int] = []
     slack_at = 0
@@ -80,11 +85,11 @@ def solve_feasibility(
     for dense, rhs, slack_sign, needs_art in rows:
         row = list(dense) + [Fraction(0)] * (n_slack + n_art) + [rhs]
         if slack_sign != 0:
-            row[n_vars + slack_at] = Fraction(slack_sign)
-            slack_col = n_vars + slack_at
+            row[n_cols + slack_at] = Fraction(slack_sign)
+            slack_col = n_cols + slack_at
             slack_at += 1
         if needs_art:
-            col = n_vars + n_slack + art_at
+            col = n_cols + n_slack + art_at
             row[col] = Fraction(1)
             art_cols.append(col)
             basis.append(col)
@@ -145,8 +150,8 @@ def solve_feasibility(
         return None  # artificials cannot all vanish: infeasible
     x = [Fraction(0)] * n_vars
     for r, b in enumerate(basis):
-        if b < n_vars:
-            x[b] = tableau[r][width]
+        if b < n_cols:
+            x[used[b]] = tableau[r][width]
     for con in constraints:
         if not con.satisfied_by(x):
             raise AssertionError("witness fails a constraint; solver bug")

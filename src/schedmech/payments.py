@@ -193,7 +193,7 @@ def extract_h(
     NotTruthfulEvidence.
     """
     jobs = rats(jobs)
-    others_bids = rats(others_bids)
+    others_bids = _competitor_bids(others_bids)
     probes = rats(probes)
     if not probes:
         raise DomainError("need at least one probe bid")
@@ -211,6 +211,14 @@ def extract_h(
                 others_bids, probes[0], values[0], probe, value
             )
     return values[0]
+
+
+def _competitor_bids(others_bids: Sequence[RationalLike]) -> tuple[Fraction, ...]:
+    """The competitor profile, which h needs at least one bid of."""
+    bids = rats(others_bids)
+    if not bids:
+        raise DomainError("h needs at least one competitor bid")
+    return bids
 
 
 # HFunction probes below the lowest competitor bid and above the highest.
@@ -233,7 +241,7 @@ class HFunction:
     jobs: tuple[Fraction, ...]
 
     def __call__(self, others_bids: Sequence[RationalLike]) -> Fraction:
-        key = rats(others_bids)
+        key = _competitor_bids(others_bids)
         probes = [min(key) * f for f in LOW_PROBE_FACTORS]
         probes.append(max(key) * HIGH_PROBE_FACTOR)
         return extract_h(self.mechanism, self.jobs, key, *probes)

@@ -254,16 +254,21 @@ class TestPaymentPolytope:
         bid_pool = [F(1, 2), F(3, 4), F(1), F(3, 2), F(2), F(3), F(4), F(8)]
         job_pool = [F(1, 2), F(1), F(2), F(3), F(4)]
         verdicts = []
+        three_machine_verdicts = []
         # The simplex oracle takes about 0.15 s on a 3-bid grid and 0.3 s on
-        # three machines, so those draws are a tenth and a fortieth.
+        # three machines, so those draws are a tenth and a twentieth.
         for trial in range(220):
-            machines = 3 if trial % 40 == 0 else 2
+            machines = 3 if trial % 20 == 0 else 2
             rule = rng.choice([r for r in rules if machines == 2 or r is not two_machine_opt])
             grid = rng.sample(bid_pool, 3 if trial % 10 == 5 else 2)
             jobs = [rng.choice(job_pool) for _ in range(rng.randint(1, 3))]
             result = payment_polytope_feasible(rule, grid, jobs, machines=machines)
-            *_, n_vars, rows, _ = _polytope_rows(rule, grid, jobs, machines, 4096)
+            system = _polytope_rows(rule, grid, jobs, machines, 4096)
+            n_vars = system.n_vars
+            rows = [system.constraint(row) for row in system.rows]
             assert result.n_constraints == len(rows)
+            if machines == 3:
+                three_machine_verdicts.append(result.feasible)
             assert result.feasible == (solve_feasibility(n_vars, rows) is not None)
             verdicts.append(result.feasible)
             if result.feasible:
@@ -275,15 +280,32 @@ class TestPaymentPolytope:
             for k in range(len(subset)):
                 assert solve_feasibility(n_vars, subset[:k] + subset[k + 1:]) is not None
         assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+        assert True in three_machine_verdicts and False in three_machine_verdicts
+
+    @pytest.mark.parametrize(
+        "rule, feasible", [("lpt-star", False), ("opt", False), ("vcg", True)]
+    )
+    def test_three_machine_grid(self, rule, feasible):
+        # 216 profiles and about 4,600 rows: infeasible here is a finite proof
+        # that the rule admits no truthful + EF + IR + anonymous payments on
+        # these jobs, and the VCG control keeps a verified witness.
+        grid = (1, F(5, 4), F(3, 2), F(7, 4), 2, F(5, 2))
+        result = payment_polytope_feasible(RULES[rule], grid, (3, 2, 2, 1), machines=3)
+        assert result.n_profiles == 216 and result.n_variables == 648
+        assert result.feasible is feasible
+        if feasible:
+            assert len(result.witness) == 648
+        else:
+            assert _sums_to_a_contradiction(result.infeasible_constraints)
 
     def test_an_equality_bounds_the_difference_from_both_sides(self):
         # The package's anonymity rows come in mirrored pairs, so on its own
         # grids an equality is never the only upper bound on a difference.
-        diff = (0, F(1)), (1, F(-1))
-        equal = Constraint(diff, "==", F(1), "u0 - u1 == 1")
-        above = Constraint(diff, ">=", F(2), "u0 - u1 >= 2")
+        # Rows are (head, tail, is_eq, rhs, label_spec).
+        equal = (0, 1, True, 1, "u0 - u1 == 1")
+        above = (0, 1, False, 2, "u0 - u1 >= 2")
         potentials, cycle = _difference_solve(2, [equal, above])
-        assert potentials is None and sorted(c.label for c in cycle) == [
+        assert potentials is None and sorted(row[4] for row in cycle) == [
             "u0 - u1 == 1", "u0 - u1 >= 2"
         ]
         potentials, cycle = _difference_solve(2, [equal])
@@ -293,9 +315,8 @@ class TestPaymentPolytope:
         # A rule whose workload equality is not transitive can have anonymity
         # merge both sides of a row, leaving ``u0 - u0 rel rhs``: a self-loop
         # that is a one-row negative cycle exactly when ``0 rel rhs`` fails.
-        loop = (0, F(1)), (0, F(-1))
-        slack = Constraint(loop, ">=", F(-1), "slack")
-        broken = Constraint(loop, "==", F(1), "ANON merged")
+        slack = (0, 0, False, -1, "slack")
+        broken = (0, 0, True, 1, "ANON merged")
         assert _difference_solve(2, [slack]) == ([0, 0], None)
         assert _difference_solve(2, [slack, broken]) == (None, [broken])
 

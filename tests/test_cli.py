@@ -287,12 +287,11 @@ class TestCertify:
         payload = json.loads(out)
         assert payload["feasible"] is False
         assert 1 <= len(payload["infeasible_subset"]) <= 4
-        *_, n_vars, rows, _ = _polytope_rows(
-            RULES["opt"], grid.split(","), jobs.split(","), 2, 4096
-        )
+        system = _polytope_rows(RULES["opt"], grid.split(","), jobs.split(","), 2, 4096)
+        rows = [system.constraint(row) for row in system.rows]
         by_label = {row.label: row for row in rows}
         subset = [by_label[label] for label in payload["infeasible_subset"]]
-        assert solve_feasibility(n_vars, subset) is None
+        assert solve_feasibility(system.n_vars, subset) is None
 
     def test_lemma6_certificate(self, capsys):
         code, out, _ = run_cli(capsys, "certify", "lemma6", "--k", "3")

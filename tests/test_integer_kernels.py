@@ -178,6 +178,19 @@ def test_lpt_star_matches_fraction_reference(m):
         assert _same_assignment(got, want), inst.to_json_dict()
 
 
+@pytest.mark.parametrize("rule", [lpt_star, vcg_allocate, two_machine_opt], ids=lambda r: r.name)
+def test_workloads_equal_from_map_of_the_rules_own_map(rule):
+    # The rules build their workloads from the integer loads they already
+    # hold; summing the job lengths along their own map must agree.
+    rng = random.Random(f"workloads:{rule.name}")
+    for _ in range(200):
+        m = 2 if rule is two_machine_opt else rng.randint(1, 5)
+        inst = Instance(_jobs(rng, rng.randint(1, 8)), _profile(rng, m))
+        got = rule(inst)
+        assert got == Assignment.from_map(inst, got.job_to_machine), inst.to_json_dict()
+        assert all(type(w) is Fraction for w in got.workloads)
+
+
 def test_ceil_log2_matches_fraction_reference():
     rng = random.Random("ceil-log2")
     values = []

@@ -191,12 +191,21 @@ class TestExtractH:
         with pytest.raises(DomainError):
             extract_h(vcg_mechanism, (2, 1), (2,))
 
+    def test_needs_a_competitor(self):
+        with pytest.raises(DomainError, match="^h needs at least one competitor bid$"):
+            extract_h(vcg_mechanism, (2, 1), (), 1)
+
 
 class TestHFunction:
     def test_repeated_calls_match_direct_extraction(self):
         h = HFunction(vcg_mechanism, (F(2), F(1)))
         assert h((2,)) == 6
         assert h((2,)) == 6
+
+    def test_needs_a_competitor(self):
+        h = HFunction(vcg_mechanism, (F(2), F(1)))
+        with pytest.raises(DomainError, match="^h needs at least one competitor bid$"):
+            h(())
 
     def test_one_curve_per_competitor_profile(self, monkeypatch):
         built = []

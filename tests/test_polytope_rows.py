@@ -1,12 +1,13 @@
 """The payment-polytope rows against the row code they replaced.
 
-``_polytope_rows`` builds every ``u[a] - u[b] (>=|==) c`` row through one
-helper.  The oracle below is a verbatim copy of the earlier row code, which
-spelt out the ANON, EF and IC rows separately and summed coefficients in
-``_combine`` (only the two function names differ).  On seeded grids every
-draw must give the same grid, profiles, workloads, variable map, variable
-count, rows in the same order, and notes; the one difference allowed is
-that a row whose two variables merged is a self-loop instead of empty.
+``_polytope_rows`` numbers the profiles, keeps integer rows and renders a
+row as a ``Constraint`` only on request.  The oracle below is a verbatim
+copy of the earlier ``Fraction``-keyed row code, which spelt out the ANON,
+EF and IC rows separately and summed coefficients in ``_combine`` (only
+the two function names differ).  On seeded grids every draw must give the
+same grid, profiles, workloads, variable map, variable count, rendered rows
+in the same order, and notes; the one difference allowed is that a row
+whose two variables merged is a self-loop instead of empty.
 """
 
 import itertools
@@ -188,11 +189,20 @@ def test_rows_match_the_earlier_row_code():
         jobs = [rng.choice(job_pool) for _ in range(rng.randint(1, 3))]
         got = _polytope_rows(rule, grid, jobs, machines, 4096)
         want = parent_polytope_rows(rule, grid, jobs, machines, 4096)
-        rows, notes = got[5], got[6]
-        assert (*got[:5], _self_loops_as_empty(rows), notes) == want
+        workloads = dict(zip(got.profiles, got.workloads))
+        var = {
+            (i, b): got.var[p * machines + i]
+            for p, b in enumerate(got.profiles)
+            for i in range(machines)
+        }
+        rows = [got.constraint(row) for row in got.rows]
+        assert (
+            got.grid, got.profiles, workloads, var, got.n_vars,
+            _self_loops_as_empty(rows), got.notes,
+        ) == want
         seen_rules.add(rule.name)
         seen_machines.add(machines)
-        broken += len(notes)
+        broken += len(got.notes)
         merged += sum(1 for row in want[5] if not row.coeffs)
     assert seen_rules == {r.name for r in rules}
     assert seen_machines == {1, 2, 3}
