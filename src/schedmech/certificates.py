@@ -878,30 +878,25 @@ def _difference_solve(n_vars: int, rows):
 
 
 def _verify_witness(grid, profiles, machines, workloads, payments):
-    """Substitute payments into every original constraint in payment space."""
-    for b in profiles:
-        w = workloads[b]
+    """Substitute payments into every original constraint in payment space,
+    reading a profile's workloads and payment vector by its bid tuple."""
+    table = {
+        b: (workloads[b], [payments[(i, b)] for i in range(machines)])
+        for b in profiles
+    }
+    for b, (w, p) in table.items():
         for i in range(machines):
-            if not payments[(i, b)] - b[i] * w[i] >= 0:
+            utility = p[i] - b[i] * w[i]
+            if not utility >= 0:
                 raise AssertionError("IR violated by witness")
             for j in range(machines):
-                if i == j:
-                    continue
-                if not (
-                    payments[(i, b)] - b[i] * w[i]
-                    >= payments[(j, b)] - b[i] * w[j]
-                ):
+                if j != i and not utility >= p[j] - b[i] * w[j]:
                     raise AssertionError("EF violated by witness")
             for d in grid:
                 if d == b[i]:
                     continue
-                deviated = list(b)
-                deviated[i] = d
-                deviated = tuple(deviated)
-                if not (
-                    payments[(i, b)] - b[i] * w[i]
-                    >= payments[(i, deviated)] - b[i] * workloads[deviated][i]
-                ):
+                w_dev, p_dev = table[b[:i] + (d,) + b[i + 1:]]
+                if not utility >= p_dev[i] - b[i] * w_dev[i]:
                     raise AssertionError("IC violated by witness")
         for kpos in range(machines):
             if b.count(b[kpos]) != 1:
@@ -911,6 +906,5 @@ def _verify_witness(grid, profiles, machines, workloads, payments):
                     continue
                 swapped = list(b)
                 swapped[kpos], swapped[lpos] = swapped[lpos], swapped[kpos]
-                swapped = tuple(swapped)
-                if not payments[(lpos, swapped)] == payments[(kpos, b)]:
+                if not table[tuple(swapped)][1][lpos] == p[kpos]:
                     raise AssertionError("anonymity violated by witness")

@@ -1,12 +1,12 @@
 """Command-line front end.
 
-Three subcommands: ``allocate`` runs a rule on an instance file, ``check``
-runs property checkers on an instance, explicit vectors or a random batch,
-and ``certify`` emits the machine-checked certificate reports.  Output is
-JSON (``--text`` switches the certificates to a human-readable rendering);
-all rationals cross the wire as strings.  Exit codes: 0 pass/success,
-1 property failure or unverified certificate, 2 usage or parse error,
-3 resource budget exceeded.
+``allocate`` runs a rule on an instance file, ``check`` one property checker
+on an instance file, a random batch or (``le``, ``ef``) explicit vectors,
+and ``certify`` one certificate; each property and certificate has its own
+parser, which accepts only the options it reads.  Output is JSON with
+rationals as strings (``--text``: the five report certificates as text).
+Exit codes: 0 pass, 1 property failure or unverified certificate, 2 usage
+or parse error (one ``error:`` line), 3 resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import certificates
-from .allocations import RULES, at_sample, opt_makespan
+from .allocations import OPT_STATE_BUDGET, RULES, at_sample, opt_makespan
 from .core import BudgetExceeded, DomainError, Instance, makespan, rat, rat_str
 from .payments import (
     NotTruthfulEvidence,
@@ -51,11 +51,24 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise ``UsageError``; no abbreviations (``--m``, ``--mach``)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _rat_list(text: str) -> list[Fraction]:
     try:
-        return [rat(tok) for tok in text.split(",") if tok.strip()]
+        values = [rat(tok) for tok in text.split(",") if tok.strip()]
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
+    if not values:
+        raise UsageError(f"expected comma-separated rationals, got {text!r}")
+    return values
 
 
 def _load_instance(path: str) -> tuple[Instance, int | None]:
@@ -92,34 +105,25 @@ def _rule_for(name: str):
     return RULES[name]
 
 
-def _emit(payload, text: bool = False):
-    if text and hasattr(payload, "to_text"):
-        print(payload.to_text())
-    else:
-        body = payload.to_json_dict() if hasattr(payload, "to_json_dict") else payload
-        print(json.dumps(body, indent=2, sort_keys=True))
+def _emit(payload):
+    body = payload.to_json_dict() if hasattr(payload, "to_json_dict") else payload
+    print(json.dumps(body, indent=2, sort_keys=True))
 
 
 def cmd_allocate(args) -> int:
     instance, file_seed = _load_instance(args.instance)
-    rule_name = args.rule
-    if rule_name == "at-sample":
+    if args.rule == "at-sample":
         seed = args.seed if args.seed is not None else (file_seed or 0)
-        assignment = at_sample(instance, random.Random(seed))
-        out = assignment.to_json_dict()
-        out["makespan"] = rat_str(makespan(assignment, instance.bids))
-    elif rule_name == "opt":
-        assignment, opt = opt_makespan(instance, args.budget)
-        out = assignment.to_json_dict()
-        out["makespan"] = rat_str(opt)
+        allocation = at_sample(instance, random.Random(seed))
+    elif args.rule == "opt":
+        allocation, _ = opt_makespan(instance, args.budget)
     else:
-        rule = _rule_for(rule_name)
-        allocation = rule(instance)
-        out = allocation.to_json_dict()
-        out["makespan"] = rat_str(makespan(allocation, instance.bids))
-    out["rule"] = rule_name
+        allocation = RULES[args.rule](instance)
+    out = allocation.to_json_dict()
+    out["makespan"] = rat_str(makespan(allocation, instance.bids))
+    out["rule"] = args.rule
     out["instance"] = instance.to_json_dict()
-    _emit(out, args.text)
+    _emit(out)
     return EXIT_OK
 
 
@@ -134,47 +138,40 @@ def _check_on_instance(property_name, mechanism_name, instance, grid, budget):
             return check_anonymous(mech, instance)
         outcome = mech.run(instance)
         checker = check_envy_free if property_name == "ef" else check_ir
-        return checker(
-            instance.bids, outcome.allocation.workloads, outcome.payments
-        )
+        return checker(instance.bids, outcome.allocation.workloads, outcome.payments)
     rule = _rule_for(mechanism_name)
     if property_name == "ratio":
-        return approx_ratio(rule, instance, budget=budget)
+        return approx_ratio(rule, instance, budget)
     if property_name == "le":
         return check_local_efficiency(instance.bids, rule(instance).workloads)
     if property_name == "monotone":
         return check_monotone(rule, instance, grid)
-    if property_name == "scalable":
-        return check_scalable(rule, instance, SCALING_FACTORS)
-    raise UsageError(f"unknown property {property_name!r}")
+    return check_scalable(rule, instance, SCALING_FACTORS)
+
+
+def cmd_check_vectors(args) -> int:
+    """``le`` and ``ef`` on the explicit vectors, or on instances without them."""
+    names = ["bids", "workloads"] + (["payments"] if args.property == "ef" else [])
+    vectors = [getattr(args, name) for name in names]
+    if vectors == [None] * len(names):
+        return cmd_check(args)
+    if None in vectors:
+        raise UsageError(f"explicit {args.property} check needs --" + ", --".join(names))
+    if args.mechanism or args.instance or args.random:
+        raise UsageError("give explicit vectors or a rule with instances, not both")
+    checker = check_local_efficiency if args.property == "le" else check_envy_free
+    verdict = checker(*vectors)
+    _emit(verdict)
+    return EXIT_OK if verdict.passed else EXIT_FAIL
 
 
 def cmd_check(args) -> int:
-    grid = _rat_list(args.grid) if args.grid else None
-    if args.property == "le" and args.workloads:
-        if not args.bids:
-            raise UsageError("--workloads needs --bids")
-        verdict = check_local_efficiency(
-            _rat_list(args.bids), _rat_list(args.workloads)
-        )
-        _emit(verdict, args.text)
-        return EXIT_OK if verdict.passed else EXIT_FAIL
-    if args.property == "ef" and args.workloads:
-        if not (args.bids and args.payments):
-            raise UsageError("explicit ef check needs --bids and --payments")
-        verdict = check_envy_free(
-            _rat_list(args.bids), _rat_list(args.workloads), _rat_list(args.payments)
-        )
-        _emit(verdict, args.text)
-        return EXIT_OK if verdict.passed else EXIT_FAIL
     if not args.mechanism:
         raise UsageError("property checks need a mechanism or rule name")
     if args.random < 0:
         raise UsageError(f"--random takes a positive count, got {args.random}")
     if args.jobs_parallel < 1:
-        raise UsageError(
-            f"--jobs-parallel takes a positive count, got {args.jobs_parallel}"
-        )
+        raise UsageError(f"--jobs-parallel takes a positive count, got {args.jobs_parallel}")
     if args.random and args.instance:
         raise UsageError("give an instance file or --random N, not both")
     if args.random:
@@ -192,7 +189,7 @@ def cmd_check(args) -> int:
         raise UsageError("provide an instance file or --random N")
     check = functools.partial(
         _check_on_instance, args.property, args.mechanism,
-        grid=grid, budget=args.budget,
+        grid=getattr(args, "grid", None), budget=getattr(args, "budget", None),
     )
     workers = min(args.jobs_parallel, len(instances))
     if workers > 1:
@@ -214,7 +211,7 @@ def cmd_check(args) -> int:
         "failures": failures,
         "pass": not failures,
     }
-    _emit(summary, args.text)
+    _emit(summary)
     return EXIT_OK if not failures else EXIT_FAIL
 
 
@@ -234,46 +231,49 @@ def _emit_ratios(args, instances, ratios) -> int:
     if len(rows) == 1 and not args.csv:
         print(rows[0]["ratio"])
     else:
-        _emit({"ratios": rows}, args.text)
+        _emit({"ratios": rows})
     return EXIT_OK
 
 
-def cmd_certify(args) -> int:
-    name = args.name
-    if name == "theorem5":
-        a_values = _rat_list(args.a) if args.a else (8, 16, 32)
-        report = certificates.theorem5_certificate(a_values)
-    elif name == "theorem7":
-        report = certificates.theorem7_certificate(rat(args.tol))
-    elif name == "theorem1":
-        report = certificates.theorem1_harness(
-            vcg_mechanism, args.m, rat(args.c), rat(args.eps)
-        )
-    elif name == "lemma6":
-        rule = _rule_for(args.rule or "two-opt")
-        jobs = _rat_list(args.jobs) if args.jobs else [2, 1]
-        samples = _rat_list(args.samples_at) if args.samples_at else (1, 2, 5)
-        _, report = certificates.lemma6_g(rule, rat(args.k), jobs, samples)
-    elif name == "prop12":
-        seed = certificates.PROP12_SEED if args.seed is None else args.seed
-        report = certificates.prop12_verify(args.samples, seed)
-    elif name == "polytope":
-        rule = _rule_for(args.rule or "lpt-star")
-        grid = _rat_list(args.grid) if args.grid else [1, 2, 8]
-        jobs = _rat_list(args.jobs) if args.jobs else [2, 1]
-        result = certificates.payment_polytope_feasible(
-            rule, grid, jobs, machines=args.machines, profile_budget=args.budget
-        )
-        _emit(result, args.text)
-        return EXIT_OK  # the verdict is data either way
+def _report(report, args) -> int:
+    if args.text:
+        print(report.to_text())
     else:
-        raise UsageError(f"unknown certificate {name!r}")
-    _emit(report, args.text)
+        _emit(report)
     return EXIT_OK if report.verified else EXIT_FAIL
 
 
+def cmd_theorem5(args) -> int:
+    return _report(certificates.theorem5_certificate(args.a), args)
+
+
+def cmd_theorem7(args) -> int:
+    return _report(certificates.theorem7_certificate(rat(args.tol)), args)
+
+
+def cmd_theorem1(args) -> int:
+    report = certificates.theorem1_harness(vcg_mechanism, args.m, rat(args.c), rat(args.eps))
+    return _report(report, args)
+
+
+def cmd_lemma6(args) -> int:
+    _, report = certificates.lemma6_g(args.rule, rat(args.k), args.jobs, args.samples_at)
+    return _report(report, args)
+
+
+def cmd_prop12(args) -> int:
+    return _report(certificates.prop12_verify(args.samples, args.seed), args)
+
+
+def cmd_polytope(args) -> int:
+    _emit(certificates.payment_polytope_feasible(
+        args.rule, args.grid, args.jobs, machines=args.machines, profile_budget=args.budget
+    ))
+    return EXIT_OK  # the verdict is data either way
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schedmech",
         description=(
             "exact allocation rules, payments, property checkers and "
@@ -283,58 +283,68 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_alloc = sub.add_parser("allocate", help="run an allocation rule")
-    p_alloc.add_argument(
-        "rule",
-        choices=[*RULES, "at-sample"],
-    )
+    p_alloc.add_argument("rule", choices=[*RULES, "at-sample"])
     p_alloc.add_argument("instance", help="instance JSON file")
-    p_alloc.add_argument("--seed", type=int, default=None)
-    p_alloc.add_argument("--budget", type=int, default=10 ** 7)
-    p_alloc.add_argument("--text", action="store_true")
+    p_alloc.add_argument("--seed", type=int, default=None, help="at-sample only")
+    p_alloc.add_argument("--budget", type=int, default=OPT_STATE_BUDGET, help="opt only")
     p_alloc.set_defaults(func=cmd_allocate)
 
-    p_check = sub.add_parser("check", help="run a property checker")
-    p_check.add_argument(
-        "property",
-        choices=["le", "ef", "ir", "truthful", "monotone", "anonymous", "scalable", "ratio"],
-    )
-    p_check.add_argument("mechanism", nargs="?", default=None)
-    p_check.add_argument("instance", nargs="?", default=None)
-    p_check.add_argument("--random", type=int, default=0)
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--straddle", action="store_true",
-                         help="bias random bids toward powers of two")
-    p_check.add_argument("--grid", default=None, help="deviation bids, comma separated")
-    p_check.add_argument("--workloads", default=None)
-    p_check.add_argument("--bids", default=None)
-    p_check.add_argument("--payments", default=None)
-    p_check.add_argument("--csv", default=None, help="write batch ratios as CSV")
-    p_check.add_argument("--budget", type=int, default=10 ** 7)
-    p_check.add_argument("--jobs-parallel", type=int, default=1)
-    p_check.add_argument("--text", action="store_true")
-    p_check.set_defaults(func=cmd_check)
+    source = _Parser(add_help=False)
+    source.add_argument("mechanism", nargs="?", default=None, help="rule or mechanism")
+    source.add_argument("instance", nargs="?", default=None, help="instance JSON file")
+    source.add_argument("--random", type=int, default=0, help="check N sampled instances")
+    source.add_argument("--seed", type=int, default=0)
+    source.add_argument("--straddle", action="store_true", help="bids near powers of two")
+    source.add_argument("--jobs-parallel", type=int, default=1)
+    source.set_defaults(func=cmd_check)
+    props = sub.add_parser("check", help="run a property checker")
+    props = props.add_subparsers(dest="property", required=True)
+    check = {
+        name: props.add_parser(name, parents=[source])
+        for name in ("le", "ef", "ir", "truthful", "monotone", "anonymous", "scalable", "ratio")
+    }
+    for name in ("truthful", "monotone"):
+        check[name].add_argument("--grid", type=_rat_list, help="deviation bids")
+    for name in ("le", "ef"):
+        check[name].add_argument("--bids", type=_rat_list)
+        check[name].add_argument("--workloads", type=_rat_list)
+        check[name].set_defaults(func=cmd_check_vectors)
+    check["ef"].add_argument("--payments", type=_rat_list)
+    check["ratio"].add_argument("--csv", help="write batch ratios as CSV")
+    check["ratio"].add_argument("--budget", type=int, default=OPT_STATE_BUDGET)
 
-    p_cert = sub.add_parser("certify", help="emit a certificate report")
-    p_cert.add_argument(
-        "name",
-        choices=["theorem5", "theorem7", "theorem1", "lemma6", "prop12", "polytope"],
-    )
-    p_cert.add_argument("--a", default=None, help="comma-separated powers of two")
-    p_cert.add_argument("--tol", default="1/1000000")
-    p_cert.add_argument("--m", type=int, default=3)
-    p_cert.add_argument("--c", default="1")
-    p_cert.add_argument("--eps", default="1/2")
-    p_cert.add_argument("--k", default="3")
-    p_cert.add_argument("--rule", default=None)
-    p_cert.add_argument("--grid", default=None)
-    p_cert.add_argument("--jobs", default=None)
-    p_cert.add_argument("--machines", type=int, default=2)
-    p_cert.add_argument("--budget", type=int, default=4096)
-    p_cert.add_argument("--samples", type=int, default=1000)
-    p_cert.add_argument("--samples-at", default=None)
-    p_cert.add_argument("--seed", type=int, default=None)
-    p_cert.add_argument("--text", action="store_true")
-    p_cert.set_defaults(func=cmd_certify)
+    text = _Parser(add_help=False)
+    text.add_argument("--text", action="store_true", help="human-readable report")
+    certs = sub.add_parser("certify", help="emit a certificate")
+    certs = certs.add_subparsers(dest="name", required=True)
+    p = certs.add_parser("theorem5", parents=[text])
+    p.add_argument("--a", type=_rat_list, default="8,16,32", help="powers of two")
+    p.set_defaults(func=cmd_theorem5)
+    p = certs.add_parser("theorem7", parents=[text])
+    p.add_argument("--tol", default="1/1000000")
+    p.set_defaults(func=cmd_theorem7)
+    p = certs.add_parser("theorem1", parents=[text])
+    p.add_argument("--m", type=int, default=3)
+    p.add_argument("--c", default="1")
+    p.add_argument("--eps", default="1/2")
+    p.set_defaults(func=cmd_theorem1)
+    p = certs.add_parser("lemma6", parents=[text])
+    p.add_argument("--k", default="3")
+    p.add_argument("--rule", type=_rule_for, default="two-opt")
+    p.add_argument("--jobs", type=_rat_list, default="2,1")
+    p.add_argument("--samples-at", type=_rat_list, default="1,2,5")
+    p.set_defaults(func=cmd_lemma6)
+    p = certs.add_parser("prop12", parents=[text])
+    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=certificates.PROP12_SEED)
+    p.set_defaults(func=cmd_prop12)
+    p = certs.add_parser("polytope")
+    p.add_argument("--rule", type=_rule_for, default="lpt-star")
+    p.add_argument("--grid", type=_rat_list, default="1,2,8")
+    p.add_argument("--jobs", type=_rat_list, default="2,1")
+    p.add_argument("--machines", type=int, default=2)
+    p.add_argument("--budget", type=int, default=4096)
+    p.set_defaults(func=cmd_polytope)
     return parser
 
 
@@ -347,16 +357,12 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
         return args.func(args)
-    except (UsageError, DomainError) as exc:
+    except SystemExit:  # --help; argument errors raise UsageError instead
+        return EXIT_OK
+    except (UsageError, DomainError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return EXIT_BUDGET if isinstance(exc, BudgetExceeded) else EXIT_USAGE
     except NotTruthfulEvidence as exc:
         print(f"not truthful: {exc}", file=sys.stderr)
         return EXIT_FAIL

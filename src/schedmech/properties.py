@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .allocations import opt_makespan
+from .allocations import OPT_STATE_BUDGET, opt_makespan
 from .core import (
     WEAK_RELATIONS,
     DomainError,
@@ -350,9 +350,8 @@ def check_scalable(
     return _verdict("scalability", None)
 
 
-def approx_ratio(rule, instance: Instance, budget: Optional[int] = None) -> Fraction:
+def approx_ratio(rule, instance: Instance, budget: int = OPT_STATE_BUDGET) -> Fraction:
     """Exact ratio of the rule's makespan to the optimum, with bids as speeds."""
     allocation = rule(instance)
-    kwargs = {} if budget is None else {"budget": budget}
-    _, opt = opt_makespan(instance, **kwargs)
+    _, opt = opt_makespan(instance, budget)
     return makespan(allocation, instance.bids) / opt

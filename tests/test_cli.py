@@ -1,4 +1,6 @@
 import json
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -350,6 +352,18 @@ BAD_INSTANCE_FILES = {
         ["check", "le", "--bids", "1e3,1", "--workloads", "1,2"],
         ["allocate", "vcg", "EXPONENT_BIDS_JSON"],
         ["check", "ef", "opt:efchain", "NOT_LOCALLY_EFFICIENT_JSON"],
+        ["certify", "theorem7", "--rule", "vcg"],
+        ["certify", "theorem9"],
+        ["certify", "polytope", "--jobs", "-1,2"],
+        ["certify", "theorem5", "--a", ""],
+        ["check", "monotone", "two-opt", "--random", "x"],
+        ["check", "le", "lpt-star", "--bids", "1,2", "--workloads", "2,1"],
+        ["check", "truthful", "vcg", "VALID_JSON", "--csv", "x.csv"],
+        ["allocate", "vcg", "VALID_JSON", "--text"],
+        ["check", "truthful", "vcg", "VALID_JSON", "--grid", ""],
+        ["check", "ef", "--bids", "1,2", "--workloads", "2,1"],
+        ["certify", "polytope", "--m", "3"],
+        ["certify", "lemma6", "--samples", "5"],
     ],
     ids=["instance-file-holds-a-list", "lemma6-expected-allocation-rule",
          "instance-jobs-not-a-list", "instance-jobs-a-string",
@@ -358,7 +372,12 @@ BAD_INSTANCE_FILES = {
          "instance-file-and-random", "zero-parallel-jobs", "negative-parallel-jobs",
          "polytope-zero-machines", "polytope-negative-machines",
          "instance-seed-a-boolean", "bids-in-exponent-notation",
-         "instance-bids-in-exponent-notation", "ef-chain-not-locally-efficient"],
+         "instance-bids-in-exponent-notation", "ef-chain-not-locally-efficient",
+         "option-of-another-certificate", "unknown-certificate",
+         "option-value-like-an-option", "empty-a-list", "non-integer-random-count",
+         "explicit-vectors-and-a-rule", "option-of-another-property",
+         "text-on-json-only-command", "empty-grid", "ef-vectors-without-payments",
+         "abbreviated-option-of-polytope", "abbreviated-option-of-lemma6"],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     paths = {"MISSING_DIR_CSV": str(tmp_path / "missing" / "ratios.csv")}
@@ -391,7 +410,7 @@ def test_repeated_calls_share_one_parser_and_match_fresh_ones(capsys, instance_f
         ["check", "monotone", "two-opt", "--random", "x"],  # bad argument
         ["certify", "theorem1", "--m", "2"],
         ["check", "le", "--bids", "1,2", "--workloads", "1,2"],
-        ["allocate", "vcg", path, "--text"],
+        ["certify", "theorem5", "--a", "8", "--text"],
     ]
     fresh = []
     for argv in calls:
@@ -401,3 +420,24 @@ def test_repeated_calls_share_one_parser_and_match_fresh_ones(capsys, instance_f
     for _ in range(2):  # one parser for every call, twice through
         assert [run_cli(capsys, *argv)[:2] for argv in calls] == fresh
     assert cli._shared_parser.cache_info().currsize == 1
+
+
+def test_certificate_help_lists_only_its_own_options(capsys):
+    code, out, err = run_cli(capsys, "certify", "polytope", "--help")
+    assert (code, err) == (0, "")
+    options = {word.strip("[],") for word in out.split() if word.startswith(("--", "[--"))}
+    assert options == {"--help", "--rule", "--grid", "--jobs", "--machines", "--budget"}
+
+
+def test_readme_cli_examples_parse():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [
+        shlex.split(line, comments=True)
+        for line in block.splitlines()
+        if line.startswith("schedmech ")
+    ]
+    assert len(examples) >= 10
+    parser = cli.build_parser()
+    for argv in examples:
+        parser.parse_args(argv[1:])  # raises UsageError on any drift
