@@ -58,7 +58,6 @@ from .workcurve import (
     expected_workcurve,
     integrate,
     piecewise_integral,
-    subset_ratio_points,
 )
 
 
@@ -165,15 +164,9 @@ def theorem5_certificate(
                 "powers change the response shape the argument relies on"
             )
         curve = build_workcurve(lpt_star, (a,), jobs, cap=4 * a)
-        if curve.approximate:
-            raise CertificateFailure("bid response could not be resolved exactly")
         expected_bps = (a / 4, a, 2 * a)
         expected_vals = (Fraction(3), Fraction(2), Fraction(1))
-        if (
-            curve.breakpoints != expected_bps
-            or curve.values != expected_vals
-            or curve.tail != 0
-        ):
+        if (curve.breakpoints, curve.values, curve.tail) != (expected_bps, expected_vals, 0):
             raise CertificateFailure(
                 f"bid response at a={rat_str(a)} is "
                 f"{[rat_str(x) for x in curve.breakpoints]} / "
@@ -484,18 +477,14 @@ def lemma6_g(
             )
 
     ratio_cap = (k + 1) / (2 * k)
-
-    unit_base = Instance(jobs, (1, 1))
-
-    def unit_machine_response(y: Fraction) -> Fraction:
-        return rule(unit_base.with_bid(1, y)).workloads[0]
-
-    unit_curve = build_response_curve(
-        unit_machine_response, subset_ratio_points((Fraction(1),), jobs, 2), cap=2
-    )
-    if unit_curve.approximate:
-        raise CertificateFailure("competitor response could not be resolved exactly")
-    core_integral = integrate(unit_curve, Fraction(1) / k, ratio_cap)
+    samples = rats(inequality_samples)
+    # Machine 0's workload as the competitor's bid varies, one curve per
+    # distinct own bid; the unit-bid machine's curve is the a = 1 one.
+    competitor_curves = {
+        a: build_response_curve(rule, a, jobs, cap=2 * a)
+        for a in dict.fromkeys((Fraction(1), *samples))
+    }
+    core_integral = integrate(competitor_curves[1], 1 / k, ratio_cap)
     factor = Fraction(4) * k * k / ((k + 1) * (k + 1)) - 1
     g = factor * core_integral
 
@@ -505,7 +494,7 @@ def lemma6_g(
             "rule": getattr(rule, "name", "rule"),
             "k": rat_str(k),
             "jobs": [rat_str(l) for l in jobs],
-            "samples": [rat_str(rat(a)) for a in inequality_samples],
+            "samples": [rat_str(a) for a in samples],
         },
         constants={
             "factor": rat_str(factor),
@@ -514,19 +503,10 @@ def lemma6_g(
         },
     )
     report.add("g(k) is strictly positive", g, ">", 0)
-    for a in rats(inequality_samples):
+    for a in samples:
         own_curve = build_workcurve(rule, (a,), jobs, cap=2 * k * a)
         lhs = integrate(own_curve, a, k * a)
-
-        cross_base = Instance(jobs, (a, a))
-
-        def cross_response(x: Fraction) -> Fraction:
-            return rule(cross_base.with_bid(1, x)).workloads[0]
-
-        cross_curve = build_response_curve(
-            cross_response, subset_ratio_points((a,), jobs, 2 * a), cap=2 * a
-        )
-        rhs = integrate(cross_curve, a / k, a) + g * a
+        rhs = integrate(competitor_curves[a], a / k, a) + g * a
         report.add(
             f"transfer inequality at a={rat_str(a)}",
             lhs,

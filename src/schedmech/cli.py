@@ -111,12 +111,15 @@ def _emit(payload):
 
 
 def cmd_allocate(args) -> int:
+    for option, reader in (("seed", "at-sample"), ("budget", "opt")):
+        if option in vars(args) and args.rule != reader:
+            raise UsageError(f"--{option} is read by allocate {reader} only")
     instance, file_seed = _load_instance(args.instance)
     if args.rule == "at-sample":
-        seed = args.seed if args.seed is not None else (file_seed or 0)
+        seed = getattr(args, "seed", file_seed or 0)
         allocation = at_sample(instance, random.Random(seed))
     elif args.rule == "opt":
-        allocation, _ = opt_makespan(instance, args.budget)
+        allocation, _ = opt_makespan(instance, getattr(args, "budget", OPT_STATE_BUDGET))
     else:
         allocation = RULES[args.rule](instance)
     out = allocation.to_json_dict()
@@ -149,6 +152,13 @@ def _check_on_instance(property_name, mechanism_name, instance, grid, budget):
     return check_scalable(rule, instance, SCALING_FACTORS)
 
 
+def _refuse_batch_options(args):
+    batch = {"seed": "--seed", "straddle": "--straddle", "jobs_parallel": "--jobs-parallel"}
+    given = [option for name, option in batch.items() if name in vars(args)]
+    if given:
+        raise UsageError(f"{', '.join(given)}: read with --random N only")
+
+
 def cmd_check_vectors(args) -> int:
     """``le`` and ``ef`` on the explicit vectors, or on instances without them."""
     names = ["bids", "workloads"] + (["payments"] if args.property == "ef" else [])
@@ -159,6 +169,9 @@ def cmd_check_vectors(args) -> int:
         raise UsageError(f"explicit {args.property} check needs --" + ", --".join(names))
     if args.mechanism or args.instance or args.random:
         raise UsageError("give explicit vectors or a rule with instances, not both")
+    _refuse_batch_options(args)
+    if min(vectors[0]) <= 0 or min(vectors[1]) < 0:  # as in an instance file
+        raise UsageError("--bids must be strictly positive and --workloads nonnegative")
     checker = check_local_efficiency if args.property == "le" else check_envy_free
     verdict = checker(*vectors)
     _emit(verdict)
@@ -170,20 +183,22 @@ def cmd_check(args) -> int:
         raise UsageError("property checks need a mechanism or rule name")
     if args.random < 0:
         raise UsageError(f"--random takes a positive count, got {args.random}")
-    if args.jobs_parallel < 1:
-        raise UsageError(f"--jobs-parallel takes a positive count, got {args.jobs_parallel}")
+    workers = getattr(args, "jobs_parallel", 1)
+    if workers < 1:
+        raise UsageError(f"--jobs-parallel takes a positive count, got {workers}")
     if args.random and args.instance:
         raise UsageError("give an instance file or --random N, not both")
     if args.random:
-        rng = random.Random(args.seed)
+        rng = random.Random(getattr(args, "seed", 0))
         base = args.mechanism.partition(":")[0]
         fixed_m = getattr(RULES.get(base), "machine_count", None)
         m_range = {"m_min": fixed_m, "m_max": fixed_m} if fixed_m else {}
         instances = [
-            sample_instance(rng, straddle_pow2=args.straddle, **m_range)
+            sample_instance(rng, straddle_pow2="straddle" in vars(args), **m_range)
             for _ in range(args.random)
         ]
     elif args.instance:
+        _refuse_batch_options(args)
         instances = [_load_instance(args.instance)[0]]
     else:
         raise UsageError("provide an instance file or --random N")
@@ -191,7 +206,7 @@ def cmd_check(args) -> int:
         _check_on_instance, args.property, args.mechanism,
         grid=getattr(args, "grid", None), budget=getattr(args, "budget", None),
     )
-    workers = min(args.jobs_parallel, len(instances))
+    workers = min(workers, len(instances))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             verdicts = list(pool.map(check, instances, chunksize=8))
@@ -235,34 +250,14 @@ def _emit_ratios(args, instances, ratios) -> int:
     return EXIT_OK
 
 
-def _report(report, args) -> int:
+def _report(args) -> int:
+    """Build the certificate's report (``args.report``) and print it."""
+    report = args.report(args)
     if args.text:
         print(report.to_text())
     else:
         _emit(report)
     return EXIT_OK if report.verified else EXIT_FAIL
-
-
-def cmd_theorem5(args) -> int:
-    return _report(certificates.theorem5_certificate(args.a), args)
-
-
-def cmd_theorem7(args) -> int:
-    return _report(certificates.theorem7_certificate(rat(args.tol)), args)
-
-
-def cmd_theorem1(args) -> int:
-    report = certificates.theorem1_harness(vcg_mechanism, args.m, rat(args.c), rat(args.eps))
-    return _report(report, args)
-
-
-def cmd_lemma6(args) -> int:
-    _, report = certificates.lemma6_g(args.rule, rat(args.k), args.jobs, args.samples_at)
-    return _report(report, args)
-
-
-def cmd_prop12(args) -> int:
-    return _report(certificates.prop12_verify(args.samples, args.seed), args)
 
 
 def cmd_polytope(args) -> int:
@@ -285,17 +280,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_alloc = sub.add_parser("allocate", help="run an allocation rule")
     p_alloc.add_argument("rule", choices=[*RULES, "at-sample"])
     p_alloc.add_argument("instance", help="instance JSON file")
-    p_alloc.add_argument("--seed", type=int, default=None, help="at-sample only")
-    p_alloc.add_argument("--budget", type=int, default=OPT_STATE_BUDGET, help="opt only")
+    # Options a call may not read are absent unless given (SUPPRESS), so
+    # that an unread one can be refused.
+    p_alloc.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="at-sample only")
+    p_alloc.add_argument("--budget", type=int, default=argparse.SUPPRESS, help="opt only")
     p_alloc.set_defaults(func=cmd_allocate)
 
     source = _Parser(add_help=False)
     source.add_argument("mechanism", nargs="?", default=None, help="rule or mechanism")
     source.add_argument("instance", nargs="?", default=None, help="instance JSON file")
     source.add_argument("--random", type=int, default=0, help="check N sampled instances")
-    source.add_argument("--seed", type=int, default=0)
-    source.add_argument("--straddle", action="store_true", help="bids near powers of two")
-    source.add_argument("--jobs-parallel", type=int, default=1)
+    source.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    source.add_argument("--straddle", action="store_true", default=argparse.SUPPRESS,
+                        help="bids near powers of two")
+    source.add_argument("--jobs-parallel", type=int, default=argparse.SUPPRESS)
     source.set_defaults(func=cmd_check)
     props = sub.add_parser("check", help="run a property checker")
     props = props.add_subparsers(dest="property", required=True)
@@ -315,29 +313,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     text = _Parser(add_help=False)
     text.add_argument("--text", action="store_true", help="human-readable report")
+    text.set_defaults(func=_report)
     certs = sub.add_parser("certify", help="emit a certificate")
     certs = certs.add_subparsers(dest="name", required=True)
     p = certs.add_parser("theorem5", parents=[text])
     p.add_argument("--a", type=_rat_list, default="8,16,32", help="powers of two")
-    p.set_defaults(func=cmd_theorem5)
+    p.set_defaults(report=lambda args: certificates.theorem5_certificate(args.a))
     p = certs.add_parser("theorem7", parents=[text])
     p.add_argument("--tol", default="1/1000000")
-    p.set_defaults(func=cmd_theorem7)
+    p.set_defaults(report=lambda args: certificates.theorem7_certificate(rat(args.tol)))
     p = certs.add_parser("theorem1", parents=[text])
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--c", default="1")
     p.add_argument("--eps", default="1/2")
-    p.set_defaults(func=cmd_theorem1)
+    p.set_defaults(report=lambda args: certificates.theorem1_harness(
+        vcg_mechanism, args.m, rat(args.c), rat(args.eps)))
     p = certs.add_parser("lemma6", parents=[text])
     p.add_argument("--k", default="3")
     p.add_argument("--rule", type=_rule_for, default="two-opt")
     p.add_argument("--jobs", type=_rat_list, default="2,1")
     p.add_argument("--samples-at", type=_rat_list, default="1,2,5")
-    p.set_defaults(func=cmd_lemma6)
+    p.set_defaults(report=lambda args: certificates.lemma6_g(
+        args.rule, rat(args.k), args.jobs, args.samples_at)[1])
     p = certs.add_parser("prop12", parents=[text])
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=certificates.PROP12_SEED)
-    p.set_defaults(func=cmd_prop12)
+    p.set_defaults(report=lambda args: certificates.prop12_verify(args.samples, args.seed))
     p = certs.add_parser("polytope")
     p.add_argument("--rule", type=_rule_for, default="lpt-star")
     p.add_argument("--grid", type=_rat_list, default="1,2,8")

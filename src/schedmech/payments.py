@@ -44,7 +44,11 @@ class NotTruthfulEvidence(RuntimeError):
 
     Carries both probes and both extracted values: re-evaluating them is a
     constructive witness that the mechanism violates the truthful payment
-    identity.
+    identity, on the curve as discovered.  Discovery reads a jump nearer to
+    a tested point than 2^-40 of its bracket at that point, unflagged (see
+    ``discover_step_function``), so a truthful mechanism can raise this
+    too: threshold payments for the rule giving machine 0 all the work iff
+    b0 < b1 + 1/(2^70+1) read 3 + 3/(2^70+1) at probe 1/2 and 3 at probe 3.
     """
 
     def __init__(self, others_bids, probe_a, h_a, probe_b, h_b):

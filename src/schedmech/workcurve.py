@@ -132,7 +132,10 @@ class WorkCurve:
 def integrate(
     curve: WorkCurve, lo: RationalLike, hi: Optional[RationalLike]
 ) -> Fraction:
-    """Exact integral of the step function over [lo, hi]; hi=None means infinity."""
+    """Exact integral of the step function over [lo, hi]; hi=None means
+    infinity.  The one gate of every curve integral: refuses approximate curves."""
+    if curve.approximate:
+        raise CurveResolutionError("a jump of the curve was not located exactly")
     lo = rat(lo)
     if lo < 0:
         raise DomainError("integration starts at a nonnegative bound")
@@ -260,6 +263,12 @@ def discover_step_function(
     it is flagged approximate when a jump could not be located exactly.  A
     jump hiding between two equal-valued samples is invisible; candidate
     sets must be dense enough to expose one sign of every change.
+
+    Curves are exact when every jump is a candidate, which holds for the
+    package's rules.  A jump nearer to a tested point than 2^-40 of its
+    bracket is read at that point, and the curve is not flagged: a rule
+    giving machine 0 all the work iff b0 < b1 + 1/(2^70+1) yields
+    breakpoint 1 against competitor bid 1, not approximate.
     """
     cap = rat(cap)
     if cap <= 0:
@@ -296,11 +305,12 @@ def discover_step_function(
     return WorkCurve(tuple(breakpoints), tuple(vals), tail, cap, approximate)
 
 
-def _own_bid_eval(rule, others_bids, jobs) -> Callable[[Fraction], Fraction]:
-    base = Instance(jobs, (1, *others_bids))
+def _response_eval(rule, bids, jobs, machine: int) -> Callable[[Fraction], Fraction]:
+    """Machine 0's workload under ``rule`` as ``machine``'s bid varies."""
+    base = Instance(jobs, bids)
 
     def f(x: Fraction) -> Fraction:
-        result = rule(base.with_bid(0, x))
+        result = rule(base.with_bid(machine, x))
         if isinstance(result, ExpectedAllocation):
             raise DomainError(
                 "rule returns expected allocations; use expected_workcurve"
@@ -351,10 +361,8 @@ def build_workcurve(
     the rule's support is bounded; a nonzero tail in the result means that
     promise could not be confirmed at the cap.
     """
-    others_bids = rats(others_bids)
-    jobs = rats(jobs)
-    cap = rat(cap)
-    f = _own_bid_eval(rule, others_bids, jobs)
+    others_bids, jobs, cap = rats(others_bids), rats(jobs), rat(cap)
+    f = _response_eval(rule, (1, *others_bids), jobs, 0)
     hints = getattr(rule, "breakpoint_hints", None)
     if hints is not None:
         # A rule that knows its own comparison structure supplies a complete
@@ -370,16 +378,17 @@ def build_workcurve(
 
 
 def build_response_curve(
-    eval_fn: Callable[[Fraction], Fraction],
-    candidates: Sequence[RationalLike],
+    rule,
+    own_bid: RationalLike,
+    jobs: Sequence[RationalLike],
     cap: RationalLike,
 ) -> WorkCurve:
-    """Step-function discovery for an arbitrary one-dimensional response.
-
-    Used for curves in a *competitor's* bid, which the certificate for
-    scalable two-machine rules integrates on both sides of its inequality.
-    """
-    return discover_step_function(eval_fn, candidates, cap)
+    """The first machine's workload at bid ``own_bid`` as the competitor's
+    bid varies over (0, cap]: the curves the certificate for scalable
+    two-machine rules integrates on both sides of its inequality."""
+    own_bid, jobs, cap = rat(own_bid), rats(jobs), rat(cap)
+    f = _response_eval(rule, (own_bid, own_bid), jobs, 1)
+    return discover_step_function(f, subset_ratio_points((own_bid,), jobs, cap), cap)
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,19 @@ class TestCheck:
         assert "counterexample" in payload
         jsonschema.validate(payload, VERDICT_SCHEMA)
 
+    def test_explicit_payments_may_be_any_rational(self, capsys):
+        code, out, err = run_cli(
+            capsys, "check", "ef", "--bids=1,2", "--workloads=2,1", "--payments=-1,1/2"
+        )
+        assert (code, err) == (1, "")
+        assert json.loads(out)["counterexample"]["description"] == "machine 0 envies machine 1"
+
+    def test_absent_batch_options_read_as_their_defaults(self, capsys):
+        plain = run_cli(capsys, "check", "monotone", "lpt-star", "--random", "4")
+        spelled = run_cli(capsys, "check", "monotone", "lpt-star", "--random", "4",
+                          "--seed", "0", "--jobs-parallel", "1")
+        assert plain == spelled and plain[0] == 0
+
     def test_batch_is_seed_deterministic(self, capsys):
         args = ("check", "truthful", "vcg", "--random", "5", "--seed", "3",
                 "--grid", "1,2,3")
@@ -364,6 +377,17 @@ BAD_INSTANCE_FILES = {
         ["check", "ef", "--bids", "1,2", "--workloads", "2,1"],
         ["certify", "polytope", "--m", "3"],
         ["certify", "lemma6", "--samples", "5"],
+        ["allocate", "vcg", "VALID_JSON", "--seed", "4", "--budget", "1"],
+        ["allocate", "lpt-star", "VALID_JSON", "--budget", "5"],
+        ["allocate", "opt", "VALID_JSON", "--seed", "3"],
+        ["check", "ef", "--bids", "1,2", "--workloads", "2,1", "--payments", "2,0",
+         "--straddle", "--seed", "9"],
+        ["check", "truthful", "vcg", "VALID_JSON", "--seed", "0"],
+        ["check", "monotone", "lpt-star", "VALID_JSON", "--straddle"],
+        ["check", "ratio", "lpt-star", "VALID_JSON", "--jobs-parallel", "2"],
+        ["check", "ef", "--bids=-2,1", "--workloads=1,-1", "--payments=1,1"],
+        ["check", "le", "--bids=0,1", "--workloads=1,1"],
+        ["check", "le", "--bids=1,1", "--workloads=1,-1"],
     ],
     ids=["instance-file-holds-a-list", "lemma6-expected-allocation-rule",
          "instance-jobs-not-a-list", "instance-jobs-a-string",
@@ -377,7 +401,12 @@ BAD_INSTANCE_FILES = {
          "option-value-like-an-option", "empty-a-list", "non-integer-random-count",
          "explicit-vectors-and-a-rule", "option-of-another-property",
          "text-on-json-only-command", "empty-grid", "ef-vectors-without-payments",
-         "abbreviated-option-of-polytope", "abbreviated-option-of-lemma6"],
+         "abbreviated-option-of-polytope", "abbreviated-option-of-lemma6",
+         "allocate-seed-and-budget-of-vcg", "allocate-budget-of-lpt-star",
+         "allocate-seed-of-opt", "batch-options-with-explicit-vectors",
+         "seed-with-an-instance-file", "straddle-with-an-instance-file",
+         "parallel-jobs-with-an-instance-file", "explicit-negative-bid",
+         "explicit-zero-bid", "explicit-negative-workload"],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     paths = {"MISSING_DIR_CSV": str(tmp_path / "missing" / "ratios.csv")}

@@ -181,7 +181,7 @@ def test_competitor_bid_responses_equal_bisection_only_discovery(seed):
                 return two_machine_opt(Instance(jobs, (own, x))).workloads[0]
 
             candidates = subset_ratio_points((own,), jobs, cap)
-            assert build_response_curve(response, candidates, cap) == (
+            assert build_response_curve(two_machine_opt, own, jobs, cap) == (
                 bisect_discover(response, candidates, cap)
             ), (jobs, own)
 
@@ -260,4 +260,4 @@ def test_probe_counts_stay_pinned():
     rule = CountingRule(two_machine_opt)
     g, _ = lemma6_g(rule, F(3), (F(2), F(1)))
     assert g == F(5, 12)
-    assert rule.calls == 294
+    assert rule.calls == 262

@@ -24,7 +24,7 @@ from schedmech.payments import (
 )
 from schedmech.properties import check_envy_free, check_ir
 from schedmech.sampling import sample_locally_efficient
-from schedmech.workcurve import WorkCurve, build_workcurve
+from schedmech.workcurve import CurveResolutionError, WorkCurve, build_workcurve
 
 F = Fraction
 
@@ -68,6 +68,11 @@ class TestTruthfulPayment:
     def test_constant_region_pays_the_term_itself(self):
         curve = WorkCurve((F(5),), (F(4),), F(0), F(8))
         assert truthful_payment(F(7, 3), 2, 4, curve) == F(7, 3)
+
+    def test_approximate_curve_is_refused(self):
+        curve = WorkCurve((F(1),), (F(3),), F(0), F(4), approximate=True)
+        with pytest.raises(CurveResolutionError):
+            truthful_payment(3, F(1, 2), 3, curve)
 
     def test_workload_must_match_curve(self):
         curve = WorkCurve((F(1),), (F(3),), F(0), F(4))
@@ -128,7 +133,25 @@ class _Threshold:
         return Assignment.from_map(instance, [target] * instance.n)
 
 
+class _IrrationalThreshold:
+    """All work to machine 0 iff b0 < sqrt(2)*b1: a jump at no rational bid."""
+
+    def __call__(self, instance):
+        b0, b1 = instance.bids
+        target = 0 if b0 * b0 < 2 * b1 * b1 else 1
+        return Assignment.from_map(instance, [target] * instance.n)
+
+
 class TestExtractH:
+    def test_irrational_jump_raises_instead_of_an_inexact_term(self):
+        # Discovery cannot place the jump at sqrt(2) and flags the curve
+        # approximate (its best-effort breakpoint is 13/8); h read off it
+        # would be 39/8, which no exact integral gives.
+        zero = Mechanism("sqrt2", _IrrationalThreshold(), lambda inst, alloc: (F(0),) * inst.m)
+        assert build_workcurve(zero.rule, (1,), (2, 1), 12).approximate
+        with pytest.raises(CurveResolutionError):
+            extract_h(zero, (2, 1), (1,), 3)
+
     def test_probe_invariant_on_all_to_fastest(self):
         assert extract_h(vcg_mechanism, (2, 1), (2,), 1) == 6
         assert extract_h(vcg_mechanism, (2, 1), (2,), F(1, 2)) == 6

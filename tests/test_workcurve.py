@@ -14,6 +14,7 @@ from schedmech.allocations import (
 from schedmech.core import Assignment, DomainError, Instance
 from schedmech.workcurve import (
     CurvePiece,
+    CurveResolutionError,
     DivergentIntegral,
     LogLinearValue,
     WorkCurve,
@@ -80,6 +81,12 @@ class TestWorkCurveBasics:
         with pytest.raises(DivergentIntegral):
             integrate(c, 0, None)
         assert integrate(c, 0, 4) == 3 + 3
+
+    def test_approximate_curve_is_never_integrated(self):
+        c = WorkCurve((F(13, 8),), (F(3),), F(0), F(12), approximate=True)
+        for hi in (None, F(1), F(3)):
+            with pytest.raises(CurveResolutionError):
+                integrate(c, 0, hi)
 
     def test_breakpoints_must_increase(self):
         with pytest.raises(DomainError):
