@@ -54,7 +54,7 @@ class LptStar:
         shifts = [e - low for e in exps]
         loads = [0] * instance.m
         job_to_machine = [0] * instance.n
-        denominator, lengths = scaled_to_ints(instance.jobs)
+        denominator, lengths = instance.scaled_jobs
         for j, length in enumerate(lengths):
             keys = [(loads[i] + length) << shifts[i] for i in range(instance.m)]
             # index finds the first of equal keys: ties go to the lowest index
@@ -130,7 +130,7 @@ class TwoMachineOpt:
         c0 = b0.numerator * b1.denominator
         c1 = b1.numerator * b0.denominator
         sums = [0]  # sums[mask]: machine 0's workload when it takes the mask's jobs
-        denominator, lengths = scaled_to_ints(instance.jobs)
+        denominator, lengths = instance.scaled_jobs
         for length in lengths:
             sums += [w0 + length for w0 in sums]
         total = sums[-1]

@@ -5,8 +5,9 @@ on an instance file, a random batch or (``le``, ``ef``) explicit vectors,
 and ``certify`` one certificate; each property and certificate has its own
 parser, which accepts only the options it reads.  Output is JSON with
 rationals as strings (``--text``: the five report certificates as text).
-Exit codes: 0 pass, 1 property failure or unverified certificate, 2 usage
-or parse error (one ``error:`` line), 3 resource budget exceeded.
+Exit codes: 0 pass, 1 property failure, unverified certificate or output
+closed early (one ``error:`` line), 2 usage or parse error (one ``error:``
+line), 3 resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -358,9 +360,18 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left fails here, not at exit
+        return code
     except SystemExit:  # --help; argument errors raise UsageError instead
         return EXIT_OK
+    except BrokenPipeError:
+        # What is still buffered, and the flush at exit, go to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: output closed before it was all written", file=sys.stderr)
+        return EXIT_FAIL
     except (UsageError, DomainError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET if isinstance(exc, BudgetExceeded) else EXIT_USAGE

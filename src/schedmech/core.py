@@ -12,7 +12,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -92,7 +91,7 @@ def ceil_log2(b: RationalLike) -> int:
     floating logarithm.
     """
     b = rat(b)
-    if b <= 0:
+    if b.numerator <= 0:
         raise DomainError(f"ceil_log2 requires a positive argument, got {rat_str(b)}")
     p, q = b.numerator, b.denominator
     # With P, Q the bit lengths of p, q, p/q lies strictly between
@@ -136,7 +135,10 @@ class Instance:
 
     Jobs are canonicalized to nonincreasing order at construction; job
     indices throughout the package refer to positions in that sorted
-    tuple.  All lengths and bids must be strictly positive.
+    tuple.  All lengths and bids must be strictly positive.  The job data
+    every rule reads is computed once here and shared by every derived
+    instance: ``total_length`` and ``scaled_jobs`` (``scaled_to_ints`` of
+    the jobs).  Neither takes part in equality or hashing.
     """
 
     jobs: tuple[Fraction, ...]
@@ -153,8 +155,9 @@ class Instance:
             raise DomainError("job lengths must be strictly positive")
         if min(bids_t) <= 0:
             raise DomainError("bids must be strictly positive")
-        object.__setattr__(self, "jobs", jobs_t)
-        object.__setattr__(self, "bids", bids_t)
+        denominator, lengths = scaled_to_ints(jobs_t)
+        vars(self).update(jobs=jobs_t, bids=bids_t, scaled_jobs=(denominator, tuple(lengths)),
+                          total_length=Fraction(sum(lengths), denominator))
 
     @property
     def n(self) -> int:
@@ -164,25 +167,18 @@ class Instance:
     def m(self) -> int:
         return len(self.bids)
 
-    @cached_property
-    def total_length(self) -> Fraction:
-        return sum(self.jobs, Fraction(0))
-
     def _with_bids(self, bids: list[Fraction]) -> "Instance":
         """Same (already canonical) jobs with new, already validated bids;
-        skips ``__init__``.  A cached job total carries over with the jobs."""
+        skips ``__init__``.  The job data is shared with this instance, not
+        computed again."""
         new = object.__new__(Instance)
-        state = vars(new)
-        state["jobs"] = self.jobs
-        state["bids"] = tuple(bids)
-        if "total_length" in vars(self):
-            state["total_length"] = self.total_length
+        vars(new).update(vars(self), bids=tuple(bids))
         return new
 
     def with_bid(self, machine: int, bid: RationalLike) -> "Instance":
         """Same jobs, with machine's bid replaced (for deviation checks)."""
         bid = rat(bid)
-        if bid <= 0:
+        if bid.numerator <= 0:
             raise DomainError("bids must be strictly positive")
         new_bids = list(self.bids)
         new_bids[machine] = bid

@@ -127,15 +127,14 @@ def vcg_payments(
     bids = instance.bids
     L = instance.total_length
     winner = lowest_bidder(bids)
-
-    def winner_only(value: Fraction) -> tuple[Fraction, ...]:
-        return tuple(value if i == winner else Fraction(0) for i in range(len(bids)))
-
-    if assignment.workloads != winner_only(L):
+    winner_only = [Fraction(0)] * len(bids)  # the workloads, then the payments
+    winner_only[winner] = L
+    if assignment.workloads != tuple(winner_only):
         raise DomainError("payments are defined on the rule's own allocation")
     if instance.m == 1:
         return (bids[0] * L,)
-    return winner_only(min(bids[:winner] + bids[winner + 1:]) * L)
+    winner_only[winner] = min(bids[:winner] + bids[winner + 1:]) * L
+    return tuple(winner_only)
 
 
 @dataclass

@@ -10,6 +10,7 @@ impossible, a grid gives counterexample power.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,11 +82,15 @@ def _verdict(prop: str, ce: Optional[Counterexample]) -> PropertyVerdict:
 
 
 def default_grid(instance: Instance, points: int = 64) -> tuple[Fraction, ...]:
-    """Deviation bids: j/8 steps scaled by the largest bid, plus the bids."""
+    """Deviation bids in increasing order: j/8 steps scaled by the largest
+    bid, plus the bids."""
     scale = max(instance.bids)
-    grid = {scale * Fraction(j, 8) for j in range(1, points + 1)}
-    grid.update(instance.bids)
-    return tuple(sorted(grid))
+    grid = [Fraction(scale.numerator * j, scale.denominator * 8) for j in range(1, points + 1)]
+    for bid in instance.bids:
+        k = bisect.bisect_left(grid, bid)
+        if grid[k:k + 1] != [bid]:
+            grid.insert(k, bid)
+    return tuple(grid)
 
 
 def _local_efficiency_violation(
@@ -260,9 +265,7 @@ def check_monotone(
     deviation_grid: Optional[Sequence[RationalLike]] = None,
 ) -> PropertyVerdict:
     """Raising one's own bid never increases one's workload (grid check)."""
-    grid = sorted(
-        rats(deviation_grid) if deviation_grid is not None else default_grid(instance)
-    )
+    grid = sorted(rats(deviation_grid)) if deviation_grid is not None else default_grid(instance)
     for i in range(instance.m):
         prev_bid = None
         prev_w = None

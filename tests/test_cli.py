@@ -430,6 +430,22 @@ def test_console_entry_point_runs():
     assert json.loads(proc.stdout)["verified"] is True
 
 
+def test_closed_output_pipe_exits_1_with_one_error_line():
+    # 2,000 ratio rows are about 170 kB, more than a pipe holds, so the
+    # command is still writing when the reader closes its end.
+    with subprocess.Popen(
+        [sys.executable, "-m", "schedmech.cli", "check", "ratio", "vcg", "--random", "2000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_repeated_calls_share_one_parser_and_match_fresh_ones(capsys, instance_file):
     path = instance_file([3, 2, 1], ["1", "5/2"])
     calls = [

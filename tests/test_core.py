@@ -110,7 +110,8 @@ class TestInstance:
 
     def test_derived_instances_equal_fresh_ones(self):
         inst = Instance((1, Fraction(5, 2), 2), (Fraction(3, 4), 2, 1))
-        assert inst.total_length == Fraction(11, 2)  # cached before deriving
+        assert inst.total_length == Fraction(11, 2)
+        assert inst.scaled_jobs == (2, (5, 4, 2))
         derived = [
             (inst.with_bid(0, "7/3"), (Fraction(7, 3), 2, 1)),
             (inst.with_bid(2, 5), (Fraction(3, 4), 2, 5)),
@@ -124,6 +125,11 @@ class TestInstance:
             assert got.jobs == fresh.jobs and got.bids == fresh.bids
             assert all(type(b) is Fraction for b in got.bids)
             assert got.total_length == fresh.total_length
+            assert got.scaled_jobs == fresh.scaled_jobs
+            # the job data is shared with the base, not computed again
+            assert got.total_length is inst.total_length
+            assert got.scaled_jobs is inst.scaled_jobs
+            assert got != inst  # equality reads the jobs and bids only
 
     def test_json_roundtrip_rejects_floats(self):
         inst = Instance((2, 1), (Fraction(1, 3), 2))

@@ -213,6 +213,34 @@ class TestGridAndConsistency:
         assert 3 in grid and 8 in grid
         assert max(grid) == 64 and min(grid) == 1
 
+    @staticmethod
+    def set_and_sort_grid(instance, points):
+        """The grid as first written: a set of the steps and bids, sorted."""
+        scale = max(instance.bids)
+        grid = {scale * F(j, 8) for j in range(1, points + 1)}
+        grid.update(instance.bids)
+        return tuple(sorted(grid))
+
+    def test_default_grid_equals_set_and_sort_oracle(self):
+        rng = random.Random(13)
+        for trial in range(300):
+            m = rng.randint(1, 5)
+            scale = F(rng.randint(1, 24), rng.randint(1, 6))
+            bids = []
+            for _ in range(m):
+                kind = rng.randrange(3)
+                if kind == 0:  # on a grid point (j/8 of the scale, j up to 72)
+                    bids.append(scale * F(rng.randint(1, 72), 8))
+                elif kind == 1 and bids:  # a duplicate
+                    bids.append(rng.choice(bids))
+                else:
+                    bids.append(F(rng.randint(1, 40), rng.randint(1, 7)))
+            inst = Instance((3, 1), bids)
+            for points in (0, 1, 7, 8, 20, 64, 65):
+                grid = default_grid(inst, points)
+                assert grid == self.set_and_sort_grid(inst, points), (bids, points)
+                assert all(type(g) is F for g in grid)
+
     def test_grid_truthful_mechanism_has_probe_invariant_term(self):
         # consistency between the grid checker and term extraction
         inst = Instance((2, 1), (2, 5))
