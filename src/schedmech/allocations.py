@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import (
     Assignment,
@@ -250,22 +250,12 @@ def _fractional_completion_bound(
     costs = sorted(range(len(speeds)), key=lambda i: loads[i] * speeds[i])
     load_sum = Fraction(0)
     inv_sum = Fraction(0)
-    best: Optional[Fraction] = None
-    for rank, i in enumerate(costs):
+    for rank, i in enumerate(costs, 1):
         load_sum += loads[i]
         inv_sum += Fraction(1) / speeds[i]
         level = (remaining + load_sum) / inv_sum
-        next_cost = (
-            loads[costs[rank + 1]] * speeds[costs[rank + 1]]
-            if rank + 1 < len(costs)
-            else None
-        )
-        if next_cost is None or level <= next_cost:
-            best = level
-            break
-    if best is None:
-        raise AssertionError
-    return best
+        if rank == len(costs) or level <= loads[costs[rank]] * speeds[costs[rank]]:
+            return level
 
 
 def opt_makespan(

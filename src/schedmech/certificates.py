@@ -620,22 +620,6 @@ class FeasibilityResult:
         }
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def payment_polytope_feasible(
     rule,
     bid_grid: Sequence[RationalLike],
@@ -754,7 +738,8 @@ def _polytope_rows(rule, bid_grid, jobs, machines, profile_budget) -> _PolytopeR
         raise DomainError("grid bids must be positive")
     jobs = rats(jobs)
     n = len(grid)
-    if n ** machines > profile_budget:
+    # Never builds a huge power: for n >= 2, n ** bit_length(budget) > budget.
+    if n ** min(machines, profile_budget.bit_length()) > profile_budget:
         raise BudgetExceeded(f"{n}^{machines} profiles exceed budget {profile_budget}")
     profiles = list(itertools.product(grid, repeat=machines))
     points = list(itertools.product(range(n), repeat=machines))
@@ -766,7 +751,15 @@ def _polytope_rows(rule, bid_grid, jobs, machines, profile_budget) -> _PolytopeR
     wi = [flat[t: t + machines] for t in range(0, len(flat), machines)]
     notes: list[str] = []
     n_vars = len(profiles) * machines
-    uf = _UnionFind(n_vars)
+    # Union-find over the variables; a merge keeps the smaller root.
+    parent = list(range(n_vars))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
     pairs = list(itertools.permutations(range(machines), 2))
     broken_swaps = []
     for p, idx in enumerate(points):
@@ -775,14 +768,15 @@ def _polytope_rows(rule, bid_grid, jobs, machines, profile_budget) -> _PolytopeR
                 continue
             q = p + (idx[l] - idx[k]) * (strides[k] - strides[l])
             if workloads[q][l] == workloads[p][k]:
-                uf.union(p * machines + k, q * machines + l)
+                ra, rb = find(p * machines + k), find(q * machines + l)
+                parent[max(ra, rb)] = min(ra, rb)
             else:
                 notes.append(
                     f"rule workloads break anonymity at profile "
                     f"{_profile_text(profiles[p])} swap ({k},{l})"
                 )
                 broken_swaps.append((p, k, q, l))
-    var = [uf.find(t) for t in range(n_vars)]
+    var = [find(t) for t in range(n_vars)]
     # Payment anonymity at a broken workload swap stays an explicit row;
     # built after the union pass so it names final representatives.
     rows = [

@@ -241,9 +241,6 @@ class Assignment:
     def m(self) -> int:
         return len(self.workloads)
 
-    def machine_jobs(self, machine: int) -> tuple[int, ...]:
-        return tuple(j for j, i in enumerate(self.job_to_machine) if i == machine)
-
     def to_json_dict(self) -> dict:
         return {
             "job_to_machine": list(self.job_to_machine),

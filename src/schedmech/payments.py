@@ -163,17 +163,6 @@ def ef_chain_mechanism(rule) -> Mechanism:
     return Mechanism(f"{getattr(rule, 'name', 'rule')}+ef-chain", rule, pay)
 
 
-def bid_proportional_mechanism(rule) -> Mechanism:
-    """Pays bid times workload; useful as a known-untruthful specimen."""
-
-    def pay(instance: Instance, allocation) -> Sequence[Fraction]:
-        return tuple(
-            b * w for b, w in zip(instance.bids, allocation.workloads)
-        )
-
-    return Mechanism(f"{getattr(rule, 'name', 'rule')}+bid-cost", rule, pay)
-
-
 def _mechanism_curve(mechanism: Mechanism, jobs, others_bids, probes) -> WorkCurve:
     """The bid response against ``others_bids``, out to twice the larger of
     twice the highest probe and the highest competitor bid."""

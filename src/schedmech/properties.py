@@ -114,15 +114,34 @@ def check_local_efficiency(
     Uses the pairwise criterion (a strictly slower machine never carries a
     strictly larger workload); for up to six machines the full permutation
     definition is cross-checked, which must agree by the rearrangement
-    inequality.
+    inequality, and its counterexample is the one reported.
     """
     bids = rats(bids)
     workloads = rats(workloads)
     if len(bids) != len(workloads):
         raise DomainError("bids and workloads must have equal length")
-    ce = None
     pair = _local_efficiency_violation(bids, workloads)
-    if pair is not None:
+    ce = None
+    if len(bids) <= PERMUTATION_CHECK_LIMIT:
+        base = sum((b * w for b, w in zip(bids, workloads)), Fraction(0))
+        for perm in itertools.permutations(range(len(bids))):
+            value = sum(
+                (bids[i] * workloads[p] for i, p in enumerate(perm)), Fraction(0)
+            )
+            if value < base:
+                ce = Counterexample(
+                    "a permutation of the bundles lowers the total running time",
+                    base,
+                    "<=",
+                    value,
+                    {"permutation": list(perm)},
+                )
+                break
+        if (ce is None) != (pair is None):
+            raise AssertionError(
+                "pairwise criterion and permutation enumeration disagree"
+            )
+    elif pair is not None:
         i, k = pair
         ce = Counterexample(
             "slower machine carries more workload",
@@ -136,29 +155,6 @@ def check_local_efficiency(
                 "bid_k": rat_str(bids[k]),
             },
         )
-    if len(bids) <= PERMUTATION_CHECK_LIMIT:
-        base = sum((b * w for b, w in zip(bids, workloads)), Fraction(0))
-        best_perm = None
-        for perm in itertools.permutations(range(len(bids))):
-            value = sum(
-                (bids[i] * workloads[p] for i, p in enumerate(perm)), Fraction(0)
-            )
-            if value < base:
-                best_perm = (perm, value)
-                break
-        if (best_perm is None) != (ce is None):
-            raise AssertionError(
-                "pairwise criterion and permutation enumeration disagree"
-            )
-        if best_perm is not None and ce is not None:
-            perm, value = best_perm
-            ce = Counterexample(
-                "a permutation of the bundles lowers the total running time",
-                base,
-                "<=",
-                value,
-                {"permutation": list(perm)},
-            )
     return _verdict("local-efficiency", ce)
 
 

@@ -1,4 +1,4 @@
-"""Deterministic random-instance generators for batch checks and tests.
+"""Deterministic random instances for the CLI's batch checks and prop12.
 
 Everything draws through an explicit ``random.Random`` so batch runs with a
 fixed seed are byte-identical across invocations.
@@ -46,20 +46,3 @@ def sample_instance(
         bids.append(bid)
     return Instance(jobs, bids)
 
-
-def sample_locally_efficient(
-    rng: random.Random, m_max: int = 6
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Random bids with workloads arranged so faster machines get no less."""
-    m = rng.randint(2, m_max)
-    bids = [Fraction(rng.randint(1, 12), rng.choice((1, 2, 3))) for _ in range(m)]
-    loads = sorted(
-        Fraction(rng.randint(0, 20), rng.choice((1, 2))) for _ in range(m)
-    )
-    # Slowest (largest bid) machines take the smallest workloads; ties in
-    # bids may take either order, which local efficiency permits.
-    order = sorted(range(m), key=lambda i: (-bids[i], i))
-    workloads = [Fraction(0)] * m
-    for rank, i in enumerate(order):
-        workloads[i] = loads[rank]
-    return tuple(bids), tuple(workloads)

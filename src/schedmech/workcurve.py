@@ -107,9 +107,6 @@ class WorkCurve:
                 return v
         return self.tail
 
-    def is_nonincreasing(self) -> bool:
-        return not self.monotonicity_violations()
-
     def monotonicity_violations(self) -> list[tuple[Fraction, Fraction, Fraction]]:
         """(breakpoint, value before, value after) wherever the curve rises."""
         seq = list(self.values) + [self.tail]
@@ -325,9 +322,9 @@ def subset_ratio_points(
 ) -> set[Fraction]:
     """Points where exact makespan or running-time comparisons can flip.
 
-    Each scale, plus each scale times s1/s2 over the nonzero job subset
-    sums, limited to (0, cap].  Up to 12 jobs every subset sum is used;
-    above that, prefix sums plus single jobs keep the set small.
+    Each scale times s1/s2 over the nonzero job subset sums (s1 = s2 gives
+    the scale itself), limited to (0, cap].  Up to 12 jobs every subset sum
+    is used; above that, prefix sums plus single jobs keep the set small.
     """
     sums = {Fraction(0)}
     if len(jobs) <= 12:
@@ -337,10 +334,7 @@ def subset_ratio_points(
         sums.update(itertools.accumulate(jobs))
         sums.update(jobs)
     sums.discard(Fraction(0))
-    points = {b for b in scales if 0 < b <= cap}
-    for b in scales:
-        points.update(x for s1 in sums for s2 in sums if 0 < (x := b * s1 / s2) <= cap)
-    return points
+    return {x for b in scales for s1 in sums for s2 in sums if 0 < (x := b * s1 / s2) <= cap}
 
 
 def power_of_two_points(lo: Fraction, cap: Fraction) -> set[Fraction]:
@@ -456,12 +450,6 @@ class LogLinearValue:
         logs = tuple(sorted((c, a) for a, c in merged.items() if c != 0))
         return LogLinearValue(self.rational + other.rational, logs)
 
-    def scaled(self, c: RationalLike) -> "LogLinearValue":
-        c = rat(c)
-        return LogLinearValue(
-            self.rational * c, tuple((coef * c, a) for coef, a in self.logs)
-        )
-
     def enclosure(self, eps: RationalLike) -> tuple[Fraction, Fraction]:
         """Rational interval of width < eps containing the exact value."""
         eps = rat(eps)
@@ -545,13 +533,6 @@ def piecewise_integral(pieces: Sequence[CurvePiece]) -> LogLinearValue:
     return total
 
 
-def piecewise_value_at(pieces: Sequence[CurvePiece], x: Fraction) -> Fraction:
-    for p in pieces:
-        if p.lo < x and (p.hi is None or x <= p.hi):
-            return p.value_at(x)
-    raise DomainError(f"{rat_str(x)} not covered by pieces")
-
-
 def _rational_roots(a2: Fraction, a1: Fraction, a0: Fraction) -> list[Fraction]:
     """Positive rational roots of a2*x^2 + a1*x + a0 = 0."""
     if a2 == 0:
@@ -611,6 +592,11 @@ def expected_workcurve(
     bounded by a root of a linear or bilinear rational equation, all of
     which are enumerated and solved exactly, and the expected workload on
     each regime is fit to one of the closed forms const, c/x or affine.
+
+    Regimes set by the harmonic bound P*a*x/(a+x) give machine 0 the
+    expected workload P*a/(a+x), which fits none of those forms, so they
+    raise CurveResolutionError: jobs (8, 6, 1) against a = 1 read 15/(1+x)
+    on (2/3, 3/4].  The theorem-7 input, jobs (2, 1) against a = 1, has none.
     """
     if getattr(rule, "name", None) != "at-expected":
         raise DomainError("expected curves are defined for the binning rule only")
@@ -639,16 +625,9 @@ def expected_workcurve(
         exprs.add((P * a, zero, one, zero))  # competitor-first average bound
         exprs.add((zero, P * a, a, one))  # two-machine harmonic bound
     candidates: set[Fraction] = {a, cap, a * L / l_min}
-    expr_list = sorted(exprs)
-    for e1, e2 in itertools.combinations(expr_list, 2):
+    # Pour boundaries are among these roots: the capacity forms are in exprs.
+    for e1, e2 in itertools.combinations(exprs, 2):
         candidates.update(_linfrac_equal_roots(e1, e2))
-    # Pour boundaries: prefix sums crossing bin-capacity sums under any
-    # candidate value of the lower bound.
-    for e in expr_list:
-        for P in prefixes:
-            candidates.update(_linfrac_equal_roots((zero, P, one, zero), e))
-            candidates.update(_linfrac_equal_roots((P * a, zero, one, zero), e))
-            candidates.update(_linfrac_equal_roots((zero, P * a, a, one), e))
     support_end = a * L / l_min
     hi_end = max(cap, support_end)
     points = sorted({c for c in candidates if 0 < c <= hi_end})

@@ -36,8 +36,10 @@ from schedmech.properties import (
     check_truthful,
     default_grid,
 )
-from schedmech.sampling import sample_instance, sample_locally_efficient
+from schedmech.sampling import sample_instance
 from schedmech.workcurve import build_workcurve, integrate
+
+from specimens import sample_locally_efficient
 
 F = Fraction
 

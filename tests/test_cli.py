@@ -430,6 +430,19 @@ def test_console_entry_point_runs():
     assert json.loads(proc.stdout)["verified"] is True
 
 
+def test_polytope_budget_refuses_a_huge_machine_count_at_once():
+    proc = subprocess.run(
+        [sys.executable, "-m", "schedmech.cli", "certify", "polytope",
+         "--grid", "1,2,3", "--jobs", "1", "--machines", "100000000"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "error: 3^100000000 profiles exceed budget 4096\n"
+
+
 def test_closed_output_pipe_exits_1_with_one_error_line():
     # 2,000 ratio rows are about 170 kB, more than a pipe holds, so the
     # command is still writing when the reader closes its end.

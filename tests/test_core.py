@@ -144,7 +144,7 @@ class TestAssignment:
         inst = Instance((2, 1), (1, 2))
         a = Assignment.from_map(inst, (0, 0))
         assert a.workloads == (3, 0)
-        assert a.machine_jobs(0) == (0, 1)
+        assert a.job_to_machine == (0, 0)
 
     @given(st.data())
     def test_conservation(self, data):

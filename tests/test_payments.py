@@ -14,7 +14,6 @@ from schedmech.payments import (
     NotLocallyEfficient,
     NotTruthfulEvidence,
     PaymentInconsistency,
-    bid_proportional_mechanism,
     ef_chain_mechanism,
     ef_chain_payments,
     extract_h,
@@ -23,8 +22,9 @@ from schedmech.payments import (
     vcg_payments,
 )
 from schedmech.properties import check_envy_free, check_ir
-from schedmech.sampling import sample_locally_efficient
 from schedmech.workcurve import CurveResolutionError, WorkCurve, build_workcurve
+
+from specimens import bid_proportional_mechanism, sample_locally_efficient
 
 F = Fraction
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from schedmech.allocations import RULES, two_machine_opt
-from schedmech.certificates import _polytope_rows, _UnionFind
+from schedmech.certificates import _polytope_rows
 from schedmech.core import BudgetExceeded, DomainError, Instance, rat, rat_str, rats
 from schedmech.exactlp import Constraint
 
@@ -26,7 +26,24 @@ F = Fraction
 
 
 # ---------------------------------------------------------------------------
-# Oracle: the earlier row code, verbatim apart from the names.
+# Oracle: the earlier row code, verbatim apart from the names, with its own
+# union-find so that it shares no code with the rows it checks.
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, a: int) -> int:
+        while self.parent[a] != a:
+            self.parent[a] = self.parent[self.parent[a]]
+            a = self.parent[a]
+        return a
+
+    def union(self, a: int, b: int):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
 
 
 def parent_polytope_rows(rule, bid_grid, jobs, machines, profile_budget):

@@ -2,7 +2,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
+
+from schedmech import properties
 
 from schedmech.allocations import (
     lpt_star,
@@ -12,7 +15,6 @@ from schedmech.allocations import (
 from schedmech.core import Assignment, Instance
 from schedmech.payments import (
     Mechanism,
-    bid_proportional_mechanism,
     extract_h,
     vcg_mechanism,
     vcg_payments,
@@ -29,6 +31,8 @@ from schedmech.properties import (
     default_grid,
 )
 from schedmech.sampling import sample_instance
+
+from specimens import bid_proportional_mechanism
 
 F = Fraction
 
@@ -72,6 +76,25 @@ class TestLocalEfficiency:
             for perm in itertools.permutations(range(m))
         )
         assert pairwise.passed == brute
+
+    def test_seven_machines_report_the_pairwise_counterexample(self):
+        verdict = check_local_efficiency((1, 2, 3, 4, 5, 6, 7), (0, 1, 0, 0, 0, 0, 0))
+        ce = verdict.counterexample
+        assert ce.description == "slower machine carries more workload"
+        assert (ce.lhs, ce.relation, ce.rhs) == (1, "<=", 0)
+        assert ce.context == {"i": 1, "k": 0, "bid_i": "2", "bid_k": "1"}
+
+    def test_six_machines_report_the_permutation_counterexample(self):
+        verdict = check_local_efficiency((1, 2, 3, 4, 5, 6), (0, 1, 0, 0, 0, 0))
+        ce = verdict.counterexample
+        assert ce.description == "a permutation of the bundles lowers the total running time"
+        assert (ce.lhs, ce.relation, ce.rhs) == (2, "<=", 1)
+        assert ce.context == {"permutation": [1, 0, 2, 3, 4, 5]}
+
+    def test_permutation_cross_check_catches_a_wrong_pairwise_verdict(self, monkeypatch):
+        monkeypatch.setattr(properties, "_local_efficiency_violation", lambda b, w: None)
+        with pytest.raises(AssertionError, match="disagree"):
+            check_local_efficiency((1, 2), (1, 2))
 
 
 class TestEnvyFree:

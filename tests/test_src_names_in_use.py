@@ -1,0 +1,47 @@
+"""Every module-level function and class in the package has a use there.
+
+A definition must be named somewhere in ``src/schedmech`` other than in
+its own body and in ``__init__.py``, or be exported through
+``schedmech.__all__``.  Helpers only tests call belong under ``tests/``.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import schedmech
+
+PACKAGE = Path(schedmech.__file__).resolve().parent
+
+
+def _names(node):
+    """Every identifier a node reads or imports, with repeats."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def unused_definitions():
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    uses = Counter(name for tree in trees.values() for name in _names(tree))
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            own = sum(1 for name in _names(node) if name == node.name)
+            if node.name not in schedmech.__all__ and uses[node.name] == own:
+                unused.append(f"{module}:{node.name}")
+    return unused
+
+
+def test_every_definition_is_used_in_the_package_or_exported():
+    assert unused_definitions() == []
