@@ -738,9 +738,11 @@ def _polytope_rows(rule, bid_grid, jobs, machines, profile_budget) -> _PolytopeR
         raise DomainError("grid bids must be positive")
     jobs = rats(jobs)
     n = len(grid)
-    # Never builds a huge power: for n >= 2, n ** bit_length(budget) > budget.
-    if n ** min(machines, profile_budget.bit_length()) > profile_budget:
-        raise BudgetExceeded(f"{n}^{machines} profiles exceed budget {profile_budget}")
+    # A one-value grid is capped like a two-value one, as its rows still grow
+    # with machines^2.  Never builds a huge power: 2 ** bit_length(budget) > budget.
+    if max(n, 2) ** min(machines, profile_budget.bit_length()) > profile_budget:
+        count = f"{n}^{machines} profiles" if n > 1 else f"{machines} machines on a one-value grid"
+        raise BudgetExceeded(f"{count} exceed budget {profile_budget}")
     profiles = list(itertools.product(grid, repeat=machines))
     points = list(itertools.product(range(n), repeat=machines))
     # Raising machine i's grid index by one moves strides[i] profiles on.

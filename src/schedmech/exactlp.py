@@ -1,16 +1,20 @@
 """Exact rational linear feasibility via phase-1 simplex with Bland's rule.
 
-Certificates must not depend on floating tolerance, so the tableau is pure
-``fractions.Fraction`` arithmetic; Bland's pivoting rule guarantees
-termination.  Only feasibility is needed (no objective): the solver
-minimizes the sum of artificial variables and reports a witness when that
-optimum is zero.
+Certificates must not depend on floating tolerance, so the tableau is exact
+on Python ints: each row is scaled by the lcm of its denominators, and a
+pivot multiplies by the (positive) pivot, subtracts and divides out the
+row's gcd, fraction-free as in Bareiss (1968).  Every row stays a positive
+multiple of its ``Fraction`` form, so the pivots are those of a ``Fraction``
+tableau.  Bland's rule guarantees termination.  The solver minimizes the sum
+of artificial variables and reports a witness, re-substituted in
+``Fraction``, when that optimum is zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .core import WEAK_RELATIONS, DomainError, compare
@@ -45,17 +49,21 @@ def solve_feasibility(
     that a slack basis cannot satisfy) and drives the artificial sum to
     zero with Bland's smallest-index rule.  Only the variables the rows
     mention get a column, in index order; the others are nonnegative and
-    unconstrained, so they stay 0.
+    unconstrained, so they stay 0.  Raises ``DomainError`` when a row
+    names a variable outside ``range(n_vars)``.
     """
     used = sorted({i for con in constraints for i, _ in con.coeffs})
+    if used and (used[0] < 0 or used[-1] >= n_vars):
+        raise DomainError(f"variables must lie in range({n_vars}), got {used[0]}..{used[-1]}")
     column = {i: k for k, i in enumerate(used)}
     n_cols = len(used)
-    rows = []  # (dense coeffs, rhs) with rhs >= 0, equality form
+    rows = []  # (int coeffs, rhs, slack sign, needs artificial, scale), rhs >= 0
     for con in constraints:
-        dense = [Fraction(0)] * n_cols
+        scale = lcm(con.rhs.denominator, *(c.denominator for _, c in con.coeffs))
+        dense = [0] * n_cols
         for i, c in con.coeffs:
-            dense[column[i]] += c
-        rhs = con.rhs
+            dense[column[i]] += c.numerator * (scale // c.denominator)
+        rhs = con.rhs.numerator * (scale // con.rhs.denominator)
         rel = con.relation
         if rel == ">=":
             dense = [-c for c in dense]
@@ -65,97 +73,96 @@ def solve_feasibility(
             # slack column added later; rhs must be nonnegative for the
             # slack to start basic
             if rhs >= 0:
-                rows.append((dense, rhs, 1, False))
+                rows.append((dense, rhs, 1, False, scale))
             else:
-                rows.append(([-c for c in dense], -rhs, -1, True))
+                rows.append(([-c for c in dense], -rhs, -1, True, scale))
         else:  # '=='
             if rhs < 0:
                 dense = [-c for c in dense]
                 rhs = -rhs
-            rows.append((dense, rhs, 0, True))
-    n_rows = len(rows)
-    n_slack = sum(1 for _, _, s, _ in rows if s != 0)
-    n_art = sum(1 for _, _, _, a in rows if a)
+            rows.append((dense, rhs, 0, True, scale))
+    n_slack = sum(1 for _, _, s, _, _ in rows if s != 0)
+    n_art = sum(1 for _, _, _, a, _ in rows if a)
     width = n_cols + n_slack + n_art
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     basis: list[int] = []
     slack_at = 0
     art_at = 0
     art_cols = []
-    for dense, rhs, slack_sign, needs_art in rows:
-        row = list(dense) + [Fraction(0)] * (n_slack + n_art) + [rhs]
+    for dense, rhs, slack_sign, needs_art, scale in rows:
+        row = dense + [0] * (n_slack + n_art) + [rhs]
         if slack_sign != 0:
-            row[n_cols + slack_at] = Fraction(slack_sign)
+            row[n_cols + slack_at] = slack_sign * scale
             slack_col = n_cols + slack_at
             slack_at += 1
         if needs_art:
             col = n_cols + n_slack + art_at
-            row[col] = Fraction(1)
+            row[col] = scale
             art_cols.append(col)
             basis.append(col)
             art_at += 1
         else:
             basis.append(slack_col)
         tableau.append(row)
-    # Phase-1 objective: minimize sum of artificials. Reduced costs start as
-    # the negated column sums over artificial rows.
-    art_set = set(art_cols)
-    obj = [Fraction(0)] * (width + 1)
-    for r, b in enumerate(basis):
-        if b in art_set:
-            for c in range(width + 1):
-                obj[c] -= tableau[r][c]
+    # Phase-1 objective: minimize sum of artificials.  Each row is its
+    # Fraction form times its scale, so weighting it by common / scale makes
+    # the reduced costs common times the negated artificial-row sums.
+    common = lcm(*(scale for *_, needs_art, scale in rows if needs_art))
+    obj = [0] * (width + 1)
+    for (*_, needs_art, scale), row in zip(rows, tableau):
+        if needs_art:
+            obj = [o - common // scale * v for o, v in zip(obj, row)]
     for c in art_cols:
-        obj[c] = Fraction(0)
+        obj[c] = 0
 
     pivots = 0
     while True:
-        entering = None
-        for c in range(width):
-            if obj[c] < 0:
-                entering = c
-                break
+        entering = next((c for c in range(width) if obj[c] < 0), None)
         if entering is None:
             break
-        ratio = None
         leaving = None
-        for r in range(n_rows):
-            a = tableau[r][entering]
+        for r, row in enumerate(tableau):
+            a = row[entering]
             if a > 0:
-                cand = tableau[r][width] / a
-                if ratio is None or cand < ratio or (
-                    cand == ratio and basis[r] < basis[leaving]
-                ):
-                    ratio = cand
-                    leaving = r
+                if leaving is not None:
+                    # rhs / a against the best ratio so far, cross-multiplied
+                    best = tableau[leaving]
+                    diff = row[width] * best[entering] - best[width] * a
+                    if diff > 0 or (diff == 0 and basis[r] > basis[leaving]):
+                        continue
+                leaving = r
         if leaving is None:
             raise ArithmeticError("phase-1 objective unbounded; encoding bug")
         pivots += 1
         if pivots > MAX_PIVOTS:
             raise ArithmeticError("pivot budget exhausted")
-        piv = tableau[leaving][entering]
-        tableau[leaving] = [v / piv for v in tableau[leaving]]
-        for r in range(n_rows):
-            if r != leaving and tableau[r][entering] != 0:
-                factor = tableau[r][entering]
-                tableau[r] = [
-                    v - factor * w for v, w in zip(tableau[r], tableau[leaving])
-                ]
-        if obj[entering] != 0:
-            factor = obj[entering]
-            obj = [v - factor * w for v, w in zip(obj, tableau[leaving] + [])]
+        pivot_row = tableau[leaving]
+        piv = pivot_row[entering]  # > 0: multiplying by it keeps signs
+        for r, row in enumerate(tableau):
+            factor = row[entering]
+            if r != leaving and factor != 0:
+                tableau[r] = _primitive([piv * v - factor * w for v, w in zip(row, pivot_row)])
+        factor = obj[entering]
+        if factor != 0:
+            obj = _primitive([piv * v - factor * w for v, w in zip(obj, pivot_row)])
         basis[leaving] = entering
 
-    if -obj[width] != 0:
+    if obj[width] != 0:
         return None  # artificials cannot all vanish: infeasible
     x = [Fraction(0)] * n_vars
     for r, b in enumerate(basis):
         if b < n_cols:
-            x[used[b]] = tableau[r][width]
+            x[used[b]] = Fraction(tableau[r][width], tableau[r][b])
     for con in constraints:
         if not con.satisfied_by(x):
             raise AssertionError("witness fails a constraint; solver bug")
     return x
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries, a positive factor."""
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
 
 def irreducible_infeasible_subset(

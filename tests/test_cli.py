@@ -443,6 +443,21 @@ def test_polytope_budget_refuses_a_huge_machine_count_at_once():
     assert proc.stderr == "error: 3^100000000 profiles exceed budget 4096\n"
 
 
+@pytest.mark.parametrize("machines, code", [("12", 0), ("13", 3)])
+def test_one_value_grid_gets_the_machine_cap_of_a_two_value_grid(capsys, machines, code):
+    # One profile whatever the machine count, but machines^2 rows: 2^12 is
+    # the last power of two within the default budget of 4096.
+    rc, out, err = run_cli(
+        capsys, "certify", "polytope", "--grid", "1", "--jobs", "1", "--machines", machines
+    )
+    assert rc == code
+    if code == 0:
+        assert json.loads(out)["feasible"] is True and err == ""
+    else:
+        assert out == ""
+        assert err == "error: 13 machines on a one-value grid exceed budget 4096\n"
+
+
 def test_closed_output_pipe_exits_1_with_one_error_line():
     # 2,000 ratio rows are about 170 kB, more than a pipe holds, so the
     # command is still writing when the reader closes its end.

@@ -1,17 +1,145 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from schedmech.core import DomainError
 from schedmech.exactlp import (
+    MAX_PIVOTS,
     Constraint,
     irreducible_infeasible_subset,
     solve_feasibility,
 )
 
 F = Fraction
+
+
+# The simplex on a Fraction tableau, verbatim but for its name: the oracle
+# the integer tableau must match pivot for pivot, witness for witness.
+def fraction_solve_feasibility(
+    n_vars: int, constraints: Sequence[Constraint]
+) -> Optional[list[Fraction]]:
+    """A nonnegative solution satisfying every constraint, or None.
+
+    Builds the phase-1 problem (slack per inequality, artificial per row
+    that a slack basis cannot satisfy) and drives the artificial sum to
+    zero with Bland's smallest-index rule.  Only the variables the rows
+    mention get a column, in index order; the others are nonnegative and
+    unconstrained, so they stay 0.
+    """
+    used = sorted({i for con in constraints for i, _ in con.coeffs})
+    column = {i: k for k, i in enumerate(used)}
+    n_cols = len(used)
+    rows = []  # (dense coeffs, rhs) with rhs >= 0, equality form
+    for con in constraints:
+        dense = [Fraction(0)] * n_cols
+        for i, c in con.coeffs:
+            dense[column[i]] += c
+        rhs = con.rhs
+        rel = con.relation
+        if rel == ">=":
+            dense = [-c for c in dense]
+            rhs = -rhs
+            rel = "<="
+        if rel == "<=":
+            # slack column added later; rhs must be nonnegative for the
+            # slack to start basic
+            if rhs >= 0:
+                rows.append((dense, rhs, 1, False))
+            else:
+                rows.append(([-c for c in dense], -rhs, -1, True))
+        else:  # '=='
+            if rhs < 0:
+                dense = [-c for c in dense]
+                rhs = -rhs
+            rows.append((dense, rhs, 0, True))
+    n_rows = len(rows)
+    n_slack = sum(1 for _, _, s, _ in rows if s != 0)
+    n_art = sum(1 for _, _, _, a in rows if a)
+    width = n_cols + n_slack + n_art
+    tableau: list[list[Fraction]] = []
+    basis: list[int] = []
+    slack_at = 0
+    art_at = 0
+    art_cols = []
+    for dense, rhs, slack_sign, needs_art in rows:
+        row = list(dense) + [Fraction(0)] * (n_slack + n_art) + [rhs]
+        if slack_sign != 0:
+            row[n_cols + slack_at] = Fraction(slack_sign)
+            slack_col = n_cols + slack_at
+            slack_at += 1
+        if needs_art:
+            col = n_cols + n_slack + art_at
+            row[col] = Fraction(1)
+            art_cols.append(col)
+            basis.append(col)
+            art_at += 1
+        else:
+            basis.append(slack_col)
+        tableau.append(row)
+    # Phase-1 objective: minimize sum of artificials. Reduced costs start as
+    # the negated column sums over artificial rows.
+    art_set = set(art_cols)
+    obj = [Fraction(0)] * (width + 1)
+    for r, b in enumerate(basis):
+        if b in art_set:
+            for c in range(width + 1):
+                obj[c] -= tableau[r][c]
+    for c in art_cols:
+        obj[c] = Fraction(0)
+
+    pivots = 0
+    while True:
+        entering = None
+        for c in range(width):
+            if obj[c] < 0:
+                entering = c
+                break
+        if entering is None:
+            break
+        ratio = None
+        leaving = None
+        for r in range(n_rows):
+            a = tableau[r][entering]
+            if a > 0:
+                cand = tableau[r][width] / a
+                if ratio is None or cand < ratio or (
+                    cand == ratio and basis[r] < basis[leaving]
+                ):
+                    ratio = cand
+                    leaving = r
+        if leaving is None:
+            raise ArithmeticError("phase-1 objective unbounded; encoding bug")
+        pivots += 1
+        if pivots > MAX_PIVOTS:
+            raise ArithmeticError("pivot budget exhausted")
+        piv = tableau[leaving][entering]
+        tableau[leaving] = [v / piv for v in tableau[leaving]]
+        for r in range(n_rows):
+            if r != leaving and tableau[r][entering] != 0:
+                factor = tableau[r][entering]
+                tableau[r] = [
+                    v - factor * w for v, w in zip(tableau[r], tableau[leaving])
+                ]
+        if obj[entering] != 0:
+            factor = obj[entering]
+            obj = [v - factor * w for v, w in zip(obj, tableau[leaving] + [])]
+        basis[leaving] = entering
+
+    if -obj[width] != 0:
+        return None  # artificials cannot all vanish: infeasible
+    x = [Fraction(0)] * n_vars
+    for r, b in enumerate(basis):
+        if b < n_cols:
+            x[used[b]] = tableau[r][width]
+    for con in constraints:
+        if not con.satisfied_by(x):
+            raise AssertionError("witness fails a constraint; solver bug")
+    return x
+
 
 
 def con(coeffs, rel, rhs, label=""):
@@ -57,6 +185,12 @@ class TestSolveFeasibility:
     def test_nonnegativity_is_implicit(self):
         assert solve_feasibility(1, [con([(0, F(1))], "<=", -3)]) is None
 
+    @pytest.mark.parametrize("index", [3, -1])
+    def test_variable_outside_range_is_a_domain_error(self, index):
+        # past the end, and negative, which list indexing would wrap round
+        with pytest.raises(DomainError, match=r"range\(1\)"):
+            solve_feasibility(1, [con([(index, F(1))], ">=", 1)])
+
     def test_relation_validation(self):
         with pytest.raises(DomainError):
             Constraint(((0, F(1)),), "<", F(1))
@@ -101,3 +235,71 @@ class TestIrreducibleSubset:
     def test_rejects_feasible_input(self):
         with pytest.raises(DomainError):
             irreducible_infeasible_subset(1, [con([(0, F(1))], "<=", 1)])
+
+
+def _random_system(rng):
+    """1-5 variables and 0-8 rows with Fraction, zero and repeated
+    coefficients, empty rows, all three relations and right-hand sides of
+    both signs; a third of the systems are built around a point, so they are
+    feasible."""
+    n = rng.randint(1, 5)
+    point = None
+    if rng.random() < 1 / 3:
+        point = [F(rng.randint(0, 6), rng.choice((1, 2, 3))) for _ in range(n)]
+    rows = []
+    for k in range(rng.randint(0, 8)):
+        coeffs = [
+            (i, F(rng.randint(-5, 5), rng.choice((1, 1, 2, 3, 6))))
+            for i in range(n)
+            if rng.random() < 0.6
+        ]
+        if coeffs and rng.random() < 0.15:
+            coeffs.append((coeffs[0][0], F(rng.randint(-3, 3), 4)))
+        rel = rng.choice(("<=", ">=", "=="))
+        if point is None:
+            rhs = F(rng.randint(-6, 6), rng.choice((1, 2, 5)))
+        else:
+            rhs = sum((c * point[i] for i, c in coeffs), F(0))
+            slack = F(rng.randint(0, 3), rng.choice((1, 2)))
+            rhs += slack if rel == "<=" else -slack if rel == ">=" else 0
+        rows.append(con(coeffs, rel, rhs, f"r{k}"))
+    return n, rows
+
+
+def test_integer_tableau_returns_what_the_fraction_tableau_returns():
+    rng = random.Random(20261018)
+    seen = Counter()
+    for _ in range(2400):
+        n, rows = _random_system(rng)
+        x = solve_feasibility(n, rows)
+        assert x == fraction_solve_feasibility(n, rows), rows
+        seen["infeasible" if x is None else "feasible"] += 1
+        seen["no rows"] += not rows
+        seen["empty row"] += any(not c.coeffs for c in rows)
+        seen["zero coefficient"] += any(v == 0 for c in rows for _, v in c.coeffs)
+        seen["negative equality"] += any(c.relation == "==" and c.rhs < 0 for c in rows)
+    assert min(seen["feasible"], seen["infeasible"]) >= 800
+    assert min(seen.values()) >= 20, seen
+
+
+def _deletion_filter(n_vars, rows, solve):
+    kept = list(rows)
+    idx = 0
+    while idx < len(kept):
+        trial = kept[:idx] + kept[idx + 1:]
+        if solve(n_vars, trial) is None:
+            kept = trial
+        else:
+            idx += 1
+    return kept
+
+
+def test_infeasible_subset_is_the_fraction_tableau_deletion_filter():
+    rng = random.Random(15)
+    checked = 0
+    while checked < 150:
+        n, rows = _random_system(rng)
+        if fraction_solve_feasibility(n, rows) is None:
+            expected = _deletion_filter(n, rows, fraction_solve_feasibility)
+            assert irreducible_infeasible_subset(n, rows) == expected
+            checked += 1
