@@ -14,7 +14,6 @@ from .allocations import (
 from .certificates import (
     CertificateReport,
     FeasibilityResult,
-    Theorem1Params,
     lemma6_g,
     payment_polytope_feasible,
     prop12_verify,

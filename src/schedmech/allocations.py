@@ -61,28 +61,17 @@ class LptStar:
             winner = keys.index(min(keys))
             job_to_machine[j] = winner
             loads[winner] += length
-        # Bundle reordering within each rounded-speed class, whose members
-        # are listed in bid order; each bundle's integer load moves with it.
-        by_speed: dict[int, list[int]] = {}
-        for i in bid_order(instance.bids):
-            by_speed.setdefault(exps[i], []).append(i)
-        for machines in by_speed.values():
-            if len(machines) < 2:
-                continue
-            bundles = sorted(
-                (
-                    (loads[i], i, [j for j, mi in enumerate(job_to_machine) if mi == i])
-                    for i in machines
-                ),
-                key=lambda t: (-t[0], t[1]),
-            )
-            for target, (load, _, jobs_in_bundle) in zip(machines, bundles):
-                loads[target] = load
-                for j in jobs_in_bundle:
-                    job_to_machine[j] = target
-        return Assignment(
-            tuple(job_to_machine), tuple(Fraction(load, denominator) for load in loads)
-        )
+        # Bundle reordering: bid order lists the rounded-speed classes by
+        # increasing exponent, and so does this sort of the bundles, so the
+        # k-th bundle (heaviest first within its class) goes to the k-th
+        # machine of the same class; its integer load moves with it.
+        bundles = sorted(range(instance.m), key=lambda i: (exps[i], -loads[i], i))
+        target = [0] * instance.m
+        workloads = [Fraction(0)] * instance.m
+        for source, machine in zip(bundles, bid_order(instance.bids)):
+            target[source] = machine
+            workloads[machine] = Fraction(loads[source], denominator)
+        return Assignment(tuple(target[i] for i in job_to_machine), tuple(workloads))
 
     def breakpoint_hints(self, others_bids, jobs, cap):
         """Powers of two (rounded-speed flips) plus raw competitor bids
@@ -169,7 +158,7 @@ def at_lower_bound(instance: Instance) -> Fraction:
     best = Fraction(0)
     prefix = Fraction(0)
     harmonics = list(itertools.accumulate(Fraction(1) / b for b in bids))
-    for j, length in enumerate(instance.jobs):
+    for length in instance.jobs:
         prefix += length
         inner = min(
             max(bids[i] * length, prefix / harmonics[i]) for i in range(instance.m)

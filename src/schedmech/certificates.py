@@ -307,32 +307,6 @@ def theorem7_certificate(
 # Lower-bound harness: ratio (2m-1)/m on the pinned adversarial instance
 
 
-@dataclass(frozen=True)
-class Theorem1Params:
-    """Derived constants of the lower-bound construction.
-
-    total length L = 2m-1, growth ratio gamma = c*L + eps, additive-term
-    budget f = gamma^(m-1)*L + h at the geometric profile, and the speed
-    scale alpha = (L*c/(m-1))*f.  Jobs are (1, ..., 1, m).
-    """
-
-    m: int
-    c: Fraction
-    eps: Fraction
-    L: Fraction
-    gamma: Fraction
-    f: Fraction
-    alpha: Fraction
-
-    @classmethod
-    def derive(cls, m: int, c: Fraction, eps: Fraction, h_geometric: Fraction):
-        L = Fraction(2 * m - 1)
-        gamma = c * L + eps
-        f = gamma ** (m - 1) * L + h_geometric
-        alpha = (L * c / (m - 1)) * f
-        return cls(m, c, eps, L, gamma, f, alpha)
-
-
 def theorem1_harness(
     mechanism: Mechanism,
     m: int,
@@ -359,11 +333,14 @@ def theorem1_harness(
         )
     jobs = tuple([Fraction(m)] + [Fraction(1)] * (m - 1))
     h = HFunction(mechanism, jobs)
-    gamma_seed = c * Fraction(2 * m - 1) + eps
-    geometric_profile = tuple(gamma_seed ** e for e in range(m - 2, -1, -1))
-    h_geometric = h(geometric_profile)
-    params = Theorem1Params.derive(m, c, eps, h_geometric)
-    speeds = tuple([m * params.alpha] * (m - 1) + [params.alpha])
+    # Total length L, growth ratio gamma, additive-term budget f at the
+    # geometric profile, and the speed scale alpha.
+    L = Fraction(2 * m - 1)
+    gamma = c * L + eps
+    h_geometric = h(tuple(gamma ** e for e in range(m - 2, -1, -1)))
+    f = gamma ** (m - 1) * L + h_geometric
+    alpha = (L * c / (m - 1)) * f
+    speeds = tuple([m * alpha] * (m - 1) + [alpha])
     instance = Instance(jobs, speeds)
     outcome = mechanism.run(instance)
     workloads = outcome.allocation.workloads
@@ -384,10 +361,10 @@ def theorem1_harness(
             "eps": rat_str(eps),
         },
         constants={
-            "L": rat_str(params.L),
-            "gamma": rat_str(params.gamma),
-            "f": rat_str(params.f),
-            "alpha": rat_str(params.alpha),
+            "L": rat_str(L),
+            "gamma": rat_str(gamma),
+            "f": rat_str(f),
+            "alpha": rat_str(alpha),
             "h_geometric": rat_str(h_geometric),
             "h_adversarial": rat_str(h_adversarial),
             "workloads": [rat_str(w) for w in workloads],
@@ -397,8 +374,8 @@ def theorem1_harness(
             "all_on_fast": all_on_fast,
         },
     )
-    lower = (params.L + Fraction(m - 1) / (params.L * c)) * params.alpha
-    upper = params.L * params.alpha + params.f
+    lower = (L + Fraction(m - 1) / (L * c)) * alpha
+    upper = L * alpha + f
     report.add(
         "alpha is pinned so the lower bound meets the strict upper bound",
         lower,
@@ -406,7 +383,7 @@ def theorem1_harness(
         upper,
     )
     report.add("extracted h stays below the strict cap", h_adversarial, "<", upper)
-    report.add("brute-force optimum equals m*alpha", opt, "==", m * params.alpha)
+    report.add("brute-force optimum equals m*alpha", opt, "==", m * alpha)
     if all_on_fast:
         report.add(
             "achieved ratio equals (2m-1)/m",
@@ -453,7 +430,6 @@ def lemma6_g(
     if k <= 1:
         raise DomainError("k must exceed 1")
     jobs = rats(jobs)
-    L = sum(jobs, Fraction(0))
     # Scalability spot-check.
     for y in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 2), Fraction(2)):
         verdict = check_scalable(

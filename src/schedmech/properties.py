@@ -60,8 +60,11 @@ class Counterexample:
 @dataclass(frozen=True)
 class PropertyVerdict:
     prop: str
-    passed: bool
     counterexample: Optional[Counterexample] = None
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
     def __bool__(self) -> bool:
         return self.passed
@@ -74,11 +77,9 @@ class PropertyVerdict:
 
 
 def _verdict(prop: str, ce: Optional[Counterexample]) -> PropertyVerdict:
-    if ce is None:
-        return PropertyVerdict(prop, True)
-    if not ce.violation_holds():
+    if ce is not None and not ce.violation_holds():
         raise AssertionError("counterexample must re-evaluate to a violation")
-    return PropertyVerdict(prop, False, ce)
+    return PropertyVerdict(prop, ce)
 
 
 def default_grid(instance: Instance, points: int = 64) -> tuple[Fraction, ...]:

@@ -15,7 +15,6 @@ from schedmech.allocations import (
 from schedmech.certificates import (
     CertificateReport,
     CheckRecord,
-    Theorem1Params,
     _difference_solve,
     _polytope_rows,
     lemma6_g,
@@ -142,10 +141,13 @@ class TestTheorem1:
             theorem1_harness(flat, 3, F(3, 2))
 
     def test_params_derivation(self):
-        params = Theorem1Params.derive(3, F(3, 2), F(1, 2), F(5))
-        assert (params.L, params.gamma) == (5, 8)
-        assert params.f == 325
-        assert params.alpha == F(4875, 4)
+        # L = 2m-1, gamma = c*L + eps, f = gamma^(m-1)*L + h at the
+        # geometric profile, alpha = (L*c/(m-1))*f, at m = 3, c = 3/2.
+        constants = theorem1_harness(vcg_mechanism, 3, F(3, 2)).constants
+        f = F(320) + F(constants["h_geometric"])
+        assert (F(constants["L"]), F(constants["gamma"])) == (5, 8)
+        assert F(constants["f"]) == f
+        assert F(constants["alpha"]) == F(15, 4) * f
 
 
 class TestLemma6:

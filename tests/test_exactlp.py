@@ -6,6 +6,7 @@ from typing import Optional, Sequence
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schedmech import exactlp
 from schedmech.core import DomainError
 from schedmech.exactlp import (
     MAX_PIVOTS,
@@ -235,6 +236,21 @@ class TestIrreducibleSubset:
     def test_rejects_feasible_input(self):
         with pytest.raises(DomainError):
             irreducible_infeasible_subset(1, [con([(0, F(1))], "<=", 1)])
+
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_simple_cycle_costs_one_solve_per_row_and_one_more(self, k, monkeypatch):
+        # x[i+1] - x[i] >= 1 round a cycle sums to 0 >= k; dropping any row
+        # leaves a path, which is feasible, so every row stays.
+        rows = [con([((i + 1) % k, F(1)), (i, F(-1))], ">=", 1, str(i)) for i in range(k)]
+        calls = []
+
+        def counting_solve(n_vars, constraints):
+            calls.append(len(constraints))
+            return solve_feasibility(n_vars, constraints)
+
+        monkeypatch.setattr(exactlp, "solve_feasibility", counting_solve)
+        assert irreducible_infeasible_subset(k, rows) == rows
+        assert calls == [k] + [k - 1] * k
 
 
 def _random_system(rng):

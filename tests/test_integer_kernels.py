@@ -165,7 +165,7 @@ def test_two_machine_opt_ties_go_to_the_lowest_mask():
         assert _same_assignment(two_machine_opt(inst), reference_two_machine_opt(inst))
 
 
-@pytest.mark.parametrize("m", range(1, 6))
+@pytest.mark.parametrize("m", range(1, 8))
 def test_lpt_star_matches_fraction_reference(m):
     rng = random.Random(f"lpt-star:{m}")
     for _ in range(150):

@@ -1,4 +1,5 @@
-"""Every module-level function and class in the package has a use there.
+"""Every module-level function and class in the package has a use there,
+and every local a function assigns is read.
 
 A definition must be named somewhere in ``src/schedmech`` other than in
 its own body and in ``__init__.py``, or be exported through
@@ -45,3 +46,33 @@ def unused_definitions():
 
 def test_every_definition_is_used_in_the_package_or_exported():
     assert unused_definitions() == []
+
+
+def dead_stores():
+    """Local names a function assigns but never reads, as module:function:name.
+
+    Names starting with ``_`` and names declared ``global`` or ``nonlocal``
+    are exempt; a read in a nested function or comprehension counts.
+    """
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            stored, read, declared = set(), set(), set()
+            for sub in ast.walk(func):
+                if isinstance(sub, ast.Name):
+                    (read if isinstance(sub.ctx, ast.Load) else stored).add(sub.id)
+                elif isinstance(sub, (ast.Global, ast.Nonlocal)):
+                    declared.update(sub.names)
+            dead += [
+                f"{path.name}:{func.name}:{name}"
+                for name in sorted(stored - read - declared)
+                if not name.startswith("_")
+            ]
+    return dead
+
+
+def test_every_assigned_local_is_read():
+    assert dead_stores() == []

@@ -18,6 +18,7 @@ from schedmech.workcurve import (
     DivergentIntegral,
     LogLinearValue,
     WorkCurve,
+    _rational_roots,
     build_workcurve,
     expected_workcurve,
     integrate,
@@ -218,20 +219,39 @@ class TestBuildWorkcurve:
         assert scaled.values == base.values
 
     def test_refinement_finds_unseeded_breakpoints(self):
-        threshold = F(22, 7)
+        # Machine 0's workload against competitor bid 1, jobs (2, 1); the
+        # samples between candidates 1 and 3/2 are 9/8, 5/4 and 11/8.
+        cases = [
+            (lambda b: 3 if b < F(22, 7) else 0, (F(22, 7),), (3,)),
+            # a jump on a sample, closed on the right: the bracket
+            # (9/8, 5/4) steps only at its right end
+            (lambda b: 3 if b < F(5, 4) else 0, (F(5, 4),), (3,)),
+            # closed on the left: (5/4, 11/8) steps right after its left end
+            (lambda b: 3 if b <= F(5, 4) else 0, (F(5, 4),), (3,)),
+            # two jumps in the bracket (9/8, 5/4): its midpoint 19/16 reads
+            # the middle value, so the bracket is split there
+            (
+                lambda b: 3 if b < F(23, 20) else 2 if b < F(6, 5) else 0,
+                (F(23, 20), F(6, 5)),
+                (3, 2),
+            ),
+        ]
+        maps = {3: [0, 0], 2: [0, 1], 0: [1, 1]}
 
-        class OddThreshold:
+        class NoHints:
             # no breakpoint_hints attribute: forces the generic path
-            def __call__(self, instance):
-                if instance.bids[0] < threshold:
-                    return Assignment.from_map(instance, [0] * instance.n)
-                return Assignment.from_map(instance, [1] * instance.n)
+            def __init__(self, workload):
+                self.workload = workload
 
-        c = build_workcurve(OddThreshold(), (F(1),), (2, 1), cap=8)
-        assert c.breakpoints == (threshold,)
-        assert c.values == (3,)
-        assert c.tail == 0
-        assert not c.approximate
+            def __call__(self, instance):
+                return Assignment.from_map(instance, maps[self.workload(instance.bids[0])])
+
+        for workload, breakpoints, values in cases:
+            c = build_workcurve(NoHints(workload), (F(1),), (2, 1), cap=8)
+            assert c.breakpoints == breakpoints
+            assert c.values == values
+            assert c.tail == 0
+            assert not c.approximate
 
     def test_non_monotone_rule_is_reported_not_rejected(self):
         class Bump:
@@ -314,3 +334,18 @@ class TestLogEnclosures:
         assert v.logs == ((F(1), F(2)),)
         lo, hi = v.enclosure(F(1, 10 ** 6))
         assert float(lo) <= 1.5 + math.log(2) <= float(hi)
+
+    def test_enclosure_of_a_rational_value_is_that_value(self):
+        assert LogLinearValue(F(7, 3), ()).enclosure(F(1, 10)) == (F(7, 3), F(7, 3))
+
+    def test_enclosure_with_a_negative_coefficient(self):
+        # 1 - ln(3/2) ~ 0.594535: the log's upper end bounds the value below
+        lo, hi = LogLinearValue(F(1), ((F(-1), F(3, 2)),)).enclosure(F(1, 10 ** 9))
+        assert 0 < hi - lo < F(1, 10 ** 9)
+        assert float(lo) <= 1 - math.log(1.5) <= float(hi)
+
+
+def test_rational_roots_skip_complex_and_irrational_crossings():
+    assert _rational_roots(F(1), F(0), F(1)) == []  # x^2 + 1: negative discriminant
+    assert _rational_roots(F(1), F(0), F(-2)) == []  # x^2 - 2: roots +-sqrt(2)
+    assert _rational_roots(F(1), F(0), F(-9, 16)) == [F(3, 4)]  # the positive root only
