@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .core import (
     Assignment,
@@ -252,11 +252,11 @@ def opt_makespan(
 ) -> tuple[Assignment, Fraction]:
     """Exact minimum makespan by branch and bound over job placements.
 
-    Prunes on the incumbent via the current partial makespan and a
-    fractional water-filling completion bound, and skips machines that are
-    indistinguishable (same speed, same current load) from one already
-    tried for the job.  All arithmetic stays rational, so the returned
-    makespan is exact.
+    The first leaf is the greedy assignment, as machines are tried by
+    (finish time, index).  Prunes on the incumbent via the partial makespan
+    and a fractional water-filling completion bound, and skips machines
+    indistinguishable (same speed, same load) from one already tried for
+    the job.  All arithmetic stays rational, so the makespan is exact.
     """
     m, n = instance.m, instance.n
     if m ** n > budget:
@@ -266,30 +266,23 @@ def opt_makespan(
     for j in range(n - 1, -1, -1):
         suffix_lengths[j] = suffix_lengths[j + 1] + instance.jobs[j]
 
-    # Greedy incumbent (assign each job where it finishes earliest).
-    loads = [Fraction(0)] * m
-    greedy_map = []
-    for j in range(n):
-        i = min(range(m), key=lambda i: ((loads[i] + instance.jobs[j]) * speeds[i], i))
-        greedy_map.append(i)
-        loads[i] += instance.jobs[j]
-    best_assignment = list(greedy_map)
-    best_makespan = max(loads[i] * speeds[i] for i in range(m))
-
+    best_assignment: list[int] = []
+    best_makespan: Optional[Fraction] = None
     loads = [Fraction(0)] * m
     current = [0] * n
 
     def dfs(j: int, partial_makespan: Fraction):
         nonlocal best_makespan, best_assignment
-        if partial_makespan >= best_makespan:
+        if best_makespan is not None and partial_makespan >= best_makespan:
             return
         if j == n:
             best_makespan = partial_makespan
             best_assignment = current[:]
             return
-        bound = _fractional_completion_bound(loads, speeds, suffix_lengths[j])
-        if max(partial_makespan, bound) >= best_makespan:
-            return
+        if best_makespan is not None:
+            bound = _fractional_completion_bound(loads, speeds, suffix_lengths[j])
+            if max(partial_makespan, bound) >= best_makespan:
+                return
         length = instance.jobs[j]
         order = sorted(range(m), key=lambda i: ((loads[i] + length) * speeds[i], i))
         tried: set[tuple[Fraction, Fraction]] = set()
@@ -302,7 +295,6 @@ def opt_makespan(
             current[j] = i
             dfs(j + 1, max(partial_makespan, loads[i] * speeds[i]))
             loads[i] -= length
-        return
 
     dfs(0, Fraction(0))
     assignment = Assignment.from_map(instance, best_assignment)

@@ -571,9 +571,7 @@ class FeasibilityResult:
 
     Grid feasibility is one-directional evidence: the constraints on a grid
     are a strict subset of the continuum constraints, so only infeasibility
-    transfers.  Witnesses and infeasible subsets are re-verified exactly;
-    ``infeasible_constraints`` carries the raw rows so callers can re-solve
-    the subset themselves (labels only in the JSON rendering).
+    transfers.  Witnesses and infeasible subsets are re-verified exactly.
     """
 
     feasible: bool
@@ -581,9 +579,7 @@ class FeasibilityResult:
     infeasible_subset: Optional[list[str]]
     n_profiles: int
     n_constraints: int
-    notes: list[str] = field(default_factory=list)
-    infeasible_constraints: Optional[list[Constraint]] = None
-    n_variables: int = 0
+    notes: list[str]
 
     def to_json_dict(self) -> dict:
         return {
@@ -640,8 +636,7 @@ def payment_polytope_feasible(
             for i in range(machines)
         }
         return FeasibilityResult(
-            True, witness, None, len(system.profiles), len(system.rows), system.notes,
-            n_variables=system.n_vars,
+            True, witness, None, len(system.profiles), len(system.rows), system.notes
         )
     # A simple negative cycle is irreducible by construction; the deletion
     # filter of the independent simplex must agree row for row.
@@ -659,8 +654,6 @@ def payment_polytope_feasible(
         len(system.profiles),
         len(system.rows),
         system.notes,
-        infeasible_constraints=cycle,
-        n_variables=system.n_vars,
     )
 
 

@@ -27,7 +27,7 @@ from .core import (
     rat_str,
     rats,
 )
-from .properties import _local_efficiency_violation
+from .properties import local_efficiency_violation
 from .workcurve import WorkCurve, build_workcurve, integrate
 
 
@@ -78,7 +78,7 @@ def ef_chain_payments(
     workloads = rats(workloads)
     if len(bids) != len(workloads):
         raise DomainError("bids and workloads must have equal length")
-    if _local_efficiency_violation(bids, workloads) is not None:
+    if local_efficiency_violation(bids, workloads) is not None:
         raise NotLocallyEfficient(
             "chain payments require locally efficient workloads"
         )

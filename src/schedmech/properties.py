@@ -94,7 +94,7 @@ def default_grid(instance: Instance, points: int = 64) -> tuple[Fraction, ...]:
     return tuple(grid)
 
 
-def _local_efficiency_violation(
+def local_efficiency_violation(
     bids: Sequence[Fraction], workloads: Sequence[Fraction]
 ) -> Optional[tuple[int, int]]:
     """First (i, k) where machine i bids more than machine k yet carries
@@ -121,7 +121,7 @@ def check_local_efficiency(
     workloads = rats(workloads)
     if len(bids) != len(workloads):
         raise DomainError("bids and workloads must have equal length")
-    pair = _local_efficiency_violation(bids, workloads)
+    pair = local_efficiency_violation(bids, workloads)
     ce = None
     if len(bids) <= PERMUTATION_CHECK_LIMIT:
         base = sum((b * w for b, w in zip(bids, workloads)), Fraction(0))

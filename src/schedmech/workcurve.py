@@ -73,16 +73,15 @@ class WorkCurve:
     with the left edge of the first interval at 0; ``tail`` holds beyond the
     last breakpoint.
     Values at the breakpoints themselves are taken from the right: they are
-    measure zero and never affect an integral.  ``cap`` records how far the
-    curve was actually sampled; a nonzero tail means the underlying rule was
-    still allocating work at the cap, so integrals to infinity diverge (or
-    the cap was simply too small -- that is the caller's promise to keep).
+    measure zero and never affect an integral.  A nonzero tail means the
+    underlying rule was still allocating work where sampling stopped, so
+    integrals to infinity diverge (or the sampling cap was simply too small
+    -- that is the caller's promise to keep).
     """
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
     tail: Fraction
-    cap: Fraction
     approximate: bool = False
 
     def __post_init__(self):
@@ -93,10 +92,6 @@ class WorkCurve:
             if x <= prev:
                 raise DomainError("breakpoints must be strictly increasing and positive")
             prev = x
-
-    @property
-    def finite_support(self) -> bool:
-        return self.tail == 0
 
     def value_at(self, x: RationalLike) -> Fraction:
         x = rat(x)
@@ -116,15 +111,6 @@ class WorkCurve:
                 out.append((self.breakpoints[k], a, b))
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "breakpoints": [rat_str(x) for x in self.breakpoints],
-            "values": [rat_str(v) for v in self.values],
-            "tail": rat_str(self.tail),
-            "cap": rat_str(self.cap),
-            "approximate": self.approximate,
-        }
-
 
 def integrate(
     curve: WorkCurve, lo: RationalLike, hi: Optional[RationalLike]
@@ -137,7 +123,7 @@ def integrate(
     if lo < 0:
         raise DomainError("integration starts at a nonnegative bound")
     if hi is None:
-        if not curve.finite_support:
+        if curve.tail != 0:
             raise DivergentIntegral(
                 f"tail value {rat_str(curve.tail)} is nonzero; integral diverges"
             )
@@ -299,7 +285,7 @@ def discover_step_function(
             breakpoints.append(x)
             vals.append(v)
     tail = vals.pop()
-    return WorkCurve(tuple(breakpoints), tuple(vals), tail, cap, approximate)
+    return WorkCurve(tuple(breakpoints), tuple(vals), tail, approximate)
 
 
 def _response_eval(rule, bids, jobs, machine: int) -> Callable[[Fraction], Fraction]:

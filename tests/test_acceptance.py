@@ -18,6 +18,7 @@ from schedmech.allocations import (
     vcg_allocate,
 )
 from schedmech.certificates import (
+    _polytope_rows,
     lemma6_g,
     payment_polytope_feasible,
     prop12_verify,
@@ -291,11 +292,11 @@ def test_criterion_12_polytope_solver_self_consistency():
                         )
         else:
             infeasible_seen += 1
-            assert result.infeasible_constraints
-            assert (
-                solve_feasibility(result.n_variables, result.infeasible_constraints)
-                is None
-            )
+            system = _polytope_rows(rule, grid, jobs, 2, 4096)
+            by_label = {c.label: c for c in map(system.constraint, system.rows)}
+            subset = [by_label[label] for label in result.infeasible_subset]
+            assert subset
+            assert solve_feasibility(system.n_vars, subset) is None
     assert feasible_seen and infeasible_seen  # both verdicts exercised
     elapsed = time.monotonic() - start
     announce(

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schedmech.allocations import (
+    OPT_STATE_BUDGET,
+    _fractional_completion_bound,
     at_fractional,
     at_lower_bound,
     at_sample,
@@ -14,7 +16,7 @@ from schedmech.allocations import (
     two_machine_opt,
     vcg_allocate,
 )
-from schedmech.core import BudgetExceeded, DomainError, Instance, makespan
+from schedmech.core import Assignment, BudgetExceeded, DomainError, Instance, makespan
 from schedmech.sampling import sample_instance
 
 
@@ -31,6 +33,60 @@ def tlb_reference(instance):
             candidates.append(max(bids[i - 1] * instance.jobs[j - 1], prefix / harmonic))
         best = max(best, min(candidates))
     return best
+
+
+def reference_opt_makespan(instance, budget=OPT_STATE_BUDGET):
+    """The package's earlier ``opt_makespan``, kept verbatim as an oracle:
+    it seeds the search with a separately built greedy incumbent."""
+    m, n = instance.m, instance.n
+    if m ** n > budget:
+        raise BudgetExceeded(f"{m}^{n} assignments exceed state budget {budget}")
+    speeds = instance.bids
+    suffix_lengths = [Fraction(0)] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        suffix_lengths[j] = suffix_lengths[j + 1] + instance.jobs[j]
+
+    # Greedy incumbent (assign each job where it finishes earliest).
+    loads = [Fraction(0)] * m
+    greedy_map = []
+    for j in range(n):
+        i = min(range(m), key=lambda i: ((loads[i] + instance.jobs[j]) * speeds[i], i))
+        greedy_map.append(i)
+        loads[i] += instance.jobs[j]
+    best_assignment = list(greedy_map)
+    best_makespan = max(loads[i] * speeds[i] for i in range(m))
+
+    loads = [Fraction(0)] * m
+    current = [0] * n
+
+    def dfs(j: int, partial_makespan: Fraction):
+        nonlocal best_makespan, best_assignment
+        if partial_makespan >= best_makespan:
+            return
+        if j == n:
+            best_makespan = partial_makespan
+            best_assignment = current[:]
+            return
+        bound = _fractional_completion_bound(loads, speeds, suffix_lengths[j])
+        if max(partial_makespan, bound) >= best_makespan:
+            return
+        length = instance.jobs[j]
+        order = sorted(range(m), key=lambda i: ((loads[i] + length) * speeds[i], i))
+        tried: set[tuple[Fraction, Fraction]] = set()
+        for i in order:
+            sig = (speeds[i], loads[i])
+            if sig in tried:
+                continue
+            tried.add(sig)
+            loads[i] += length
+            current[j] = i
+            dfs(j + 1, max(partial_makespan, loads[i] * speeds[i]))
+            loads[i] -= length
+        return
+
+    dfs(0, Fraction(0))
+    assignment = Assignment.from_map(instance, best_assignment)
+    return assignment, best_makespan
 
 
 class TestLptStar:
@@ -215,6 +271,19 @@ class TestOptMakespan:
             _, opt = opt_makespan(inst)
             assert opt <= makespan(lpt_star(inst), inst.bids)
             assert opt <= makespan(vcg_allocate(inst), inst.bids)
+
+    def test_returns_the_same_optimum_as_the_greedy_seeded_reference(self):
+        # Which optimal assignment comes back decides the opt rule's
+        # workloads, so ties must resolve as before: bids often tie or sit
+        # at powers of two, and jobs often repeat.
+        rng = random.Random("opt-makespan")
+        bid_pool = [Fraction(1), Fraction(2), Fraction(4), Fraction(3, 2), Fraction(5, 3)]
+        job_pool = [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2)]
+        for _ in range(300):
+            m = rng.randint(1, 5)
+            jobs = [rng.choice(job_pool[: rng.randint(1, 4)]) for _ in range(rng.randint(1, 8))]
+            inst = Instance(jobs, [rng.choice(bid_pool) for _ in range(m)])
+            assert opt_makespan(inst) == reference_opt_makespan(inst), inst.to_json_dict()
 
     def test_budget_guard(self):
         inst = Instance([1] * 12, [1] * 4)

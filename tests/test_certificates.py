@@ -140,6 +140,17 @@ class TestTheorem1:
         with pytest.raises(NotTruthfulEvidence):
             theorem1_harness(flat, 3, F(3, 2))
 
+    def test_work_on_an_early_machine_fails_the_lower_bound(self):
+        # Every job on machine 0 at no payment: h extracts as 0 at every
+        # probe, so no NotTruthfulEvidence, and h cannot reach the bound.
+        first = Mechanism("first-takes-all", FirstTakesAll(), lambda inst, alloc: (F(0),) * inst.m)
+        report = theorem1_harness(first, 3, F(3, 2))
+        assert not report.verified
+        assert report.constants["all_on_fast"] is False
+        assert [c.label for c in report.checks if not c.holds] == [
+            "with work on an early machine, h must reach the lower bound"
+        ]
+
     def test_params_derivation(self):
         # L = 2m-1, gamma = c*L + eps, f = gamma^(m-1)*L + h at the
         # geometric profile, alpha = (L*c/(m-1))*f, at m = 3, c = 3/2.
@@ -275,9 +286,9 @@ class TestPaymentPolytope:
             verdicts.append(result.feasible)
             if result.feasible:
                 continue
-            subset = result.infeasible_constraints
-            assert [c.label for c in subset] == result.infeasible_subset
-            assert set(subset) <= set(rows)
+            by_label = {row.label: row for row in rows}
+            assert len(by_label) == len(rows)
+            subset = [by_label[label] for label in result.infeasible_subset]
             assert _sums_to_a_contradiction(subset)
             for k in range(len(subset)):
                 assert solve_feasibility(n_vars, subset[:k] + subset[k + 1:]) is not None
@@ -293,12 +304,15 @@ class TestPaymentPolytope:
         # these jobs, and the VCG control keeps a verified witness.
         grid = (1, F(5, 4), F(3, 2), F(7, 4), 2, F(5, 2))
         result = payment_polytope_feasible(RULES[rule], grid, (3, 2, 2, 1), machines=3)
-        assert result.n_profiles == 216 and result.n_variables == 648
+        system = _polytope_rows(RULES[rule], grid, (3, 2, 2, 1), 3, 4096)
+        assert result.n_profiles == 216 and system.n_vars == 648
         assert result.feasible is feasible
         if feasible:
             assert len(result.witness) == 648
         else:
-            assert _sums_to_a_contradiction(result.infeasible_constraints)
+            by_label = {c.label: c for c in map(system.constraint, system.rows)}
+            subset = [by_label[label] for label in result.infeasible_subset]
+            assert _sums_to_a_contradiction(subset)
 
     def test_an_equality_bounds_the_difference_from_both_sides(self):
         # The package's anonymity rows come in mirrored pairs, so on its own

@@ -111,7 +111,7 @@ def bisect_discover(
             breakpoints.append(lo)
         vals.append(v)
     tail = vals.pop()
-    return WorkCurve(tuple(breakpoints), tuple(vals), tail, cap, approximate)
+    return WorkCurve(tuple(breakpoints), tuple(vals), tail, approximate)
 
 
 def bisect_build_workcurve(rule, others_bids, jobs, cap) -> WorkCurve:

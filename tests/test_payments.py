@@ -58,24 +58,24 @@ class TestEfChainPayments:
 
 class TestTruthfulPayment:
     def test_all_to_fastest_clarke_pivot_value(self):
-        curve = WorkCurve((F(1),), (F(3),), F(0), F(4))
+        curve = WorkCurve((F(1),), (F(3),), F(0))
         assert truthful_payment(3, F(1, 2), 3, curve) == 3
 
     def test_tight_term_beyond_support_pays_nothing(self):
-        curve = WorkCurve((F(1),), (F(3),), F(0), F(4))
+        curve = WorkCurve((F(1),), (F(3),), F(0))
         assert truthful_payment(3, 2, 0, curve) == 0
 
     def test_constant_region_pays_the_term_itself(self):
-        curve = WorkCurve((F(5),), (F(4),), F(0), F(8))
+        curve = WorkCurve((F(5),), (F(4),), F(0))
         assert truthful_payment(F(7, 3), 2, 4, curve) == F(7, 3)
 
     def test_approximate_curve_is_refused(self):
-        curve = WorkCurve((F(1),), (F(3),), F(0), F(4), approximate=True)
+        curve = WorkCurve((F(1),), (F(3),), F(0), approximate=True)
         with pytest.raises(CurveResolutionError):
             truthful_payment(3, F(1, 2), 3, curve)
 
     def test_workload_must_match_curve(self):
-        curve = WorkCurve((F(1),), (F(3),), F(0), F(4))
+        curve = WorkCurve((F(1),), (F(3),), F(0))
         with pytest.raises(PaymentInconsistency):
             truthful_payment(3, F(1, 2), 2, curve)
 
@@ -293,7 +293,7 @@ class TestIrBoundOnTheAdditiveTerm:
 
         bps = tuple(sorted(bps))
         vals = tuple(sorted(raw_vals[: len(bps)], reverse=True))
-        curve = WorkCurve(bps, vals, F(0), max(bps) * 2)
+        curve = WorkCurve(bps, vals, F(0))
         h = integrate(curve, 0, None) + slack
         workload = curve.value_at(bid)
         payment = truthful_payment(h, bid, workload, curve)

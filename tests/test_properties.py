@@ -92,7 +92,7 @@ class TestLocalEfficiency:
         assert ce.context == {"permutation": [1, 0, 2, 3, 4, 5]}
 
     def test_permutation_cross_check_catches_a_wrong_pairwise_verdict(self, monkeypatch):
-        monkeypatch.setattr(properties, "_local_efficiency_violation", lambda b, w: None)
+        monkeypatch.setattr(properties, "local_efficiency_violation", lambda b, w: None)
         with pytest.raises(AssertionError, match="disagree"):
             check_local_efficiency((1, 2), (1, 2))
 

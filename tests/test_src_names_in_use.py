@@ -1,5 +1,6 @@
 """Every module-level function and class in the package has a use there,
-and every local a function assigns is read.
+every local a function assigns is read, and no module imports another
+module's private names.
 
 A definition must be named somewhere in ``src/schedmech`` other than in
 its own body and in ``__init__.py``, or be exported through
@@ -76,3 +77,26 @@ def dead_stores():
 
 def test_every_assigned_local_is_read():
     assert dead_stores() == []
+
+
+def private_imports():
+    """``module:name`` for each ``_``-prefixed name a package module imports
+    from another package module."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("schedmech"):
+                continue
+            found += [
+                f"{path.name}:{alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    return found
+
+
+def test_no_module_imports_another_modules_private_name():
+    assert private_imports() == []

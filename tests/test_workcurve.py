@@ -13,6 +13,7 @@ from schedmech.allocations import (
 )
 from schedmech.core import Assignment, DomainError, Instance, rat_str
 from schedmech.workcurve import (
+    MAX_BREAKPOINTS,
     CurvePiece,
     CurveResolutionError,
     DivergentIntegral,
@@ -20,6 +21,7 @@ from schedmech.workcurve import (
     WorkCurve,
     _rational_roots,
     build_workcurve,
+    discover_step_function,
     expected_workcurve,
     integrate,
     ln_enclosure,
@@ -65,7 +67,7 @@ class TestSimplestBetween:
 
 class TestWorkCurveBasics:
     def curve(self):
-        return WorkCurve((F(2), F(8), F(16)), (F(3), F(2), F(1)), F(0), F(32))
+        return WorkCurve((F(2), F(8), F(16)), (F(3), F(2), F(1)), F(0))
 
     def test_value_at_reads_from_the_right_at_breakpoints(self):
         c = self.curve()
@@ -83,22 +85,23 @@ class TestWorkCurveBasics:
         assert integrate(c, 0, F(1, 2)) == F(3, 2)
         assert integrate(c, 2, 8) == 12
         assert integrate(c, 20, 30) == 0
+        assert integrate(c, 20, None) == 0  # starts past the last breakpoint
 
     def test_divergent_tail(self):
-        c = WorkCurve((F(1),), (F(3),), F(1), F(4))
+        c = WorkCurve((F(1),), (F(3),), F(1))
         with pytest.raises(DivergentIntegral):
             integrate(c, 0, None)
         assert integrate(c, 0, 4) == 3 + 3
 
     def test_approximate_curve_is_never_integrated(self):
-        c = WorkCurve((F(13, 8),), (F(3),), F(0), F(12), approximate=True)
+        c = WorkCurve((F(13, 8),), (F(3),), F(0), approximate=True)
         for hi in (None, F(1), F(3)):
             with pytest.raises(CurveResolutionError):
                 integrate(c, 0, hi)
 
     def test_breakpoints_must_increase(self):
         with pytest.raises(DomainError):
-            WorkCurve((F(2), F(2)), (F(1), F(1)), F(0), F(4))
+            WorkCurve((F(2), F(2)), (F(1), F(1)), F(0))
 
     @given(
         st.lists(
@@ -118,7 +121,7 @@ class TestWorkCurveBasics:
     )
     def test_integrate_is_additive(self, bps, vals, a, b, c):
         bps = tuple(sorted(bps))
-        curve = WorkCurve(bps, tuple(vals[: len(bps)]), F(0), max(bps) * 2)
+        curve = WorkCurve(bps, tuple(vals[: len(bps)]), F(0))
         lo, mid, hi = sorted((a, b, c))
         assert integrate(curve, lo, mid) + integrate(curve, mid, hi) == integrate(
             curve, lo, hi
@@ -252,6 +255,29 @@ class TestBuildWorkcurve:
             assert c.values == values
             assert c.tail == 0
             assert not c.approximate
+
+    def test_jumps_nested_past_the_depth_cap_leave_the_curve_approximate(self):
+        # Machine 0's workload is #{j <= 29 : b0 < 1 + 3^-j}: thirty jumps
+        # crowd toward 1, and each bisection split recurses one level deeper
+        # until the depth cap gives up and the split passes None up.
+        class Nested:
+            def __call__(self, instance):
+                b0 = instance.bids[0]
+                count = sum(1 for j in range(30) if b0 < 1 + F(1, 3 ** j))
+                return Assignment((0, 0), (F(count), F(0)))
+
+        c = build_workcurve(Nested(), (F(5),), (2, 1), cap=4)
+        assert c.approximate
+        with pytest.raises(CurveResolutionError):
+            integrate(c, 0, None)
+
+    def test_too_many_jumps_raise(self):
+        # 600 steps on (0, 1], each at a candidate
+        def steps(x):
+            return F(600 - x.numerator * 600 // x.denominator)
+
+        with pytest.raises(CurveResolutionError, match=f"more than {MAX_BREAKPOINTS} jumps"):
+            discover_step_function(steps, [F(k, 600) for k in range(1, 601)], 1)
 
     def test_non_monotone_rule_is_reported_not_rejected(self):
         class Bump:
