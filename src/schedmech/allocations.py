@@ -18,9 +18,6 @@ from .core import (
     DomainError,
     ExpectedAllocation,
     Instance,
-    bid_order,
-    ceil_log2,
-    lowest_bidder,
     scaled_to_ints,
 )
 from .workcurve import power_of_two_points, subset_ratio_points
@@ -49,14 +46,14 @@ class LptStar:
         # Machine i's rounded speed is 2**exps[i].  Every key
         # (load + length) * 2**exps[i] is scaled by D * 2**-min(exps), with D
         # the jobs' common denominator, which makes it an exact int.
-        exps = [ceil_log2(b) for b in instance.bids]
+        exps = instance.bid_exponents
         low = min(exps)
         shifts = [e - low for e in exps]
         loads = [0] * instance.m
         job_to_machine = [0] * instance.n
         denominator, lengths = instance.scaled_jobs
         for j, length in enumerate(lengths):
-            keys = [(loads[i] + length) << shifts[i] for i in range(instance.m)]
+            keys = [(load + length) << shift for load, shift in zip(loads, shifts)]
             # index finds the first of equal keys: ties go to the lowest index
             winner = keys.index(min(keys))
             job_to_machine[j] = winner
@@ -68,10 +65,14 @@ class LptStar:
         bundles = sorted(range(instance.m), key=lambda i: (exps[i], -loads[i], i))
         target = [0] * instance.m
         workloads = [Fraction(0)] * instance.m
-        for source, machine in zip(bundles, bid_order(instance.bids)):
+        for source, machine in zip(bundles, instance.bid_order):
             target[source] = machine
             workloads[machine] = Fraction(loads[source], denominator)
         return Assignment(tuple(target[i] for i in job_to_machine), tuple(workloads))
+
+    def decision_key(self, instance: Instance):
+        """All the allocation reads of the bids."""
+        return instance.bid_exponents, instance.bid_order
 
     def breakpoint_hints(self, others_bids, jobs, cap):
         """Powers of two (rounded-speed flips) plus raw competitor bids
@@ -89,10 +90,13 @@ class VcgAllocate:
     name = "vcg"
 
     def __call__(self, instance: Instance) -> Assignment:
-        winner = lowest_bidder(instance.bids)
+        winner = instance.bid_order[0]
         workloads = [Fraction(0)] * instance.m
         workloads[winner] = instance.total_length
         return Assignment((winner,) * instance.n, tuple(workloads))
+
+    def decision_key(self, instance: Instance):
+        return instance.bid_order[0]
 
     def breakpoint_hints(self, others_bids, jobs, cap):
         return {b for b in others_bids if b <= cap}
@@ -154,7 +158,7 @@ def at_lower_bound(instance: Instance) -> Fraction:
     max over job prefixes of min over machine prefixes of
     max(per-job bound, averaged-load bound).
     """
-    bids = [instance.bids[i] for i in bid_order(instance.bids)]
+    bids = [instance.bids[i] for i in instance.bid_order]
     best = Fraction(0)
     prefix = Fraction(0)
     harmonics = list(itertools.accumulate(Fraction(1) / b for b in bids))
@@ -176,7 +180,7 @@ class AtFractional:
 
     def __call__(self, instance: Instance) -> ExpectedAllocation:
         lower = at_lower_bound(instance)
-        order = bid_order(instance.bids)
+        order = instance.bid_order
         sizes = [lower / instance.bids[i] for i in order]
         if sum(sizes, Fraction(0)) < instance.total_length:
             raise AssertionError(

@@ -32,7 +32,6 @@ from .core import (
     ExpectedAllocation,
     Instance,
     RationalLike,
-    bid_order,
     compare,
     makespan,
     rat,
@@ -277,7 +276,7 @@ def theorem7_certificate(
         inst = Instance(jobs, (x, Fraction(1)))
         lower = at_lower_bound(inst)
         expected = at_fractional(inst)
-        order = bid_order(inst.bids)
+        order = inst.bid_order
         last_nonempty = max(
             (pos for pos in range(2) if expected.expected_workloads[order[pos]] > 0),
             default=0,

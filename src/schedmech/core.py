@@ -9,11 +9,12 @@ all rely on exact comparisons, so floats are rejected at the boundary.
 
 from __future__ import annotations
 
+import bisect
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -109,17 +110,6 @@ def compare(lhs, relation: str, rhs, accepted=RELATIONS) -> bool:
     return RELATIONS[relation](lhs, rhs)
 
 
-def bid_order(bids: Sequence[Fraction]) -> list[int]:
-    """Machine indices in nondecreasing bid order, ties to the lower index
-    (the sort is stable)."""
-    return sorted(range(len(bids)), key=bids.__getitem__)
-
-
-def lowest_bidder(bids: Sequence[Fraction]) -> int:
-    """The machine with the minimum bid, ties to the lowest index."""
-    return bids.index(min(bids))
-
-
 def rounded_speed(b: RationalLike) -> Fraction:
     """Round a positive bid up to the nearest integer power of two.
 
@@ -138,7 +128,8 @@ class Instance:
     tuple.  All lengths and bids must be strictly positive.  The job data
     every rule reads is computed once here and shared by every derived
     instance: ``total_length`` and ``scaled_jobs`` (``scaled_to_ints`` of
-    the jobs).  Neither takes part in equality or hashing.
+    the jobs).  Neither, nor each instance's own bid data (``bid_order``,
+    ``bid_exponents``), takes part in equality, hashing or ``repr``.
     """
 
     jobs: tuple[Fraction, ...]
@@ -167,12 +158,28 @@ class Instance:
     def m(self) -> int:
         return len(self.bids)
 
+    @property
+    def bid_order(self) -> tuple[int, ...]:
+        """Machine indices in nondecreasing bid order, ties to the lower
+        index (the sort is stable)."""
+        if "_bid_order" not in vars(self):
+            vars(self)["_bid_order"] = tuple(sorted(range(self.m), key=self.bids.__getitem__))
+        return vars(self)["_bid_order"]
+
+    @property
+    def bid_exponents(self) -> tuple[int, ...]:
+        """``ceil_log2`` of each bid: machine i's rounded speed is 2**e_i."""
+        if "_bid_exponents" not in vars(self):
+            vars(self)["_bid_exponents"] = tuple(map(ceil_log2, self.bids))
+        return vars(self)["_bid_exponents"]
+
     def _with_bids(self, bids: list[Fraction]) -> "Instance":
         """Same (already canonical) jobs with new, already validated bids;
         skips ``__init__``.  The job data is shared with this instance, not
-        computed again."""
+        computed again; the bid data is the copy's own."""
         new = object.__new__(Instance)
-        vars(new).update(vars(self), bids=tuple(bids))
+        vars(new).update(jobs=self.jobs, scaled_jobs=self.scaled_jobs,
+                         total_length=self.total_length, bids=tuple(bids))
         return new
 
     def with_bid(self, machine: int, bid: RationalLike) -> "Instance":
@@ -183,6 +190,23 @@ class Instance:
         new_bids = list(self.bids)
         new_bids[machine] = bid
         return self._with_bids(new_bids)
+
+    def deviations(self, machine: int, bids: Sequence[RationalLike],
+                   exponents: Sequence[int] = ()) -> Iterator[tuple[Fraction, "Instance"]]:
+        """``(bid, self.with_bid(machine, bid))`` for each of ``bids``, in order.
+        Each copy's bid data comes from this instance's, the machine bisected
+        into the others' order (no sort); ``exponents``: the bids' ``ceil_log2``."""
+        others = [j for j in self.bid_order if j != machine]
+        keys = [(self.bids[j], j) for j in others]
+        new_exponents = list(self.bid_exponents)
+        for k, bid in enumerate(bids):
+            copy = self.with_bid(machine, bid)
+            bid = copy.bids[machine]
+            new_exponents[machine] = exponents[k] if exponents else ceil_log2(bid)
+            pos = bisect.bisect_left(keys, (bid, machine))
+            vars(copy).update(_bid_order=(*others[:pos], machine, *others[pos:]),
+                              _bid_exponents=tuple(new_exponents))
+            yield bid, copy
 
     def with_swapped_bids(self, k: int, l: int) -> "Instance":
         new_bids = list(self.bids)

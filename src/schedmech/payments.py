@@ -22,7 +22,6 @@ from .core import (
     Instance,
     Outcome,
     RationalLike,
-    lowest_bidder,
     rat,
     rat_str,
     rats,
@@ -124,16 +123,12 @@ def vcg_payments(
     times L and every other machine 0.  A single machine is paid its cost
     (the pivot is vacuous, so utility is pinned at zero).
     """
-    bids = instance.bids
-    L = instance.total_length
-    winner = lowest_bidder(bids)
-    winner_only = [Fraction(0)] * len(bids)  # the workloads, then the payments
-    winner_only[winner] = L
+    order = instance.bid_order
+    winner_only = [Fraction(0)] * len(order)  # the workloads, then the payments
+    winner_only[order[0]] = instance.total_length
     if assignment.workloads != tuple(winner_only):
         raise DomainError("payments are defined on the rule's own allocation")
-    if instance.m == 1:
-        return (bids[0] * L,)
-    winner_only[winner] = min(bids[:winner] + bids[winner + 1:]) * L
+    winner_only[order[0]] *= instance.bids[order[1] if len(order) > 1 else order[0]]
     return tuple(winner_only)
 
 

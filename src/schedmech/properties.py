@@ -22,6 +22,7 @@ from .core import (
     DomainError,
     Instance,
     RationalLike,
+    ceil_log2,
     compare,
     makespan,
     rat_str,
@@ -221,9 +222,8 @@ def check_truthful(
     The profile bid is treated as the true speed; every grid deviation of
     every machine must not beat truthful reporting.
     """
-    grid = (
-        rats(deviation_grid) if deviation_grid is not None else default_grid(instance)
-    )
+    grid = rats(deviation_grid) if deviation_grid is not None else default_grid(instance)
+    exponents = [ceil_log2(b) if b.numerator > 0 else None for b in grid]
     truthful_outcome = mechanism.run(instance)
     for i in range(instance.m):
         true_speed = instance.bids[i]
@@ -231,10 +231,10 @@ def check_truthful(
             truthful_outcome.payments[i]
             - true_speed * truthful_outcome.allocation.workloads[i]
         )
-        for dev in grid:
+        for dev, deviated_instance in instance.deviations(i, grid, exponents):
             if dev == true_speed:
                 continue
-            deviated = mechanism.run(instance.with_bid(i, dev))
+            deviated = mechanism.run(deviated_instance)
             gained = (
                 deviated.payments[i] - true_speed * deviated.allocation.workloads[i]
             )
@@ -261,14 +261,17 @@ def check_monotone(
     instance: Instance,
     deviation_grid: Optional[Sequence[RationalLike]] = None,
 ) -> PropertyVerdict:
-    """Raising one's own bid never increases one's workload (grid check)."""
+    """Raising one's own bid never increases one's workload (grid check); a
+    rule is skipped where its ``decision_key``, if any, repeats the last one."""
     grid = sorted(rats(deviation_grid)) if deviation_grid is not None else default_grid(instance)
+    exponents = [ceil_log2(b) if b.numerator > 0 else None for b in grid]
+    decision_key = getattr(rule, "decision_key", None)
     for i in range(instance.m):
-        prev_bid = None
-        prev_w = None
-        for bid in grid:
-            allocation = rule(instance.with_bid(i, bid))
-            w = allocation.workloads[i]
+        prev_bid = prev_w = prev_key = None
+        for bid, deviated in instance.deviations(i, grid, exponents):
+            key = decision_key(deviated) if decision_key else None
+            if key is None or key != prev_key:
+                w = rule(deviated).workloads[i]
             if prev_w is not None and w > prev_w:
                 return _verdict(
                     "monotonicity",
@@ -284,7 +287,7 @@ def check_monotone(
                         },
                     ),
                 )
-            prev_bid, prev_w = bid, w
+            prev_bid, prev_w, prev_key = bid, w, key
     return _verdict("monotonicity", None)
 
 

@@ -163,6 +163,21 @@ class TestCheck:
                           "--seed", "0", "--jobs-parallel", "1")
         assert plain == spelled and plain[0] == 0
 
+    @pytest.mark.parametrize(
+        "prop, mechanism, grid, shown",
+        [("monotone", "lpt-star", "0,1", "0"), ("truthful", "vcg", "1,-2/3,2", "-2/3")],
+    )
+    def test_non_positive_grid_is_refused_by_the_parser(
+        self, capsys, monkeypatch, prop, mechanism, grid, shown
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the grid must be refused before any instance is drawn")
+
+        monkeypatch.setattr(cli, "sample_instance", never)
+        code, out, err = run_cli(capsys, "check", prop, mechanism, "--random", "2", "--grid", grid)
+        assert (code, out) == (2, "")
+        assert err == f"error: --grid takes strictly positive bids, got {shown}\n"
+
     def test_batch_is_seed_deterministic(self, capsys):
         args = ("check", "truthful", "vcg", "--random", "5", "--seed", "3",
                 "--grid", "1,2,3")

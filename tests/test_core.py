@@ -112,16 +112,23 @@ class TestInstance:
         inst = Instance((1, Fraction(5, 2), 2), (Fraction(3, 4), 2, 1))
         assert inst.total_length == Fraction(11, 2)
         assert inst.scaled_jobs == (2, (5, 4, 2))
+        assert (inst.bid_order, inst.bid_exponents) == ((0, 2, 1), (0, 1, 0))
+        deviated = dict(inst.deviations(0, ["7/3", 2, Fraction(1, 4), 2]))
         derived = [
             (inst.with_bid(0, "7/3"), (Fraction(7, 3), 2, 1)),
             (inst.with_bid(2, 5), (Fraction(3, 4), 2, 5)),
             (inst.with_swapped_bids(0, 2), (1, 2, Fraction(3, 4))),
             (inst.scaled(Fraction(2, 3)), (Fraction(1, 2), Fraction(4, 3), Fraction(2, 3))),
+            (deviated[Fraction(7, 3)], (Fraction(7, 3), 2, 1)),
+            (deviated[2], (2, 2, 1)),
+            (deviated[Fraction(1, 4)], (Fraction(1, 4), 2, 1)),
+            (dict(inst.deviations(2, [5]))[5], (Fraction(3, 4), 2, 5)),
         ]
         for got, bids in derived:
             fresh = Instance((1, Fraction(5, 2), 2), bids)
             assert got == fresh
             assert hash(got) == hash(fresh)
+            assert repr(got) == repr(fresh)
             assert got.jobs == fresh.jobs and got.bids == fresh.bids
             assert all(type(b) is Fraction for b in got.bids)
             assert got.total_length == fresh.total_length
@@ -129,7 +136,30 @@ class TestInstance:
             # the job data is shared with the base, not computed again
             assert got.total_length is inst.total_length
             assert got.scaled_jobs is inst.scaled_jobs
+            # the bid data is the copy's own, never the base's
+            assert got.bid_order == fresh.bid_order
+            assert got.bid_exponents == fresh.bid_exponents
             assert got != inst  # equality reads the jobs and bids only
+            # equality, hashing and repr ignore the bid data, read or not
+            unread = Instance((1, Fraction(5, 2), 2), bids)
+            assert (got == unread, hash(got), repr(got)) == (True, hash(unread), repr(unread))
+
+    def test_deviations_keep_with_bids_check_and_the_callers_grid(self):
+        inst = Instance((3, 1), (2, 2, Fraction(1, 2)))
+        grid = ["3", 2, Fraction(1, 2), 2, 8, Fraction(1, 2)]  # unsorted, repeated
+        for machine in range(inst.m):
+            pairs = list(inst.deviations(machine, grid))
+            assert [bid for bid, _ in pairs] == [rat(b) for b in grid]
+            for bid, got in pairs:
+                assert got == inst.with_bid(machine, bid)
+                assert got.bid_order == Instance(got.jobs, got.bids).bid_order
+        with pytest.raises(DomainError, match="^bids must be strictly positive$"):
+            next(inst.deviations(1, [0]))
+        # a bad bid raises when reached, as with_bid does point by point
+        lazy = inst.deviations(1, [1, -1])
+        assert next(lazy)[1] == inst.with_bid(1, 1)
+        with pytest.raises(DomainError, match="^bids must be strictly positive$"):
+            next(lazy)
 
     def test_json_roundtrip_rejects_floats(self):
         inst = Instance((2, 1), (Fraction(1, 3), 2))

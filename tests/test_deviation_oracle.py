@@ -1,0 +1,378 @@
+"""Deviation grids derived from the base instance give what one ``with_bid``
+per grid point gave.
+
+The reference below is a verbatim copy of ``LptStar.__call__``,
+``VcgAllocate.__call__``, ``vcg_payments``, ``check_truthful`` and
+``check_monotone`` as they were when every rule sorted the bids and took
+``ceil_log2`` of each on every call, and every check built each deviated
+instance with ``with_bid`` and evaluated the rule at every grid point
+(with the two bid helpers they read, since removed from ``core``).  The
+package must return identical allocations, payments, verdicts and
+counterexamples on seeded deviation chains: tied bids, bids at 2^e and
+2^e ± 2^-k, one to six machines, the default grid and unsorted caller
+grids with repeated bids.
+"""
+
+import random
+from fractions import Fraction
+from typing import Optional, Sequence
+
+import pytest
+
+from schedmech.allocations import VcgAllocate, lpt_star, two_machine_opt, vcg_allocate
+from schedmech.core import (
+    Assignment,
+    DomainError,
+    Instance,
+    RationalLike,
+    ceil_log2,
+    rat_str,
+    rats,
+)
+from schedmech.payments import Mechanism, ef_chain_mechanism, vcg_mechanism, vcg_payments
+from schedmech.properties import (
+    Counterexample,
+    PropertyVerdict,
+    _verdict,
+    check_monotone,
+    check_truthful,
+    default_grid,
+)
+
+from specimens import bid_proportional_mechanism
+
+# ---------------------------------------------------------------------------
+# Reference: the per-point code, verbatim.
+
+
+def bid_order(bids: Sequence[Fraction]) -> list[int]:
+    """Machine indices in nondecreasing bid order, ties to the lower index
+    (the sort is stable)."""
+    return sorted(range(len(bids)), key=bids.__getitem__)
+
+
+def lowest_bidder(bids: Sequence[Fraction]) -> int:
+    """The machine with the minimum bid, ties to the lowest index."""
+    return bids.index(min(bids))
+
+
+class ReferenceLptStar:
+    name = "lpt-star"
+
+    def __call__(self, instance: Instance) -> Assignment:
+        # Machine i's rounded speed is 2**exps[i].  Every key
+        # (load + length) * 2**exps[i] is scaled by D * 2**-min(exps), with D
+        # the jobs' common denominator, which makes it an exact int.
+        exps = [ceil_log2(b) for b in instance.bids]
+        low = min(exps)
+        shifts = [e - low for e in exps]
+        loads = [0] * instance.m
+        job_to_machine = [0] * instance.n
+        denominator, lengths = instance.scaled_jobs
+        for j, length in enumerate(lengths):
+            keys = [(loads[i] + length) << shifts[i] for i in range(instance.m)]
+            # index finds the first of equal keys: ties go to the lowest index
+            winner = keys.index(min(keys))
+            job_to_machine[j] = winner
+            loads[winner] += length
+        # Bundle reordering: bid order lists the rounded-speed classes by
+        # increasing exponent, and so does this sort of the bundles, so the
+        # k-th bundle (heaviest first within its class) goes to the k-th
+        # machine of the same class; its integer load moves with it.
+        bundles = sorted(range(instance.m), key=lambda i: (exps[i], -loads[i], i))
+        target = [0] * instance.m
+        workloads = [Fraction(0)] * instance.m
+        for source, machine in zip(bundles, bid_order(instance.bids)):
+            target[source] = machine
+            workloads[machine] = Fraction(loads[source], denominator)
+        return Assignment(tuple(target[i] for i in job_to_machine), tuple(workloads))
+
+
+class ReferenceVcgAllocate:
+    """Everything to the machine with the minimum bid (total running time
+    minimizer); ties go to the lowest index."""
+
+    name = "vcg"
+
+    def __call__(self, instance: Instance) -> Assignment:
+        winner = lowest_bidder(instance.bids)
+        workloads = [Fraction(0)] * instance.m
+        workloads[winner] = instance.total_length
+        return Assignment((winner,) * instance.n, tuple(workloads))
+
+
+def reference_vcg_payments(
+    instance: Instance, assignment: Assignment
+) -> tuple[Fraction, ...]:
+    bids = instance.bids
+    L = instance.total_length
+    winner = lowest_bidder(bids)
+    winner_only = [Fraction(0)] * len(bids)  # the workloads, then the payments
+    winner_only[winner] = L
+    if assignment.workloads != tuple(winner_only):
+        raise DomainError("payments are defined on the rule's own allocation")
+    if instance.m == 1:
+        return (bids[0] * L,)
+    winner_only[winner] = min(bids[:winner] + bids[winner + 1:]) * L
+    return tuple(winner_only)
+
+
+def reference_check_truthful(
+    mechanism,
+    instance: Instance,
+    deviation_grid: Optional[Sequence[RationalLike]] = None,
+) -> PropertyVerdict:
+    grid = (
+        rats(deviation_grid) if deviation_grid is not None else default_grid(instance)
+    )
+    truthful_outcome = mechanism.run(instance)
+    for i in range(instance.m):
+        true_speed = instance.bids[i]
+        honest = (
+            truthful_outcome.payments[i]
+            - true_speed * truthful_outcome.allocation.workloads[i]
+        )
+        for dev in grid:
+            if dev == true_speed:
+                continue
+            deviated = mechanism.run(instance.with_bid(i, dev))
+            gained = (
+                deviated.payments[i] - true_speed * deviated.allocation.workloads[i]
+            )
+            if honest < gained:
+                return _verdict(
+                    "truthfulness",
+                    Counterexample(
+                        f"machine {i} profits by bidding {rat_str(dev)}",
+                        honest,
+                        ">=",
+                        gained,
+                        {
+                            "machine": i,
+                            "true_speed": rat_str(true_speed),
+                            "deviation": rat_str(dev),
+                        },
+                    ),
+                )
+    return _verdict("truthfulness", None)
+
+
+def reference_check_monotone(
+    rule,
+    instance: Instance,
+    deviation_grid: Optional[Sequence[RationalLike]] = None,
+) -> PropertyVerdict:
+    """Raising one's own bid never increases one's workload (grid check)."""
+    grid = sorted(rats(deviation_grid)) if deviation_grid is not None else default_grid(instance)
+    for i in range(instance.m):
+        prev_bid = None
+        prev_w = None
+        for bid in grid:
+            allocation = rule(instance.with_bid(i, bid))
+            w = allocation.workloads[i]
+            if prev_w is not None and w > prev_w:
+                return _verdict(
+                    "monotonicity",
+                    Counterexample(
+                        f"machine {i} gains workload by raising its bid",
+                        w,
+                        "<=",
+                        prev_w,
+                        {
+                            "machine": i,
+                            "bid_low": rat_str(prev_bid),
+                            "bid_high": rat_str(bid),
+                        },
+                    ),
+                )
+            prev_bid, prev_w = bid, w
+    return _verdict("monotonicity", None)
+
+
+reference_lpt_star = ReferenceLptStar()
+reference_vcg_allocate = ReferenceVcgAllocate()
+reference_vcg_mechanism = Mechanism("vcg", reference_vcg_allocate, reference_vcg_payments)
+
+# ---------------------------------------------------------------------------
+# Seeded deviation chains.
+
+
+class SlowestTakesAll(VcgAllocate):
+    """Everything to the highest bid, ties to the highest index: far from
+    monotone, so the reuse path of ``check_monotone`` must report the
+    reference's counterexamples."""
+
+    def __call__(self, instance: Instance) -> Assignment:
+        winner = instance.bid_order[-1]
+        workloads = [Fraction(0)] * instance.m
+        workloads[winner] = instance.total_length
+        return Assignment((winner,) * instance.n, tuple(workloads))
+
+    def decision_key(self, instance: Instance):
+        return instance.bid_order[-1]
+
+
+slowest_takes_all = SlowestTakesAll()
+
+
+def _near_power_of_two(rng):
+    """2^e, 2^e + 2^-k or 2^e - 2^-k (still positive)."""
+    e = rng.randint(-3, 4)
+    power = Fraction(2) ** e
+    k = rng.randint(max(1, 1 - e), 9)
+    return power + rng.choice((0, 1, -1)) * Fraction(1, 2 ** k)
+
+
+def _bid(rng):
+    if rng.random() < 0.5:
+        return _near_power_of_two(rng)
+    return Fraction(rng.randint(1, 24), rng.choice((1, 2, 3, 4)))
+
+
+def draw_chain(seed):
+    """A seeded instance and deviation grid; about half the profiles tie,
+    and grids are the default or an unsorted caller grid with repeats."""
+    rng = random.Random(seed)
+    m = 1 + seed % 6
+    pool = [_bid(rng) for _ in range(m if rng.random() < 0.5 else max(1, m // 2))]
+    bids = [rng.choice(pool) for _ in range(m)]
+    jobs = [Fraction(rng.randint(1, 12), rng.choice((1, 2, 3))) for _ in range(rng.randint(1, 6))]
+    grid = None
+    if rng.random() < 0.6:
+        grid = [_bid(rng) for _ in range(rng.randint(1, 12))] + rng.sample(bids, rng.randint(0, m))
+        grid += rng.sample(grid, rng.randint(0, len(grid)))  # repeats
+        rng.shuffle(grid)
+    return Instance(jobs, bids), grid
+
+
+SEEDS = range(120)
+
+
+def test_chains_cover_ties_powers_of_two_and_caller_grids():
+    chains = [draw_chain(seed) for seed in SEEDS]
+    assert {inst.m for inst, _ in chains} == set(range(1, 7))
+    assert sum(len(set(inst.bids)) < inst.m for inst, _ in chains) > 30
+    assert sum(any(b == Fraction(2) ** ceil_log2(b) for b in inst.bids) for inst, _ in chains) > 20
+    explicit = [grid for _, grid in chains if grid is not None]
+    assert len(explicit) > 40 and sum(grid is None for _, grid in chains) > 30
+    assert sum(len(set(g)) < len(g) for g in explicit) > 20
+    assert sum(list(g) != sorted(g) for g in explicit) > 30
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_deviated_allocations_and_payments_equal_the_reference(seed):
+    inst, grid = draw_chain(seed)
+    grid = grid if grid is not None else default_grid(inst)
+    for machine in range(inst.m):
+        for bid, deviated in inst.deviations(machine, grid):
+            reference = inst.with_bid(machine, bid)
+            assert deviated == reference
+            lpt = lpt_star(deviated)
+            assert lpt == reference_lpt_star(reference)
+            vcg = vcg_allocate(deviated)
+            assert vcg == reference_vcg_allocate(reference)
+            assert vcg_payments(deviated, vcg) == reference_vcg_payments(reference, vcg)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_verdicts_and_counterexamples_equal_the_reference(seed):
+    inst, grid = draw_chain(seed)
+    monotone = [(lpt_star, reference_lpt_star), (vcg_allocate, reference_vcg_allocate),
+                (slowest_takes_all, slowest_takes_all)]
+    if inst.m == 2:
+        monotone.append((two_machine_opt, two_machine_opt))
+    for rule, reference in monotone:
+        assert check_monotone(rule, inst, grid) == reference_check_monotone(reference, inst, grid)
+    truthful = [
+        (vcg_mechanism, reference_vcg_mechanism),
+        (ef_chain_mechanism(lpt_star), ef_chain_mechanism(reference_lpt_star)),
+        (bid_proportional_mechanism(lpt_star), bid_proportional_mechanism(reference_lpt_star)),
+    ]
+    for mechanism, reference in truthful:
+        expected = reference_check_truthful(reference, inst, grid)
+        assert check_truthful(mechanism, inst, grid) == expected
+
+
+def test_chains_reach_both_verdicts():
+    failed = {"monotone": 0, "truthful": 0}
+    for seed in SEEDS:
+        inst, grid = draw_chain(seed)
+        failed["monotone"] += not check_monotone(slowest_takes_all, inst, grid)
+        failed["truthful"] += not check_truthful(bid_proportional_mechanism(lpt_star), inst, grid)
+    # one machine has no competitor to lose its work to, or to be paid against
+    assert failed["monotone"] >= 80 and failed["truthful"] >= 80
+
+
+@pytest.mark.parametrize("grid", [[1, 0, 2], [Fraction(-1, 2)]])
+def test_a_non_positive_grid_raises_where_the_reference_raises(grid):
+    inst = Instance((2, 1), (1, 3))
+    for check, reference, rule in ((check_monotone, reference_check_monotone, lpt_star),
+                                   (check_truthful, reference_check_truthful, vcg_mechanism)):
+        with pytest.raises(DomainError, match="^bids must be strictly positive$"):
+            reference(rule, inst, grid)
+        with pytest.raises(DomainError, match="^bids must be strictly positive$"):
+            check(rule, inst, grid)
+
+
+class _LengthOnly:
+    """A bid sequence a rule may count but not read."""
+
+    def __init__(self, m):
+        self.m = m
+
+    def __len__(self):
+        return self.m
+
+    def __getitem__(self, k):
+        raise AssertionError("the rule read a raw bid")
+
+    def __iter__(self):
+        raise AssertionError("the rule read a raw bid")
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_rules_with_a_decision_key_read_the_bids_only_through_it(seed):
+    """LPT* and VCG, run on copies whose raw bids cannot be read, return
+    what they return on fresh instances: they read nothing the key omits."""
+    inst, grid = draw_chain(seed)
+    grid = grid if grid is not None else default_grid(inst)[::7]
+    copies = [d for machine in range(inst.m) for _, d in inst.deviations(machine, grid)]
+    copies += [inst.with_swapped_bids(0, inst.m - 1), inst.scaled(Fraction(3, 2))]
+    by_key = {}
+    for copy in copies:
+        fresh = Instance(copy.jobs, copy.bids)
+        keys = lpt_star.decision_key(copy), vcg_allocate.decision_key(copy)
+        # and the key holds all they read: equal keys, equal allocations
+        for rule, key in zip((lpt_star, vcg_allocate), keys):
+            assert by_key.setdefault((rule.name, key), rule(fresh)) == rule(fresh)
+        vars(copy)["bids"] = _LengthOnly(fresh.m)
+        assert keys == (lpt_star.decision_key(copy), vcg_allocate.decision_key(copy))
+        assert lpt_star(copy) == lpt_star(fresh)
+        assert vcg_allocate(copy) == vcg_allocate(fresh)
+
+
+class _Counting:
+    """A rule that counts its evaluations, with or without its key."""
+
+    def __init__(self, rule, keyed):
+        self.rule, self.calls = rule, 0
+        if keyed:
+            self.decision_key = rule.decision_key
+
+    def __call__(self, instance):
+        self.calls += 1
+        return self.rule(instance)
+
+
+@pytest.mark.parametrize("seed", range(0, 120, 7))
+@pytest.mark.parametrize("rule", [lpt_star, vcg_allocate], ids=["lpt-star", "vcg"])
+def test_check_monotone_evaluates_where_the_key_changes_and_everywhere_without_one(seed, rule):
+    inst, grid = draw_chain(seed)
+    points = sorted(grid) if grid is not None else default_grid(inst)
+    changes = 0
+    for machine in range(inst.m):
+        keys = [rule.decision_key(inst.with_bid(machine, bid)) for bid in points]
+        changes += 1 + sum(a != b for a, b in zip(keys, keys[1:]))
+    keyed, plain = _Counting(rule, keyed=True), _Counting(rule, keyed=False)
+    assert check_monotone(keyed, inst, grid) == check_monotone(plain, inst, grid)
+    assert (keyed.calls, plain.calls) == (changes, inst.m * len(points))

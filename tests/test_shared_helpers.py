@@ -1,5 +1,5 @@
 """The helpers that several modules share: the exact relation table, the
-bid order and the VCG winner."""
+instance's bid order and the VCG winner."""
 
 import operator
 import random
@@ -9,7 +9,7 @@ import pytest
 
 from schedmech.allocations import vcg_allocate
 from schedmech.certificates import CheckRecord
-from schedmech.core import DomainError, Instance, bid_order, lowest_bidder
+from schedmech.core import DomainError, Instance
 from schedmech.exactlp import Constraint
 from schedmech.payments import vcg_payments
 from schedmech.properties import Counterexample
@@ -80,22 +80,23 @@ def _tied_bids(rng, m):
 
 
 class TestBidOrderAndWinner:
-    """Against the ``(bid, index)`` lambdas that the helpers replace."""
+    """``Instance.bid_order`` against the ``(bid, index)`` lambdas it replaces."""
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_bid_order_matches_bid_index_sort(self, m):
         rng = random.Random(m)
         for _ in range(200):
             bids = _tied_bids(rng, m)
-            assert bid_order(bids) == sorted(range(m), key=lambda i: (bids[i], i))
-            assert bid_order(tuple(bids)) == bid_order(bids)
+            order = Instance((F(1),), bids).bid_order
+            assert order == tuple(sorted(range(m), key=lambda i: (bids[i], i)))
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_lowest_bidder_matches_bid_index_min(self, m):
         rng = random.Random(10 + m)
         for _ in range(200):
             bids = tuple(_tied_bids(rng, m))
-            assert lowest_bidder(bids) == min(range(m), key=lambda i: (bids[i], i))
+            winner = Instance((F(1),), bids).bid_order[0]
+            assert winner == min(range(m), key=lambda i: (bids[i], i))
 
     def test_draws_tie_at_the_minimum(self):
         rng = random.Random(99)
