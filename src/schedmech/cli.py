@@ -63,16 +63,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _rat_list(text: str, positive: str = "") -> list[Fraction]:
-    """Comma-separated rationals; all above 0 if ``positive`` names the option."""
+def _rat_list(text: str) -> list[Fraction]:
     try:
         values = [rat(tok) for tok in text.split(",") if tok.strip()]
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
     if not values:
         raise UsageError(f"expected comma-separated rationals, got {text!r}")
-    if positive and min(values) <= 0:
-        raise UsageError(f"{positive} takes strictly positive bids, got {rat_str(min(values))}")
+    return values
+
+
+def _grid_list(text: str) -> list[Fraction]:
+    values = _rat_list(text)
+    if min(values) <= 0:
+        raise UsageError(f"--grid takes strictly positive bids, got {rat_str(min(values))}")
     return values
 
 
@@ -307,9 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name in ("le", "ef", "ir", "truthful", "monotone", "anonymous", "scalable", "ratio")
     }
     for name in ("truthful", "monotone"):
-        check[name].add_argument(
-            "--grid", type=functools.partial(_rat_list, positive="--grid"), help="deviation bids"
-        )
+        check[name].add_argument("--grid", type=_grid_list, help="deviation bids")
     for name in ("le", "ef"):
         check[name].add_argument("--bids", type=_rat_list)
         check[name].add_argument("--workloads", type=_rat_list)

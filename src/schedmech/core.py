@@ -191,18 +191,18 @@ class Instance:
         new_bids[machine] = bid
         return self._with_bids(new_bids)
 
-    def deviations(self, machine: int, bids: Sequence[RationalLike],
-                   exponents: Sequence[int] = ()) -> Iterator[tuple[Fraction, "Instance"]]:
+    def deviations(self, machine: int,
+                   bids: Iterable[RationalLike]) -> Iterator[tuple[Fraction, Instance]]:
         """``(bid, self.with_bid(machine, bid))`` for each of ``bids``, in order.
         Each copy's bid data comes from this instance's, the machine bisected
-        into the others' order (no sort); ``exponents``: the bids' ``ceil_log2``."""
+        into the others' order (no sort)."""
         others = [j for j in self.bid_order if j != machine]
         keys = [(self.bids[j], j) for j in others]
         new_exponents = list(self.bid_exponents)
-        for k, bid in enumerate(bids):
+        for bid in bids:
             copy = self.with_bid(machine, bid)
             bid = copy.bids[machine]
-            new_exponents[machine] = exponents[k] if exponents else ceil_log2(bid)
+            new_exponents[machine] = ceil_log2(bid)
             pos = bisect.bisect_left(keys, (bid, machine))
             vars(copy).update(_bid_order=(*others[:pos], machine, *others[pos:]),
                               _bid_exponents=tuple(new_exponents))

@@ -128,7 +128,9 @@ def vcg_payments(
     winner_only[order[0]] = instance.total_length
     if assignment.workloads != tuple(winner_only):
         raise DomainError("payments are defined on the rule's own allocation")
-    winner_only[order[0]] *= instance.bids[order[1] if len(order) > 1 else order[0]]
+    if len(order) == 1:
+        return (instance.bids[0] * instance.total_length,)
+    winner_only[order[0]] *= instance.bids[order[1]]
     return tuple(winner_only)
 
 

@@ -22,7 +22,6 @@ from .core import (
     DomainError,
     Instance,
     RationalLike,
-    ceil_log2,
     compare,
     makespan,
     rat_str,
@@ -223,7 +222,6 @@ def check_truthful(
     every machine must not beat truthful reporting.
     """
     grid = rats(deviation_grid) if deviation_grid is not None else default_grid(instance)
-    exponents = [ceil_log2(b) if b.numerator > 0 else None for b in grid]
     truthful_outcome = mechanism.run(instance)
     for i in range(instance.m):
         true_speed = instance.bids[i]
@@ -231,9 +229,7 @@ def check_truthful(
             truthful_outcome.payments[i]
             - true_speed * truthful_outcome.allocation.workloads[i]
         )
-        for dev, deviated_instance in instance.deviations(i, grid, exponents):
-            if dev == true_speed:
-                continue
+        for dev, deviated_instance in instance.deviations(i, [d for d in grid if d != true_speed]):
             deviated = mechanism.run(deviated_instance)
             gained = (
                 deviated.payments[i] - true_speed * deviated.allocation.workloads[i]
@@ -264,11 +260,10 @@ def check_monotone(
     """Raising one's own bid never increases one's workload (grid check); a
     rule is skipped where its ``decision_key``, if any, repeats the last one."""
     grid = sorted(rats(deviation_grid)) if deviation_grid is not None else default_grid(instance)
-    exponents = [ceil_log2(b) if b.numerator > 0 else None for b in grid]
     decision_key = getattr(rule, "decision_key", None)
     for i in range(instance.m):
         prev_bid = prev_w = prev_key = None
-        for bid, deviated in instance.deviations(i, grid, exponents):
+        for bid, deviated in instance.deviations(i, grid):
             key = decision_key(deviated) if decision_key else None
             if key is None or key != prev_key:
                 w = rule(deviated).workloads[i]
