@@ -191,22 +191,42 @@ class Instance:
         new_bids[machine] = bid
         return self._with_bids(new_bids)
 
-    def deviations(self, machine: int,
-                   bids: Iterable[RationalLike]) -> Iterator[tuple[Fraction, Instance]]:
-        """``(bid, self.with_bid(machine, bid))`` for each of ``bids``, in order.
-        Each copy's bid data comes from this instance's, the machine bisected
-        into the others' order (no sort)."""
-        others = [j for j in self.bid_order if j != machine]
-        keys = [(self.bids[j], j) for j in others]
-        new_exponents = list(self.bid_exponents)
-        for bid in bids:
-            copy = self.with_bid(machine, bid)
-            bid = copy.bids[machine]
-            new_exponents[machine] = ceil_log2(bid)
-            pos = bisect.bisect_left(keys, (bid, machine))
-            vars(copy).update(_bid_order=(*others[:pos], machine, *others[pos:]),
-                              _bid_exponents=tuple(new_exponents))
-            yield bid, copy
+    def deviations(self, bids: Iterable[RationalLike]) -> Iterator[tuple[int, Fraction, Instance]]:
+        """``(machine, bid, self.with_bid(machine, bid))`` for every machine and
+        each of ``bids``: machine 0's grid in the caller's order, then machine
+        1's, and so on.  Where the bid is the machine's own, the copy is this
+        instance itself.  Each bid's check, ``ceil_log2`` and place among the
+        sorted bids are computed once, on machine 0's pass (so a bad bid
+        raises when it is reached); a copy's bid order then comes from
+        integer arithmetic, ties to the lower index as in ``bid_order``."""
+        order = self.bid_order
+        sorted_bids = [self.bids[j] for j in order]
+        points = []
+
+        def first_pass():
+            for bid in bids:
+                bid = rat(bid)
+                if bid.numerator <= 0:
+                    raise DomainError("bids must be strictly positive")
+                less = bisect.bisect_left(sorted_bids, bid)
+                tied = order[less:bisect.bisect_right(sorted_bids, bid, less)]  # in index order
+                points.append((bid, ceil_log2(bid), less, tied))
+                yield points[-1]
+
+        for machine in range(self.m):
+            own = order.index(machine)
+            others = order[:own] + order[own + 1:]
+            new_bids, new_exponents = list(self.bids), list(self.bid_exponents)
+            for bid, exponent, less, tied in points if machine else first_pass():
+                if machine in tied:
+                    yield machine, bid, self
+                    continue
+                new_bids[machine], new_exponents[machine] = bid, exponent
+                pos = less - (less > own) + bisect.bisect_left(tied, machine)
+                copy = self._with_bids(new_bids)
+                vars(copy).update(_bid_order=(*others[:pos], machine, *others[pos:]),
+                                  _bid_exponents=tuple(new_exponents))
+                yield machine, bid, copy
 
     def with_swapped_bids(self, k: int, l: int) -> "Instance":
         new_bids = list(self.bids)

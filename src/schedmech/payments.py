@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 from .allocations import vcg_allocate
 from .core import (
@@ -136,11 +136,14 @@ def vcg_payments(
 
 @dataclass
 class Mechanism:
-    """An allocation rule paired with a payment scheme."""
+    """An allocation rule paired with a payment scheme.  An optional
+    ``decision_key(instance)`` holds all that a machine's outcome reads:
+    equal keys give each machine the same workload and payment."""
 
     name: str
     rule: Callable[[Instance], Assignment]
     payment_fn: Callable[[Instance, Assignment], Sequence[Fraction]]
+    decision_key: Optional[Callable[[Instance], Hashable]] = None
 
     def run(self, instance: Instance) -> Outcome:
         allocation = self.rule(instance)
@@ -148,7 +151,14 @@ class Mechanism:
         return Outcome(allocation, payments)
 
 
-vcg_mechanism = Mechanism("vcg", vcg_allocate, vcg_payments)
+def _vcg_decision_key(instance: Instance):
+    """The winner and the bid it is paid at: the runner-up's, or a lone
+    machine's own."""
+    order = instance.bid_order
+    return order[0], instance.bids[order[1] if len(order) > 1 else order[0]]
+
+
+vcg_mechanism = Mechanism("vcg", vcg_allocate, vcg_payments, _vcg_decision_key)
 
 
 def ef_chain_mechanism(rule) -> Mechanism:

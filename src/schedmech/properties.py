@@ -219,36 +219,38 @@ def check_truthful(
     """Grid check: no machine gains by deviating from its profile bid.
 
     The profile bid is treated as the true speed; every grid deviation of
-    every machine must not beat truthful reporting.
+    every machine must not beat truthful reporting.  A mechanism is run
+    only where its ``decision_key``, if any, differs from the last point's
+    for the same machine: an equal key gives the same outcome, which did
+    not pay.
     """
     grid = rats(deviation_grid) if deviation_grid is not None else default_grid(instance)
-    truthful_outcome = mechanism.run(instance)
-    for i in range(instance.m):
+    truthful = mechanism.run(instance)
+    honest = [p - b * w for p, b, w in
+              zip(truthful.payments, instance.bids, truthful.allocation.workloads)]
+    decision_key = getattr(mechanism, "decision_key", None)
+    prev_machine = None
+    for i, dev, deviated_instance in instance.deviations(grid):
+        if deviated_instance is instance:  # the machine's own bid
+            continue
+        key = decision_key(deviated_instance) if decision_key else None
+        if i == prev_machine and key is not None and key == prev_key:
+            continue
+        prev_machine, prev_key = i, key
+        deviated = mechanism.run(deviated_instance)
         true_speed = instance.bids[i]
-        honest = (
-            truthful_outcome.payments[i]
-            - true_speed * truthful_outcome.allocation.workloads[i]
-        )
-        for dev, deviated_instance in instance.deviations(i, [d for d in grid if d != true_speed]):
-            deviated = mechanism.run(deviated_instance)
-            gained = (
-                deviated.payments[i] - true_speed * deviated.allocation.workloads[i]
+        gained = deviated.payments[i] - true_speed * deviated.allocation.workloads[i]
+        if honest[i] < gained:
+            return _verdict(
+                "truthfulness",
+                Counterexample(
+                    f"machine {i} profits by bidding {rat_str(dev)}",
+                    honest[i],
+                    ">=",
+                    gained,
+                    {"machine": i, "true_speed": rat_str(true_speed), "deviation": rat_str(dev)},
+                ),
             )
-            if honest < gained:
-                return _verdict(
-                    "truthfulness",
-                    Counterexample(
-                        f"machine {i} profits by bidding {rat_str(dev)}",
-                        honest,
-                        ">=",
-                        gained,
-                        {
-                            "machine": i,
-                            "true_speed": rat_str(true_speed),
-                            "deviation": rat_str(dev),
-                        },
-                    ),
-                )
     return _verdict("truthfulness", None)
 
 
@@ -261,28 +263,25 @@ def check_monotone(
     rule is skipped where its ``decision_key``, if any, repeats the last one."""
     grid = sorted(rats(deviation_grid)) if deviation_grid is not None else default_grid(instance)
     decision_key = getattr(rule, "decision_key", None)
-    for i in range(instance.m):
-        prev_bid = prev_w = prev_key = None
-        for bid, deviated in instance.deviations(i, grid):
-            key = decision_key(deviated) if decision_key else None
-            if key is None or key != prev_key:
-                w = rule(deviated).workloads[i]
-            if prev_w is not None and w > prev_w:
-                return _verdict(
-                    "monotonicity",
-                    Counterexample(
-                        f"machine {i} gains workload by raising its bid",
-                        w,
-                        "<=",
-                        prev_w,
-                        {
-                            "machine": i,
-                            "bid_low": rat_str(prev_bid),
-                            "bid_high": rat_str(bid),
-                        },
-                    ),
-                )
-            prev_bid, prev_w, prev_key = bid, w, key
+    prev_machine = None
+    for i, bid, deviated in instance.deviations(grid):
+        key = decision_key(deviated) if decision_key else None
+        if i == prev_machine and key is not None and key == prev_key:
+            prev_bid = bid  # the same workload as the last point
+            continue
+        w = rule(deviated).workloads[i]
+        if i == prev_machine and w > prev_w:
+            return _verdict(
+                "monotonicity",
+                Counterexample(
+                    f"machine {i} gains workload by raising its bid",
+                    w,
+                    "<=",
+                    prev_w,
+                    {"machine": i, "bid_low": rat_str(prev_bid), "bid_high": rat_str(bid)},
+                ),
+            )
+        prev_machine, prev_bid, prev_w, prev_key = i, bid, w, key
     return _verdict("monotonicity", None)
 
 

@@ -178,6 +178,20 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err == f"error: --grid takes strictly positive bids, got {shown}\n"
 
+    def test_a_lone_vcg_machine_profits_by_overbidding(self, capsys, instance_file):
+        """A lone machine is paid its own bid times L (the pivot is
+        vacuous), so the first default-grid bid above its own pays."""
+        path = instance_file(["3", "2"], ["2"])
+        code, out, err = run_cli(capsys, "check", "truthful", "vcg", path)
+        assert (code, err) == (1, "")
+        assert json.loads(out)["failures"][0]["verdict"]["counterexample"] == {
+            "description": "machine 0 profits by bidding 9/4",
+            "lhs": "0",
+            "relation": ">=",
+            "rhs": "5/4",
+            "context": {"machine": 0, "true_speed": "2", "deviation": "9/4"},
+        }
+
     def test_batch_is_seed_deterministic(self, capsys):
         args = ("check", "truthful", "vcg", "--random", "5", "--seed", "3",
                 "--grid", "1,2,3")

@@ -113,7 +113,8 @@ class TestInstance:
         assert inst.total_length == Fraction(11, 2)
         assert inst.scaled_jobs == (2, (5, 4, 2))
         assert (inst.bid_order, inst.bid_exponents) == ((0, 2, 1), (0, 1, 0))
-        deviated = dict(inst.deviations(0, ["7/3", 2, Fraction(1, 4), 2]))
+        deviated = {bid: copy for machine, bid, copy in inst.deviations(["7/3", 2, Fraction(1, 4), 2])
+                    if machine == 0}
         derived = [
             (inst.with_bid(0, "7/3"), (Fraction(7, 3), 2, 1)),
             (inst.with_bid(2, 5), (Fraction(3, 4), 2, 5)),
@@ -122,7 +123,7 @@ class TestInstance:
             (deviated[Fraction(7, 3)], (Fraction(7, 3), 2, 1)),
             (deviated[2], (2, 2, 1)),
             (deviated[Fraction(1, 4)], (Fraction(1, 4), 2, 1)),
-            (dict(inst.deviations(2, [5]))[5], (Fraction(3, 4), 2, 5)),
+            (list(inst.deviations([5]))[2][2], (Fraction(3, 4), 2, 5)),
         ]
         for got, bids in derived:
             fresh = Instance((1, Fraction(5, 2), 2), bids)
@@ -147,17 +148,20 @@ class TestInstance:
     def test_deviations_keep_with_bids_check_and_the_callers_grid(self):
         inst = Instance((3, 1), (2, 2, Fraction(1, 2)))
         grid = ["3", 2, Fraction(1, 2), 2, 8, Fraction(1, 2)]  # unsorted, repeated
-        for machine in range(inst.m):
-            pairs = list(inst.deviations(machine, grid))
-            assert [bid for bid, _ in pairs] == [rat(b) for b in grid]
-            for bid, got in pairs:
-                assert got == inst.with_bid(machine, bid)
-                assert got.bid_order == Instance(got.jobs, got.bids).bid_order
+        triples = list(inst.deviations(grid))
+        # machine by machine, each machine's grid in the caller's order
+        assert [(machine, bid) for machine, bid, _ in triples] == [
+            (machine, rat(b)) for machine in range(inst.m) for b in grid]
+        for machine, bid, got in triples:
+            assert got == inst.with_bid(machine, bid)
+            assert got.bid_order == Instance(got.jobs, got.bids).bid_order
+            # the machine's own bid yields the base itself
+            assert (got is inst) == (bid == inst.bids[machine])
         with pytest.raises(DomainError, match="^bids must be strictly positive$"):
-            next(inst.deviations(1, [0]))
+            next(inst.deviations([0]))
         # a bad bid raises when reached, as with_bid does point by point
-        lazy = inst.deviations(1, [1, -1])
-        assert next(lazy)[1] == inst.with_bid(1, 1)
+        lazy = inst.deviations([1, -1])
+        assert next(lazy) == (0, 1, inst.with_bid(0, 1))
         with pytest.raises(DomainError, match="^bids must be strictly positive$"):
             next(lazy)
 

@@ -257,21 +257,32 @@ def test_chains_cover_ties_powers_of_two_and_caller_grids():
     assert len(explicit) > 40 and sum(grid is None for _, grid in chains) > 30
     assert sum(len(set(g)) < len(g) for g in explicit) > 20
     assert sum(list(g) != sorted(g) for g in explicit) > 30
+    # grid bids equal to another machine's bid, where the deviator's place
+    # among the tied bids follows the index
+    assert sum(b != inst.bids[i] and b in inst.bids
+               for inst, grid in chains if grid for i in range(inst.m) for b in grid) > 50
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_deviated_allocations_and_payments_equal_the_reference(seed):
     inst, grid = draw_chain(seed)
     grid = grid if grid is not None else default_grid(inst)
-    for machine in range(inst.m):
-        for bid, deviated in inst.deviations(machine, grid):
-            reference = inst.with_bid(machine, bid)
-            assert deviated == reference
-            lpt = lpt_star(deviated)
-            assert lpt == reference_lpt_star(reference)
-            vcg = vcg_allocate(deviated)
-            assert vcg == reference_vcg_allocate(reference)
-            assert vcg_payments(deviated, vcg) == reference_vcg_payments(reference, vcg)
+    triples = list(inst.deviations(grid))
+    # machine by machine, each machine's grid in the caller's order
+    assert [(machine, bid) for machine, bid, _ in triples] == [
+        (machine, bid) for machine in range(inst.m) for bid in rats(grid)]
+    for machine, bid, deviated in triples:
+        reference = inst.with_bid(machine, bid)
+        assert deviated == reference
+        fresh = Instance(reference.jobs, reference.bids)
+        assert (deviated.bid_order, deviated.bid_exponents) == (fresh.bid_order, fresh.bid_exponents)
+        # a machine's own bid yields the base itself, any other bid a copy
+        assert (deviated is inst) == (bid == inst.bids[machine])
+        lpt = lpt_star(deviated)
+        assert lpt == reference_lpt_star(reference)
+        vcg = vcg_allocate(deviated)
+        assert vcg == reference_vcg_allocate(reference)
+        assert vcg_payments(deviated, vcg) == reference_vcg_payments(reference, vcg)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -336,8 +347,9 @@ def test_rules_with_a_decision_key_read_the_bids_only_through_it(seed):
     what they return on fresh instances: they read nothing the key omits."""
     inst, grid = draw_chain(seed)
     grid = grid if grid is not None else default_grid(inst)[::7]
-    copies = [d for machine in range(inst.m) for _, d in inst.deviations(machine, grid)]
-    copies += [inst.with_swapped_bids(0, inst.m - 1), inst.scaled(Fraction(3, 2))]
+    # the base itself (a machine's own bid) comes last: its bids are replaced too
+    copies = [d for _, _, d in inst.deviations(grid) if d is not inst]
+    copies += [inst.with_swapped_bids(0, inst.m - 1), inst.scaled(Fraction(3, 2)), inst]
     by_key = {}
     for copy in copies:
         fresh = Instance(copy.jobs, copy.bids)
@@ -376,3 +388,86 @@ def test_check_monotone_evaluates_where_the_key_changes_and_everywhere_without_o
     keyed, plain = _Counting(rule, keyed=True), _Counting(rule, keyed=False)
     assert check_monotone(keyed, inst, grid) == check_monotone(plain, inst, grid)
     assert (keyed.calls, plain.calls) == (changes, inst.m * len(points))
+
+
+# ---------------------------------------------------------------------------
+# Key safety: a keyed mechanism runs where its key changes, any other at
+# every grid point, with the reference's verdicts either way.
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """The names of the mechanisms ``Mechanism.run`` is called on."""
+    names = []
+    run = Mechanism.run
+
+    def counted(self, instance):
+        names.append(self.name)
+        return run(self, instance)
+
+    monkeypatch.setattr(Mechanism, "run", counted)
+    return names
+
+
+def _counted(runs, check, mechanism, inst, grid):
+    runs.clear()
+    verdict = check(mechanism, inst, grid)
+    return verdict, len(runs)
+
+
+def _key_changes(mechanism, inst, grid):
+    """One truthful run plus, per machine, the points of its grid (own bid
+    left out) where the key differs from the previous point's."""
+    changes = 1
+    for machine in range(inst.m):
+        keys = [mechanism.decision_key(inst.with_bid(machine, b))
+                for b in grid if b != inst.bids[machine]]
+        changes += sum(k == 0 or keys[k] != keys[k - 1] for k in range(len(keys)))
+    return changes
+
+
+def test_keyed_vcg_runs_where_its_key_changes_with_the_reference_verdicts(runs):
+    keyed = plain = 0
+    for seed in SEEDS:
+        inst, grid = draw_chain(seed)
+        grid = rats(grid) if grid is not None else default_grid(inst)
+        expected, reference_runs = _counted(runs, reference_check_truthful, vcg_mechanism, inst, grid)
+        verdict, keyed_runs = _counted(runs, check_truthful, vcg_mechanism, inst, grid)
+        assert verdict == expected
+        assert verdict == reference_check_truthful(reference_vcg_mechanism, inst, grid)
+        assert keyed_runs <= reference_runs
+        if verdict:  # every point was reached
+            assert keyed_runs == _key_changes(vcg_mechanism, inst, grid)
+        keyed, plain = keyed + keyed_runs, plain + reference_runs
+    assert keyed * 4 < plain
+
+
+def _flat_payments(instance, allocation):
+    return (Fraction(1),) * instance.m
+
+
+@pytest.mark.parametrize("mechanism", [
+    Mechanism("flat", vcg_allocate, _flat_payments),
+    Mechanism("vcg-unkeyed", vcg_allocate, vcg_payments),
+    bid_proportional_mechanism(vcg_allocate),
+    ef_chain_mechanism(lpt_star),
+], ids=["flat", "vcg-unkeyed", "bid-cost", "ef-chain"])
+def test_a_mechanism_without_a_key_runs_at_every_point(runs, mechanism):
+    assert mechanism.decision_key is None  # a keyed rule does not key the mechanism
+    for seed in SEEDS:
+        inst, grid = draw_chain(seed)
+        expected, reference_runs = _counted(runs, reference_check_truthful, mechanism, inst, grid)
+        assert _counted(runs, check_truthful, mechanism, inst, grid) == (expected, reference_runs)
+
+
+def test_a_lone_vcg_machine_profits_by_overbidding(runs):
+    """One machine is paid its own bid times L, so every overbid pays; the
+    key carries that bid, so the keyed check runs at every point."""
+    inst = Instance((3, 2), (2,))
+    verdict, keyed_runs = _counted(runs, check_truthful, vcg_mechanism, inst, None)
+    assert vcg_mechanism.decision_key(inst) == (0, Fraction(2))
+    assert verdict.counterexample.description == "machine 0 profits by bidding 9/4"
+    assert (verdict.counterexample.lhs, verdict.counterexample.rhs) == (0, Fraction(5, 4))
+    assert verdict == reference_check_truthful(reference_vcg_mechanism, inst)
+    # the truthful run, the seven bids below 2 and the failing 9/4
+    assert keyed_runs == 9
