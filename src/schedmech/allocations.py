@@ -263,6 +263,8 @@ def opt_makespan(
     the job.  All arithmetic stays rational, so the makespan is exact.
     """
     m, n = instance.m, instance.n
+    if budget < 1:
+        raise DomainError("the state budget must be at least 1")
     if m ** n > budget:
         raise BudgetExceeded(f"{m}^{n} assignments exceed state budget {budget}")
     speeds = instance.bids

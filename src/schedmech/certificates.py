@@ -615,24 +615,25 @@ def payment_polytope_feasible(
     """
     if machines < 1:
         raise DomainError("machines must be at least 1")
+    if profile_budget < 1:
+        raise DomainError("the profile budget must be at least 1")
     system = _polytope_rows(rule, bid_grid, jobs, machines, profile_budget)
     potentials, cycle = _difference_solve(system.n_vars, system.rows)
     if cycle is None:
+        # Payment t = p * machines + i, as an int over scale: the shifted
+        # utility plus machine i's scaled bid times its scaled workload.
         low = min(potentials)
-        payments = {
-            (i, b): Fraction(potentials[system.var[p * machines + i]] - low, system.scale)
-            + b[i] * w[i]
-            for p, (b, w) in enumerate(zip(system.profiles, system.workloads))
-            for i in range(machines)
-        }
-        _verify_witness(
-            system.grid, system.profiles, machines,
-            dict(zip(system.profiles, system.workloads)), payments,
-        )
+        _, g = scaled_to_ints(system.grid)
+        _, loads = scaled_to_ints([w for ws in system.workloads for w in ws])
+        bid_indices = itertools.chain.from_iterable(
+            itertools.product(range(len(g)), repeat=machines))
+        payments = [potentials[v] - low + g[d] * load
+                    for v, d, load in zip(system.var, bid_indices, loads)]
+        _verify_witness(system.grid, system.workloads, payments, system.scale)
+        texts = [",".join(map(rat_str, b)) for b in system.profiles]
         witness = {
-            f"p[{i}]({','.join(rat_str(x) for x in b)})": rat_str(payments[(i, b)])
-            for b in system.profiles
-            for i in range(machines)
+            f"p[{t % machines}]({texts[t // machines]})": rat_str(Fraction(x, system.scale))
+            for t, x in enumerate(payments)
         }
         return FeasibilityResult(
             True, witness, None, len(system.profiles), len(system.rows), system.notes
@@ -715,7 +716,9 @@ def _polytope_rows(rule, bid_grid, jobs, machines, profile_budget) -> _PolytopeR
     points = list(itertools.product(range(n), repeat=machines))
     # Raising machine i's grid index by one moves strides[i] profiles on.
     strides = [n ** (machines - 1 - i) for i in range(machines)]
-    workloads = [rule(Instance(jobs, b)).workloads for b in profiles]
+    # One Instance sorts and scales the jobs; every profile shares them.
+    base = Instance(jobs, profiles[0])
+    workloads = [rule(base._with_bids(b)).workloads for b in profiles]
     grid_scale, g = scaled_to_ints(grid)
     load_scale, flat = scaled_to_ints([w for ws in workloads for w in ws])
     wi = [flat[t: t + machines] for t in range(0, len(flat), machines)]
@@ -821,34 +824,39 @@ def _difference_solve(n_vars: int, rows):
     return None, cycle
 
 
-def _verify_witness(grid, profiles, machines, workloads, payments):
-    """Substitute payments into every original constraint in payment space,
-    reading a profile's workloads and payment vector by its bid tuple."""
-    table = {
-        b: (workloads[b], [payments[(i, b)] for i in range(machines)])
-        for b in profiles
-    }
-    for b, (w, p) in table.items():
-        for i in range(machines):
-            utility = p[i] - b[i] * w[i]
+def _verify_witness(grid, workloads, payments, scale):
+    """Substitute the payments, ints over ``scale``, into every original
+    constraint in payment space.  ``workloads`` lists the profiles of the
+    sorted ``grid`` in ``itertools.product`` order and payment ``t`` is
+    machine ``t % m``'s at profile ``t // m``.  The bids and workloads are
+    scaled to ints here and each profile is keyed by its grid indices, so
+    the check reads nothing of the rows it re-checks."""
+    m, n = len(workloads[0]), len(grid)
+    grid_scale, g = scaled_to_ints(grid)
+    load_scale, loads = scaled_to_ints([w for ws in workloads for w in ws])
+    if scale % (grid_scale * load_scale) or not len(payments) == len(loads) == m * n ** m:
+        raise AssertionError("witness scale or size does not fit the grid and workloads")
+    loads = [x * (scale // (grid_scale * load_scale)) for x in loads]
+    index = {idx: p * m for p, idx in enumerate(itertools.product(range(n), repeat=m))}
+    for idx, t in index.items():
+        for i, gi in enumerate(idx):
+            utility = payments[t + i] - g[gi] * loads[t + i]
             if not utility >= 0:
                 raise AssertionError("IR violated by witness")
-            for j in range(machines):
-                if j != i and not utility >= p[j] - b[i] * w[j]:
+            for j in range(m):
+                if j != i and not utility >= payments[t + j] - g[gi] * loads[t + j]:
                     raise AssertionError("EF violated by witness")
-            for d in grid:
-                if d == b[i]:
-                    continue
-                w_dev, p_dev = table[b[:i] + (d,) + b[i + 1:]]
-                if not utility >= p_dev[i] - b[i] * w_dev[i]:
-                    raise AssertionError("IC violated by witness")
-        for kpos in range(machines):
-            if b.count(b[kpos]) != 1:
+            for d in range(n):
+                if d != gi:
+                    s = index[idx[:i] + (d,) + idx[i + 1:]] + i
+                    if not utility >= payments[s] - g[gi] * loads[s]:
+                        raise AssertionError("IC violated by witness")
+        for k in range(m):
+            if idx.count(idx[k]) != 1:
                 continue
-            for lpos in range(machines):
-                if lpos == kpos:
-                    continue
-                swapped = list(b)
-                swapped[kpos], swapped[lpos] = swapped[lpos], swapped[kpos]
-                if not table[tuple(swapped)][1][lpos] == p[kpos]:
-                    raise AssertionError("anonymity violated by witness")
+            for l in range(m):
+                if l != k:
+                    swapped = list(idx)
+                    swapped[k], swapped[l] = swapped[l], swapped[k]
+                    if not payments[index[tuple(swapped)] + l] == payments[t + k]:
+                        raise AssertionError("anonymity violated by witness")

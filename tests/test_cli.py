@@ -417,6 +417,9 @@ BAD_INSTANCE_FILES = {
         ["check", "ef", "--bids=-2,1", "--workloads=1,-1", "--payments=1,1"],
         ["check", "le", "--bids=0,1", "--workloads=1,1"],
         ["check", "le", "--bids=1,1", "--workloads=1,-1"],
+        ["certify", "polytope", "--budget", "-5"],
+        ["check", "ratio", "lpt-star", "VALID_JSON", "--budget", "-1"],
+        ["allocate", "opt", "VALID_JSON", "--budget", "0"],
     ],
     ids=["instance-file-holds-a-list", "lemma6-expected-allocation-rule",
          "instance-jobs-not-a-list", "instance-jobs-a-string",
@@ -435,7 +438,8 @@ BAD_INSTANCE_FILES = {
          "allocate-seed-of-opt", "batch-options-with-explicit-vectors",
          "seed-with-an-instance-file", "straddle-with-an-instance-file",
          "parallel-jobs-with-an-instance-file", "explicit-negative-bid",
-         "explicit-zero-bid", "explicit-negative-workload"],
+         "explicit-zero-bid", "explicit-negative-workload",
+         "polytope-negative-budget", "ratio-negative-budget", "allocate-opt-zero-budget"],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     paths = {"MISSING_DIR_CSV": str(tmp_path / "missing" / "ratios.csv")}

@@ -34,14 +34,12 @@ def test_verdict_rejects_a_counterexample_that_holds_under_O():
 
 
 def test_witness_check_rejects_a_broken_ic_row_under_O():
-    # One machine on the grid {1, 2}: paid 5 at bid 2 against 3 at bid 1,
-    # the bid-1 type gains by deviating, so an IC row fails.
+    # One machine on the grid {1, 2}, workloads 3 and 0: paid 5 at bid 2
+    # against 3 at bid 1, the bid-1 type gains by deviating, so an IC row
+    # fails.  Payments are ints over the scale 1.
     proc = run_optimized(
         "from schedmech.certificates import _verify_witness\n"
-        "one, two = (F(1),), (F(2),)\n"
-        "_verify_witness((F(1), F(2)), [one, two], 1,\n"
-        "                {one: (F(3),), two: (F(0),)},\n"
-        "                {(0, one): F(3), (0, two): F(5)})\n"
+        "_verify_witness((F(1), F(2)), [(F(3),), (F(0),)], [3, 5], 1)\n"
     )
     assert proc.returncode != 0
     assert "AssertionError: IC violated by witness" in proc.stderr
