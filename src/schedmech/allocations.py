@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import lcm
 
 from .core import (
     Assignment,
@@ -18,6 +18,7 @@ from .core import (
     DomainError,
     ExpectedAllocation,
     Instance,
+    rat_str,
     scaled_to_ints,
 )
 from .workcurve import power_of_two_points, subset_ratio_points
@@ -151,6 +152,29 @@ vcg_allocate = VcgAllocate()
 two_machine_opt = TwoMachineOpt()
 
 
+def _at_lower_bound_ints(instance: Instance) -> tuple[int, int, int, list[int]]:
+    """``(lower, denominator, unit, inverses)``: ``at_lower_bound`` is
+    ``lower / denominator``, and the k-th machine in bid order gets a bin of
+    ``lower * inverses[k]`` against the job lengths scaled by D * unit.
+
+    D and E are the jobs' and the bids' common denominators, S the bids in
+    bid order times E, Q = lcm(S), H the prefix sums of Q // S and K = lcm(H):
+    each bound times D * E * K (the denominator) is an int; unit = K * Q.
+    """
+    denominator, lengths = instance.scaled_jobs
+    scale, speeds = scaled_to_ints([instance.bids[i] for i in instance.bid_order])
+    q = lcm(*speeds)
+    inverses = [q // s for s in speeds]
+    harmonics = list(itertools.accumulate(inverses))
+    k = lcm(*harmonics)
+    averages = [q * k // h for h in harmonics]
+    lower = max(
+        min(max(s * length * k, prefix * a) for s, a in zip(speeds, averages))
+        for length, prefix in zip(lengths, itertools.accumulate(lengths))
+    )
+    return lower, denominator * scale * k, k * q, inverses
+
+
 def at_lower_bound(instance: Instance) -> Fraction:
     """Exact max-min makespan lower bound used to size the fractional bins.
 
@@ -158,52 +182,50 @@ def at_lower_bound(instance: Instance) -> Fraction:
     max over job prefixes of min over machine prefixes of
     max(per-job bound, averaged-load bound).
     """
-    bids = [instance.bids[i] for i in instance.bid_order]
-    best = Fraction(0)
-    prefix = Fraction(0)
-    harmonics = list(itertools.accumulate(Fraction(1) / b for b in bids))
-    for length in instance.jobs:
-        prefix += length
-        inner = min(
-            max(bids[i] * length, prefix / harmonics[i]) for i in range(instance.m)
-        )
-        best = max(best, inner)
-    return best
+    lower, denominator, _, _ = _at_lower_bound_ints(instance)
+    return Fraction(lower, denominator)
 
 
 class AtFractional:
     """Fractional binning: bins sized lower-bound/bid in nondecreasing bid
     order, jobs poured longest-first and split at bin boundaries; the split
-    fractions double as each job's machine distribution."""
+    fractions double as each job's machine distribution.  The pour runs on
+    ints; shares and expected workloads become ``Fraction``s at the end."""
 
     name = "at-expected"
 
     def __call__(self, instance: Instance) -> ExpectedAllocation:
-        lower = at_lower_bound(instance)
-        order = instance.bid_order
-        sizes = [lower / instance.bids[i] for i in order]
-        if sum(sizes, Fraction(0)) < instance.total_length:
-            raise AssertionError(
-                "bin capacity below total length; lower bound violated"
-            )
-        distributions: list[dict[int, Fraction]] = []
-        bin_idx = 0
-        room = sizes[0]
-        for length in instance.jobs:
-            remaining = length
-            dist: dict[int, Fraction] = {}
+        lower, _, unit, inverses = _at_lower_bound_ints(instance)
+        denominator, lengths = instance.scaled_jobs
+        lengths = [length * unit for length in lengths]
+        sizes = [lower * inverse for inverse in inverses]
+        if sum(sizes) < sum(lengths):
+            raise AssertionError("bin capacity below total length; lower bound violated")
+        bins = iter(zip(instance.bid_order, sizes))
+        machine, room = next(bins)
+        expected = [0] * instance.m
+        distributions = []
+        for j, length in enumerate(lengths):
+            remaining, pieces = length, []
             while remaining > 0:
                 if room == 0:
-                    bin_idx += 1
-                    room = sizes[bin_idx]
+                    machine, room = next(bins)
                     continue
                 piece = min(remaining, room)
-                machine = order[bin_idx]
-                dist[machine] = dist.get(machine, Fraction(0)) + piece / length
+                pieces.append((machine, piece))
                 remaining -= piece
                 room -= piece
-            distributions.append(dist)
-        return ExpectedAllocation.from_distributions(instance, distributions)
+            # ExpectedAllocation.from_distributions' checks, on the ints
+            got = sum(piece for _, piece in pieces)
+            if got != length:
+                raise DomainError(f"job {j} distribution sums to {rat_str(Fraction(got, length))}")
+            for i, piece in pieces:
+                if piece <= 0 or not 0 <= i < instance.m:
+                    raise DomainError("invalid distribution entry")
+                expected[i] += piece
+            distributions.append(tuple(sorted((i, Fraction(p, length)) for i, p in pieces)))
+        workloads = tuple(Fraction(w, denominator * unit) for w in expected)
+        return ExpectedAllocation(workloads, tuple(distributions))
 
 
 at_fractional = AtFractional()
@@ -236,21 +258,6 @@ def at_sample(instance: Instance, rng) -> Assignment:
     return Assignment.from_map(instance, job_to_machine)
 
 
-def _fractional_completion_bound(
-    loads: list[Fraction], speeds: Sequence[Fraction], remaining: Fraction
-) -> Fraction:
-    """Water-filling lower bound: spread the remaining length fractionally."""
-    costs = sorted(range(len(speeds)), key=lambda i: loads[i] * speeds[i])
-    load_sum = Fraction(0)
-    inv_sum = Fraction(0)
-    for rank, i in enumerate(costs, 1):
-        load_sum += loads[i]
-        inv_sum += Fraction(1) / speeds[i]
-        level = (remaining + load_sum) / inv_sum
-        if rank == len(costs) or level <= loads[costs[rank]] * speeds[costs[rank]]:
-            return level
-
-
 def opt_makespan(
     instance: Instance, budget: int = OPT_STATE_BUDGET
 ) -> tuple[Assignment, Fraction]:
@@ -260,51 +267,61 @@ def opt_makespan(
     (finish time, index).  Prunes on the incumbent via the partial makespan
     and a fractional water-filling completion bound, and skips machines
     indistinguishable (same speed, same load) from one already tried for
-    the job.  All arithmetic stays rational, so the makespan is exact.
+    the job.  Loads are ints over the jobs' common denominator D and speeds
+    the bids times their common denominator E, so every finish time is the
+    exact one times D * E and the makespan is exact.
     """
     m, n = instance.m, instance.n
     if budget < 1:
         raise DomainError("the state budget must be at least 1")
     if m ** n > budget:
         raise BudgetExceeded(f"{m}^{n} assignments exceed state budget {budget}")
-    speeds = instance.bids
-    suffix_lengths = [Fraction(0)] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        suffix_lengths[j] = suffix_lengths[j + 1] + instance.jobs[j]
+    denominator, lengths = instance.scaled_jobs
+    scale, speeds = scaled_to_ints(instance.bids)
+    # The water-filling level over machines c is (remaining + loads) * Q /
+    # sum(Q // S_c), with Q the lcm of the speeds S: compared cross-multiplied.
+    q = lcm(*speeds)
+    inverses = [q // s for s in speeds]
+    suffix_lengths = list(itertools.accumulate(reversed(lengths), initial=0))[::-1]
 
-    best_assignment: list[int] = []
-    best_makespan: Optional[Fraction] = None
-    loads = [Fraction(0)] * m
+    best = best_assignment = best_loads = None
+    loads = [0] * m
     current = [0] * n
 
-    def dfs(j: int, partial_makespan: Fraction):
-        nonlocal best_makespan, best_assignment
-        if best_makespan is not None and partial_makespan >= best_makespan:
+    def dfs(j: int, partial_makespan: int):
+        nonlocal best, best_assignment, best_loads
+        if best is not None and partial_makespan >= best:
             return
         if j == n:
-            best_makespan = partial_makespan
-            best_assignment = current[:]
+            best, best_assignment, best_loads = partial_makespan, current[:], loads[:]
             return
-        if best_makespan is not None:
-            bound = _fractional_completion_bound(loads, speeds, suffix_lengths[j])
-            if max(partial_makespan, bound) >= best_makespan:
+        if best is not None:
+            costs = [load * speed for load, speed in zip(loads, speeds)]
+            costs_order = sorted(range(m), key=costs.__getitem__)
+            poured, inv_sum = suffix_lengths[j], 0
+            for rank, i in enumerate(costs_order, 1):
+                poured += loads[i]
+                inv_sum += inverses[i]
+                if rank == m or poured * q <= costs[costs_order[rank]] * inv_sum:
+                    break
+            if poured * q >= best * inv_sum:
                 return
-        length = instance.jobs[j]
-        order = sorted(range(m), key=lambda i: ((loads[i] + length) * speeds[i], i))
-        tried: set[tuple[Fraction, Fraction]] = set()
-        for i in order:
+        length = lengths[j]
+        keys = [(load + length) * speed for load, speed in zip(loads, speeds)]
+        tried: set[tuple[int, int]] = set()
+        for i in sorted(range(m), key=keys.__getitem__):  # stable: ties by index
             sig = (speeds[i], loads[i])
             if sig in tried:
                 continue
             tried.add(sig)
             loads[i] += length
             current[j] = i
-            dfs(j + 1, max(partial_makespan, loads[i] * speeds[i]))
+            dfs(j + 1, max(partial_makespan, keys[i]))
             loads[i] -= length
 
-    dfs(0, Fraction(0))
-    assignment = Assignment.from_map(instance, best_assignment)
-    return assignment, best_makespan
+    dfs(0, 0)
+    workloads = tuple(Fraction(load, denominator) for load in best_loads)
+    return Assignment(tuple(best_assignment), workloads), Fraction(best, denominator * scale)
 
 
 class OptRule:

@@ -429,17 +429,16 @@ def lemma6_g(
     if k <= 1:
         raise DomainError("k must exceed 1")
     jobs = rats(jobs)
+    base = Instance(jobs, (Fraction(1), Fraction(1)))
     # Scalability spot-check.
     for y in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 2), Fraction(2)):
-        verdict = check_scalable(
-            rule, Instance(jobs, (Fraction(1), y)), SCALING_FACTORS
-        )
+        verdict = check_scalable(rule, base.with_bid(1, y), SCALING_FACTORS)
         if not verdict:
             raise DomainError(f"rule is not scalable at competitor bid {rat_str(y)}")
     # Busy-below-k precondition: w(x, 1) > 0 for sampled x < k.
     for j in range(1, 16):
         x = k * Fraction(j, 16)
-        allocation = rule(Instance(jobs, (x, Fraction(1))))
+        allocation = rule(base.with_bid(0, x))
         if isinstance(allocation, ExpectedAllocation):
             raise DomainError(
                 "rule returns expected allocations; the g(k) integrals need "

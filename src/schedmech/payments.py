@@ -198,7 +198,8 @@ def extract_h(
         raise DomainError("need at least one probe bid")
     if min(probes) <= 0:
         raise DomainError("probe bid must be positive")
-    outcomes = [mechanism.run(Instance(jobs, (b, *others_bids))) for b in probes]
+    base = Instance(jobs, (probes[0], *others_bids))
+    outcomes = [mechanism.run(base.with_bid(0, b)) for b in probes]
     curve = _mechanism_curve(mechanism, jobs, others_bids, probes)
     values = [
         out.payments[0] - b * out.allocation.workloads[0] + integrate(curve, 0, b)

@@ -618,8 +618,10 @@ def expected_workcurve(
     hi_end = max(cap, support_end)
     points = sorted({c for c in candidates if 0 < c <= hi_end})
 
+    base = Instance(jobs_sorted, (a, a))
+
     def eval_expected(x: Fraction) -> Fraction:
-        return rule(Instance(jobs_sorted, (x, a))).expected_workloads[0]
+        return rule(base.with_bid(0, x)).expected_workloads[0]
 
     pieces: list[CurvePiece] = []
     edges = [Fraction(0)] + points

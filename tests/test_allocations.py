@@ -1,13 +1,13 @@
 import itertools
 import random
 from fractions import Fraction
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from schedmech.allocations import (
     OPT_STATE_BUDGET,
-    _fractional_completion_bound,
     at_fractional,
     at_lower_bound,
     at_sample,
@@ -33,6 +33,72 @@ def tlb_reference(instance):
             candidates.append(max(bids[i - 1] * instance.jobs[j - 1], prefix / harmonic))
         best = max(best, min(candidates))
     return best
+
+
+def _fractional_completion_bound(
+    loads: list[Fraction], speeds: Sequence[Fraction], remaining: Fraction
+) -> Fraction:
+    """Water-filling lower bound: spread the remaining length fractionally."""
+    costs = sorted(range(len(speeds)), key=lambda i: loads[i] * speeds[i])
+    load_sum = Fraction(0)
+    inv_sum = Fraction(0)
+    for rank, i in enumerate(costs, 1):
+        load_sum += loads[i]
+        inv_sum += Fraction(1) / speeds[i]
+        level = (remaining + load_sum) / inv_sum
+        if rank == len(costs) or level <= loads[costs[rank]] * speeds[costs[rank]]:
+            return level
+
+
+def fraction_opt_makespan(
+    instance: Instance, budget: int = OPT_STATE_BUDGET
+) -> tuple[Assignment, Fraction]:
+    """The package's ``Fraction`` ``opt_makespan`` before its search ran on
+    ints, kept verbatim (with ``_fractional_completion_bound`` above) as the
+    oracle of the integer search."""
+    m, n = instance.m, instance.n
+    if budget < 1:
+        raise DomainError("the state budget must be at least 1")
+    if m ** n > budget:
+        raise BudgetExceeded(f"{m}^{n} assignments exceed state budget {budget}")
+    speeds = instance.bids
+    suffix_lengths = [Fraction(0)] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        suffix_lengths[j] = suffix_lengths[j + 1] + instance.jobs[j]
+
+    best_assignment: list[int] = []
+    best_makespan: Optional[Fraction] = None
+    loads = [Fraction(0)] * m
+    current = [0] * n
+
+    def dfs(j: int, partial_makespan: Fraction):
+        nonlocal best_makespan, best_assignment
+        if best_makespan is not None and partial_makespan >= best_makespan:
+            return
+        if j == n:
+            best_makespan = partial_makespan
+            best_assignment = current[:]
+            return
+        if best_makespan is not None:
+            bound = _fractional_completion_bound(loads, speeds, suffix_lengths[j])
+            if max(partial_makespan, bound) >= best_makespan:
+                return
+        length = instance.jobs[j]
+        order = sorted(range(m), key=lambda i: ((loads[i] + length) * speeds[i], i))
+        tried: set[tuple[Fraction, Fraction]] = set()
+        for i in order:
+            sig = (speeds[i], loads[i])
+            if sig in tried:
+                continue
+            tried.add(sig)
+            loads[i] += length
+            current[j] = i
+            dfs(j + 1, max(partial_makespan, loads[i] * speeds[i]))
+            loads[i] -= length
+
+    dfs(0, Fraction(0))
+    assignment = Assignment.from_map(instance, best_assignment)
+    return assignment, best_makespan
 
 
 def reference_opt_makespan(instance, budget=OPT_STATE_BUDGET):
@@ -284,6 +350,39 @@ class TestOptMakespan:
             jobs = [rng.choice(job_pool[: rng.randint(1, 4)]) for _ in range(rng.randint(1, 8))]
             inst = Instance(jobs, [rng.choice(bid_pool) for _ in range(m)])
             assert opt_makespan(inst) == reference_opt_makespan(inst), inst.to_json_dict()
+
+    def test_integer_search_matches_the_fraction_search(self):
+        # Loads and speeds are rescaled to ints, so every key, signature,
+        # water level and prune must compare as the Fraction ones did.
+        rng = random.Random("opt-makespan-ints")
+        extremes = [Fraction(10 ** 12, 7), Fraction(1, 10 ** 9), Fraction(10 ** 9 + 1, 3)]
+
+        def bid():
+            kind = rng.randrange(5)
+            if kind == 0:  # at a power of two, or just either side of it
+                step = rng.choice((0, 0, 1, -1)) * Fraction(1, 2 ** rng.randint(2, 9))
+                return Fraction(2) ** rng.randint(-4, 5) * (1 + step)
+            if kind == 1:
+                return Fraction(rng.randint(1, 12), rng.randint(1, 7))
+            if kind == 2:
+                return rng.choice(extremes)
+            return Fraction(rng.randint(1, 4))
+
+        def job():
+            if rng.random() < 0.1:
+                return rng.choice(extremes)
+            return Fraction(rng.randint(1, 9), rng.randint(1, 7))
+
+        for _ in range(600):
+            m, n = rng.randint(1, 5), rng.randint(1, 8)
+            bids = [bid() for _ in range(m)]
+            if m > 1 and rng.random() < 0.4:
+                bids[rng.randrange(m)] = bids[rng.randrange(m)]  # a tie
+            jobs = [job() for _ in range(n)]
+            if n > 1 and rng.random() < 0.4:
+                jobs[rng.randrange(n)] = jobs[rng.randrange(n)]
+            inst = Instance(jobs, bids)
+            assert opt_makespan(inst) == fraction_opt_makespan(inst), inst.to_json_dict()
 
     def test_budget_guard(self):
         inst = Instance([1] * 12, [1] * 4)

@@ -8,15 +8,25 @@ get exactly right: equal keys (tie rules), bids on either side of a power
 of two, mixed job denominators and very large or very small rationals.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from schedmech.allocations import lpt_star, two_machine_opt, vcg_allocate
+from schedmech import allocations
+from schedmech.allocations import (
+    at_fractional,
+    at_lower_bound,
+    lpt_star,
+    opt_rule,
+    two_machine_opt,
+    vcg_allocate,
+)
 from schedmech.core import (
     Assignment,
     DomainError,
+    ExpectedAllocation,
     Instance,
     ceil_log2,
     rat,
@@ -89,6 +99,54 @@ def reference_lpt_star(instance):
             for j in jobs_in_bundle:
                 job_to_machine[j] = target
     return Assignment.from_map(instance, job_to_machine)
+
+
+def reference_at_lower_bound(instance: Instance) -> Fraction:
+    """Exact max-min makespan lower bound used to size the fractional bins.
+
+    With bids in nondecreasing order and jobs nonincreasing, this is
+    max over job prefixes of min over machine prefixes of
+    max(per-job bound, averaged-load bound).
+    """
+    bids = [instance.bids[i] for i in instance.bid_order]
+    best = Fraction(0)
+    prefix = Fraction(0)
+    harmonics = list(itertools.accumulate(Fraction(1) / b for b in bids))
+    for length in instance.jobs:
+        prefix += length
+        inner = min(
+            max(bids[i] * length, prefix / harmonics[i]) for i in range(instance.m)
+        )
+        best = max(best, inner)
+    return best
+
+
+def reference_at_fractional(instance: Instance) -> ExpectedAllocation:
+    lower = reference_at_lower_bound(instance)
+    order = instance.bid_order
+    sizes = [lower / instance.bids[i] for i in order]
+    if sum(sizes, Fraction(0)) < instance.total_length:
+        raise AssertionError(
+            "bin capacity below total length; lower bound violated"
+        )
+    distributions: list[dict[int, Fraction]] = []
+    bin_idx = 0
+    room = sizes[0]
+    for length in instance.jobs:
+        remaining = length
+        dist: dict[int, Fraction] = {}
+        while remaining > 0:
+            if room == 0:
+                bin_idx += 1
+                room = sizes[bin_idx]
+                continue
+            piece = min(remaining, room)
+            machine = order[bin_idx]
+            dist[machine] = dist.get(machine, Fraction(0)) + piece / length
+            remaining -= piece
+            room -= piece
+        distributions.append(dist)
+    return ExpectedAllocation.from_distributions(instance, distributions)
 
 
 def reference_vcg_payments(instance, assignment):
@@ -178,7 +236,9 @@ def test_lpt_star_matches_fraction_reference(m):
         assert _same_assignment(got, want), inst.to_json_dict()
 
 
-@pytest.mark.parametrize("rule", [lpt_star, vcg_allocate, two_machine_opt], ids=lambda r: r.name)
+@pytest.mark.parametrize(
+    "rule", [lpt_star, vcg_allocate, two_machine_opt, opt_rule], ids=lambda r: r.name
+)
 def test_workloads_equal_from_map_of_the_rules_own_map(rule):
     # The rules build their workloads from the integer loads they already
     # hold; summing the job lengths along their own map must agree.
@@ -222,3 +282,40 @@ def test_vcg_payments_match_the_clarke_definition():
             allocation = vcg_allocate(inst)
             got = vcg_payments(inst, allocation)
             assert got == reference_vcg_payments(inst, allocation), inst.to_json_dict()
+
+
+def _binning_profiles(rng):
+    """Seeded binning-rule inputs: the theorem-7 profiles (jobs 2 and 1
+    against a competitor bidding 1, own bid across every piece of the
+    expected curve), one machine, tied bids, and up to six machines."""
+    for x in sorted({F(k, 12) for k in range(1, 49)} | {F(2, 5), F(5, 2), F(7, 3)}):
+        yield Instance((2, 1), (x, 1))
+    for _ in range(120):
+        yield Instance(_jobs(rng, rng.randint(1, 8)), [_bid(rng)])
+    for _ in range(380):
+        m = rng.randint(2, 6)
+        bids = _profile(rng, m)
+        if rng.random() < 0.3:
+            bids = [bids[0]] * m  # every bid tied
+        yield Instance(_jobs(rng, rng.randint(1, 8)), bids)
+
+
+def test_binning_rule_matches_fraction_reference():
+    profiles = list(_binning_profiles(random.Random("at-expected")))
+    assert len(profiles) >= 500
+    for inst in profiles:
+        assert at_lower_bound(inst) == reference_at_lower_bound(inst), inst.to_json_dict()
+        got = at_fractional(inst)
+        assert got == reference_at_fractional(inst), inst.to_json_dict()
+        assert all(type(w) is Fraction for w in got.expected_workloads)
+
+
+def test_binning_rule_refuses_bins_below_the_total_length(monkeypatch):
+    # The bound always fills the bins; a halved one must trip the check.
+    bound = allocations._at_lower_bound_ints
+    monkeypatch.setattr(
+        allocations, "_at_lower_bound_ints",
+        lambda instance: (bound(instance)[0] // 2, *bound(instance)[1:]),
+    )
+    with pytest.raises(AssertionError, match="bin capacity below total length"):
+        at_fractional(Instance((2, 1), (1, F(3, 2))))

@@ -1,12 +1,16 @@
 """Exact CLI output of ``certify polytope`` on fixed grids.
 
-Feasible and infeasible two-machine grids, three machines on a two-value
-grid with ``opt`` and on the six-point grid with ``lpt-star``, and a
-one-value grid at the largest machine count its budget admits: the exit
-code and stdout of each are pinned in ``polytope_golden.json``, recorded
-from the ``Fraction``-tableau simplex.  A faster simplex, row builder or
-Bellman–Ford cannot change a witness, an infeasible subset or a note
-unnoticed.  To record the file again from the code on ``PYTHONPATH``:
+Feasible and infeasible two-machine grids, ``opt`` and ``at-expected`` on
+a two-machine grid with mixed bid and job denominators, three machines on
+a two-value grid with ``opt`` and on the six-point grid with ``lpt-star``
+and ``at-expected``, and a one-value grid at the largest machine count its
+budget admits: the exit code and stdout of each are pinned in
+``polytope_golden.json``, recorded from the ``Fraction``-tableau simplex
+(the mixed-denominator and three-machine ``at-expected`` cases from the
+``Fraction`` ``opt_makespan`` and binning rule).  A faster simplex, row
+builder, Bellman–Ford or rule kernel cannot change a witness, an
+infeasible subset or a note unnoticed.  To record the file again from the
+code on ``PYTHONPATH``:
 
     PYTHONPATH=src python tests/test_polytope_golden.py --write
 """
@@ -38,6 +42,10 @@ ARGVS = (
     # three machines
     ["--machines", "3", "--grid", "1,2", "--rule", "opt"],
     ["--machines", "3", "--rule", "lpt-star", "--grid", SIX_POINTS, "--jobs", "3,2,2,1"],
+    ["--machines", "3", "--rule", "at-expected", "--grid", SIX_POINTS, "--jobs", "3,2,2,1"],
+    # two machines, mixed job and bid denominators
+    ["--rule", "opt", "--grid", "3/8,5/4,3", "--jobs", "5/2,4/3,1"],
+    ["--rule", "at-expected", "--grid", "3/8,5/4,3", "--jobs", "5/2,4/3,1"],
     # one-value grid at the budget's machine cap
     ["--grid", "1", "--jobs", "1", "--machines", "12"],
 )
