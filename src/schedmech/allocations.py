@@ -215,7 +215,7 @@ class AtFractional:
                 pieces.append((machine, piece))
                 remaining -= piece
                 room -= piece
-            # ExpectedAllocation.from_distributions' checks, on the ints
+            # The one check of a job distribution, on the ints
             got = sum(piece for _, piece in pieces)
             if got != length:
                 raise DomainError(f"job {j} distribution sums to {rat_str(Fraction(got, length))}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -580,14 +580,8 @@ class FeasibilityResult:
     notes: list[str]
 
     def to_json_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "witness": self.witness,
-            "infeasible_subset": self.infeasible_subset,
-            "n_profiles": self.n_profiles,
-            "n_constraints": self.n_constraints,
-            "notes": self.notes,
-        }
+        # Not ``dataclasses.asdict``: it deep-copies every witness entry.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def payment_polytope_feasible(
@@ -622,12 +616,9 @@ def payment_polytope_feasible(
         # Payment t = p * machines + i, as an int over scale: the shifted
         # utility plus machine i's scaled bid times its scaled workload.
         low = min(potentials)
-        _, g = scaled_to_ints(system.grid)
-        _, loads = scaled_to_ints([w for ws in system.workloads for w in ws])
-        bid_indices = itertools.chain.from_iterable(
-            itertools.product(range(len(g)), repeat=machines))
-        payments = [potentials[v] - low + g[d] * load
-                    for v, d, load in zip(system.var, bid_indices, loads)]
+        bid_indices = itertools.chain.from_iterable(system.points)
+        payments = [potentials[v] - low + system.g[d] * load
+                    for v, d, load in zip(system.var, bid_indices, system.loads)]
         _verify_witness(system.grid, system.workloads, payments, system.scale)
         texts = [",".join(map(rat_str, b)) for b in system.profiles]
         witness = {
@@ -659,10 +650,11 @@ def payment_polytope_feasible(
 class _PolytopeRows(NamedTuple):
     """The grid payment polytope on integers.
 
-    Profile ``p`` is ``profiles[p]`` (in ``itertools.product`` order) and
-    the rule gives it ``workloads[p]``; machine ``i``'s variable at ``p`` is
-    ``var[p * machines + i]`` after the anonymity merges.  Each row
-    ``(head, tail, is_eq, rhs, label_spec)`` reads
+    Profile ``p`` is ``profiles[p]`` (in ``itertools.product`` order), at
+    grid indices ``points[p]``; the rule gives it ``workloads[p]``, flat and
+    scaled to ints in ``loads`` (the grid in ``g``).  Machine ``i``'s
+    variable at ``p`` is ``var[p * machines + i]`` after the anonymity
+    merges.  Each row ``(head, tail, is_eq, rhs, label_spec)`` reads
     ``u[head] - u[tail] (== if is_eq else >=) rhs / scale``, where
     ``scale`` is the lcm of the grid denominators times the lcm of the
     workload denominators, so every ``rhs`` is an exact int.
@@ -671,7 +663,10 @@ class _PolytopeRows(NamedTuple):
 
     grid: tuple
     profiles: list
+    points: list
     workloads: list
+    g: list
+    loads: list
     scale: int
     var: list
     n_vars: int
@@ -719,8 +714,8 @@ def _polytope_rows(rule, bid_grid, jobs, machines, profile_budget) -> _PolytopeR
     base = Instance(jobs, profiles[0])
     workloads = [rule(base._with_bids(b)).workloads for b in profiles]
     grid_scale, g = scaled_to_ints(grid)
-    load_scale, flat = scaled_to_ints([w for ws in workloads for w in ws])
-    wi = [flat[t: t + machines] for t in range(0, len(flat), machines)]
+    load_scale, loads = scaled_to_ints([w for ws in workloads for w in ws])
+    wi = [loads[t: t + machines] for t in range(0, len(loads), machines)]
     notes: list[str] = []
     n_vars = len(profiles) * machines
     # Union-find over the variables; a merge keeps the smaller root.
@@ -770,9 +765,8 @@ def _polytope_rows(rule, bid_grid, jobs, machines, profile_budget) -> _PolytopeR
                     q = p + (d - gi) * strides[i]
                     rows.append((u[i], var[q * machines + i], False,
                                  (g[d] - g[gi]) * wi[q][i], ("IC", p, i, d)))
-    return _PolytopeRows(
-        grid, profiles, workloads, grid_scale * load_scale, var, n_vars, rows, notes
-    )
+    return _PolytopeRows(grid, profiles, points, workloads, g, loads,
+                         grid_scale * load_scale, var, n_vars, rows, notes)
 
 
 def _difference_solve(n_vars: int, rows):

@@ -19,7 +19,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import certificates
@@ -47,6 +46,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+ProcessPoolExecutor = None  # None: concurrent.futures' pool, imported only to start one
 
 
 class UsageError(Exception):
@@ -217,7 +217,8 @@ def cmd_check(args) -> int:
     )
     workers = min(workers, len(instances))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        from concurrent import futures
+        with (ProcessPoolExecutor or futures.ProcessPoolExecutor)(max_workers=workers) as pool:
             verdicts = list(pool.map(check, instances, chunksize=8))
     else:
         verdicts = [check(inst) for inst in instances]

@@ -299,27 +299,6 @@ class ExpectedAllocation:
     expected_workloads: tuple[Fraction, ...]
     job_distributions: tuple[tuple[tuple[int, Fraction], ...], ...]
 
-    @classmethod
-    def from_distributions(
-        cls,
-        instance: Instance,
-        job_distributions: Sequence[Mapping[int, Fraction]],
-    ) -> "ExpectedAllocation":
-        if len(job_distributions) != instance.n:
-            raise DimensionMismatch("one distribution per job required")
-        expected = [Fraction(0)] * instance.m
-        dists = []
-        for j, dist in enumerate(job_distributions):
-            total = sum(dist.values(), Fraction(0))
-            if total != 1:
-                raise DomainError(f"job {j} distribution sums to {rat_str(total)}")
-            for i, p in dist.items():
-                if p < 0 or not 0 <= i < instance.m:
-                    raise DomainError("invalid distribution entry")
-                expected[i] += instance.jobs[j] * p
-            dists.append(tuple(sorted((i, p) for i, p in dist.items() if p > 0)))
-        return cls(tuple(expected), tuple(dists))
-
     @property
     def m(self) -> int:
         return len(self.expected_workloads)

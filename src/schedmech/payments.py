@@ -26,7 +26,7 @@ from .core import (
     rat_str,
     rats,
 )
-from .properties import local_efficiency_violation
+from .properties import aligned, local_efficiency_violation
 from .workcurve import WorkCurve, build_workcurve, integrate
 
 
@@ -73,10 +73,7 @@ def ef_chain_payments(
     its own bid times the workload increment.  Bid ties keep their original
     relative order.
     """
-    bids = rats(bids)
-    workloads = rats(workloads)
-    if len(bids) != len(workloads):
-        raise DomainError("bids and workloads must have equal length")
+    bids, workloads = aligned(bids, workloads)
     if local_efficiency_violation(bids, workloads) is not None:
         raise NotLocallyEfficient(
             "chain payments require locally efficient workloads"

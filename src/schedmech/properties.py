@@ -94,6 +94,15 @@ def default_grid(instance: Instance, points: int = 64) -> tuple[Fraction, ...]:
     return tuple(grid)
 
 
+def aligned(*vectors: Sequence[RationalLike]) -> tuple[tuple[Fraction, ...], ...]:
+    """Bids, workloads and maybe payments as ``Fraction`` tuples of one length."""
+    vectors = tuple(map(rats, vectors))
+    if len({len(v) for v in vectors}) > 1:
+        raise DomainError("bids and workloads must have equal length" if len(vectors) == 2
+                          else "bids, workloads and payments must align")
+    return vectors
+
+
 def local_efficiency_violation(
     bids: Sequence[Fraction], workloads: Sequence[Fraction]
 ) -> Optional[tuple[int, int]]:
@@ -117,10 +126,7 @@ def check_local_efficiency(
     definition is cross-checked, which must agree by the rearrangement
     inequality, and its counterexample is the one reported.
     """
-    bids = rats(bids)
-    workloads = rats(workloads)
-    if len(bids) != len(workloads):
-        raise DomainError("bids and workloads must have equal length")
+    bids, workloads = aligned(bids, workloads)
     pair = local_efficiency_violation(bids, workloads)
     ce = None
     if len(bids) <= PERMUTATION_CHECK_LIMIT:
@@ -165,9 +171,7 @@ def check_envy_free(
     payments: Sequence[RationalLike],
 ) -> PropertyVerdict:
     """No machine prefers another's workload-payment bundle at its own bid."""
-    bids, workloads, payments = rats(bids), rats(workloads), rats(payments)
-    if not len(bids) == len(workloads) == len(payments):
-        raise DomainError("bids, workloads and payments must align")
+    bids, workloads, payments = aligned(bids, workloads, payments)
     for i in range(len(bids)):
         own = payments[i] - bids[i] * workloads[i]
         for j in range(len(bids)):
@@ -194,7 +198,7 @@ def check_ir(
     payments: Sequence[RationalLike],
 ) -> PropertyVerdict:
     """Payment covers cost at the reported profile for every machine."""
-    bids, workloads, payments = rats(bids), rats(workloads), rats(payments)
+    bids, workloads, payments = aligned(bids, workloads, payments)
     for i in range(len(bids)):
         u = payments[i] - bids[i] * workloads[i]
         if u < 0:

@@ -7,7 +7,6 @@ from schedmech.core import (
     Assignment,
     DimensionMismatch,
     DomainError,
-    ExpectedAllocation,
     Instance,
     Outcome,
     ceil_log2,
@@ -17,6 +16,7 @@ from schedmech.core import (
     rounded_speed,
     utility,
 )
+from test_integer_kernels import reference_from_distributions
 
 positive_fractions = st.fractions(
     min_value=Fraction(1, 64), max_value=64, max_denominator=64
@@ -202,16 +202,18 @@ class TestAssignment:
 
 
 class TestExpectedAllocation:
+    # The earlier ``ExpectedAllocation.from_distributions``, now the oracle of
+    # the binning rule's pour in tests/test_integer_kernels.py.
     def test_distributions_must_sum_to_one(self):
         inst = Instance((2, 1), (1, 1))
         with pytest.raises(DomainError):
-            ExpectedAllocation.from_distributions(
+            reference_from_distributions(
                 inst, [{0: Fraction(1, 2)}, {0: Fraction(1)}]
             )
 
     def test_expected_workloads(self):
         inst = Instance((2, 1), (1, 1))
-        e = ExpectedAllocation.from_distributions(
+        e = reference_from_distributions(
             inst, [{0: Fraction(1, 2), 1: Fraction(1, 2)}, {1: Fraction(1)}]
         )
         assert e.expected_workloads == (1, 2)

@@ -11,6 +11,7 @@ of two, mixed job denominators and very large or very small rationals.
 import itertools
 import random
 from fractions import Fraction
+from typing import Mapping, Sequence
 
 import pytest
 
@@ -25,6 +26,7 @@ from schedmech.allocations import (
 )
 from schedmech.core import (
     Assignment,
+    DimensionMismatch,
     DomainError,
     ExpectedAllocation,
     Instance,
@@ -121,6 +123,26 @@ def reference_at_lower_bound(instance: Instance) -> Fraction:
     return best
 
 
+def reference_from_distributions(
+    instance: Instance,
+    job_distributions: Sequence[Mapping[int, Fraction]],
+) -> ExpectedAllocation:
+    if len(job_distributions) != instance.n:
+        raise DimensionMismatch("one distribution per job required")
+    expected = [Fraction(0)] * instance.m
+    dists = []
+    for j, dist in enumerate(job_distributions):
+        total = sum(dist.values(), Fraction(0))
+        if total != 1:
+            raise DomainError(f"job {j} distribution sums to {rat_str(total)}")
+        for i, p in dist.items():
+            if p < 0 or not 0 <= i < instance.m:
+                raise DomainError("invalid distribution entry")
+            expected[i] += instance.jobs[j] * p
+        dists.append(tuple(sorted((i, p) for i, p in dist.items() if p > 0)))
+    return ExpectedAllocation(tuple(expected), tuple(dists))
+
+
 def reference_at_fractional(instance: Instance) -> ExpectedAllocation:
     lower = reference_at_lower_bound(instance)
     order = instance.bid_order
@@ -146,7 +168,7 @@ def reference_at_fractional(instance: Instance) -> ExpectedAllocation:
             remaining -= piece
             room -= piece
         distributions.append(dist)
-    return ExpectedAllocation.from_distributions(instance, distributions)
+    return reference_from_distributions(instance, distributions)
 
 
 def reference_vcg_payments(instance, assignment):

@@ -48,6 +48,10 @@ class TestEfChainPayments:
         with pytest.raises(NotLocallyEfficient):
             ef_chain_payments((1, 2), (1, 2))
 
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(DomainError, match="^bids and workloads must have equal length$"):
+            ef_chain_payments((2, 1), (1,))
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 6))
     def test_chain_is_always_envy_free(self, seed):

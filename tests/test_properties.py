@@ -12,7 +12,7 @@ from schedmech.allocations import (
     two_machine_opt,
     vcg_allocate,
 )
-from schedmech.core import Assignment, Instance
+from schedmech.core import Assignment, DomainError, Instance
 from schedmech.payments import (
     Mechanism,
     extract_h,
@@ -62,6 +62,10 @@ class TestLocalEfficiency:
     def test_equal_workloads_pass_for_any_bids(self):
         assert check_local_efficiency((5, 1, 3), (2, 2, 2)).passed
 
+    def test_unequal_lengths_are_refused(self):
+        with pytest.raises(DomainError, match="^bids and workloads must have equal length$"):
+            check_local_efficiency((1, 2), (1, 2, 3))
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 6))
     def test_pairwise_matches_permutation_enumeration(self, seed):
@@ -109,12 +113,24 @@ class TestEnvyFree:
         assert not verdict.passed
         assert verdict.counterexample.violation_holds()
 
+    def test_misaligned_vectors_are_refused(self):
+        with pytest.raises(DomainError, match="^bids, workloads and payments must align$"):
+            check_envy_free((1, 2), (3, 0), (0,))
+
 
 class TestIr:
     def test_examples(self):
         assert check_ir((2, 1), (1, 2), (2, 3)).passed
         assert check_ir((2, 1), (0, 0), (0, 0)).passed
         assert not check_ir((2,), (1,), (1,)).passed
+
+    @pytest.mark.parametrize("bids, workloads, payments", [
+        ((1, 2), (1,), (1,)),  # once an IndexError
+        ((1,), (1, 2), (5, 0)),  # once a silent pass
+    ])
+    def test_misaligned_vectors_are_refused(self, bids, workloads, payments):
+        with pytest.raises(DomainError, match="^bids, workloads and payments must align$"):
+            check_ir(bids, workloads, payments)
 
 
 class TestTruthful:

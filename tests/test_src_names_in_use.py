@@ -1,6 +1,6 @@
-"""Every module-level function and class in the package has a use there,
-every local a function assigns is read, and no module imports another
-module's private names.
+"""Every module-level function and class in the package, and every method,
+has a use there, every local a function assigns is read, and no module
+imports another module's private names.
 
 A definition must be named somewhere in ``src/schedmech`` other than in
 its own body and in ``__init__.py``, or be exported through
@@ -8,6 +8,7 @@ its own body and in ``__init__.py``, or be exported through
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -47,6 +48,54 @@ def unused_definitions():
 
 def test_every_definition_is_used_in_the_package_or_exported():
     assert unused_definitions() == []
+
+
+# Methods kept with no caller in the package, each with its reason.
+UNCALLED_METHODS = {
+    "workcurve.py:WorkCurve.monotonicity_violations":
+        "ROADMAP item 5's continuum monotonicity check calls it",
+}
+
+
+def unused_methods():
+    """``module:Class.method`` for each non-dunder method that nothing in
+    the package names outside its own body.  A string (``getattr(rule,
+    "breakpoint_hints", None)``) names it too, and an override of a base
+    class's method is used by that base."""
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+
+    def names(node):
+        yield from _names(node)
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                yield sub.value
+
+    uses = Counter(name for tree in trees.values() for name in names(tree))
+    unused = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            module_object = importlib.import_module(f"schedmech.{module[:-3]}")
+            bases = getattr(module_object, cls.name).__mro__[1:]
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                own = sum(1 for name in names(node) if name == node.name)
+                if uses[node.name] == own and not any(node.name in vars(b) for b in bases):
+                    unused.append(f"{module}:{cls.name}.{node.name}")
+    return unused
+
+
+def test_every_method_is_used_in_the_package():
+    # An allowed method that gains a caller leaves the list.
+    assert sorted(unused_methods()) == sorted(UNCALLED_METHODS)
 
 
 def dead_stores():
