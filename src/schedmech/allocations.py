@@ -18,7 +18,6 @@ from .core import (
     DomainError,
     ExpectedAllocation,
     Instance,
-    rat_str,
     scaled_to_ints,
 )
 from .workcurve import power_of_two_points, subset_ratio_points
@@ -205,7 +204,7 @@ class AtFractional:
         machine, room = next(bins)
         expected = [0] * instance.m
         distributions = []
-        for j, length in enumerate(lengths):
+        for length in lengths:
             remaining, pieces = length, []
             while remaining > 0:
                 if room == 0:
@@ -213,16 +212,9 @@ class AtFractional:
                     continue
                 piece = min(remaining, room)
                 pieces.append((machine, piece))
+                expected[machine] += piece
                 remaining -= piece
                 room -= piece
-            # The one check of a job distribution, on the ints
-            got = sum(piece for _, piece in pieces)
-            if got != length:
-                raise DomainError(f"job {j} distribution sums to {rat_str(Fraction(got, length))}")
-            for i, piece in pieces:
-                if piece <= 0 or not 0 <= i < instance.m:
-                    raise DomainError("invalid distribution entry")
-                expected[i] += piece
             distributions.append(tuple(sorted((i, Fraction(p, length)) for i, p in pieces)))
         workloads = tuple(Fraction(w, denominator * unit) for w in expected)
         return ExpectedAllocation(workloads, tuple(distributions))

@@ -29,7 +29,6 @@ from .allocations import (
 from .core import (
     BudgetExceeded,
     DomainError,
-    ExpectedAllocation,
     Instance,
     RationalLike,
     compare,
@@ -438,13 +437,7 @@ def lemma6_g(
     # Busy-below-k precondition: w(x, 1) > 0 for sampled x < k.
     for j in range(1, 16):
         x = k * Fraction(j, 16)
-        allocation = rule(base.with_bid(0, x))
-        if isinstance(allocation, ExpectedAllocation):
-            raise DomainError(
-                "rule returns expected allocations; the g(k) integrals need "
-                "deterministic workloads"
-            )
-        if allocation.workloads[0] == 0:
+        if rule(base.with_bid(0, x)).workloads[0] == 0:
             raise DomainError(
                 f"rule idles the machine bidding {rat_str(x)} against bid 1, "
                 f"violating the busy-below-{rat_str(k)} precondition"

@@ -68,10 +68,10 @@ def ef_chain_payments(
 ) -> tuple[Fraction, ...]:
     """Envy-free payments for locally efficient workloads.
 
-    With indices ordered by nonincreasing bid, the slowest machine is paid
-    its full cost and each faster machine is paid the previous payment plus
-    its own bid times the workload increment.  Bid ties keep their original
-    relative order.
+    With indices ordered by nonincreasing bid, each machine is paid the
+    previous payment plus its own bid times the workload increment, from
+    payment 0 at workload 0, so the slowest machine is paid its full cost.
+    Bid ties keep their original relative order.
     """
     bids, workloads = aligned(bids, workloads)
     if local_efficiency_violation(bids, workloads) is not None:
@@ -80,13 +80,9 @@ def ef_chain_payments(
         )
     order = sorted(range(len(bids)), key=lambda i: (-bids[i], i))
     payments = [Fraction(0)] * len(bids)
-    prev_payment = None
-    prev_workload = None
+    prev_payment = prev_workload = Fraction(0)
     for i in order:
-        if prev_payment is None:
-            payments[i] = bids[i] * workloads[i]
-        else:
-            payments[i] = prev_payment + bids[i] * (workloads[i] - prev_workload)
+        payments[i] = prev_payment + bids[i] * (workloads[i] - prev_workload)
         prev_payment, prev_workload = payments[i], workloads[i]
     return tuple(payments)
 
@@ -193,8 +189,6 @@ def extract_h(
     probes = rats(probes)
     if not probes:
         raise DomainError("need at least one probe bid")
-    if min(probes) <= 0:
-        raise DomainError("probe bid must be positive")
     base = Instance(jobs, (probes[0], *others_bids))
     outcomes = [mechanism.run(base.with_bid(0, b)) for b in probes]
     curve = _mechanism_curve(mechanism, jobs, others_bids, probes)

@@ -29,6 +29,7 @@ from .core import (
 )
 
 PERMUTATION_CHECK_LIMIT = 6
+GRID_STEPS = 64
 # The bid scalings every scalability check in the package tries.
 SCALING_FACTORS = (Fraction(2), Fraction(1, 3), Fraction(7, 5))
 
@@ -82,11 +83,11 @@ def _verdict(prop: str, ce: Optional[Counterexample]) -> PropertyVerdict:
     return PropertyVerdict(prop, ce)
 
 
-def default_grid(instance: Instance, points: int = 64) -> tuple[Fraction, ...]:
-    """Deviation bids in increasing order: j/8 steps scaled by the largest
-    bid, plus the bids."""
+def default_grid(instance: Instance) -> tuple[Fraction, ...]:
+    """Deviation bids in increasing order: j/8 of the largest bid for
+    j = 1..GRID_STEPS, plus the bids."""
     scale = max(instance.bids)
-    grid = [Fraction(scale.numerator * j, scale.denominator * 8) for j in range(1, points + 1)]
+    grid = [Fraction(scale.numerator * j, scale.denominator * 8) for j in range(1, GRID_STEPS + 1)]
     for bid in instance.bids:
         k = bisect.bisect_left(grid, bid)
         if grid[k:k + 1] != [bid]:

@@ -296,7 +296,8 @@ def _response_eval(rule, bids, jobs, machine: int) -> Callable[[Fraction], Fract
         result = rule(base.with_bid(machine, x))
         if isinstance(result, ExpectedAllocation):
             raise DomainError(
-                "rule returns expected allocations; use expected_workcurve"
+                "rule returns expected allocations; bid-response curves need "
+                "deterministic workloads"
             )
         return result.workloads[0]
 
@@ -595,16 +596,14 @@ def expected_workcurve(
     if len(others_bids) > 1:
         raise DomainError("symbolic expected curves support two machines only")
     a = others_bids[0]
-    jobs_sorted = tuple(sorted(jobs, reverse=True))
-    prefixes = list(itertools.accumulate(jobs_sorted))
-    L = prefixes[-1]
-    l_min = jobs_sorted[-1]
+    base = Instance(jobs, (a, a))
+    L, l_min = base.total_length, base.jobs[-1]
 
     # Candidate expressions the lower bound can equal, as (n0,n1,d0,d1)
     # encoding (n0+n1*x)/(d0+d1*x).
     exprs: set[tuple[Fraction, Fraction, Fraction, Fraction]] = set()
     zero, one = Fraction(0), Fraction(1)
-    for l, P in zip(jobs_sorted, prefixes):
+    for l, P in zip(base.jobs, itertools.accumulate(base.jobs)):
         exprs.add((a * l, zero, one, zero))  # competitor per-job bound
         exprs.add((zero, l, one, zero))  # own per-job bound
         exprs.add((zero, P, one, zero))  # own-first average bound
@@ -617,8 +616,6 @@ def expected_workcurve(
     support_end = a * L / l_min
     hi_end = max(cap, support_end)
     points = sorted({c for c in candidates if 0 < c <= hi_end})
-
-    base = Instance(jobs_sorted, (a, a))
 
     def eval_expected(x: Fraction) -> Fraction:
         return rule(base.with_bid(0, x)).expected_workloads[0]

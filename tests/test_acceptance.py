@@ -127,7 +127,7 @@ def test_criterion_05_pivot_mechanism_property_suite():
     failures = 0
     for _ in range(1000):
         inst = sample_instance(rng, m_max=4, n_max=6)
-        grid = default_grid(inst, points=64)
+        grid = default_grid(inst)
         outcome = vcg_mechanism.run(inst)
         verdicts = (
             check_truthful(vcg_mechanism, inst, grid),

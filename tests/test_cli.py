@@ -453,6 +453,17 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_lemma6_refuses_an_expected_allocation_rule_with_the_curve_message(capsys):
+    # The one check that a curve's rule is deterministic is the curve's own.
+    code, out, err = run_cli(capsys, "certify", "lemma6", "--rule", "at-expected")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: rule returns expected allocations; bid-response curves need "
+        "deterministic workloads\n"
+    )
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "schedmech.cli", "certify", "theorem5", "--a", "8"],

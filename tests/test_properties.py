@@ -138,8 +138,7 @@ class TestTruthful:
     @given(st.integers(min_value=0, max_value=10 ** 6))
     def test_pivot_mechanism_on_random_instances(self, seed):
         inst = sample_instance(random.Random(seed), m_max=3, n_max=4)
-        grid = default_grid(inst, points=20)
-        assert check_truthful(vcg_mechanism, inst, grid).passed
+        assert check_truthful(vcg_mechanism, inst, default_grid(inst)).passed
 
     def test_bid_proportional_greedy_is_manipulable(self):
         mech = bid_proportional_mechanism(lpt_star)
@@ -260,7 +259,7 @@ class TestGridAndConsistency:
         grid.update(instance.bids)
         return tuple(sorted(grid))
 
-    def test_default_grid_equals_set_and_sort_oracle(self):
+    def test_default_grid_equals_set_and_sort_oracle(self, monkeypatch):
         rng = random.Random(13)
         for trial in range(300):
             m = rng.randint(1, 5)
@@ -276,7 +275,8 @@ class TestGridAndConsistency:
                     bids.append(F(rng.randint(1, 40), rng.randint(1, 7)))
             inst = Instance((3, 1), bids)
             for points in (0, 1, 7, 8, 20, 64, 65):
-                grid = default_grid(inst, points)
+                monkeypatch.setattr(properties, "GRID_STEPS", points)
+                grid = default_grid(inst)
                 assert grid == self.set_and_sort_grid(inst, points), (bids, points)
                 assert all(type(g) is F for g in grid)
 

@@ -1,6 +1,6 @@
 """Every module-level function and class in the package, and every method,
-has a use there, every local a function assigns is read, and no module
-imports another module's private names.
+has a use there, every local a function assigns is read, every imported
+name is read, and no module imports another module's private names.
 
 A definition must be named somewhere in ``src/schedmech`` other than in
 its own body and in ``__init__.py``, or be exported through
@@ -149,3 +149,39 @@ def private_imports():
 
 def test_no_module_imports_another_modules_private_name():
     assert private_imports() == []
+
+
+def unread_imports():
+    """``module:name`` for each name a package module imports and never
+    reads, itself or as ``module.name`` in another package module.
+    ``__init__.py`` re-exports and ``from __future__`` are exempt."""
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    through = {
+        (sub.value.id, sub.attr) for tree in trees.values() for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+    }
+    unread = []
+    for module, tree in trees.items():
+        read = {
+            sub.id for sub in ast.walk(tree)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unread += [
+                    f"{module}.py:{bound}"
+                    for alias in node.names
+                    if (bound := alias.asname or alias.name.split(".")[0]) not in read
+                    and (module, bound) not in through
+                ]
+    return unread
+
+
+def test_every_imported_name_is_read():
+    assert unread_imports() == []
