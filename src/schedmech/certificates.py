@@ -223,12 +223,12 @@ def theorem5_certificate(
 
 
 EXPECTED_BINNING_PIECES = (
-    CurvePiece(Fraction(0), Fraction(1, 3), "const", (Fraction(3),)),
-    CurvePiece(Fraction(1, 3), Fraction(1, 2), "recip", (Fraction(1),)),
-    CurvePiece(Fraction(1, 2), Fraction(1), "const", (Fraction(2),)),
-    CurvePiece(Fraction(1), Fraction(2), "const", (Fraction(1),)),
-    CurvePiece(Fraction(2), Fraction(3), "affine", (Fraction(3), Fraction(-1))),
-    CurvePiece(Fraction(3), None, "const", (Fraction(0),)),
+    CurvePiece(Fraction(0), Fraction(1, 3), rats((3, 0, 1, 0))),
+    CurvePiece(Fraction(1, 3), Fraction(1, 2), rats((1, 0, 0, 1))),
+    CurvePiece(Fraction(1, 2), Fraction(1), rats((2, 0, 1, 0))),
+    CurvePiece(Fraction(1), Fraction(2), rats((1, 0, 1, 0))),
+    CurvePiece(Fraction(2), Fraction(3), rats((3, -1, 1, 0))),
+    CurvePiece(Fraction(3), None, rats((0, 0, 1, 0))),
 )
 
 

@@ -378,48 +378,48 @@ def build_response_curve(
 
 @dataclass(frozen=True)
 class CurvePiece:
-    """One regime of an expected-workload curve on (lo, hi].
-
-    kind "const": value c; "recip": c/x; "affine": p + q*x.
-    hi=None encodes an unbounded final piece (then kind must be "const").
+    """One regime of an expected-workload curve on (lo, hi]: the
+    linear-fractional form (n0 + n1*x)/(d0 + d1*x), with ``params`` =
+    (n0, n1, d0, d1) scaled so that d1 = 1, or d0 = 1 when d1 = 0; equal
+    forms thus have equal params.  hi=None encodes an unbounded final piece,
+    whose integral is finite only when the form is 0.
     """
 
     lo: Fraction
     hi: Optional[Fraction]
-    kind: str
-    params: tuple[Fraction, ...]
+    params: tuple[Fraction, Fraction, Fraction, Fraction]
 
     def value_at(self, x: Fraction) -> Fraction:
-        if self.kind == "const":
-            return self.params[0]
-        if self.kind == "recip":
-            return self.params[0] / x
-        if self.kind == "affine":
-            return self.params[0] + self.params[1] * x
-        raise DomainError(f"unknown piece kind {self.kind!r}")
+        n0, n1, d0, d1 = self.params
+        return (n0 + n1 * x) / (d0 + d1 * x)
 
     def integral(self) -> "LogLinearValue":
-        """Exact integral over (lo, hi); recip pieces contribute a log atom."""
+        """Exact integral over (lo, hi): rational when d1 = 0, else
+        n1*(hi - lo) plus one (n0 - n1*d0)*ln((d0 + hi)/(d0 + lo)) atom."""
+        n0, n1, d0, d1 = self.params
         if self.hi is None:
-            if self.kind == "const" and self.params[0] == 0:
+            if n0 == n1 == 0:
                 return LogLinearValue(Fraction(0), ())
             raise DivergentIntegral("unbounded nonzero piece")
         lo, hi = self.lo, self.hi
-        if self.kind == "const":
-            return LogLinearValue(self.params[0] * (hi - lo), ())
-        if self.kind == "recip":
-            return LogLinearValue(Fraction(0), ((self.params[0], hi / lo),))
-        if self.kind == "affine":
-            p, q = self.params
-            return LogLinearValue(p * (hi - lo) + q * (hi * hi - lo * lo) / 2, ())
-        raise DomainError(f"unknown piece kind {self.kind!r}")
+        if d1 == 0:
+            return LogLinearValue((n0 + n1 * (hi + lo) / 2) * (hi - lo), ())
+        if d0 + lo <= 0:
+            raise DomainError("a piece's denominator d0 + x must be positive on it")
+        return LogLinearValue(n1 * (hi - lo), ((n0 - n1 * d0, (d0 + hi) / (d0 + lo)),))
 
     def to_json_dict(self) -> dict:
+        n0, n1, d0, d1 = self.params
+        kind, shown = "linfrac", self.params
+        if d1 == 0:
+            kind, shown = ("affine", (n0, n1)) if n1 else ("const", (n0,))
+        elif n1 == d0 == 0:
+            kind, shown = "recip", (n0,)
         return {
             "lo": rat_str(self.lo),
             "hi": None if self.hi is None else rat_str(self.hi),
-            "kind": self.kind,
-            "params": [rat_str(p) for p in self.params],
+            "kind": kind,
+            "params": [rat_str(p) for p in shown],
         }
 
 
@@ -549,20 +549,28 @@ def _linfrac_equal_roots(e1, e2) -> list[Fraction]:
 
 
 def _fit_piece(lo: Fraction, hi: Fraction, samples: list[tuple[Fraction, Fraction]]) -> CurvePiece:
-    """Fit const / c/x / affine through exact samples, verifying every point."""
-    xs = [x for x, _ in samples]
-    ys = [y for _, y in samples]
-    if all(y == ys[0] for y in ys):
-        return CurvePiece(lo, hi, "const", (ys[0],))
-    if all(x * y == xs[0] * ys[0] for x, y in samples):
-        return CurvePiece(lo, hi, "recip", (xs[0] * ys[0],))
-    q = (ys[1] - ys[0]) / (xs[1] - xs[0])
-    p = ys[0] - q * xs[0]
-    if all(p + q * x == y for x, y in samples):
-        return CurvePiece(lo, hi, "affine", (p, q))
+    """Fit (n0 + n1*x)/(d0 + d1*x) through exact samples: an affine form
+    (d1 = 0) through the first two, else d1 = 1 and (n1, d0) from the 2x2
+    system y*(d0 + x) = n0 + n1*x at the first three.  Every other sample
+    is verified."""
+    (x0, y0), (x1, y1), (x2, y2) = samples[:3]
+    q = (y1 - y0) / (x1 - x0)
+    p = y0 - q * x0
+    if all(p + q * x == y for x, y in samples[2:]):
+        return CurvePiece(lo, hi, (p, q, Fraction(1), Fraction(0)))
+    # n1*(xi - x0) - d0*(yi - y0) = xi*yi - x0*y0 for i = 1, 2.
+    det = (x2 - x0) * (y1 - y0) - (x1 - x0) * (y2 - y0)
+    if det != 0:
+        c1, c2 = x1 * y1 - x0 * y0, x2 * y2 - x0 * y0
+        n1 = (c2 * (y1 - y0) - c1 * (y2 - y0)) / det
+        d0 = ((x1 - x0) * c2 - (x2 - x0) * c1) / det
+        n0 = y0 * (d0 + x0) - n1 * x0
+        # n0 = n1*d0 would be the constant n1 with a hole at a sample.
+        if n0 != n1 * d0 and all(y * (d0 + x) == n0 + n1 * x for x, y in samples[3:]):
+            return CurvePiece(lo, hi, (n0, n1, d0, Fraction(1)))
     raise CurveResolutionError(
         f"expected workload on ({rat_str(lo)}, {rat_str(hi)}] fits no "
-        "supported closed form (const, c/x, affine)"
+        "linear-fractional form"
     )
 
 
@@ -578,31 +586,26 @@ def expected_workcurve(
     regime of the underlying max-min lower bound and of the bin pour is
     bounded by a root of a linear or bilinear rational equation, all of
     which are enumerated and solved exactly, and the expected workload on
-    each regime is fit to one of the closed forms const, c/x or affine.
-
-    Regimes set by the harmonic bound P*a*x/(a+x) give machine 0 the
-    expected workload P*a/(a+x), which fits none of those forms, so they
-    raise CurveResolutionError: jobs (8, 6, 1) against a = 1 read 15/(1+x)
-    on (2/3, 3/4].  The theorem-7 input, jobs (2, 1) against a = 1, has none.
+    each regime is fit to one linear-fractional form (n0 + n1*x)/(d0 + d1*x):
+    const, c/x and affine pieces, and P*a/(a+x) where the two-machine
+    harmonic bound P*a*x/(a+x) sets the regime.
     """
     if getattr(rule, "name", None) != "at-expected":
         raise DomainError("expected curves are defined for the binning rule only")
     others_bids = rats(others_bids)
-    jobs = rats(jobs)
     cap = rat(cap)
-    if len(others_bids) == 0:
-        L = sum(jobs, Fraction(0))
-        return [CurvePiece(Fraction(0), None, "const", (L,))]
     if len(others_bids) > 1:
         raise DomainError("symbolic expected curves support two machines only")
-    a = others_bids[0]
-    base = Instance(jobs, (a, a))
+    base = Instance(jobs, (1, *others_bids))
     L, l_min = base.total_length, base.jobs[-1]
+    zero, one = Fraction(0), Fraction(1)
+    if not others_bids:
+        return [CurvePiece(zero, None, (L, zero, one, zero))]
+    a = others_bids[0]
 
     # Candidate expressions the lower bound can equal, as (n0,n1,d0,d1)
     # encoding (n0+n1*x)/(d0+d1*x).
     exprs: set[tuple[Fraction, Fraction, Fraction, Fraction]] = set()
-    zero, one = Fraction(0), Fraction(1)
     for l, P in zip(base.jobs, itertools.accumulate(base.jobs)):
         exprs.add((a * l, zero, one, zero))  # competitor per-job bound
         exprs.add((zero, l, one, zero))  # own per-job bound
@@ -624,24 +627,19 @@ def expected_workcurve(
     edges = [Fraction(0)] + points
     for lo, hi in zip(edges, edges[1:]):
         span = hi - lo
-        sample_xs = [lo + span * Fraction(k, 6) for k in (1, 2, 3, 4, 5)]
-        piece = _fit_piece(lo, hi, [(x, eval_expected(x)) for x in sample_xs])
-        # Each closed interval end belongs to its piece; verify at hi too.
-        if piece.value_at(hi) != eval_expected(hi):
-            raise CurveResolutionError(
-                f"piece on ({rat_str(lo)}, {rat_str(hi)}] fails at its right edge"
-            )
-        pieces.append(piece)
+        # Each closed interval end belongs to its piece: hi is a sample too.
+        sample_xs = [lo + span * Fraction(k, 6) for k in range(1, 7)]
+        pieces.append(_fit_piece(lo, hi, [(x, eval_expected(x)) for x in sample_xs]))
     # Beyond the last candidate the competitor bin swallows everything.
     final_val = eval_expected(hi_end * 2)
     if final_val != 0:
         raise CurveResolutionError("expected workload does not vanish beyond support")
-    pieces.append(CurvePiece(points[-1], None, "const", (Fraction(0),)))
-    # Merge adjacent pieces that are restrictions of the same closed form.
+    pieces.append(CurvePiece(points[-1], None, (zero, zero, one, zero)))
+    # Merge adjacent pieces that are restrictions of the same form.
     merged: list[CurvePiece] = []
     for p in pieces:
-        if merged and merged[-1].kind == p.kind and merged[-1].params == p.params:
+        if merged and merged[-1].params == p.params:
             prev = merged.pop()
-            p = CurvePiece(prev.lo, p.hi, p.kind, p.params)
+            p = CurvePiece(prev.lo, p.hi, p.params)
         merged.append(p)
     return merged

@@ -1,11 +1,12 @@
 """``expected_workcurve`` against the enumeration it replaced.
 
-The oracle below is a verbatim copy of the earlier function (only its name
-differs).  After the pairwise roots of the candidate expressions it solved a
-second pass of "pour boundaries": the roots of each expression against the
-forms (0, P, 1, 0), (P*a, 0, 1, 0) and (0, P*a, a, 1) of every prefix P.
-Those forms are candidate expressions themselves, so that pass can add no
-root.  On seeded draws both must give the same pieces, or raise
+The oracle below is a verbatim copy of the earlier function, except for
+its name and its ``CurvePiece`` calls and merge test, which use the one
+``(n0, n1, d0, d1)`` piece form.  After the pairwise roots of the candidate
+expressions it solved a second pass of "pour boundaries": the roots of each
+expression against the forms (0, P, 1, 0), (P*a, 0, 1, 0) and
+(0, P*a, a, 1) of every prefix P.  Those forms are candidate expressions
+themselves, so that pass can add no root.  On seeded draws both must give the same pieces, or raise
 ``CurveResolutionError`` with the same message; both share the package's
 root solver and piece fit, which this file does not re-derive.
 """
@@ -15,16 +16,16 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-import pytest
-
 from schedmech.allocations import at_fractional
 from schedmech.core import DomainError, Instance, RationalLike, rat, rat_str, rats
 from schedmech.workcurve import (
     CurvePiece,
     CurveResolutionError,
+    LogLinearValue,
     _fit_piece,
     _linfrac_equal_roots,
     expected_workcurve,
+    piecewise_integral,
 )
 
 F = Fraction
@@ -51,7 +52,7 @@ def parent_expected_workcurve(
     cap = rat(cap)
     if len(others_bids) == 0:
         L = sum(jobs, Fraction(0))
-        return [CurvePiece(Fraction(0), None, "const", (L,))]
+        return [CurvePiece(Fraction(0), None, (L, Fraction(0), Fraction(1), Fraction(0)))]
     if len(others_bids) > 1:
         raise DomainError("symbolic expected curves support two machines only")
     a = others_bids[0]
@@ -104,13 +105,13 @@ def parent_expected_workcurve(
     final_val = eval_expected(hi_end * 2)
     if final_val != 0:
         raise CurveResolutionError("expected workload does not vanish beyond support")
-    pieces.append(CurvePiece(points[-1], None, "const", (Fraction(0),)))
+    pieces.append(CurvePiece(points[-1], None, (zero, zero, one, zero)))
     # Merge adjacent pieces that are restrictions of the same closed form.
     merged: list[CurvePiece] = []
     for p in pieces:
-        if merged and merged[-1].kind == p.kind and merged[-1].params == p.params:
+        if merged and merged[-1].params == p.params:
             prev = merged.pop()
-            p = CurvePiece(prev.lo, p.hi, p.kind, p.params)
+            p = CurvePiece(prev.lo, p.hi, p.params)
         merged.append(p)
     return merged
 
@@ -143,13 +144,40 @@ def test_pieces_equal_the_two_pass_enumeration():
             for _ in range(3):
                 x = piece.lo + (hi - piece.lo) * F(rng.randint(1, 64), 64)
                 assert piece.value_at(x) == _expected_at(jobs, a, x), (jobs, a, x)
-    # Both outcomes occur, so the draws exercise the fit and its refusal.
-    assert 0 < fitted < 200
+    # Every draw fits, harmonic regimes included.
+    assert fitted == 200
 
 
-def test_harmonic_regime_is_refused():
-    # Machine 0 expects 15/(1+x) on (2/3, 3/4]: neither const, c/x nor affine.
-    for x in (F(2, 3) + F(1, 100), F(7, 10), F(3, 4)):
+def test_harmonic_regime_fits():
+    # Machine 0 expects 15/(1+x) on (2/3, 7/8], where the two-machine
+    # harmonic bound sets the regime.
+    for x in (F(2, 3) + F(1, 100), F(7, 10), F(7, 8)):
         assert _expected_at((8, 6, 1), 1, x) == 15 / (1 + x)
-    with pytest.raises(CurveResolutionError, match=r"\(2/3, 3/4\] fits no"):
-        expected_workcurve(at_fractional, (1,), (8, 6, 1), cap=4)
+    pieces = expected_workcurve(at_fractional, (1,), (8, 6, 1), cap=4)
+    (piece,) = [p for p in pieces if p.lo == F(2, 3)]
+    assert piece == CurvePiece(F(2, 3), F(7, 8), (F(15), F(0), F(1), F(1)))
+    assert piece.to_json_dict()["kind"] == "linfrac"
+    assert piece.integral() == LogLinearValue(F(0), ((F(15), F(9, 8)),))
+    assert (F(15), F(9, 8)) in piecewise_integral(pieces).logs
+
+
+def test_integrals_lie_between_the_riemann_sums():
+    # On a piece without a pole, a linear-fractional function is monotone,
+    # so the left and right sums of at_fractional over 16 equal cells
+    # bracket its exact integral; the sums read the rule only, not the fit.
+    # The cells cover [lo + w, hi] for a cell width w, since the value at lo
+    # belongs to the piece before (lo may also be 0, where no bid exists).
+    rng = random.Random(1414)
+    for _ in range(20):
+        jobs = [F(rng.randint(1, 12), rng.choice((1, 2, 3))) for _ in range(rng.randint(1, 4))]
+        a = F(rng.randint(1, 8), rng.choice((1, 2, 3)))
+        cap = a * rng.randint(1, 4)
+        for piece in expected_workcurve(at_fractional, (a,), jobs, cap):
+            if piece.hi is None:
+                continue
+            width = (piece.hi - piece.lo) / 17
+            ys = [_expected_at(jobs, a, piece.lo + k * width) for k in range(1, 18)]
+            left, right = width * sum(ys[:-1]), width * sum(ys[1:])
+            inner = CurvePiece(piece.lo + width, piece.hi, piece.params)
+            lo, hi = inner.integral().enclosure(F(1, 10**9))
+            assert lo <= max(left, right) and min(left, right) <= hi, (jobs, a, piece)

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -298,12 +299,12 @@ class TestExpectedWorkcurve:
     def test_pieces_for_unit_competitor(self):
         pieces = expected_workcurve(at_fractional, (1,), (2, 1), cap=4)
         assert pieces == [
-            CurvePiece(F(0), F(1, 3), "const", (F(3),)),
-            CurvePiece(F(1, 3), F(1, 2), "recip", (F(1),)),
-            CurvePiece(F(1, 2), F(1), "const", (F(2),)),
-            CurvePiece(F(1), F(2), "const", (F(1),)),
-            CurvePiece(F(2), F(3), "affine", (F(3), F(-1))),
-            CurvePiece(F(3), None, "const", (F(0),)),
+            CurvePiece(F(0), F(1, 3), (F(3), F(0), F(1), F(0))),
+            CurvePiece(F(1, 3), F(1, 2), (F(1), F(0), F(0), F(1))),
+            CurvePiece(F(1, 2), F(1), (F(2), F(0), F(1), F(0))),
+            CurvePiece(F(1), F(2), (F(1), F(0), F(1), F(0))),
+            CurvePiece(F(2), F(3), (F(3), F(-1), F(1), F(0))),
+            CurvePiece(F(3), None, (F(0), F(0), F(1), F(0))),
         ]
 
     def test_integral_is_seven_halves_plus_log(self):
@@ -321,9 +322,48 @@ class TestExpectedWorkcurve:
 
     def test_single_machine_is_a_divergent_constant(self):
         pieces = expected_workcurve(at_fractional, (), (2, 1), cap=4)
-        assert pieces == [CurvePiece(F(0), None, "const", (F(3),))]
+        assert pieces == [CurvePiece(F(0), None, (F(3), F(0), F(1), F(0)))]
         with pytest.raises(DivergentIntegral):
             piecewise_integral(pieces)
+
+    def test_a_linear_fractional_piece_integrates_to_one_log_atom(self):
+        # (3 + 2x)/(1 + x) = 2 + 1/(1 + x) on (1, 2].
+        piece = CurvePiece(F(1), F(2), (F(3), F(2), F(1), F(1)))
+        assert piece.integral() == LogLinearValue(F(2), ((F(1), F(3, 2)),))
+        # A pole at lo, and a denominator d0 + x negative on the whole piece.
+        for lo, hi, d0 in ((F(0), F(1), F(0)), (F(1), F(2), F(-3))):
+            with pytest.raises(DomainError):
+                CurvePiece(lo, hi, (F(1), F(0), d0, F(1))).integral()
+
+    @pytest.mark.parametrize("jobs", [[-1], [], [0, 2]])
+    def test_single_machine_validates_its_jobs(self, jobs):
+        with pytest.raises(DomainError):
+            expected_workcurve(at_fractional, (), jobs, cap=4)
+
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            lambda x: x * x,
+            # Collinear at the first three samples 1/18, 1/9 and 1/6 of the
+            # first regime (0, 1/3], bent at the fourth.
+            lambda x: min(x, F(1, 6)),
+            # Zero except at the regime's right edge, which its piece owns.
+            lambda x: F(1) if x == F(1, 3) else F(0),
+            # 1 except at the third sample: the form (x - 1/6)/(x - 1/6)
+            # meets every sample by cross-multiplication, with a hole there.
+            lambda x: F(2) if x == F(1, 6) else F(1),
+        ],
+        ids=["square", "bent-line", "right-edge", "spike"],
+    )
+    def test_a_workload_of_no_linear_fractional_form_is_refused(self, workload):
+        class Stub:
+            name = "at-expected"
+
+            def __call__(self, instance):
+                return SimpleNamespace(expected_workloads=(workload(instance.bids[0]),))
+
+        with pytest.raises(CurveResolutionError, match=r"\(0, 1/3\] fits no linear-fractional form"):
+            expected_workcurve(Stub(), (1,), (2, 1), cap=4)
 
     def test_rejects_other_rules_and_many_machines(self):
         with pytest.raises(DomainError):
