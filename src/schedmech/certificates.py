@@ -156,7 +156,7 @@ def theorem5_certificate(
         constants={},
     )
     for a in a_values:
-        if rounded_speed(a) != a or a < 8:
+        if a < 8 or rounded_speed(a) != a:
             raise DomainError(
                 f"a must be a power of two at least 8, got {rat_str(a)}; smaller "
                 "powers change the response shape the argument relies on"

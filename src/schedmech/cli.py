@@ -2,8 +2,9 @@
 
 ``allocate`` runs a rule on an instance file, ``check`` one property checker
 on an instance file, a random batch or (``le``, ``ef``) explicit vectors,
-and ``certify`` one certificate; each property and certificate has its own
-parser, which accepts only the options it reads.  Output is JSON with
+and ``certify`` one certificate.  One option table, ``TARGETS``, lists each
+target's positionals and options; a target accepts only the options it
+reads, and ``--help`` prints them from the table.  Output is JSON with
 rationals as strings (``--text``: the five report certificates as text).
 Exit codes: 0 pass, 1 property failure, unverified certificate or output
 closed early (one ``error:`` line), 2 usage or parse error (one ``error:``
@@ -12,14 +13,15 @@ line), 3 resource budget exceeded.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import certificates
 from .allocations import OPT_STATE_BUDGET, RULES, at_sample, opt_makespan
@@ -51,16 +53,6 @@ ProcessPoolExecutor = None  # None: concurrent.futures' pool, imported only to s
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """Argument errors raise ``UsageError``; no abbreviations (``--m``, ``--mach``)."""
-
-    def __init__(self, **kwargs):
-        super().__init__(allow_abbrev=False, **kwargs)
-
-    def error(self, message):
-        raise UsageError(message)
 
 
 def _rat_list(text: str) -> list[Fraction]:
@@ -277,101 +269,125 @@ def cmd_polytope(args) -> int:
     return EXIT_OK  # the verdict is data either way
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="schedmech",
-        description=(
-            "exact allocation rules, payments, property checkers and "
-            "impossibility certificates for strategic makespan scheduling"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_alloc = sub.add_parser("allocate", help="run an allocation rule")
-    p_alloc.add_argument("rule", choices=[*RULES, "at-sample"])
-    p_alloc.add_argument("instance", help="instance JSON file")
-    # Options a call may not read are absent unless given (SUPPRESS), so
-    # that an unread one can be refused.
-    p_alloc.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="at-sample only")
-    p_alloc.add_argument("--budget", type=int, default=argparse.SUPPRESS, help="opt only")
-    p_alloc.set_defaults(func=cmd_allocate)
-
-    source = _Parser(add_help=False)
-    source.add_argument("mechanism", nargs="?", default=None, help="rule or mechanism")
-    source.add_argument("instance", nargs="?", default=None, help="instance JSON file")
-    source.add_argument("--random", type=int, default=0, help="check N sampled instances")
-    source.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    source.add_argument("--straddle", action="store_true", default=argparse.SUPPRESS,
-                        help="bids near powers of two")
-    source.add_argument("--jobs-parallel", type=int, default=argparse.SUPPRESS)
-    source.set_defaults(func=cmd_check)
-    props = sub.add_parser("check", help="run a property checker")
-    props = props.add_subparsers(dest="property", required=True)
-    check = {
-        name: props.add_parser(name, parents=[source])
-        for name in ("le", "ef", "ir", "truthful", "monotone", "anonymous", "scalable", "ratio")
-    }
-    for name in ("truthful", "monotone"):
-        check[name].add_argument("--grid", type=_grid_list, help="deviation bids")
-    for name in ("le", "ef"):
-        check[name].add_argument("--bids", type=_rat_list)
-        check[name].add_argument("--workloads", type=_rat_list)
-        check[name].set_defaults(func=cmd_check_vectors)
-    check["ef"].add_argument("--payments", type=_rat_list)
-    check["ratio"].add_argument("--csv", help="write batch ratios as CSV")
-    check["ratio"].add_argument("--budget", type=int, default=OPT_STATE_BUDGET)
-
-    text = _Parser(add_help=False)
-    text.add_argument("--text", action="store_true", help="human-readable report")
-    text.set_defaults(func=_report)
-    certs = sub.add_parser("certify", help="emit a certificate")
-    certs = certs.add_subparsers(dest="name", required=True)
-    p = certs.add_parser("theorem5", parents=[text])
-    p.add_argument("--a", type=_rat_list, default="8,16,32", help="powers of two")
-    p.set_defaults(report=lambda args: certificates.theorem5_certificate(args.a))
-    p = certs.add_parser("theorem7", parents=[text])
-    p.add_argument("--tol", default="1/1000000")
-    p.set_defaults(report=lambda args: certificates.theorem7_certificate(rat(args.tol)))
-    p = certs.add_parser("theorem1", parents=[text])
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--c", default="1")
-    p.add_argument("--eps", default="1/2")
-    p.set_defaults(report=lambda args: certificates.theorem1_harness(
-        vcg_mechanism, args.m, rat(args.c), rat(args.eps)))
-    p = certs.add_parser("lemma6", parents=[text])
-    p.add_argument("--k", default="3")
-    p.add_argument("--rule", type=_rule_for, default="two-opt")
-    p.add_argument("--jobs", type=_rat_list, default="2,1")
-    p.add_argument("--samples-at", type=_rat_list, default="1,2,5")
-    p.set_defaults(report=lambda args: certificates.lemma6_g(
-        args.rule, rat(args.k), args.jobs, args.samples_at)[1])
-    p = certs.add_parser("prop12", parents=[text])
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=certificates.PROP12_SEED)
-    p.set_defaults(report=lambda args: certificates.prop12_verify(args.samples, args.seed))
-    p = certs.add_parser("polytope")
-    p.add_argument("--rule", type=_rule_for, default="lpt-star")
-    p.add_argument("--grid", type=_rat_list, default="1,2,8")
-    p.add_argument("--jobs", type=_rat_list, default="2,1")
-    p.add_argument("--machines", type=int, default=2)
-    p.add_argument("--budget", type=int, default=4096)
-    p.set_defaults(func=cmd_polytope)
-    return parser
+_LEVELS = {(): "command", ("check",): "property", ("certify",): "name"}
+ABSENT = object()  # no default: a positional must be given, an option is set only if given
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's: a value, not an option
 
 
-@functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """One parser per process: building it costs about 1 ms per call."""
-    return build_parser()
+def _is_option(token, spec) -> bool:
+    """argparse's rule: a token that starts with "-" is an option unless it
+    names none and is "-", a negative number or holds a space."""
+    return token[:1] == "-" and (token.partition("=")[0] in spec or not (
+        token == "-" or " " in token or _NEGATIVE.match(token)))
+
+
+def _convert(name, convert, text):
+    if isinstance(convert, tuple) and text not in convert:
+        choices = ", ".join(map(repr, convert))
+        raise UsageError(f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+    try:
+        return text if isinstance(convert, tuple) else convert(text)
+    except ValueError:
+        raise UsageError(f"argument {name}: invalid {convert.__name__} value: {text!r}") from None
+
+
+class OptionTable(dict):
+    """The CLI's one parser: path -> (spec, values the call reads), where a
+    spec maps each positional, in order, and each option to (converter,
+    default).  A tuple converter lists the allowed values, None marks a flag
+    and a string default goes through the converter.  Tokens and error lines
+    follow argparse's, but positionals may follow options anywhere."""
+
+    def __init__(self, targets):
+        super().__init__(targets)
+        for level, dest in _LEVELS.items():  # one positional: the next word of a path
+            words = dict.fromkeys(path[len(level)] for path in targets if path[:len(level)] == level)
+            self[level] = ({dest: (tuple(words), ABSENT)}, {})
+
+    def parse_args(self, argv=None) -> SimpleNamespace:
+        tokens = list(sys.argv[1:] if argv is None else argv)
+        path, spec, positionals, values, extras, ended = (), self[()][0], ["command"], {}, [], False
+        while tokens:
+            token = tokens.pop(0)
+            option, given, text = token.partition("=")
+            if token == "--" and not ended:
+                ended = True
+            elif (ended or not _is_option(token, spec)) and positionals:
+                name = positionals.pop(0)
+                values[name] = _convert(name, spec[name][0], token)
+                if path in _LEVELS:
+                    path += (token,)
+                    spec = self[path][0]
+                    positionals = [name for name in spec if name[0] != "-"]
+            elif not ended and token in ("-h", "--help"):
+                print("usage: schedmech", *path, "[--help]", *("{%s}" % ",".join(entry[0])
+                      if isinstance(entry[0], tuple) else name for name, entry in spec.items()))
+                raise SystemExit(EXIT_OK)
+            elif ended or option not in spec or given and spec[option][0] is None:  # a flag's value
+                extras.append(token)
+            elif spec[option][0] is None:
+                values[option] = True
+            else:
+                if not given:
+                    if not tokens or _is_option(tokens[0], spec):
+                        raise UsageError(f"argument {option}: expected one argument")
+                    text = tokens.pop(0)
+                values[option] = _convert(option, spec[option][0], text)
+        missing = [name for name in positionals if spec[name][1] is ABSENT]
+        if missing:
+            raise UsageError("the following arguments are required: " + ", ".join(missing))
+        for name, (convert, default) in spec.items():
+            if name not in values and default is not ABSENT:
+                values[name] = _convert(name, convert, default) if isinstance(default, str) else default
+        if extras:
+            raise UsageError("unrecognized arguments: " + " ".join(extras))
+        dests = {name.lstrip("-").replace("-", "_"): value for name, value in values.items()}
+        return SimpleNamespace(**dests, **self[path][1])
+
+
+_CHECK = {"mechanism": (str, None), "instance": (str, None), "--random": (int, 0),
+          "--seed": (int, ABSENT), "--straddle": (None, ABSENT), "--jobs-parallel": (int, ABSENT)}
+_VECTORS = {"--bids": (_rat_list, None), "--workloads": (_rat_list, None)}
+_GRID, _TEXT = {"--grid": (_grid_list, None)}, {"--text": (None, False)}
+_CHECKS = {"le": _VECTORS, "ef": {**_VECTORS, "--payments": (_rat_list, None)}, "ir": {},
+           "truthful": _GRID, "monotone": _GRID, "anonymous": {}, "scalable": {},
+           "ratio": {"--csv": (str, None), "--budget": (int, OPT_STATE_BUDGET)}}
+TARGETS = OptionTable({
+    ("allocate",): ({"rule": ((*RULES, "at-sample"), ABSENT), "instance": (str, ABSENT),
+                     "--seed": (int, ABSENT), "--budget": (int, ABSENT)}, {"func": cmd_allocate}),
+    **{("check", name): ({**_CHECK, **extra}, {"func": cmd_check_vectors if "--bids" in extra
+                                                else cmd_check}) for name, extra in _CHECKS.items()},
+    ("certify", "theorem5"): ({"--a": (_rat_list, "8,16,32"), **_TEXT}, {
+        "func": _report, "report": lambda args: certificates.theorem5_certificate(args.a)}),
+    ("certify", "theorem7"): ({"--tol": (str, "1/1000000"), **_TEXT}, {
+        "func": _report, "report": lambda args: certificates.theorem7_certificate(rat(args.tol))}),
+    ("certify", "theorem1"): ({"--m": (int, 3), "--c": (str, "1"), "--eps": (str, "1/2"), **_TEXT}, {
+        "func": _report, "report": lambda args: certificates.theorem1_harness(
+            vcg_mechanism, args.m, rat(args.c), rat(args.eps))}),
+    ("certify", "lemma6"): ({"--k": (str, "3"), "--rule": (_rule_for, "two-opt"),
+                             "--jobs": (_rat_list, "2,1"), "--samples-at": (_rat_list, "1,2,5"),
+                             **_TEXT}, {"func": _report, "report": lambda args: certificates.lemma6_g(
+                                 args.rule, rat(args.k), args.jobs, args.samples_at)[1]}),
+    ("certify", "prop12"): ({"--samples": (int, 1000), "--seed": (int, certificates.PROP12_SEED),
+                             **_TEXT}, {"func": _report, "report": lambda args:
+                                        certificates.prop12_verify(args.samples, args.seed)}),
+    ("certify", "polytope"): ({"--rule": (_rule_for, "lpt-star"), "--grid": (_rat_list, "1,2,8"),
+                               "--jobs": (_rat_list, "2,1"), "--machines": (int, 2),
+                               "--budget": (int, 4096)}, {"func": cmd_polytope}),
+})
+
+
+def build_parser() -> OptionTable:
+    return TARGETS
 
 
 def main(argv=None) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a reader that left fails here, not at exit
         return code
-    except SystemExit:  # --help; argument errors raise UsageError instead
+    except SystemExit:  # --help
         return EXIT_OK
     except BrokenPipeError:
         # What is still buffered, and the flush at exit, go to devnull.

@@ -389,6 +389,11 @@ class CurvePiece:
     hi: Optional[Fraction]
     params: tuple[Fraction, Fraction, Fraction, Fraction]
 
+    def __post_init__(self):
+        if self.params[3] != 1 and self.params[2:] != (1, 0):
+            shown = [rat_str(p) for p in self.params]
+            raise DomainError(f"piece params {shown} need d1 = 1, or d0 = 1 when d1 = 0")
+
     def value_at(self, x: Fraction) -> Fraction:
         n0, n1, d0, d1 = self.params
         return (n0 + n1 * x) / (d0 + d1 * x)

@@ -373,6 +373,13 @@ BAD_INSTANCE_FILES = {
 }
 
 
+PINNED_LINES = {
+    f"theorem5-{name}-a": f"error: a must be a power of two at least 8, got {a}; smaller "
+                          "powers change the response shape the argument relies on\n"
+    for name, a in (("zero", 0), ("negative", -8))
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -420,6 +427,8 @@ BAD_INSTANCE_FILES = {
         ["certify", "polytope", "--budget", "-5"],
         ["check", "ratio", "lpt-star", "VALID_JSON", "--budget", "-1"],
         ["allocate", "opt", "VALID_JSON", "--budget", "0"],
+        ["certify", "theorem5", "--a", "0"],
+        ["certify", "theorem5", "--a", "-8"],
     ],
     ids=["instance-file-holds-a-list", "lemma6-expected-allocation-rule",
          "instance-jobs-not-a-list", "instance-jobs-a-string",
@@ -439,9 +448,10 @@ BAD_INSTANCE_FILES = {
          "seed-with-an-instance-file", "straddle-with-an-instance-file",
          "parallel-jobs-with-an-instance-file", "explicit-negative-bid",
          "explicit-zero-bid", "explicit-negative-workload",
-         "polytope-negative-budget", "ratio-negative-budget", "allocate-opt-zero-budget"],
+         "polytope-negative-budget", "ratio-negative-budget", "allocate-opt-zero-budget",
+         "theorem5-zero-a", "theorem5-negative-a"],
 )
-def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
+def test_bad_input_exits_2_with_one_line(capsys, tmp_path, request, argv):
     paths = {"MISSING_DIR_CSV": str(tmp_path / "missing" / "ratios.csv")}
     for placeholder, text in BAD_INSTANCE_FILES.items():
         paths[placeholder] = str(tmp_path / f"{placeholder.lower()}.json")
@@ -451,6 +461,7 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert err == PINNED_LINES.get(request.node.callspec.id, err)
 
 
 def test_lemma6_refuses_an_expected_allocation_rule_with_the_curve_message(capsys):
@@ -518,7 +529,7 @@ def test_closed_output_pipe_exits_1_with_one_error_line():
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
-def test_repeated_calls_share_one_parser_and_match_fresh_ones(capsys, instance_file):
+def test_repeated_calls_give_the_same_results(capsys, instance_file):
     path = instance_file([3, 2, 1], ["1", "5/2"])
     calls = [
         ["allocate", "two-opt", path],
@@ -529,14 +540,9 @@ def test_repeated_calls_share_one_parser_and_match_fresh_ones(capsys, instance_f
         ["check", "le", "--bids", "1,2", "--workloads", "1,2"],
         ["certify", "theorem5", "--a", "8", "--text"],
     ]
-    fresh = []
-    for argv in calls:
-        cli._shared_parser.cache_clear()
-        fresh.append(run_cli(capsys, *argv)[:2])
-    assert fresh[3][0] == 2
-    for _ in range(2):  # one parser for every call, twice through
-        assert [run_cli(capsys, *argv)[:2] for argv in calls] == fresh
-    assert cli._shared_parser.cache_info().currsize == 1
+    first = [run_cli(capsys, *argv)[:2] for argv in calls]
+    assert first[3][0] == 2
+    assert [run_cli(capsys, *argv)[:2] for argv in calls] == first
 
 
 def test_certificate_help_lists_only_its_own_options(capsys):

@@ -335,6 +335,14 @@ class TestExpectedWorkcurve:
             with pytest.raises(DomainError):
                 CurvePiece(lo, hi, (F(1), F(0), d0, F(1))).integral()
 
+    @pytest.mark.parametrize("params", [(2, 0, 2, 0), (1, 0, 0, 2), (3, 1, 0, 0), (1, 0, -1, 0)])
+    def test_a_piece_refuses_params_that_are_not_normalised(self, params):
+        # (2, 0, 2, 0) is the constant 1, whose params are (1, 0, 1, 0).
+        with pytest.raises(DomainError, match="need d1 = 1, or d0 = 1 when d1 = 0"):
+            CurvePiece(F(0), F(1), tuple(map(F, params)))
+        for normalised in ((F(1), F(0), F(1), F(0)), (F(1), F(0), F(-1), F(1))):
+            assert CurvePiece(F(0), F(1), normalised).params == normalised
+
     @pytest.mark.parametrize("jobs", [[-1], [], [0, 2]])
     def test_single_machine_validates_its_jobs(self, jobs):
         with pytest.raises(DomainError):
