@@ -13,8 +13,9 @@ import bisect
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -191,14 +192,19 @@ class Instance:
         new_bids[machine] = bid
         return self._with_bids(new_bids)
 
-    def deviations(self, bids: Iterable[RationalLike]) -> Iterator[tuple[int, Fraction, Instance]]:
-        """``(machine, bid, self.with_bid(machine, bid))`` for every machine and
-        each of ``bids``: machine 0's grid in the caller's order, then machine
-        1's, and so on.  Where the bid is the machine's own, the copy is this
-        instance itself.  Each bid's check, ``ceil_log2`` and place among the
-        sorted bids are computed once, on machine 0's pass (so a bad bid
-        raises when it is reached); a copy's bid order then comes from
-        integer arithmetic, ties to the lower index as in ``bid_order``."""
+    def deviation_runs(
+        self, bids: Iterable[RationalLike]
+    ) -> Iterator[tuple[int, list[Fraction], Callable[[Fraction], "Instance"]]]:
+        """``(machine, run, copy)`` for every machine: machine 0's runs, then
+        machine 1's, and so on.  Each run is a list of consecutive ``bids``,
+        in the caller's order, at which ``with_bid(machine, bid)`` has the same
+        ``bid_order`` and ``bid_exponents``; ``copy(bid)`` builds that copy for
+        a bid of the run on request, sharing the run's bid-data tuples, and is
+        this instance itself at the machine's own bid.  Each bid's check,
+        ``ceil_log2`` and place among the sorted bids are computed once, on
+        machine 0's pass, so a bad bid raises when it is reached, after the
+        run before it; a run's bid order comes from integer arithmetic, ties
+        to the lower index as in ``bid_order``."""
         order = self.bid_order
         sorted_bids = [self.bids[j] for j in order]
         points = []
@@ -216,17 +222,36 @@ class Instance:
         for machine in range(self.m):
             own = order.index(machine)
             others = order[:own] + order[own + 1:]
-            new_bids, new_exponents = list(self.bids), list(self.bid_exponents)
-            for bid, exponent, less, tied in points if machine else first_pass():
-                if machine in tied:
-                    yield machine, bid, self
-                    continue
-                new_bids[machine], new_exponents[machine] = bid, exponent
-                pos = less - (less > own) + bisect.bisect_left(tied, machine)
-                copy = self._with_bids(new_bids)
-                vars(copy).update(_bid_order=(*others[:pos], machine, *others[pos:]),
-                                  _bid_exponents=tuple(new_exponents))
-                yield machine, bid, copy
+            exponents, run, place = list(self.bid_exponents), [], None
+
+            def cut():
+                pos, exponents[machine] = place
+                return machine, run, partial(self._deviated, machine, (*others[:pos], machine, *others[pos:]),
+                                             tuple(exponents))
+
+            try:
+                for bid, exponent, less, tied in points if machine else first_pass():
+                    here = less - (less > own) + bisect.bisect_left(tied, machine), exponent
+                    if here != place and run:
+                        yield cut()
+                        run = []
+                    place = here
+                    run.append(bid)
+            except DomainError:  # a bad bid: the run before it comes first
+                if run:
+                    yield cut()
+                raise
+            if run:
+                yield cut()
+
+    def _deviated(self, machine: int, bid_order: tuple[int, ...], bid_exponents: tuple[int, ...],
+                  bid: Fraction) -> "Instance":
+        """``with_bid(machine, bid)`` with the bid data it is known to have."""
+        if bid == self.bids[machine]:
+            return self
+        copy = self.with_bid(machine, bid)
+        vars(copy).update(_bid_order=bid_order, _bid_exponents=bid_exponents)
+        return copy
 
     def with_swapped_bids(self, k: int, l: int) -> "Instance":
         new_bids = list(self.bids)

@@ -130,8 +130,10 @@ def vcg_payments(
 @dataclass
 class Mechanism:
     """An allocation rule paired with a payment scheme.  An optional
-    ``decision_key(instance)`` holds all that a machine's outcome reads:
-    equal keys give each machine the same workload and payment."""
+    ``decision_key(instance)`` reads nothing but ``bid_order`` and
+    ``bid_exponents``: equal keys at two profiles that differ only in one
+    machine's bid give that machine the same workload and payment.  A key
+    of None promises nothing."""
 
     name: str
     rule: Callable[[Instance], Assignment]
@@ -145,10 +147,11 @@ class Mechanism:
 
 
 def _vcg_decision_key(instance: Instance):
-    """The winner and the bid it is paid at: the runner-up's, or a lone
-    machine's own."""
+    """The winner, or None for a lone machine, which is paid its own bid.  A
+    deviating machine that wins is paid the lowest other bid, fixed along
+    its own grid; one that loses gets nothing."""
     order = instance.bid_order
-    return order[0], instance.bids[order[1] if len(order) > 1 else order[0]]
+    return order[0] if len(order) > 1 else None
 
 
 vcg_mechanism = Mechanism("vcg", vcg_allocate, vcg_payments, _vcg_decision_key)

@@ -224,38 +224,43 @@ def check_truthful(
     """Grid check: no machine gains by deviating from its profile bid.
 
     The profile bid is treated as the true speed; every grid deviation of
-    every machine must not beat truthful reporting.  A mechanism is run
-    only where its ``decision_key``, if any, differs from the last point's
-    for the same machine: an equal key gives the same outcome, which did
-    not pay.
+    every machine must not beat truthful reporting.  A mechanism with a
+    ``decision_key`` is run at the first point of a run of
+    ``Instance.deviation_runs`` whose key, if not None, differs from the
+    machine's last run's, and nowhere else in the run: an equal key gives
+    the machine the same outcome, which did not pay.  Any other mechanism
+    is run at every point.
     """
     grid = rats(deviation_grid) if deviation_grid is not None else default_grid(instance)
     truthful = mechanism.run(instance)
     honest = [p - b * w for p, b, w in
               zip(truthful.payments, instance.bids, truthful.allocation.workloads)]
     decision_key = getattr(mechanism, "decision_key", None)
-    prev_machine = None
-    for i, dev, deviated_instance in instance.deviations(grid):
-        if deviated_instance is instance:  # the machine's own bid
-            continue
-        key = decision_key(deviated_instance) if decision_key else None
-        if i == prev_machine and key is not None and key == prev_key:
-            continue
-        prev_machine, prev_key = i, key
-        deviated = mechanism.run(deviated_instance)
+    last = None
+    for i, run, copy in instance.deviation_runs(grid):
         true_speed = instance.bids[i]
-        gained = deviated.payments[i] - true_speed * deviated.allocation.workloads[i]
-        if honest[i] < gained:
-            return _verdict(
-                "truthfulness",
-                Counterexample(
-                    f"machine {i} profits by bidding {rat_str(dev)}",
-                    honest[i],
-                    ">=",
-                    gained,
-                    {"machine": i, "true_speed": rat_str(true_speed), "deviation": rat_str(dev)},
-                ),
-            )
+        run = [dev for dev in run if dev != true_speed]  # the machine's own bid
+        if not run:
+            continue
+        first = copy(run[0])
+        key = decision_key(first) if decision_key else None
+        if key is not None and (i, key) == last:
+            continue
+        last = i, key
+        for dev in run if key is None else run[:1]:
+            deviated = mechanism.run(first if dev is run[0] else copy(dev))
+            gained = deviated.payments[i] - true_speed * deviated.allocation.workloads[i]
+            if honest[i] < gained:
+                return _verdict(
+                    "truthfulness",
+                    Counterexample(
+                        f"machine {i} profits by bidding {rat_str(dev)}",
+                        honest[i],
+                        ">=",
+                        gained,
+                        {"machine": i, "true_speed": rat_str(true_speed), "deviation": rat_str(dev)},
+                    ),
+                )
     return _verdict("truthfulness", None)
 
 
@@ -264,29 +269,32 @@ def check_monotone(
     instance: Instance,
     deviation_grid: Optional[Sequence[RationalLike]] = None,
 ) -> PropertyVerdict:
-    """Raising one's own bid never increases one's workload (grid check); a
-    rule is skipped where its ``decision_key``, if any, repeats the last one."""
+    """Raising one's own bid never increases one's workload (grid check).  A
+    rule with a ``decision_key`` is evaluated only at the first point of a
+    run of ``Instance.deviation_runs`` whose key, if not None, differs from
+    the machine's last run's; any other rule at every point."""
     grid = sorted(rats(deviation_grid)) if deviation_grid is not None else default_grid(instance)
     decision_key = getattr(rule, "decision_key", None)
-    prev_machine = None
-    for i, bid, deviated in instance.deviations(grid):
-        key = decision_key(deviated) if decision_key else None
-        if i == prev_machine and key is not None and key == prev_key:
-            prev_bid = bid  # the same workload as the last point
-            continue
-        w = rule(deviated).workloads[i]
-        if i == prev_machine and w > prev_w:
-            return _verdict(
-                "monotonicity",
-                Counterexample(
-                    f"machine {i} gains workload by raising its bid",
-                    w,
-                    "<=",
-                    prev_w,
-                    {"machine": i, "bid_low": rat_str(prev_bid), "bid_high": rat_str(bid)},
-                ),
-            )
-        prev_machine, prev_bid, prev_w, prev_key = i, bid, w, key
+    prev_machine = prev_key = None
+    for i, run, copy in instance.deviation_runs(grid):
+        first = copy(run[0])
+        key = decision_key(first) if decision_key else None
+        if key is None or (i, key) != (prev_machine, prev_key):
+            for bid in run if key is None else run[:1]:
+                w = rule(first if bid is run[0] else copy(bid)).workloads[i]
+                if i == prev_machine and w > prev_w:
+                    return _verdict(
+                        "monotonicity",
+                        Counterexample(
+                            f"machine {i} gains workload by raising its bid",
+                            w,
+                            "<=",
+                            prev_w,
+                            {"machine": i, "bid_low": rat_str(prev_bid), "bid_high": rat_str(bid)},
+                        ),
+                    )
+                prev_machine, prev_bid, prev_w = i, bid, w
+        prev_key, prev_bid = key, run[-1]  # the run's points share its first's workload
     return _verdict("monotonicity", None)
 
 

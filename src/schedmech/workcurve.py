@@ -393,6 +393,8 @@ class CurvePiece:
         if self.params[3] != 1 and self.params[2:] != (1, 0):
             shown = [rat_str(p) for p in self.params]
             raise DomainError(f"piece params {shown} need d1 = 1, or d0 = 1 when d1 = 0")
+        if self.params[3] == 1 and self.params[2] + self.lo <= 0:
+            raise DomainError("a piece's denominator d0 + x must be positive on it")
 
     def value_at(self, x: Fraction) -> Fraction:
         n0, n1, d0, d1 = self.params
@@ -409,8 +411,6 @@ class CurvePiece:
         lo, hi = self.lo, self.hi
         if d1 == 0:
             return LogLinearValue((n0 + n1 * (hi + lo) / 2) * (hi - lo), ())
-        if d0 + lo <= 0:
-            raise DomainError("a piece's denominator d0 + x must be positive on it")
         return LogLinearValue(n1 * (hi - lo), ((n0 - n1 * d0, (d0 + hi) / (d0 + lo)),))
 
     def to_json_dict(self) -> dict:

@@ -1,11 +1,13 @@
 """Test inputs the package itself never builds: random locally efficient
-profiles and a mechanism known to be untruthful."""
+profiles, a mechanism known to be untruthful, and a rule and a mechanism
+that fail the grid checks while carrying a ``decision_key``."""
 
 import random
 from fractions import Fraction
 from typing import Sequence
 
-from schedmech.core import Instance
+from schedmech.allocations import vcg_allocate
+from schedmech.core import Assignment, Instance
 from schedmech.payments import Mechanism
 
 
@@ -36,3 +38,41 @@ def bid_proportional_mechanism(rule) -> Mechanism:
         )
 
     return Mechanism(f"{getattr(rule, 'name', 'rule')}+bid-cost", rule, pay)
+
+
+class SlowestTakesAll:
+    """Everything to the highest bid, ties to the highest index: far from
+    monotone, and keyed on the bid order, so the keyed path of
+    ``check_monotone`` must report the per-point counterexamples."""
+
+    name = "slowest-takes-all"
+
+    def __call__(self, instance: Instance) -> Assignment:
+        winner = instance.bid_order[-1]
+        workloads = [Fraction(0)] * instance.m
+        workloads[winner] = instance.total_length
+        return Assignment((winner,) * instance.n, tuple(workloads))
+
+    def decision_key(self, instance: Instance):
+        return instance.bid_order[-1]
+
+
+slowest_takes_all = SlowestTakesAll()
+
+
+def _rounded_runner_up_payments(instance: Instance, allocation) -> Sequence[Fraction]:
+    """The VCG winner is paid the lowest other bid rounded up to a power of
+    two, times the total length; a lone machine is paid nothing.  A loser
+    whose bid lies between the winner's and its rounding profits by
+    underbidding."""
+    order, payments = instance.bid_order, [Fraction(0)] * instance.m
+    if instance.m > 1:
+        payments[order[0]] = Fraction(2) ** instance.bid_exponents[order[1]] * instance.total_length
+    return tuple(payments)
+
+
+# Keyed on all the bid data, so ``check_truthful`` runs it once per run.
+rounded_vcg_mechanism = Mechanism(
+    "vcg-rounded", vcg_allocate, _rounded_runner_up_payments,
+    lambda instance: (instance.bid_order, instance.bid_exponents),
+)

@@ -113,8 +113,9 @@ class TestInstance:
         assert inst.total_length == Fraction(11, 2)
         assert inst.scaled_jobs == (2, (5, 4, 2))
         assert (inst.bid_order, inst.bid_exponents) == ((0, 2, 1), (0, 1, 0))
-        deviated = {bid: copy for machine, bid, copy in inst.deviations(["7/3", 2, Fraction(1, 4), 2])
-                    if machine == 0}
+        deviated = {bid: copy(bid) for machine, run, copy in inst.deviation_runs(["7/3", 2, Fraction(1, 4), 2])
+                    if machine == 0 for bid in run}
+        (_, [five], copy), = [run for run in inst.deviation_runs([5]) if run[0] == 2]
         derived = [
             (inst.with_bid(0, "7/3"), (Fraction(7, 3), 2, 1)),
             (inst.with_bid(2, 5), (Fraction(3, 4), 2, 5)),
@@ -123,7 +124,7 @@ class TestInstance:
             (deviated[Fraction(7, 3)], (Fraction(7, 3), 2, 1)),
             (deviated[2], (2, 2, 1)),
             (deviated[Fraction(1, 4)], (Fraction(1, 4), 2, 1)),
-            (list(inst.deviations([5]))[2][2], (Fraction(3, 4), 2, 5)),
+            (copy(five), (Fraction(3, 4), 2, 5)),
         ]
         for got, bids in derived:
             fresh = Instance((1, Fraction(5, 2), 2), bids)
@@ -145,23 +146,33 @@ class TestInstance:
             unread = Instance((1, Fraction(5, 2), 2), bids)
             assert (got == unread, hash(got), repr(got)) == (True, hash(unread), repr(unread))
 
-    def test_deviations_keep_with_bids_check_and_the_callers_grid(self):
+    def test_deviation_runs_keep_with_bids_check_and_the_callers_grid(self):
         inst = Instance((3, 1), (2, 2, Fraction(1, 2)))
         grid = ["3", 2, Fraction(1, 2), 2, 8, Fraction(1, 2)]  # unsorted, repeated
-        triples = list(inst.deviations(grid))
+        runs = list(inst.deviation_runs(grid))
         # machine by machine, each machine's grid in the caller's order
-        assert [(machine, bid) for machine, bid, _ in triples] == [
+        assert [(machine, bid) for machine, run, _ in runs for bid in run] == [
             (machine, rat(b)) for machine in range(inst.m) for b in grid]
-        for machine, bid, got in triples:
-            assert got == inst.with_bid(machine, bid)
-            assert got.bid_order == Instance(got.jobs, got.bids).bid_order
-            # the machine's own bid yields the base itself
-            assert (got is inst) == (bid == inst.bids[machine])
+        # a run ends where the bid order or a bid exponent changes: 3 and 2
+        # round to 4 and 2, and 8 puts machine 0 after machine 1
+        assert [(machine, run) for machine, run, _ in runs][:4] == [
+            (0, [3]), (0, [2]), (0, [Fraction(1, 2)]), (0, [2])]
+        for machine, run, copy in runs:
+            for bid in run:
+                got = copy(bid)
+                assert got == inst.with_bid(machine, bid)
+                fresh = Instance(got.jobs, got.bids)
+                assert (got.bid_order, got.bid_exponents) == (fresh.bid_order, fresh.bid_exponents)
+                # the machine's own bid yields the base itself
+                assert (got is inst) == (bid == inst.bids[machine])
         with pytest.raises(DomainError, match="^bids must be strictly positive$"):
-            next(inst.deviations([0]))
-        # a bad bid raises when reached, as with_bid does point by point
-        lazy = inst.deviations([1, -1])
-        assert next(lazy) == (0, 1, inst.with_bid(0, 1))
+            next(inst.deviation_runs([0]))
+        # a bad bid raises when reached, after the run before it, as with_bid
+        # does point by point
+        lazy = inst.deviation_runs(["3/2", "5/4", -1, 3])
+        machine, run, copy = next(lazy)
+        assert (machine, run) == (0, [Fraction(3, 2), Fraction(5, 4)])
+        assert copy(Fraction(5, 4)) == inst.with_bid(0, "5/4")
         with pytest.raises(DomainError, match="^bids must be strictly positive$"):
             next(lazy)
 

@@ -6,26 +6,30 @@ The reference below is a verbatim copy of ``LptStar.__call__``,
 ``check_monotone`` as they were when every rule sorted the bids and took
 ``ceil_log2`` of each on every call, and every check built each deviated
 instance with ``with_bid`` and evaluated the rule at every grid point
-(with the two bid helpers they read, since removed from ``core``).  The
-package must return identical allocations, payments, verdicts and
+(with the two bid helpers they read, since removed from ``core``), and of
+``Instance.deviations``, which built a copy at every grid point before
+``Instance.deviation_runs`` cut the grid into runs of equal bid data.  The
+package must return identical copies, allocations, payments, verdicts and
 counterexamples on seeded deviation chains: tied bids, bids at 2^e and
 2^e ± 2^-k, one to six machines, the default grid and unsorted caller
 grids with repeated bids.
 """
 
+import bisect
 import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import pytest
 
-from schedmech.allocations import VcgAllocate, lpt_star, two_machine_opt, vcg_allocate
+from schedmech.allocations import lpt_star, two_machine_opt, vcg_allocate
 from schedmech.core import (
     Assignment,
     DomainError,
     Instance,
     RationalLike,
     ceil_log2,
+    rat,
     rat_str,
     rats,
 )
@@ -39,7 +43,7 @@ from schedmech.properties import (
     default_grid,
 )
 
-from specimens import bid_proportional_mechanism
+from specimens import bid_proportional_mechanism, rounded_vcg_mechanism, slowest_takes_all
 
 # ---------------------------------------------------------------------------
 # Reference: the per-point code, verbatim.
@@ -189,30 +193,50 @@ def reference_check_monotone(
     return _verdict("monotonicity", None)
 
 
+def reference_deviations(self, bids):
+    """``(machine, bid, self.with_bid(machine, bid))`` for every machine and
+    each of ``bids``: machine 0's grid in the caller's order, then machine
+    1's, and so on.  Where the bid is the machine's own, the copy is this
+    instance itself.  Each bid's check, ``ceil_log2`` and place among the
+    sorted bids are computed once, on machine 0's pass (so a bad bid
+    raises when it is reached); a copy's bid order then comes from
+    integer arithmetic, ties to the lower index as in ``bid_order``."""
+    order = self.bid_order
+    sorted_bids = [self.bids[j] for j in order]
+    points = []
+
+    def first_pass():
+        for bid in bids:
+            bid = rat(bid)
+            if bid.numerator <= 0:
+                raise DomainError("bids must be strictly positive")
+            less = bisect.bisect_left(sorted_bids, bid)
+            tied = order[less:bisect.bisect_right(sorted_bids, bid, less)]  # in index order
+            points.append((bid, ceil_log2(bid), less, tied))
+            yield points[-1]
+
+    for machine in range(self.m):
+        own = order.index(machine)
+        others = order[:own] + order[own + 1:]
+        new_bids, new_exponents = list(self.bids), list(self.bid_exponents)
+        for bid, exponent, less, tied in points if machine else first_pass():
+            if machine in tied:
+                yield machine, bid, self
+                continue
+            new_bids[machine], new_exponents[machine] = bid, exponent
+            pos = less - (less > own) + bisect.bisect_left(tied, machine)
+            copy = self._with_bids(new_bids)
+            vars(copy).update(_bid_order=(*others[:pos], machine, *others[pos:]),
+                              _bid_exponents=tuple(new_exponents))
+            yield machine, bid, copy
+
+
 reference_lpt_star = ReferenceLptStar()
 reference_vcg_allocate = ReferenceVcgAllocate()
 reference_vcg_mechanism = Mechanism("vcg", reference_vcg_allocate, reference_vcg_payments)
 
 # ---------------------------------------------------------------------------
 # Seeded deviation chains.
-
-
-class SlowestTakesAll(VcgAllocate):
-    """Everything to the highest bid, ties to the highest index: far from
-    monotone, so the reuse path of ``check_monotone`` must report the
-    reference's counterexamples."""
-
-    def __call__(self, instance: Instance) -> Assignment:
-        winner = instance.bid_order[-1]
-        workloads = [Fraction(0)] * instance.m
-        workloads[winner] = instance.total_length
-        return Assignment((winner,) * instance.n, tuple(workloads))
-
-    def decision_key(self, instance: Instance):
-        return instance.bid_order[-1]
-
-
-slowest_takes_all = SlowestTakesAll()
 
 
 def _near_power_of_two(rng):
@@ -263,11 +287,39 @@ def test_chains_cover_ties_powers_of_two_and_caller_grids():
                for inst, grid in chains if grid for i in range(inst.m) for b in grid) > 50
 
 
+def expand(inst, grid):
+    """``inst.deviation_runs(grid)`` point by point, as (machine, bid, copy)."""
+    return [(machine, bid, copy(bid)) for machine, run, copy in inst.deviation_runs(grid) for bid in run]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_runs_expand_to_the_reference_deviations(seed):
+    inst, grid = draw_chain(seed)
+    grid = grid if grid is not None else default_grid(inst)
+    expected = list(reference_deviations(inst, grid))
+    got = expand(inst, grid)
+    assert [(machine, bid) for machine, bid, _ in got] == [(machine, bid) for machine, bid, _ in expected]
+    for (_, _, copy), (_, _, reference) in zip(got, expected):
+        assert copy == reference and (copy is inst) == (reference is inst)
+        assert (copy.bid_order, copy.bid_exponents) == (reference.bid_order, reference.bid_exponents)
+    runs = list(inst.deviation_runs(grid))
+    data = []
+    for machine, run, copy in runs:
+        copies = [copy(bid) for bid in run]
+        # one run, one set of bid data, whose tuples every built copy shares
+        assert len({(c.bid_order, c.bid_exponents) for c in copies}) == 1
+        assert len({(id(vars(c)["_bid_order"]), id(vars(c)["_bid_exponents"]))
+                    for c in copies if c is not inst}) <= 1
+        data.append((machine, copies[0].bid_order, copies[0].bid_exponents))
+    # and each run is as long as it can be: the next one of the machine differs
+    assert all(a != b for a, b in zip(data, data[1:]))
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_deviated_allocations_and_payments_equal_the_reference(seed):
     inst, grid = draw_chain(seed)
     grid = grid if grid is not None else default_grid(inst)
-    triples = list(inst.deviations(grid))
+    triples = expand(inst, grid)
     # machine by machine, each machine's grid in the caller's order
     assert [(machine, bid) for machine, bid, _ in triples] == [
         (machine, bid) for machine in range(inst.m) for bid in rats(grid)]
@@ -298,6 +350,7 @@ def test_verdicts_and_counterexamples_equal_the_reference(seed):
         (vcg_mechanism, reference_vcg_mechanism),
         (ef_chain_mechanism(lpt_star), ef_chain_mechanism(reference_lpt_star)),
         (bid_proportional_mechanism(lpt_star), bid_proportional_mechanism(reference_lpt_star)),
+        (rounded_vcg_mechanism, rounded_vcg_mechanism),  # keyed; the reference reads no key
     ]
     for mechanism, reference in truthful:
         expected = reference_check_truthful(reference, inst, grid)
@@ -305,13 +358,15 @@ def test_verdicts_and_counterexamples_equal_the_reference(seed):
 
 
 def test_chains_reach_both_verdicts():
-    failed = {"monotone": 0, "truthful": 0}
+    failed = {"monotone": 0, "truthful": 0, "keyed truthful": 0}
     for seed in SEEDS:
         inst, grid = draw_chain(seed)
         failed["monotone"] += not check_monotone(slowest_takes_all, inst, grid)
         failed["truthful"] += not check_truthful(bid_proportional_mechanism(lpt_star), inst, grid)
+        failed["keyed truthful"] += not check_truthful(rounded_vcg_mechanism, inst, grid)
     # one machine has no competitor to lose its work to, or to be paid against
     assert failed["monotone"] >= 80 and failed["truthful"] >= 80
+    assert 30 <= failed["keyed truthful"] <= 90
 
 
 @pytest.mark.parametrize("grid", [[1, 0, 2], [Fraction(-1, 2)]])
@@ -344,21 +399,31 @@ class _LengthOnly:
 @pytest.mark.parametrize("seed", range(60))
 def test_rules_with_a_decision_key_read_the_bids_only_through_it(seed):
     """LPT* and VCG, run on copies whose raw bids cannot be read, return
-    what they return on fresh instances: they read nothing the key omits."""
+    what they return on fresh instances: they read nothing the key omits.
+    VCG's mechanism key reads no raw bid either, and along one machine's
+    grid an equal key gives that machine an equal workload and payment."""
     inst, grid = draw_chain(seed)
     grid = grid if grid is not None else default_grid(inst)[::7]
     # the base itself (a machine's own bid) comes last: its bids are replaced too
-    copies = [d for _, _, d in inst.deviations(grid) if d is not inst]
+    deviated = [(machine, d) for machine, _, d in expand(inst, grid) if d is not inst]
+    copies = [d for _, d in deviated]
     copies += [inst.with_swapped_bids(0, inst.m - 1), inst.scaled(Fraction(3, 2)), inst]
     by_key = {}
+    for machine, copy in deviated:
+        outcome = vcg_mechanism.run(Instance(copy.jobs, copy.bids))
+        mine = outcome.allocation.workloads[machine], outcome.payments[machine]
+        key = machine, vcg_mechanism.decision_key(copy)
+        assert inst.m == 1 or by_key.setdefault(key, mine) == mine
     for copy in copies:
         fresh = Instance(copy.jobs, copy.bids)
-        keys = lpt_star.decision_key(copy), vcg_allocate.decision_key(copy)
+        keys = lpt_star.decision_key(copy), vcg_allocate.decision_key(copy), vcg_mechanism.decision_key(copy)
+        assert (keys[2] is None) == (inst.m == 1)
         # and the key holds all they read: equal keys, equal allocations
         for rule, key in zip((lpt_star, vcg_allocate), keys):
             assert by_key.setdefault((rule.name, key), rule(fresh)) == rule(fresh)
         vars(copy)["bids"] = _LengthOnly(fresh.m)
-        assert keys == (lpt_star.decision_key(copy), vcg_allocate.decision_key(copy))
+        assert keys == (lpt_star.decision_key(copy), vcg_allocate.decision_key(copy),
+                        vcg_mechanism.decision_key(copy))
         assert lpt_star(copy) == lpt_star(fresh)
         assert vcg_allocate(copy) == vcg_allocate(fresh)
 
@@ -417,12 +482,12 @@ def _counted(runs, check, mechanism, inst, grid):
 
 def _key_changes(mechanism, inst, grid):
     """One truthful run plus, per machine, the points of its grid (own bid
-    left out) where the key differs from the previous point's."""
+    left out) where the key is None or differs from the previous point's."""
     changes = 1
     for machine in range(inst.m):
         keys = [mechanism.decision_key(inst.with_bid(machine, b))
                 for b in grid if b != inst.bids[machine]]
-        changes += sum(k == 0 or keys[k] != keys[k - 1] for k in range(len(keys)))
+        changes += sum(k == 0 or keys[k] is None or keys[k] != keys[k - 1] for k in range(len(keys)))
     return changes
 
 
@@ -461,13 +526,56 @@ def test_a_mechanism_without_a_key_runs_at_every_point(runs, mechanism):
 
 
 def test_a_lone_vcg_machine_profits_by_overbidding(runs):
-    """One machine is paid its own bid times L, so every overbid pays; the
-    key carries that bid, so the keyed check runs at every point."""
+    """One machine is paid its own bid times L, so every overbid pays; its
+    key is None, so the keyed check runs at every point."""
     inst = Instance((3, 2), (2,))
     verdict, keyed_runs = _counted(runs, check_truthful, vcg_mechanism, inst, None)
-    assert vcg_mechanism.decision_key(inst) == (0, Fraction(2))
+    assert vcg_mechanism.decision_key(inst) is None
     assert verdict.counterexample.description == "machine 0 profits by bidding 9/4"
     assert (verdict.counterexample.lhs, verdict.counterexample.rhs) == (0, Fraction(5, 4))
     assert verdict == reference_check_truthful(reference_vcg_mechanism, inst)
     # the truthful run, the seven bids below 2 and the failing 9/4
     assert keyed_runs == 9
+
+
+def test_a_keyed_specimen_runs_where_its_key_changes_with_the_reference_counterexamples(runs):
+    """The rounded-VCG specimen is keyed on all the bid data, so it runs once
+    per run of ``deviation_runs`` (its own bid left out), and fails where
+    the per-point reference fails, with the same counterexample."""
+    deep = 0
+    for seed in SEEDS:
+        inst, grid = draw_chain(seed)
+        grid = rats(grid) if grid is not None else default_grid(inst)
+        expected, reference_runs = _counted(runs, reference_check_truthful, rounded_vcg_mechanism, inst, grid)
+        verdict, keyed_runs = _counted(runs, check_truthful, rounded_vcg_mechanism, inst, grid)
+        assert verdict == expected
+        if verdict:
+            assert keyed_runs == _key_changes(rounded_vcg_mechanism, inst, grid)
+        else:
+            assert keyed_runs <= reference_runs
+            deep += keyed_runs < reference_runs
+    # counterexamples past some skipped point of a run
+    assert deep >= 20
+
+
+# VCG keyed on the winner, except where machine 0 wins: there its key is None.
+partly_keyed_vcg = Mechanism("vcg-partly-keyed", vcg_allocate, vcg_payments,
+                             lambda instance: instance.bid_order[0] or None)
+
+
+def test_a_none_key_runs_and_counts_as_a_change(runs):
+    """A None key runs the mechanism at every point of its run, and the next
+    run's key is compared with None, not with the key before it."""
+    mixed = 0
+    for seed in SEEDS:
+        inst, grid = draw_chain(seed)
+        grid = rats(grid) if grid is not None else default_grid(inst)
+        verdict, keyed_runs = _counted(runs, check_truthful, partly_keyed_vcg, inst, grid)
+        assert verdict == reference_check_truthful(reference_vcg_mechanism, inst, grid)
+        if verdict:
+            assert keyed_runs == _key_changes(partly_keyed_vcg, inst, grid)
+            # a key that comes back after a None one
+            keys = [[partly_keyed_vcg.decision_key(inst.with_bid(i, b)) for b in grid if b != inst.bids[i]]
+                    for i in range(inst.m)]
+            mixed += any(None in k[1:-1] and k[0] is not None and k[-1] is not None for k in keys)
+    assert mixed >= 10

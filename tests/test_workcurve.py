@@ -20,6 +20,7 @@ from schedmech.workcurve import (
     DivergentIntegral,
     LogLinearValue,
     WorkCurve,
+    _fit_piece,
     _rational_roots,
     build_workcurve,
     discover_step_function,
@@ -330,17 +331,25 @@ class TestExpectedWorkcurve:
         # (3 + 2x)/(1 + x) = 2 + 1/(1 + x) on (1, 2].
         piece = CurvePiece(F(1), F(2), (F(3), F(2), F(1), F(1)))
         assert piece.integral() == LogLinearValue(F(2), ((F(1), F(3, 2)),))
-        # A pole at lo, and a denominator d0 + x negative on the whole piece.
-        for lo, hi, d0 in ((F(0), F(1), F(0)), (F(1), F(2), F(-3))):
-            with pytest.raises(DomainError):
-                CurvePiece(lo, hi, (F(1), F(0), d0, F(1))).integral()
+        # A pole at lo, a denominator d0 + x negative on the whole piece, and
+        # an unbounded piece with a pole in it are refused when built.
+        for lo, hi, d0 in ((F(0), F(1), F(0)), (F(1), F(2), F(-3)), (F(1), None, F(-2))):
+            with pytest.raises(DomainError, match="denominator d0 \\+ x must be positive on it"):
+                CurvePiece(lo, hi, (F(1), F(0), d0, F(1)))
+
+    def test_a_fit_with_a_pole_between_its_samples_is_refused_when_fit(self):
+        # 1/(x - 1/12) at x = k/18 fits (1, 0, -1/12, 1) exactly, with its
+        # pole between the first two samples.
+        samples = [(F(k, 18), 1 / (F(k, 18) - F(1, 12))) for k in range(1, 7)]
+        with pytest.raises(DomainError, match="denominator d0 \\+ x must be positive on it"):
+            _fit_piece(F(0), F(1, 3), samples)
 
     @pytest.mark.parametrize("params", [(2, 0, 2, 0), (1, 0, 0, 2), (3, 1, 0, 0), (1, 0, -1, 0)])
     def test_a_piece_refuses_params_that_are_not_normalised(self, params):
         # (2, 0, 2, 0) is the constant 1, whose params are (1, 0, 1, 0).
         with pytest.raises(DomainError, match="need d1 = 1, or d0 = 1 when d1 = 0"):
             CurvePiece(F(0), F(1), tuple(map(F, params)))
-        for normalised in ((F(1), F(0), F(1), F(0)), (F(1), F(0), F(-1), F(1))):
+        for normalised in ((F(1), F(0), F(1), F(0)), (F(1), F(0), F(1, 2), F(1))):
             assert CurvePiece(F(0), F(1), normalised).params == normalised
 
     @pytest.mark.parametrize("jobs", [[-1], [], [0, 2]])
