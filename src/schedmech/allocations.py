@@ -8,6 +8,7 @@ hints.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from fractions import Fraction
 from math import lcm
@@ -122,21 +123,17 @@ class TwoMachineOpt:
         # key times that positive constant, as ints.
         c0 = b0.numerator * b1.denominator
         c1 = b1.numerator * b0.denominator
-        sums = [0]  # sums[mask]: machine 0's workload when it takes the mask's jobs
-        denominator, lengths = instance.scaled_jobs
-        for length in lengths:
-            sums += [w0 + length for w0 in sums]
-        total = sums[-1]
-        best = None
-        best_mask = 0
-        for mask, w0 in enumerate(sums):
-            t0 = w0 * c0
-            t1 = (total - w0) * c1
-            key = (t0 if t0 > t1 else t1, t0 + t1)
-            if best is None or key < best:  # strict: ties keep the lowest mask
-                best = key
-                best_mask = mask
-        w0 = sums[best_mask]
+        sums, masks = instance.job_data.subset_sums  # machine 0's possible workloads
+        denominator, total = instance.job_data.scaled_jobs[0], sums[-1]
+        # sums[k - 1] <= total * c1 / (c0 + c1) < sums[k].  Left of that point
+        # the makespan is machine 1's time, strictly falling, right of it
+        # machine 0's, strictly rising, so one of the two wins by (makespan,
+        # running time, mask); the running time is w0 * (c0 - c1) + constant.
+        k = bisect.bisect_right(sums, total * c1 // (c0 + c1))
+        left, right = sums[k - 1], sums[k]
+        if ((total - left) * c1, left * (c0 - c1), masks[k - 1]) > (right * c0, right * (c0 - c1), masks[k]):
+            k += 1
+        w0, best_mask = sums[k - 1], masks[k - 1]
         return Assignment(
             tuple(0 if best_mask >> j & 1 else 1 for j in range(instance.n)),
             (Fraction(w0, denominator), Fraction(total - w0, denominator)),

@@ -13,7 +13,7 @@ import bisect
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -59,6 +59,9 @@ def rat(value: RationalLike) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
+            num, slash, den = value.strip().partition("/")
+            if value.isascii() and num[num[:1] in "+-":].isdigit() and (den.isdigit() or not slash):
+                return Fraction(int(num), int(den or 1))  # "p" or "p/q": no regex parse
             if "e" in value.lower():
                 # Fraction("1e999999999") would compute 10**999999999.
                 raise ValueError("exponent notation")
@@ -95,7 +98,11 @@ def ceil_log2(b: RationalLike) -> int:
     b = rat(b)
     if b.numerator <= 0:
         raise DomainError(f"ceil_log2 requires a positive argument, got {rat_str(b)}")
-    p, q = b.numerator, b.denominator
+    return ceil_log2_ints(b.numerator, b.denominator)
+
+
+def ceil_log2_ints(p: int, q: int) -> int:
+    """``ceil_log2(p/q)`` for ints p, q > 0."""
     # With P, Q the bit lengths of p, q, p/q lies strictly between
     # 2**(P-Q-1) and 2**(P-Q+1), so the answer is P-Q or P-Q+1.
     e = p.bit_length() - q.bit_length()
@@ -120,6 +127,30 @@ def rounded_speed(b: RationalLike) -> Fraction:
     return Fraction(2) ** ceil_log2(b)
 
 
+class JobData:
+    """A canonical job vector's ``scaled_jobs`` (``scaled_to_ints`` of the
+    jobs), ``total_length`` and, built on first use, ``subset_sums``; held
+    by reference by an instance and every instance derived from it."""
+
+    def __init__(self, jobs: tuple[Fraction, ...]):
+        denominator, lengths = scaled_to_ints(jobs)
+        self.scaled_jobs = denominator, tuple(lengths)
+        self.total_length = Fraction(sum(lengths), denominator)
+
+    @cached_property
+    def subset_sums(self) -> tuple[list[int], list[int]]:
+        """``(sums, masks)``: the distinct subset sums of the scaled lengths,
+        ascending, each with the lowest bitmask (bit j for job j) reaching
+        it.  Built job by job in O(n·S) for S sums: a sum reached without
+        job j keeps its mask, which is lower than any mask with bit j."""
+        table = {0: 0}
+        for j, length in enumerate(self.scaled_jobs[1]):
+            for total, mask in list(table.items()):
+                table.setdefault(total + length, mask | 1 << j)
+        sums = sorted(table)
+        return sums, [table[total] for total in sums]
+
+
 @dataclass(frozen=True)
 class Instance:
     """Job lengths plus a bid profile; the universe every rule acts on.
@@ -127,14 +158,16 @@ class Instance:
     Jobs are canonicalized to nonincreasing order at construction; job
     indices throughout the package refer to positions in that sorted
     tuple.  All lengths and bids must be strictly positive.  The job data
-    every rule reads is computed once here and shared by every derived
-    instance: ``total_length`` and ``scaled_jobs`` (``scaled_to_ints`` of
-    the jobs).  Neither, nor each instance's own bid data (``bid_order``,
-    ``bid_exponents``), takes part in equality, hashing or ``repr``.
+    every rule reads (``job_data``) is built once here and shared by
+    reference with every derived instance.  Neither it nor each instance's
+    own bid data (``bid_order``, ``bid_exponents``) takes part in equality,
+    hashing or ``repr``.
     """
 
     jobs: tuple[Fraction, ...]
     bids: tuple[Fraction, ...]
+    scaled_jobs = property(lambda self: self.job_data.scaled_jobs)
+    total_length = property(lambda self: self.job_data.total_length)
 
     def __init__(self, jobs: Sequence[RationalLike], bids: Sequence[RationalLike]):
         jobs_t = tuple(sorted(rats(jobs), reverse=True))
@@ -147,9 +180,7 @@ class Instance:
             raise DomainError("job lengths must be strictly positive")
         if min(bids_t) <= 0:
             raise DomainError("bids must be strictly positive")
-        denominator, lengths = scaled_to_ints(jobs_t)
-        vars(self).update(jobs=jobs_t, bids=bids_t, scaled_jobs=(denominator, tuple(lengths)),
-                          total_length=Fraction(sum(lengths), denominator))
+        vars(self).update(jobs=jobs_t, bids=bids_t, job_data=JobData(jobs_t))
 
     @property
     def n(self) -> int:
@@ -179,8 +210,7 @@ class Instance:
         skips ``__init__``.  The job data is shared with this instance, not
         computed again; the bid data is the copy's own."""
         new = object.__new__(Instance)
-        vars(new).update(jobs=self.jobs, scaled_jobs=self.scaled_jobs,
-                         total_length=self.total_length, bids=tuple(bids))
+        vars(new).update(jobs=self.jobs, job_data=self.job_data, bids=tuple(bids))
         return new
 
     def with_bid(self, machine: int, bid: RationalLike) -> "Instance":
@@ -206,17 +236,20 @@ class Instance:
         run before it; a run's bid order comes from integer arithmetic, ties
         to the lower index as in ``bid_order``."""
         order = self.bid_order
-        sorted_bids = [self.bids[j] for j in order]
+        sorted_bids = [(self.bids[j].numerator, self.bids[j].denominator) for j in order]
         points = []
 
         def first_pass():
             for bid in bids:
                 bid = rat(bid)
-                if bid.numerator <= 0:
+                p, q = bid.numerator, bid.denominator
+                if p <= 0:
                     raise DomainError("bids must be strictly positive")
-                less = bisect.bisect_left(sorted_bids, bid)
-                tied = order[less:bisect.bisect_right(sorted_bids, bid, less)]  # in index order
-                points.append((bid, ceil_log2(bid), less, tied))
+                # signs of sorted bid minus bid: -, 0, +, all that bisect reads
+                signs = [num * q - p * den for num, den in sorted_bids]
+                less = bisect.bisect_left(signs, 0)
+                tied = order[less:bisect.bisect_right(signs, 0, less)]  # in index order
+                points.append((bid, ceil_log2_ints(p, q), less, tied))
                 yield points[-1]
 
         for machine in range(self.m):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,35 @@ from schedmech.core import (
     utility,
 )
 from test_integer_kernels import reference_from_distributions
+
+
+def reference_rat(value):
+    """``rat`` as it was before ``"p"`` and ``"p/q"`` tokens were parsed
+    with ``int()``, kept verbatim as the oracle of the fast path."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise DomainError(f"not a rational scalar: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            if "e" in value.lower():
+                # Fraction("1e999999999") would compute 10**999999999.
+                raise ValueError("exponent notation")
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"cannot parse rational from {value!r}") from exc
+    raise DomainError(f"refusing inexact type {type(value).__name__!r}: {value!r}")
+
+
+def _parsed(parse, text):
+    """The value, or the DomainError text, of ``parse(text)``."""
+    try:
+        value = parse(text)
+    except DomainError as exc:
+        return "error", str(exc)
+    return type(value), value
 
 positive_fractions = st.fractions(
     min_value=Fraction(1, 64), max_value=64, max_denominator=64
@@ -45,6 +75,26 @@ class TestRat:
         for text in ("1e3", "2E-1"):
             with pytest.raises(DomainError):
                 rat(text)
+
+    @pytest.mark.parametrize("text", ["3/0", "1" * 4301, "1e5", "", "1/-2"])
+    def test_bad_tokens_keep_their_error_text(self, text):
+        with pytest.raises(DomainError) as info:
+            rat(text)
+        assert str(info.value) == f"cannot parse rational from {text!r}"
+        assert _parsed(rat, text) == _parsed(reference_rat, text)
+
+    @pytest.mark.parametrize("text", [
+        "7", "-7/5", " +12/8 ", "\t0/3\n", "00012/0004", "9" * 4300, "٣", "٣/4", "\u00a03", "1/+2",
+        "--3", "+-3", "3/", "/4", "3 / 4", "1_000", "1/2/3", "0x10", "²", "0.25", "-.5", "3/4.0"])
+    def test_tokens_parse_or_fail_as_before(self, text):
+        assert _parsed(rat, text) == _parsed(reference_rat, text)
+
+    def test_seeded_tokens_parse_or_fail_as_before(self):
+        rng = random.Random(29)
+        alphabet = "0123456789" * 3 + "/+- ._e٣\t"
+        for _ in range(3000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 7)))
+            assert _parsed(rat, text) == _parsed(reference_rat, text), text
 
     def test_rat_str_roundtrip(self):
         for text in ("3", "3/4", "-7/5", "0"):

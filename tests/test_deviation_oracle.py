@@ -12,7 +12,9 @@ instance with ``with_bid`` and evaluated the rule at every grid point
 package must return identical copies, allocations, payments, verdicts and
 counterexamples on seeded deviation chains: tied bids, bids at 2^e and
 2^e ± 2^-k, one to six machines, the default grid and unsorted caller
-grids with repeated bids.
+grids with repeated bids.  Further chains aim at the integer first pass of
+``deviation_runs``: grid bids equal to two or three tied machine bids,
+large coprime denominators, and points at 2^e and 2^e ± 1/q.
 """
 
 import bisect
@@ -29,6 +31,7 @@ from schedmech.core import (
     Instance,
     RationalLike,
     ceil_log2,
+    ceil_log2_ints,
     rat,
     rat_str,
     rats,
@@ -579,3 +582,74 @@ def test_a_none_key_runs_and_counts_as_a_change(runs):
                     for i in range(inst.m)]
             mixed += any(None in k[1:-1] and k[0] is not None and k[-1] is not None for k in keys)
     assert mixed >= 10
+
+
+# ---------------------------------------------------------------------------
+# The integer first pass of ``deviation_runs`` on its edge cases: grid bids
+# equal to two or three tied machine bids, large coprime denominators, and
+# points at 2^e and 2^e ± 1/q.
+
+LARGE_NUMERATORS = (2 ** 61 - 1, 2 ** 89 - 1, 10 ** 30 + 57)
+LARGE_DENOMINATORS = (2 ** 40, 3 ** 40, 2 ** 40 + 1)
+
+
+def _edge_bid(rng):
+    if rng.random() < 0.4:
+        return Fraction(rng.choice(LARGE_NUMERATORS), rng.choice(LARGE_DENOMINATORS))
+    power = Fraction(2) ** rng.randint(-6, 30)
+    q = rng.choice((3, 7, 1000003, 2 ** 61 - 1))
+    while Fraction(1, q) >= power:
+        q = 4 * q + 1
+    return power + rng.choice((0, 1, -1)) * Fraction(1, q)
+
+
+def draw_edge_chain(seed):
+    """2-5 machines, two or three of them tied, and a grid holding the tied
+    bid, edge bids and their repeats in no order."""
+    rng = random.Random(seed)
+    m = 2 + seed % 4
+    tied = _edge_bid(rng)
+    ties = min(m, rng.choice((2, 3)))
+    bids = [tied] * ties + [_edge_bid(rng) for _ in range(m - ties)]
+    rng.shuffle(bids)
+    jobs = [rng.randint(1, 9) for _ in range(rng.randint(1, 4))]
+    grid = [tied] * rng.randint(1, 2) + [_edge_bid(rng) for _ in range(rng.randint(4, 12))]
+    grid += rng.sample(bids, rng.randint(0, m)) + rng.sample(grid, rng.randint(0, 3))
+    rng.shuffle(grid)
+    return Instance(jobs, bids), grid
+
+
+EDGE_SEEDS = range(80)
+
+
+def test_edge_chains_cover_ties_large_denominators_and_powers_of_two():
+    chains = [draw_edge_chain(seed) for seed in EDGE_SEEDS]
+    tie_counts = [max(inst.bids.count(b) for b in grid) for inst, grid in chains]
+    assert tie_counts.count(2) > 20 and tie_counts.count(3) > 10
+    points = [b for inst, grid in chains for b in (*grid, *inst.bids)]
+    assert sum(b.denominator in LARGE_DENOMINATORS for b in points) > 200
+    powers = [b for b in points if b == Fraction(2) ** ceil_log2(b)]
+    assert len(powers) > 100 and any(b < 1 for b in powers)
+    assert sum(b.denominator > 10 ** 6 and abs(b - Fraction(2) ** ceil_log2(b)) * b.denominator == 1
+               for b in points) > 50
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_edge_chains_expand_to_the_reference_deviations(seed):
+    inst, grid = draw_edge_chain(seed)
+    expected = list(reference_deviations(inst, grid))
+    got = expand(inst, grid)
+    assert [(machine, bid) for machine, bid, _ in got] == [(machine, bid) for machine, bid, _ in expected]
+    for (_, _, copy), (_, _, reference) in zip(got, expected):
+        assert copy == reference and (copy is inst) == (reference is inst)
+        assert (copy.bid_order, copy.bid_exponents) == (reference.bid_order, reference.bid_exponents)
+        fresh = Instance(copy.jobs, copy.bids)
+        assert (copy.bid_order, copy.bid_exponents) == (fresh.bid_order, fresh.bid_exponents)
+
+
+def test_ceil_log2_and_its_int_helper_agree_on_the_edge_points():
+    points = {b for seed in EDGE_SEEDS for inst, grid in [draw_edge_chain(seed)] for b in (*grid, *inst.bids)}
+    for b in points:
+        e = ceil_log2(b)
+        assert e == ceil_log2_ints(b.numerator, b.denominator)
+        assert Fraction(2) ** (e - 1) < b <= Fraction(2) ** e
