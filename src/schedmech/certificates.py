@@ -155,7 +155,9 @@ def theorem5_certificate(
         inputs={"a_values": [rat_str(a) for a in a_values], "jobs": ["2", "1"]},
         constants={},
     )
-    for a in a_values:
+    for i, a in enumerate(a_values):
+        if a in a_values[:i]:
+            raise DomainError(f"a value {rat_str(a)} is given twice")
         if a < 8 or rounded_speed(a) != a:
             raise DomainError(
                 f"a must be a power of two at least 8, got {rat_str(a)}; smaller "
@@ -445,6 +447,9 @@ def lemma6_g(
 
     ratio_cap = (k + 1) / (2 * k)
     samples = rats(inequality_samples)
+    repeated = [a for i, a in enumerate(samples) if a in samples[:i]]
+    if repeated:
+        raise DomainError(f"inequality sample {rat_str(repeated[0])} is given twice")
     # Machine 0's workload as the competitor's bid varies, one curve per
     # distinct own bid; the unit-bid machine's curve is the a = 1 one.
     competitor_curves = {

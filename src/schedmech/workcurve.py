@@ -23,11 +23,13 @@ from .core import (
     DomainError,
     ExpectedAllocation,
     Instance,
+    JobData,
     RationalLike,
     ceil_log2,
     rat,
     rat_str,
     rats,
+    scaled_to_ints,
 )
 
 # Largest denominator a jump hypothesis may have before bisection goes on.
@@ -97,10 +99,8 @@ class WorkCurve:
         x = rat(x)
         if x <= 0:
             raise DomainError("curves are defined on positive bids only")
-        for bp, v in zip(self.breakpoints, self.values):
-            if x < bp:
-                return v
-        return self.tail
+        j = bisect_right(self.breakpoints, x)
+        return self.values[j] if j < len(self.values) else self.tail
 
     def monotonicity_violations(self) -> list[tuple[Fraction, Fraction, Fraction]]:
         """(breakpoint, value before, value after) wherever the curve rises."""
@@ -151,6 +151,12 @@ def integrate(
 # Step-function discovery
 
 
+def _between(lo: Fraction, hi: Fraction, k: int, d: int) -> Fraction:
+    """lo + (hi - lo)*k/d from the ints of both ends: each point discovery places."""
+    p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    return Fraction(p * s * (d - k) + r * q * k, q * s * d)
+
+
 def _steps_at(
     f: Callable[[Fraction], Fraction],
     lo: Fraction,
@@ -164,11 +170,9 @@ def _steps_at(
     Probes at z - (z-lo)/2^k and z + (hi-z)/2^k for k in (1, 16, 40) must
     read vlo and vhi, and f(z) itself must be one of the two values.
     """
-    left_gap = z - lo
-    right_gap = hi - z
     return (
-        all(f(z - left_gap / (1 << k)) == vlo for k in (1, 16, 40))
-        and all(f(z + right_gap / (1 << k)) == vhi for k in (1, 16, 40))
+        all(f(_between(lo, z, (1 << k) - 1, 1 << k)) == vlo for k in (1, 16, 40))
+        and all(f(_between(z, hi, 1, 1 << k)) == vhi for k in (1, 16, 40))
         and f(z) in (vlo, vhi)
     )
 
@@ -202,17 +206,16 @@ def _locate_jumps(
         if lo < z < hi and _steps_at(f, lo, vlo, z, hi, vhi):
             return [(z, vhi)]
     for _ in range(260):
-        width = hi - lo
         # Endpoint hypotheses: the value changes immediately after lo
         # (breakpoint lo itself), or only at hi.
-        if all(f(lo + width / (1 << k)) == vhi for k in (14, 34, 54)):
+        if all(f(_between(lo, hi, 1, 1 << k)) == vhi for k in (14, 34, 54)):
             return [(lo, vhi)]
-        if all(f(hi - width / (1 << k)) == vlo for k in (14, 34, 54)):
+        if all(f(_between(lo, hi, (1 << k) - 1, 1 << k)) == vlo for k in (14, 34, 54)):
             return [(hi, vhi)]
         z = simplest_between(lo, hi)
         if z.denominator <= MAX_DENOMINATOR and _steps_at(f, lo, vlo, z, hi, vhi):
             return [(z, vhi)]
-        mid = lo + width / 2
+        mid = _between(lo, hi, 1, 2)
         vm = f(mid)
         if vm == vlo:
             lo = mid
@@ -238,14 +241,16 @@ def discover_step_function(
     """Recover a piecewise-constant f on (0, cap] exactly.
 
     ``candidates`` delimit the initial sampling grid (three quantiles per
-    candidate interval); every jump is then located exactly between adjacent
-    samples that disagree.  A candidate between them is tested first, and
-    accepted as the jump only under the probe test a simplest-rational
-    hypothesis must pass; otherwise simplest-rational bisection finds it.
-    The curve's tail is the value on the final interval ending at cap, and
-    it is flagged approximate when a jump could not be located exactly.  A
-    jump hiding between two equal-valued samples is invisible; candidate
-    sets must be dense enough to expose one sign of every change.
+    candidate interval, placed like every probe by ``_between`` from the
+    ints of its two ends); every jump is then located exactly between
+    adjacent samples that disagree.  A candidate between them is tested
+    first, and accepted as the jump only under the probe test a
+    simplest-rational hypothesis must pass; otherwise simplest-rational
+    bisection finds it.  The curve's tail is the value on the final interval
+    ending at cap, and it is flagged approximate when a jump could not be
+    located exactly.  A jump hiding between two equal-valued samples is
+    invisible; candidate sets must be dense enough to expose one sign of
+    every change.
 
     Curves are exact when every jump is a candidate, which holds for the
     package's rules.  A jump nearer to a tested point than 2^-40 of its
@@ -256,11 +261,11 @@ def discover_step_function(
     cap = rat(cap)
     if cap <= 0:
         raise DomainError("cap must be positive")
-    points = sorted({rat(c) for c in candidates if 0 < rat(c) < cap})
+    points = sorted({c for c in map(rat, candidates) if 0 < c < cap})
     edges = [Fraction(0)] + points + [cap]
     samples: list[Fraction] = []
     for lo, hi in zip(edges, edges[1:]):
-        samples.extend(lo + (hi - lo) * Fraction(k, 4) for k in (1, 2, 3))
+        samples.extend(_between(lo, hi, k, 4) for k in (1, 2, 3))
     values = [f(q) for q in samples]
     approximate = False
     jumps: dict[Fraction, Fraction] = {}
@@ -309,19 +314,19 @@ def subset_ratio_points(
 ) -> set[Fraction]:
     """Points where exact makespan or running-time comparisons can flip.
 
-    Each scale times s1/s2 over the nonzero job subset sums (s1 = s2 gives
-    the scale itself), limited to (0, cap].  Up to 12 jobs every subset sum
-    is used; above that, prefix sums plus single jobs keep the set small.
+    Each positive scale times s1/s2 over the nonzero job subset sums (s1 = s2
+    gives the scale itself), limited to (0, cap], on the jobs' scaled ints.
+    Up to 12 jobs every sum of ``JobData.subset_sums`` is used; above that,
+    prefix sums plus single jobs keep the set small.
     """
-    sums = {Fraction(0)}
     if len(jobs) <= 12:
-        for l in jobs:
-            sums |= {s + l for s in sums}
+        sums = JobData(tuple(jobs)).subset_sums[0][1:]
     else:
-        sums.update(itertools.accumulate(jobs))
-        sums.update(jobs)
-    sums.discard(Fraction(0))
-    return {x for b in scales for s1 in sums for s2 in sums if 0 < (x := b * s1 / s2) <= cap}
+        lengths = scaled_to_ints(jobs)[1]
+        sums = {*itertools.accumulate(lengths), *lengths}
+    return {Fraction(b.numerator * s1, b.denominator * s2)
+            for b in scales if b.numerator > 0 for s1 in sums for s2 in sums
+            if b.numerator * s1 * cap.denominator <= cap.numerator * b.denominator * s2}
 
 
 def power_of_two_points(lo: Fraction, cap: Fraction) -> set[Fraction]:
@@ -631,9 +636,8 @@ def expected_workcurve(
     pieces: list[CurvePiece] = []
     edges = [Fraction(0)] + points
     for lo, hi in zip(edges, edges[1:]):
-        span = hi - lo
         # Each closed interval end belongs to its piece: hi is a sample too.
-        sample_xs = [lo + span * Fraction(k, 6) for k in range(1, 7)]
+        sample_xs = [_between(lo, hi, k, 6) for k in range(1, 7)]
         pieces.append(_fit_piece(lo, hi, [(x, eval_expected(x)) for x in sample_xs]))
     # Beyond the last candidate the competitor bin swallows everything.
     final_val = eval_expected(hi_end * 2)

@@ -377,6 +377,9 @@ PINNED_LINES = {
     f"theorem5-{name}-a": f"error: a must be a power of two at least 8, got {a}; smaller "
                           "powers change the response shape the argument relies on\n"
     for name, a in (("zero", 0), ("negative", -8))
+} | {
+    "theorem5-repeated-a": "error: a value 8 is given twice\n",
+    "lemma6-repeated-sample": "error: inequality sample 2 is given twice\n",
 }
 
 
@@ -429,6 +432,8 @@ PINNED_LINES = {
         ["allocate", "opt", "VALID_JSON", "--budget", "0"],
         ["certify", "theorem5", "--a", "0"],
         ["certify", "theorem5", "--a", "-8"],
+        ["certify", "theorem5", "--a", "8,8"],
+        ["certify", "lemma6", "--samples-at", "2,2"],
     ],
     ids=["instance-file-holds-a-list", "lemma6-expected-allocation-rule",
          "instance-jobs-not-a-list", "instance-jobs-a-string",
@@ -449,7 +454,8 @@ PINNED_LINES = {
          "parallel-jobs-with-an-instance-file", "explicit-negative-bid",
          "explicit-zero-bid", "explicit-negative-workload",
          "polytope-negative-budget", "ratio-negative-budget", "allocate-opt-zero-budget",
-         "theorem5-zero-a", "theorem5-negative-a"],
+         "theorem5-zero-a", "theorem5-negative-a", "theorem5-repeated-a",
+         "lemma6-repeated-sample"],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, request, argv):
     paths = {"MISSING_DIR_CSV": str(tmp_path / "missing" / "ratios.csv")}

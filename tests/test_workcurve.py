@@ -81,6 +81,21 @@ class TestWorkCurveBasics:
         with pytest.raises(DomainError):
             c.value_at(0)
 
+    def test_value_at_each_breakpoint_just_left_of_it_between_and_beyond(self):
+        c = self.curve()
+        after = c.values[1:] + (c.tail,)
+        for bp, before, right in zip(c.breakpoints, c.values, after):
+            assert c.value_at(bp) == right
+            assert c.value_at(bp - F(1, 2 ** 70)) == before
+        for lo, hi, v in zip((F(0), *c.breakpoints), c.breakpoints, c.values):
+            assert c.value_at((lo + hi) / 2) == v
+        assert c.value_at(c.breakpoints[-1] + F(1, 2 ** 70)) == c.tail
+        assert c.value_at("1/3") == 3
+        assert WorkCurve((), (), F(5)).value_at(F(7)) == 5
+        for x in (F(0), F(-1), -F(1, 2 ** 70)):
+            with pytest.raises(DomainError, match="positive bids only"):
+                c.value_at(x)
+
     def test_integrals(self):
         c = self.curve()
         assert integrate(c, 0, None) == 26
