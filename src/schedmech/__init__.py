@@ -59,7 +59,6 @@ from .workcurve import (
     build_workcurve,
     expected_workcurve,
     integrate,
-    simplest_between,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

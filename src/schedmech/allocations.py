@@ -2,8 +2,9 @@
 
 All rules are pure functions of the instance; the sampling rule takes an
 explicit seeded random source so replays are deterministic.  Rules are
-small callable objects so curve construction can ask them for breakpoint
-hints.
+small callable objects; each deterministic one declares its
+``region_points``, the bids between which its decision cannot change, from
+which ``workcurve`` builds its exact bid-response curves.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from .core import (
     DomainError,
     ExpectedAllocation,
     Instance,
+    ceil_log2,
     scaled_to_ints,
 )
-from .workcurve import power_of_two_points, subset_ratio_points
 
 OPT_STATE_BUDGET = 10 ** 7
 TWO_MACHINE_BUDGET = 1 << 20
@@ -75,13 +76,26 @@ class LptStar:
         """All the allocation reads of the bids."""
         return instance.bid_exponents, instance.bid_order
 
-    def breakpoint_hints(self, others_bids, jobs, cap):
-        """Powers of two (rounded-speed flips) plus raw competitor bids
-        (bundle-reorder comparisons)."""
-        if not others_bids:
-            return set()  # a lone machine takes every job at any bid
-        lo = min(others_bids) * min(jobs) / (2 * sum(jobs))
-        return {b for b in others_bids if b <= cap} | power_of_two_points(lo, cap)
+    def region_points(self, instance: Instance, machine: int, cap):
+        """The other bids, and the powers of two in [lo, cap] with
+        lo = b·l/(2L), for b the least other bid, l the shortest job and L
+        the total length.
+
+        The decision reads only ``decision_key``: the varying bid x moves
+        in the bid order only at another bid, and its exponent changes only
+        at a power of two.  Below lo, x rounds to less than 2x < b·l/L, so
+        it is alone in its rounded-speed class and its key with every job
+        loaded stays below any other machine's first key, at least
+        l·rounded(b): every job goes to x.  For p the least power of two
+        not below lo, the bids in (p/2, p) share x's exponent and its place
+        in the bid order with those in (p/2, lo), so the decision is that
+        one on all of (0, p).  A lone machine takes every job at any bid.
+        """
+        fixed = instance.bids[:machine] + instance.bids[machine + 1:]
+        if fixed:
+            yield from fixed
+            lo = min(fixed) * instance.jobs[-1] / (2 * instance.total_length)
+            yield from (Fraction(2) ** e for e in range(ceil_log2(lo), ceil_log2(cap) + 1))
 
 
 class VcgAllocate:
@@ -99,8 +113,10 @@ class VcgAllocate:
     def decision_key(self, instance: Instance):
         return instance.bid_order[0]
 
-    def breakpoint_hints(self, others_bids, jobs, cap):
-        return {b for b in others_bids if b <= cap}
+    def region_points(self, instance: Instance, machine: int, cap):
+        """The other bids: the winner changes only where the varying bid
+        passes one of them."""
+        return instance.bids[:machine] + instance.bids[machine + 1:]
 
 
 class TwoMachineOpt:
@@ -139,8 +155,41 @@ class TwoMachineOpt:
             (Fraction(w0, denominator), Fraction(total - w0, denominator)),
         )
 
-    def breakpoint_hints(self, others_bids, jobs, cap):
-        return subset_ratio_points(others_bids, jobs, cap)
+    def region_points(self, instance: Instance, machine: int, cap):
+        """See ``_two_machine_points``."""
+        return _two_machine_points(instance, machine)
+
+
+def _two_machine_points(instance: Instance, machine: int):
+    """b, and b·(T − s)/s and b·(T − s)/s' for adjacent distinct subset sums
+    s < s' (``JobData.subset_sums``, scaled ints with total T), where b is
+    the other machine's bid; after b, from the lowest point up.
+
+    ``TwoMachineOpt.__call__`` reads the bids through three things: the
+    balance index k, which side of it wins on makespan, and, on a makespan
+    tie, the sign of b0 − b1.  With machine 0 bidding x, k moves where
+    x·s = b·(T − s) for a sum s, the makespans (T − s)·b and s'·x of the
+    two sides tie at x = b·(T − s)/s', and the sign changes at x = b.
+    With machine 1 bidding y, the same equations in the complementary sums
+    u = T − s (adjacent exactly when s is) give the same points.  Between
+    consecutive points machine 0's makespan-optimal workload is unique, so
+    any exact optimum, ``opt`` on two machines included, has it.
+    """
+    if instance.m > 2:
+        raise DomainError("region points are known for at most two machines")
+    if 2 ** instance.n > TWO_MACHINE_BUDGET:
+        raise BudgetExceeded(f"2^{instance.n} assignments exceed budget {TWO_MACHINE_BUDGET}")
+    if instance.m == 1:
+        return
+    b = instance.bids[1 - machine]
+    yield b
+    sums = instance.job_data.subset_sums[0]
+    total = sums[-1]
+    for k in range(len(sums) - 1, 0, -1):
+        s, s_next = sums[k - 1], sums[k]
+        yield Fraction(b.numerator * (total - s), b.denominator * s_next)
+        if s:
+            yield Fraction(b.numerator * (total - s), b.denominator * s)
 
 
 lpt_star = LptStar()
@@ -189,6 +238,13 @@ class AtFractional:
     ints; shares and expected workloads become ``Fraction``s at the end."""
 
     name = "at-expected"
+
+    def region_points(self, instance: Instance, machine: int, cap):
+        """Refused: expected workloads are not step functions of a bid."""
+        raise DomainError(
+            "rule returns expected allocations; bid-response curves need "
+            "deterministic workloads"
+        )
 
     def __call__(self, instance: Instance) -> ExpectedAllocation:
         lower, _, unit, inverses = _at_lower_bound_ints(instance)
@@ -321,6 +377,11 @@ class OptRule:
     def __call__(self, instance: Instance) -> Assignment:
         assignment, _ = opt_makespan(instance)
         return assignment
+
+    def region_points(self, instance: Instance, machine: int, cap):
+        """Two-opt's points on two machines (see ``_two_machine_points``);
+        none are known on three or more."""
+        return _two_machine_points(instance, machine)
 
 
 opt_rule = OptRule()

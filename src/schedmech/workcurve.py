@@ -1,70 +1,45 @@
-"""Bid-response curves: exact step functions of one machine's own bid.
+"""Bid-response curves: exact step functions of one machine's bid.
 
-For a deterministic allocation rule and fixed competitor bids, the first
-machine's workload as a function of its own bid is a nonincreasing step
-function with rational breakpoints.  This module discovers those
-breakpoints exactly (candidate seeding, each candidate tested as a jump,
-simplest-rational bisection as the fallback), integrates the curve
-exactly, and, for the fractional binning rule, derives the piecewise
-closed form of the *expected* workload, whose integral picks up
-logarithmic terms that are kept symbolic with rational enclosures.
+For a deterministic allocation rule and fixed other bids, the first
+machine's workload as a function of one machine's bid is a step function
+with rational breakpoints.  Each rule declares ``region_points``, a finite
+set of bids between which it proves its decision constant, so the curve
+follows from one rule call per region, with no probing.  This module
+builds those curves, integrates them exactly, and, for the fractional
+binning rule, derives the piecewise closed form of the *expected*
+workload, whose integral picks up logarithmic terms that are kept
+symbolic with rational enclosures.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (
+    BudgetExceeded,
     DomainError,
-    ExpectedAllocation,
     Instance,
-    JobData,
     RationalLike,
-    ceil_log2,
     rat,
     rat_str,
     rats,
-    scaled_to_ints,
 )
 
-# Largest denominator a jump hypothesis may have before bisection goes on.
-MAX_DENOMINATOR = 2 ** 64
+# Most regions a bid-response curve may have on (0, cap]: one rule call each.
+MAX_REGIONS = 4096
 
 
 class CurveResolutionError(RuntimeError):
-    """Breakpoint discovery exhausted its budget; the curve is not exact."""
+    """A curve or an integral could not be resolved exactly."""
 
 
 class DivergentIntegral(ArithmeticError):
     """The integral to infinity of a curve with nonzero tail."""
-
-
-def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The rational with smallest denominator in the open interval (lo, hi).
-
-    Ties on denominator are broken toward the smaller numerator, which is
-    what the Stern-Brocot descent below produces.  Requires 0 <= lo < hi.
-    """
-    if lo < 0:
-        raise DomainError("simplest_between only supports nonnegative bounds")
-    if not lo < hi:
-        raise DomainError("empty interval")
-    floor_lo = lo.numerator // lo.denominator
-    if lo == floor_lo:
-        if hi > floor_lo + 1:
-            return Fraction(floor_lo + 1)
-        # (integer, hi) with hi <= integer+1: smallest k with floor+1/k < hi
-        inv = 1 / (hi - lo)
-        k = inv.numerator // inv.denominator + 1
-        return floor_lo + Fraction(1, k)
-    if Fraction(floor_lo + 1) < hi:
-        return Fraction(floor_lo + 1)
-    return floor_lo + 1 / simplest_between(1 / (hi - floor_lo), 1 / (lo - floor_lo))
 
 
 @dataclass(frozen=True)
@@ -76,9 +51,11 @@ class WorkCurve:
     last breakpoint.
     Values at the breakpoints themselves are taken from the right: they are
     measure zero and never affect an integral.  A nonzero tail means the
-    underlying rule was still allocating work where sampling stopped, so
-    integrals to infinity diverge (or the sampling cap was simply too small
-    -- that is the caller's promise to keep).
+    underlying rule was still allocating work at the curve's cap, so
+    integrals to infinity diverge (or the cap was simply too small -- that
+    is the caller's promise to keep).  ``approximate`` marks a curve whose
+    breakpoints are not exact; the builders here never set it, and
+    ``integrate`` refuses such a curve.
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -148,191 +125,46 @@ def integrate(
 
 
 # ---------------------------------------------------------------------------
-# Step-function discovery
+# Region curves
 
 
 def _between(lo: Fraction, hi: Fraction, k: int, d: int) -> Fraction:
-    """lo + (hi - lo)*k/d from the ints of both ends: each point discovery places."""
+    """lo + (hi - lo)*k/d from the ints of both ends."""
     p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     return Fraction(p * s * (d - k) + r * q * k, q * s * d)
 
 
-def _steps_at(
-    f: Callable[[Fraction], Fraction],
-    lo: Fraction,
-    vlo: Fraction,
-    z: Fraction,
-    hi: Fraction,
-    vhi: Fraction,
-) -> bool:
-    """Jump hypothesis: f steps from vlo to vhi at z inside (lo, hi).
+def _region_curve(rule, base: Instance, machine: int, cap: Fraction) -> WorkCurve:
+    """Machine 0's workload under ``rule`` as ``machine``'s bid varies over
+    (0, cap]: one rule call at the midpoint of each region between
+    consecutive points of ``rule.region_points``, equal neighbours merged.
 
-    Probes at z - (z-lo)/2^k and z + (hi-z)/2^k for k in (1, 16, 40) must
-    read vlo and vhi, and f(z) itself must be one of the two values.
+    Exact because each rule's ``region_points`` docstring proves its
+    decision constant on every region; a value at a point itself is read
+    from the right, as ``WorkCurve`` reads it.
     """
-    return (
-        all(f(_between(lo, z, (1 << k) - 1, 1 << k)) == vlo for k in (1, 16, 40))
-        and all(f(_between(z, hi, 1, 1 << k)) == vhi for k in (1, 16, 40))
-        and f(z) in (vlo, vhi)
-    )
-
-
-def _locate_jumps(
-    f: Callable[[Fraction], Fraction],
-    x1: Fraction,
-    v1: Fraction,
-    x2: Fraction,
-    v2: Fraction,
-    candidates: Sequence[Fraction],
-    depth: int = 0,
-) -> Optional[list[tuple[Fraction, Fraction]]]:
-    """Exact jump points of a step function in [x1, x2], given f(x1) != f(x2),
-    each with the value just right of it.
-
-    Each candidate strictly inside the bracket is first tested as the
-    jump under the same hypothesis test the bisection uses.  Failing that, a
-    simplest-rational hypothesis test alternates with plain bisection.
-    Bisection shrinks the bracket geometrically; once it is tight enough
-    that the true jump is the simplest rational inside (any two rationals
-    with denominator at most q are at least 1/q^2 apart), the hypothesis
-    test confirms it exactly.  Steps closed on either side are caught by
-    endpoint probes.  Returns None when the budgets run out, in which case
-    the caller flags the curve approximate.
-    """
-    if depth > 8:
-        return None
-    lo, vlo, hi, vhi = x1, v1, x2, v2
-    for z in candidates:
-        if lo < z < hi and _steps_at(f, lo, vlo, z, hi, vhi):
-            return [(z, vhi)]
-    for _ in range(260):
-        # Endpoint hypotheses: the value changes immediately after lo
-        # (breakpoint lo itself), or only at hi.
-        if all(f(_between(lo, hi, 1, 1 << k)) == vhi for k in (14, 34, 54)):
-            return [(lo, vhi)]
-        if all(f(_between(lo, hi, (1 << k) - 1, 1 << k)) == vlo for k in (14, 34, 54)):
-            return [(hi, vhi)]
-        z = simplest_between(lo, hi)
-        if z.denominator <= MAX_DENOMINATOR and _steps_at(f, lo, vlo, z, hi, vhi):
-            return [(z, vhi)]
-        mid = _between(lo, hi, 1, 2)
-        vm = f(mid)
-        if vm == vlo:
-            lo = mid
-        elif vm == vhi:
-            hi = mid
-        else:
-            left = _locate_jumps(f, lo, vlo, mid, vm, candidates, depth + 1)
-            right = _locate_jumps(f, mid, vm, hi, vhi, candidates, depth + 1)
-            if left is None or right is None:
-                return None
-            return left + right
-    return None
-
-
-MAX_BREAKPOINTS = 512
-
-
-def discover_step_function(
-    f: Callable[[Fraction], Fraction],
-    candidates: Iterable[RationalLike],
-    cap: RationalLike,
-) -> WorkCurve:
-    """Recover a piecewise-constant f on (0, cap] exactly.
-
-    ``candidates`` delimit the initial sampling grid (three quantiles per
-    candidate interval, placed like every probe by ``_between`` from the
-    ints of its two ends); every jump is then located exactly between
-    adjacent samples that disagree.  A candidate between them is tested
-    first, and accepted as the jump only under the probe test a
-    simplest-rational hypothesis must pass; otherwise simplest-rational
-    bisection finds it.  The curve's tail is the value on the final interval
-    ending at cap, and it is flagged approximate when a jump could not be
-    located exactly.  A jump hiding between two equal-valued samples is
-    invisible; candidate sets must be dense enough to expose one sign of
-    every change.
-
-    Curves are exact when every jump is a candidate, which holds for the
-    package's rules.  A jump nearer to a tested point than 2^-40 of its
-    bracket is read at that point, and the curve is not flagged: a rule
-    giving machine 0 all the work iff b0 < b1 + 1/(2^70+1) yields
-    breakpoint 1 against competitor bid 1, not approximate.
-    """
-    cap = rat(cap)
     if cap <= 0:
         raise DomainError("cap must be positive")
-    points = sorted({c for c in map(rat, candidates) if 0 < c < cap})
-    edges = [Fraction(0)] + points + [cap]
-    samples: list[Fraction] = []
+    region_points = getattr(rule, "region_points", None)
+    if region_points is None:
+        raise DomainError(
+            f"rule {getattr(rule, 'name', 'rule')!r} declares no region_points; "
+            "bid-response curves are built from them"
+        )
+    points: set[Fraction] = set()
+    for x in region_points(base, machine, cap):
+        if 0 < x < cap:
+            points.add(x)
+            if len(points) >= MAX_REGIONS:
+                raise BudgetExceeded(f"more than {MAX_REGIONS} regions on (0, {rat_str(cap)}]")
+    edges = [Fraction(0), *sorted(points), cap]
+    breakpoints, values = [], []
     for lo, hi in zip(edges, edges[1:]):
-        samples.extend(_between(lo, hi, k, 4) for k in (1, 2, 3))
-    values = [f(q) for q in samples]
-    approximate = False
-    jumps: dict[Fraction, Fraction] = {}
-    for (xa, va), (xb, vb) in zip(zip(samples, values), zip(samples[1:], values[1:])):
-        if va != vb:
-            inside = points[bisect_right(points, xa):bisect_left(points, xb)]
-            found = _locate_jumps(f, xa, va, xb, vb, inside)
-            if found is None:
-                approximate = True
-                jumps[xb] = vb  # best effort: split at the right sample
-            else:
-                jumps.update(found)
-            if len(jumps) > MAX_BREAKPOINTS:
-                raise CurveResolutionError(
-                    f"more than {MAX_BREAKPOINTS} jumps on (0, {rat_str(cap)}]; "
-                    "the response does not look like a bounded step function"
-                )
-    breakpoints: list[Fraction] = []
-    vals = [values[0]]
-    for x, v in sorted(jumps.items()):
-        if v != vals[-1]:
-            breakpoints.append(x)
-            vals.append(v)
-    tail = vals.pop()
-    return WorkCurve(tuple(breakpoints), tuple(vals), tail, approximate)
-
-
-def _response_eval(rule, bids, jobs, machine: int) -> Callable[[Fraction], Fraction]:
-    """Machine 0's workload under ``rule`` as ``machine``'s bid varies."""
-    base = Instance(jobs, bids)
-
-    def f(x: Fraction) -> Fraction:
-        result = rule(base.with_bid(machine, x))
-        if isinstance(result, ExpectedAllocation):
-            raise DomainError(
-                "rule returns expected allocations; bid-response curves need "
-                "deterministic workloads"
-            )
-        return result.workloads[0]
-
-    return f
-
-
-def subset_ratio_points(
-    scales: Sequence[Fraction], jobs: Sequence[Fraction], cap: Fraction
-) -> set[Fraction]:
-    """Points where exact makespan or running-time comparisons can flip.
-
-    Each positive scale times s1/s2 over the nonzero job subset sums (s1 = s2
-    gives the scale itself), limited to (0, cap], on the jobs' scaled ints.
-    Up to 12 jobs every sum of ``JobData.subset_sums`` is used; above that,
-    prefix sums plus single jobs keep the set small.
-    """
-    if len(jobs) <= 12:
-        sums = JobData(tuple(jobs)).subset_sums[0][1:]
-    else:
-        lengths = scaled_to_ints(jobs)[1]
-        sums = {*itertools.accumulate(lengths), *lengths}
-    return {Fraction(b.numerator * s1, b.denominator * s2)
-            for b in scales if b.numerator > 0 for s1 in sums for s2 in sums
-            if b.numerator * s1 * cap.denominator <= cap.numerator * b.denominator * s2}
-
-
-def power_of_two_points(lo: Fraction, cap: Fraction) -> set[Fraction]:
-    """Every power of two in [lo, cap]: where rounded speeds change."""
-    powers = (Fraction(2) ** e for e in range(ceil_log2(lo), ceil_log2(cap) + 1))
-    return {p for p in powers if p <= cap}
+        value = rule(base.with_bid(machine, _between(lo, hi, 1, 2))).workloads[0]
+        if not values or value != values[-1]:
+            breakpoints.append(lo)
+            values.append(value)
+    return WorkCurve(tuple(breakpoints[1:]), tuple(values[:-1]), values[-1])
 
 
 def build_workcurve(
@@ -347,20 +179,7 @@ def build_workcurve(
     the rule's support is bounded; a nonzero tail in the result means that
     promise could not be confirmed at the cap.
     """
-    others_bids, jobs, cap = rats(others_bids), rats(jobs), rat(cap)
-    f = _response_eval(rule, (1, *others_bids), jobs, 0)
-    hints = getattr(rule, "breakpoint_hints", None)
-    if hints is not None:
-        # A rule that knows its own comparison structure supplies a complete
-        # candidate set; the quantile verification still guards it.
-        candidates = hints(others_bids, jobs, cap)
-    else:
-        # Bid-comparison thresholds plus rounded-speed flips: good for the
-        # rules in this package.
-        lo = min((*others_bids, cap)) * min(jobs) / (2 * sum(jobs))
-        candidates = subset_ratio_points(others_bids, jobs, cap)
-        candidates |= power_of_two_points(lo, cap)
-    return discover_step_function(f, candidates, cap)
+    return _region_curve(rule, Instance(jobs, (1, *others_bids)), 0, rat(cap))
 
 
 def build_response_curve(
@@ -372,9 +191,8 @@ def build_response_curve(
     """The first machine's workload at bid ``own_bid`` as the competitor's
     bid varies over (0, cap]: the curves the certificate for scalable
     two-machine rules integrates on both sides of its inequality."""
-    own_bid, jobs, cap = rat(own_bid), rats(jobs), rat(cap)
-    f = _response_eval(rule, (own_bid, own_bid), jobs, 1)
-    return discover_step_function(f, subset_ratio_points((own_bid,), jobs, cap), cap)
+    own_bid = rat(own_bid)
+    return _region_curve(rule, Instance(jobs, (own_bid, own_bid)), 1, rat(cap))
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,9 @@ class FirstTakesAll:
     def __call__(self, instance):
         return Assignment.from_map(instance, [0] * instance.n)
 
+    def region_points(self, instance, machine, cap):
+        return ()  # the same decision at every bid
+
 
 class SlowestTakesAll:
     name = "slowest-takes-all"

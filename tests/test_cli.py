@@ -471,7 +471,7 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, request, argv):
 
 
 def test_lemma6_refuses_an_expected_allocation_rule_with_the_curve_message(capsys):
-    # The one check that a curve's rule is deterministic is the curve's own.
+    # The binning rule's region_points refuse its curve.
     code, out, err = run_cli(capsys, "certify", "lemma6", "--rule", "at-expected")
     assert code == 2
     assert out == ""
@@ -479,6 +479,23 @@ def test_lemma6_refuses_an_expected_allocation_rule_with_the_curve_message(capsy
         "error: rule returns expected allocations; bid-response curves need "
         "deterministic workloads\n"
     )
+
+
+@pytest.mark.parametrize("n_jobs", [10, 12])
+def test_lemma6_on_power_of_two_jobs_runs_within_the_region_budget(capsys, n_jobs):
+    # Jobs 1, 2, 4, ...: all 2^n subset sums are distinct, so two-opt's
+    # curves have up to 2^(n+1) regions.  Ten jobs fit in MAX_REGIONS (the
+    # probing discovery ended there in a CurveResolutionError traceback
+    # after 40 s); twelve exceed it and exit 3 before a rule call on the
+    # first curve.
+    jobs = ",".join(str(2 ** e) for e in range(n_jobs))
+    code, out, err = run_cli(capsys, "certify", "lemma6", "--jobs", jobs)
+    if n_jobs == 10:
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verified"] is True
+    else:
+        assert (code, out) == (3, "")
+        assert err == "error: more than 4096 regions on (0, 2]\n"
 
 
 def test_console_entry_point_runs():

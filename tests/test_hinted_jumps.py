@@ -1,9 +1,10 @@
-"""Hinted jump location against the bisection-only discovery it replaced.
+"""Region curves against the bisection-only discovery.
 
-``discover_step_function`` tests the candidate between two disagreeing
-samples as the jump before it bisects.  The oracle below is a verbatim copy
-of the earlier bisection-only discovery (and of ``build_workcurve`` with its
-fresh ``Instance`` per probe); every curve must come out equal.
+The oracle below is a verbatim copy of the earlier bisection-only
+discovery (and of ``build_workcurve`` with its fresh ``Instance`` per
+probe), apart from its hints and ratio points, which now come from the
+discovery oracle in ``test_curve_points_oracle``; every region curve must
+come out equal.
 """
 
 import random
@@ -16,6 +17,7 @@ from schedmech.allocations import RULES, lpt_star, two_machine_opt
 from schedmech.certificates import lemma6_g
 from schedmech.core import (
     Assignment,
+    DomainError,
     ExpectedAllocation,
     Instance,
     rat,
@@ -23,16 +25,20 @@ from schedmech.core import (
     rats,
 )
 from schedmech.workcurve import (
-    MAX_BREAKPOINTS,
-    MAX_DENOMINATOR,
     CurveResolutionError,
     WorkCurve,
     build_response_curve,
     build_workcurve,
     integrate,
+)
+from test_curve_points_oracle import (
+    MAX_BREAKPOINTS,
+    MAX_DENOMINATOR,
+    parent_build_workcurve,
+    parent_hints,
+    parent_subset_ratio_points as subset_ratio_points,
     power_of_two_points,
     simplest_between,
-    subset_ratio_points,
 )
 
 F = Fraction
@@ -125,7 +131,7 @@ def bisect_build_workcurve(rule, others_bids, jobs, cap) -> WorkCurve:
             raise TypeError("expected allocation")
         return result.workloads[0]
 
-    hints = getattr(rule, "breakpoint_hints", None)
+    hints = parent_hints(rule)
     if hints is not None:
         candidates = hints(others_bids, jobs, cap)
     else:
@@ -160,6 +166,11 @@ def _own_bid_draws(seed, count):
 def test_own_bid_curves_equal_bisection_only_discovery(seed):
     for name, others, jobs, cap in _own_bid_draws(seed, 24):
         rule = RULES[name]
+        if name == "opt" and len(others) > 1:
+            # No region points are known for opt on three or more machines.
+            with pytest.raises(DomainError, match="^region points are known for at most two machines$"):
+                build_workcurve(rule, others, jobs, cap)
+            continue
         expected = bisect_build_workcurve(rule, others, jobs, cap)
         assert build_workcurve(rule, others, jobs, cap) == expected, (
             name, others, jobs, cap,
@@ -219,6 +230,8 @@ def test_lemma6_report_equals_bisection_only_discovery():
 
 @pytest.mark.parametrize("offset", [F(1, 1000), F(-1, 1000)], ids=["right", "left"])
 def test_decoy_candidate_is_not_taken_for_the_jump(offset):
+    # The discovery oracle tests a candidate as the jump before it takes
+    # it; the package takes no hints, only declared region points.
     threshold = F(22, 7)
 
     class DecoyHints:
@@ -229,20 +242,22 @@ def test_decoy_candidate_is_not_taken_for_the_jump(offset):
         def breakpoint_hints(self, others_bids, jobs, cap):
             return {threshold + offset, F(3)}
 
-    curve = build_workcurve(DecoyHints(), (F(1),), (2, 1), cap=8)
+    curve = parent_build_workcurve(DecoyHints(), (F(1),), (2, 1), cap=8)
     assert curve.breakpoints == (threshold,)
     assert curve.values == (3,)
     assert curve.tail == 0
     assert not curve.approximate
+    with pytest.raises(DomainError, match="declares no region_points"):
+        build_workcurve(DecoyHints(), (F(1),), (2, 1), cap=8)
 
 
 class CountingRule:
-    """Forwards to a rule, counting calls; keeps its hints and name."""
+    """Forwards to a rule, counting calls; keeps its region points and name."""
 
     def __init__(self, rule):
         self.rule = rule
         self.name = rule.name
-        self.breakpoint_hints = rule.breakpoint_hints
+        self.region_points = rule.region_points
         self.calls = 0
 
     def __call__(self, instance):
@@ -250,14 +265,17 @@ class CountingRule:
         return self.rule(instance)
 
 
-def test_probe_counts_stay_pinned():
-    # A count, not a timing: bisection alone took 61 and 379 calls here.
+def test_region_call_counts_stay_pinned():
+    # One call per region; the discovery this replaced made 36 and 262
+    # calls here, and bisection alone 61 and 379.
     rule = CountingRule(lpt_star)
     curve = build_workcurve(rule, (F(8),), (F(2), F(1)), cap=32)
+    assert curve == bisect_build_workcurve(lpt_star, (F(8),), (F(2), F(1)), 32)
     assert curve.breakpoints == (2, 8, 16) and not curve.approximate
-    assert rule.calls == 36
+    assert rule.calls == 5  # regions split at 2, 4, 8 and 16
 
     rule = CountingRule(two_machine_opt)
     g, _ = lemma6_g(rule, F(3), (F(2), F(1)))
     assert g == F(5, 12)
-    assert rule.calls == 262
+    # Curve calls plus lemma6_g's own precondition checks, which did not change.
+    assert rule.calls == 61

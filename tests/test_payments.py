@@ -22,9 +22,10 @@ from schedmech.payments import (
     vcg_payments,
 )
 from schedmech.properties import check_envy_free, check_ir
-from schedmech.workcurve import CurveResolutionError, WorkCurve, build_workcurve
+from schedmech.workcurve import CurveResolutionError, WorkCurve, build_workcurve, integrate
 
 from specimens import bid_proportional_mechanism, sample_locally_efficient
+from test_curve_points_oracle import parent_build_workcurve
 
 F = Fraction
 
@@ -136,6 +137,9 @@ class _Threshold:
         target = 0 if instance.bids[0] < self.threshold else 1
         return Assignment.from_map(instance, [target] * instance.n)
 
+    def region_points(self, instance, machine, cap):
+        return (self.threshold,)
+
 
 class _IrrationalThreshold:
     """All work to machine 0 iff b0 < sqrt(2)*b1: a jump at no rational bid."""
@@ -148,13 +152,41 @@ class _IrrationalThreshold:
 
 class TestExtractH:
     def test_irrational_jump_raises_instead_of_an_inexact_term(self):
-        # Discovery cannot place the jump at sqrt(2) and flags the curve
-        # approximate (its best-effort breakpoint is 13/8); h read off it
-        # would be 39/8, which no exact integral gives.
+        # The discovery oracle cannot place the jump at sqrt(2) and flags
+        # the curve approximate (its best-effort breakpoint is 13/8); h read
+        # off it would be 39/8, which no exact integral gives.  The package
+        # refuses the rule, which declares no region points.
         zero = Mechanism("sqrt2", _IrrationalThreshold(), lambda inst, alloc: (F(0),) * inst.m)
-        assert build_workcurve(zero.rule, (1,), (2, 1), 12).approximate
+        curve = parent_build_workcurve(zero.rule, (1,), (2, 1), 12)
+        assert curve.approximate
         with pytest.raises(CurveResolutionError):
+            integrate(curve, 0, 3)
+        with pytest.raises(DomainError, match="declares no region_points"):
             extract_h(zero, (2, 1), (1,), 3)
+
+    def test_a_jump_2_to_the_minus_70_past_a_bid_is_placed_exactly(self):
+        # All work to machine 0 iff b0 < b1 + 1/(2^70 + 1), paid that
+        # threshold times the total length: a truthful mechanism.  The
+        # probing discovery read the jump at 1 against b1 = 1, unflagged,
+        # and extract_h raised NotTruthfulEvidence at probes 1/2 and 3.
+        eps = F(1, 2 ** 70 + 1)
+
+        class NearThreshold:
+            def __call__(self, instance):
+                b0, b1 = instance.bids
+                return Assignment.from_map(instance, [0 if b0 < b1 + eps else 1] * instance.n)
+
+            def region_points(self, instance, machine, cap):
+                b = instance.bids[1 - machine]
+                return (b + eps if machine == 0 else b - eps,)
+
+        def pay(instance, allocation):
+            return (instance.total_length * (instance.bids[1] + eps) if allocation.workloads[0] else F(0), F(0))
+
+        mechanism = Mechanism("near-threshold", NearThreshold(), pay)
+        curve = build_workcurve(mechanism.rule, (1,), (2, 1), 8)
+        assert (curve.breakpoints, curve.values, curve.tail) == ((1 + eps,), (3,), 0)
+        assert extract_h(mechanism, (2, 1), (1,), F(1, 2), 3) == 3 * (1 + eps)
 
     def test_probe_invariant_on_all_to_fastest(self):
         assert extract_h(vcg_mechanism, (2, 1), (2,), 1) == 6
@@ -267,8 +299,6 @@ class TestIrBoundOnTheAdditiveTerm:
     def test_pivot_term_meets_the_full_integral(self, a):
         # an IR mechanism's additive term must cover the whole response
         # integral; for the all-to-fastest rule the two are equal
-        from schedmech.workcurve import build_workcurve, integrate
-
         h = extract_h(vcg_mechanism, (2, 1), (a,), a / 2)
         curve = build_workcurve(vcg_allocate, (a,), (2, 1), cap=4 * a)
         assert h >= integrate(curve, 0, None)

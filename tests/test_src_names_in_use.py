@@ -60,7 +60,7 @@ UNCALLED_METHODS = {
 def unused_methods():
     """``module:Class.method`` for each non-dunder method that nothing in
     the package names outside its own body.  A string (``getattr(rule,
-    "breakpoint_hints", None)``) names it too, and an override of a base
+    "region_points", None)``) names it too, and an override of a base
     class's method is used by that base."""
     trees = {
         path.name: ast.parse(path.read_text(), filename=str(path))

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schedmech.allocations import (
+    TWO_MACHINE_BUDGET,
     at_fractional,
     lpt_star,
+    opt_rule,
     two_machine_opt,
     vcg_allocate,
 )
-from schedmech.core import Assignment, DomainError, Instance, rat_str
+from schedmech.core import Assignment, BudgetExceeded, DomainError, Instance, rat_str
 from schedmech.workcurve import (
-    MAX_BREAKPOINTS,
+    MAX_REGIONS,
     CurvePiece,
     CurveResolutionError,
     DivergentIntegral,
@@ -23,15 +25,13 @@ from schedmech.workcurve import (
     _fit_piece,
     _rational_roots,
     build_workcurve,
-    discover_step_function,
     expected_workcurve,
     integrate,
     ln_enclosure,
     piecewise_integral,
-    power_of_two_points,
-    simplest_between,
-    subset_ratio_points,
 )
+
+from test_curve_points_oracle import parent_build_workcurve
 
 F = Fraction
 
@@ -42,29 +42,6 @@ def piecewise_value_at(pieces, x):
         if p.lo < x and (p.hi is None or x <= p.hi):
             return p.value_at(x)
     raise DomainError(f"{rat_str(x)} not covered by pieces")
-
-
-class TestSimplestBetween:
-    def test_known_intervals(self):
-        assert simplest_between(F(0), F(1)) == F(1, 2)
-        assert simplest_between(F(1, 3), F(1, 2)) == F(2, 5)
-        assert simplest_between(F(1, 2), F(3)) == 1
-        assert simplest_between(F(5, 2), F(7, 2)) == 3
-        assert simplest_between(F(22, 7) - F(1, 1000), F(22, 7) + F(1, 1000)) == F(22, 7)
-
-    @given(
-        st.fractions(min_value=0, max_value=50, max_denominator=200),
-        st.fractions(min_value=F(1, 200), max_value=2, max_denominator=200),
-    )
-    def test_lands_inside_and_is_minimal(self, lo, width):
-        hi = lo + width
-        z = simplest_between(lo, hi)
-        assert lo < z < hi
-        # nothing with a smaller denominator fits in the interval
-        for q in range(1, z.denominator):
-            p_lo = lo.numerator * q // lo.denominator
-            for p in range(p_lo, p_lo + 3):
-                assert not lo < F(p, q) < hi
 
 
 class TestWorkCurveBasics:
@@ -158,23 +135,39 @@ def two_machine_opt_reference_value(x, a):
     return best[2]
 
 
-class TestCandidateSeeding:
-    def test_subset_ratio_points_scale_every_sum_ratio_within_cap(self):
-        # subset sums of (2, 1) are 1, 2, 3; the ratios times 2, up to 4
-        points = subset_ratio_points((F(2),), (F(2), F(1)), F(4))
-        assert points == {F(2, 3), F(1), F(4, 3), F(2), F(3), F(4)}
+class TestRegionPoints:
+    def points(self, rule, bids, jobs, cap, machine=0):
+        return set(rule.region_points(Instance(jobs, bids), machine, F(cap)))
 
-    def test_above_twelve_jobs_only_prefix_sums_and_single_jobs(self):
-        jobs = tuple(F(2) ** e for e in range(13))  # 8191 distinct subset sums
-        sums = {F(2) ** (e + 1) - 1 for e in range(13)} | set(jobs)
-        points = subset_ratio_points((F(1),), jobs, F(10) ** 9)
-        assert points == {s1 / s2 for s1 in sums for s2 in sums}
-
-    def test_power_of_two_points_include_both_ends(self):
-        assert power_of_two_points(F(3, 16), F(5)) == {
-            F(1, 4), F(1, 2), F(1), F(2), F(4)
+    def test_lpt_star_takes_the_other_bids_and_the_powers_of_two_from_its_bound(self):
+        # Bound 8 * 1 / (2 * 3) = 4/3, so the powers of two run 2, 4, ..., 32.
+        assert self.points(lpt_star, (1, 8), (2, 1), 32) == {F(8), F(2), F(4), F(16), F(32)}
+        assert self.points(lpt_star, (1, 1), (2, 1), 2, machine=1) == {
+            F(1), F(1, 4), F(1, 2), F(2)
         }
-        assert power_of_two_points(F(1, 4), F(1)) == {F(1, 4), F(1, 2), F(1)}
+        assert self.points(lpt_star, (5,), (2, 1), 32) == set()
+
+    def test_vcg_takes_the_other_bids(self):
+        assert self.points(vcg_allocate, (1, 3, 5), (2, 1), 4) == {F(3), F(5)}
+
+    def test_two_machine_points_are_the_same_for_either_machine(self):
+        # Sums 0, 1, 2, 3 of jobs (2, 1) against bid 1: the balance points
+        # (3 - s)/s, the makespan ties (3 - s)/s' and the bid 1 itself.
+        want = {F(1, 3), F(1, 2), F(1), F(2), F(3)}
+        for rule in (two_machine_opt, opt_rule):
+            assert self.points(rule, (1, 1), (2, 1), 6) == want
+            assert self.points(rule, (1, 1), (2, 1), 6, machine=1) == want
+
+    def test_opt_on_three_machines_is_refused(self):
+        with pytest.raises(DomainError, match="^region points are known for at most two machines$"):
+            build_workcurve(opt_rule, (1, 2), (2, 1), 4)
+
+    def test_two_machine_points_check_the_budget_before_the_sum_table(self):
+        n = TWO_MACHINE_BUDGET.bit_length()  # 2^n exceeds the budget
+        instance = Instance([1] * n, (1, 1))
+        with pytest.raises(BudgetExceeded, match=f"^2\\^{n} assignments exceed budget"):
+            list(opt_rule.region_points(instance, 0, F(4)))
+        assert "subset_sums" not in vars(instance.job_data)
 
 
 class TestBuildWorkcurve:
@@ -239,8 +232,10 @@ class TestBuildWorkcurve:
         assert scaled.values == base.values
 
     def test_refinement_finds_unseeded_breakpoints(self):
-        # Machine 0's workload against competitor bid 1, jobs (2, 1); the
-        # samples between candidates 1 and 3/2 are 9/8, 5/4 and 11/8.
+        # The discovery oracle finds these; the package refuses a rule
+        # without region points.  Machine 0's workload against competitor
+        # bid 1, jobs (2, 1); the samples between candidates 1 and 3/2 are
+        # 9/8, 5/4 and 11/8.
         cases = [
             (lambda b: 3 if b < F(22, 7) else 0, (F(22, 7),), (3,)),
             # a jump on a sample, closed on the right: the bracket
@@ -259,7 +254,7 @@ class TestBuildWorkcurve:
         maps = {3: [0, 0], 2: [0, 1], 0: [1, 1]}
 
         class NoHints:
-            # no breakpoint_hints attribute: forces the generic path
+            # no breakpoint_hints attribute: forces the oracle's generic path
             def __init__(self, workload):
                 self.workload = workload
 
@@ -267,11 +262,13 @@ class TestBuildWorkcurve:
                 return Assignment.from_map(instance, maps[self.workload(instance.bids[0])])
 
         for workload, breakpoints, values in cases:
-            c = build_workcurve(NoHints(workload), (F(1),), (2, 1), cap=8)
+            c = parent_build_workcurve(NoHints(workload), (F(1),), (2, 1), cap=8)
             assert c.breakpoints == breakpoints
             assert c.values == values
             assert c.tail == 0
             assert not c.approximate
+            with pytest.raises(DomainError, match="declares no region_points"):
+                build_workcurve(NoHints(workload), (F(1),), (2, 1), cap=8)
 
     def test_jumps_nested_past_the_depth_cap_leave_the_curve_approximate(self):
         # Machine 0's workload is #{j <= 29 : b0 < 1 + 3^-j}: thirty jumps
@@ -283,21 +280,42 @@ class TestBuildWorkcurve:
                 count = sum(1 for j in range(30) if b0 < 1 + F(1, 3 ** j))
                 return Assignment((0, 0), (F(count), F(0)))
 
-        c = build_workcurve(Nested(), (F(5),), (2, 1), cap=4)
+        c = parent_build_workcurve(Nested(), (F(5),), (2, 1), cap=4)
         assert c.approximate
         with pytest.raises(CurveResolutionError):
             integrate(c, 0, None)
+        with pytest.raises(DomainError, match="declares no region_points"):
+            build_workcurve(Nested(), (F(5),), (2, 1), cap=4)
 
-    def test_too_many_jumps_raise(self):
-        # 600 steps on (0, 1], each at a candidate
-        def steps(x):
-            return F(600 - x.numerator * 600 // x.denominator)
+    @pytest.mark.parametrize("count", [MAX_REGIONS, MAX_REGIONS + 1])
+    def test_too_many_regions_raise_before_any_rule_call(self, count):
+        # Points k/count for k = 1, ..., count + 1 cut (0, 1] into count
+        # regions; a step at each, so every region is its own value.
+        class Steps:
+            calls = 0
 
-        with pytest.raises(CurveResolutionError, match=f"more than {MAX_BREAKPOINTS} jumps"):
-            discover_step_function(steps, [F(k, 600) for k in range(1, 601)], 1)
+            def region_points(self, instance, machine, cap):
+                return (F(k, count) for k in range(1, count + 2))
+
+            def __call__(self, instance):
+                self.calls += 1
+                x = instance.bids[0]
+                return Assignment((0, 0), (F(count - x.numerator * count // x.denominator), F(0)))
+
+        rule = Steps()
+        if count > MAX_REGIONS:
+            with pytest.raises(BudgetExceeded, match=f"^more than {MAX_REGIONS} regions on \\(0, 1\\]$"):
+                build_workcurve(rule, (F(2),), (2, 1), cap=1)
+            assert rule.calls == 0
+        else:
+            curve = build_workcurve(rule, (F(2),), (2, 1), cap=1)
+            assert rule.calls == len(curve.breakpoints) + 1 == count
 
     def test_non_monotone_rule_is_reported_not_rejected(self):
         class Bump:
+            def region_points(self, instance, machine, cap):
+                return (F(1), F(2), F(3))
+
             def __call__(self, instance):
                 x = instance.bids[0]
                 target = 0 if (x < 1 or 2 < x < 3) else 1
