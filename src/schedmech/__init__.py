@@ -56,6 +56,7 @@ from .properties import (
 )
 from .workcurve import (
     WorkCurve,
+    build_response_curve,
     build_workcurve,
     expected_workcurve,
     integrate,

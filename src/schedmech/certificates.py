@@ -51,11 +51,11 @@ from .properties import (
 from .sampling import sample_instance
 from .workcurve import (
     CurvePiece,
-    build_response_curve,
     build_workcurve,
     expected_workcurve,
     integrate,
     piecewise_integral,
+    region_curve,
 )
 
 
@@ -451,9 +451,10 @@ def lemma6_g(
     if repeated:
         raise DomainError(f"inequality sample {rat_str(repeated[0])} is given twice")
     # Machine 0's workload as the competitor's bid varies, one curve per
-    # distinct own bid; the unit-bid machine's curve is the a = 1 one.
+    # distinct own bid; the unit-bid machine's curve is the a = 1 one.  Every
+    # curve is built on a copy of base, so all share its subset-sum table.
     competitor_curves = {
-        a: build_response_curve(rule, a, jobs, cap=2 * a)
+        a: region_curve(rule, base.with_bid(0, a).with_bid(1, a), 1, 2 * a)
         for a in dict.fromkeys((Fraction(1), *samples))
     }
     core_integral = integrate(competitor_curves[1], 1 / k, ratio_cap)
@@ -476,7 +477,7 @@ def lemma6_g(
     )
     report.add("g(k) is strictly positive", g, ">", 0)
     for a in samples:
-        own_curve = build_workcurve(rule, (a,), jobs, cap=2 * k * a)
+        own_curve = region_curve(rule, base.with_bid(1, a), 0, 2 * k * a)
         lhs = integrate(own_curve, a, k * a)
         rhs = integrate(competitor_curves[a], a / k, a) + g * a
         report.add(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from math import lcm
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -30,6 +30,7 @@ RELATIONS = {
 }
 # The relations of a linear constraint or a counterexample inequality.
 WEAK_RELATIONS = ("<=", ">=", "==")
+GRID_STEPS = 64  # the default deviation grid: j/8 of the largest bid, j = 1..GRID_STEPS
 
 
 class DomainError(ValueError):
@@ -86,7 +87,12 @@ def rats(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
 def scaled_to_ints(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """The values' common denominator D and each value times D: exact ints."""
     denominator = lcm(*(v.denominator for v in values))
-    return denominator, [v.numerator * (denominator // v.denominator) for v in values]
+    return denominator, scaled_by(values, denominator)
+
+
+def scaled_by(values: Iterable[Fraction], denominator: int) -> list[int]:
+    """Each value times ``denominator``, a multiple of its denominator."""
+    return [v.numerator * (denominator // v.denominator) for v in values]
 
 
 def ceil_log2(b: RationalLike) -> int:
@@ -222,67 +228,66 @@ class Instance:
         new_bids[machine] = bid
         return self._with_bids(new_bids)
 
+    def deviation_grid(self, bids: Optional[Iterable[RationalLike]] = None) -> tuple[int, list[int]]:
+        """``(D, points)``: deviation bids ``points[k]/D``, sorted, over a D
+        that clears every bid too.  By default j/8 of the largest bid for
+        j = 1..GRID_STEPS plus the bids, each value once; a caller's ``bids``
+        keep their repeats, and a non-positive one raises here."""
+        denominators = [b.denominator for b in self.bids]
+        if bids is None:
+            scale = max(self.bids)
+            denominator = lcm(8 * scale.denominator, *denominators)
+            step = scale.numerator * (denominator // (8 * scale.denominator))
+            points = {*range(step, (GRID_STEPS + 1) * step, step), *scaled_by(self.bids, denominator)}
+        else:
+            bids = rats(bids)
+            denominator = lcm(*denominators, *(b.denominator for b in bids))
+            points = scaled_by(bids, denominator)
+            if points and min(points) <= 0:
+                raise DomainError("bids must be strictly positive")
+        return denominator, sorted(points)
+
     def deviation_runs(
-        self, bids: Iterable[RationalLike]
-    ) -> Iterator[tuple[int, list[Fraction], Callable[[Fraction], "Instance"]]]:
-        """``(machine, run, copy)`` for every machine: machine 0's runs, then
-        machine 1's, and so on.  Each run is a list of consecutive ``bids``,
-        in the caller's order, at which ``with_bid(machine, bid)`` has the same
-        ``bid_order`` and ``bid_exponents``; ``copy(bid)`` builds that copy for
-        a bid of the run on request, sharing the run's bid-data tuples, and is
-        this instance itself at the machine's own bid.  Each bid's check,
-        ``ceil_log2`` and place among the sorted bids are computed once, on
-        machine 0's pass, so a bad bid raises when it is reached, after the
-        run before it; a run's bid order comes from integer arithmetic, ties
-        to the lower index as in ``bid_order``."""
-        order = self.bid_order
-        sorted_bids = [(self.bids[j].numerator, self.bids[j].denominator) for j in order]
-        points = []
-
-        def first_pass():
-            for bid in bids:
-                bid = rat(bid)
-                p, q = bid.numerator, bid.denominator
-                if p <= 0:
-                    raise DomainError("bids must be strictly positive")
-                # signs of sorted bid minus bid: -, 0, +, all that bisect reads
-                signs = [num * q - p * den for num, den in sorted_bids]
-                less = bisect.bisect_left(signs, 0)
-                tied = order[less:bisect.bisect_right(signs, 0, less)]  # in index order
-                points.append((bid, ceil_log2_ints(p, q), less, tied))
-                yield points[-1]
-
+        self, grid: tuple[int, Sequence[int]]
+    ) -> Iterator[tuple[int, int, int, Callable[[int], "Instance"]]]:
+        """``(machine, lo, hi, copy)`` for every machine, machine 0's runs
+        first, over a ``deviation_grid`` ``(D, points)``: ``with_bid(machine,
+        points[k]/D)`` has the same bid data for ``lo <= k < hi`` and other
+        data on the machine's next run.  ``copy(k)`` builds that copy, with
+        the run's shared bid-data tuples; at the own bid it is this instance.
+        Cut by bisection: the bid order changes at each other bid, ties to the
+        lower index (``bisect_left`` of a lower-indexed machine's bid,
+        ``bisect_right`` of a higher one's), the exponent just above each
+        2**e (``bisect_right`` of floor(2**e * D), as ceil_log2(2**e) = e)."""
+        denominator, points = grid
+        scaled = scaled_by(self.bids, denominator)
+        starts, k = [], 0  # where each exponent's points start
+        while k < len(points):
+            starts.append(k)
+            e = ceil_log2_ints(points[k], denominator)
+            k = bisect.bisect_right(points, denominator << e if e >= 0 else denominator >> -e, k)
+        left = [bisect.bisect_left(points, s) for s in scaled]
+        right = [bisect.bisect_right(points, s) for s in scaled]
         for machine in range(self.m):
-            own = order.index(machine)
-            others = order[:own] + order[own + 1:]
-            exponents, run, place = list(self.bid_exponents), [], None
-
-            def cut():
-                pos, exponents[machine] = place
-                return machine, run, partial(self._deviated, machine, (*others[:pos], machine, *others[pos:]),
-                                             tuple(exponents))
-
-            try:
-                for bid, exponent, less, tied in points if machine else first_pass():
-                    here = less - (less > own) + bisect.bisect_left(tied, machine), exponent
-                    if here != place and run:
-                        yield cut()
-                        run = []
-                    place = here
-                    run.append(bid)
-            except DomainError:  # a bad bid: the run before it comes first
-                if run:
-                    yield cut()
-                raise
-            if run:
-                yield cut()
+            others = [j for j in self.bid_order if j != machine]
+            cuts = [left[j] if j < machine else right[j] for j in others]  # nondecreasing
+            edges = sorted({*starts, *cuts, len(points)})
+            exponents = list(self.bid_exponents)
+            for lo, hi in zip(edges, edges[1:]):
+                pos = bisect.bisect_right(cuts, lo)  # the others placed before the machine
+                exponents[machine] = ceil_log2_ints(points[lo], denominator)
+                yield machine, lo, hi, partial(self._deviated, machine, (*others[:pos], machine, *others[pos:]),
+                                               tuple(exponents), denominator, points)
 
     def _deviated(self, machine: int, bid_order: tuple[int, ...], bid_exponents: tuple[int, ...],
-                  bid: Fraction) -> "Instance":
-        """``with_bid(machine, bid)`` with the bid data it is known to have."""
-        if bid == self.bids[machine]:
+                  denominator: int, points: Sequence[int], k: int) -> "Instance":
+        """``with_bid(machine, points[k]/denominator)`` with its known bid data."""
+        own = self.bids[machine]
+        if points[k] * own.denominator == own.numerator * denominator:
             return self
-        copy = self.with_bid(machine, bid)
+        bids = list(self.bids)
+        bids[machine] = Fraction(points[k], denominator)
+        copy = self._with_bids(bids)
         vars(copy).update(_bid_order=bid_order, _bid_exponents=bid_exponents)
         return copy
 
@@ -316,7 +321,7 @@ class Instance:
                         f"instance JSON field {key!r} contains a float; "
                         "rationals must be strings or integers"
                     )
-        return cls(rats(obj["jobs"]), rats(obj["bids"]))
+        return cls(obj["jobs"], obj["bids"])
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ impossible, a grid gives counterexample power.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,10 +25,10 @@ from .core import (
     makespan,
     rat_str,
     rats,
+    scaled_by,
 )
 
 PERMUTATION_CHECK_LIMIT = 6
-GRID_STEPS = 64
 # The bid scalings every scalability check in the package tries.
 SCALING_FACTORS = (Fraction(2), Fraction(1, 3), Fraction(7, 5))
 
@@ -81,18 +80,6 @@ def _verdict(prop: str, ce: Optional[Counterexample]) -> PropertyVerdict:
     if ce is not None and not ce.violation_holds():
         raise AssertionError("counterexample must re-evaluate to a violation")
     return PropertyVerdict(prop, ce)
-
-
-def default_grid(instance: Instance) -> tuple[Fraction, ...]:
-    """Deviation bids in increasing order: j/8 of the largest bid for
-    j = 1..GRID_STEPS, plus the bids."""
-    scale = max(instance.bids)
-    grid = [Fraction(scale.numerator * j, scale.denominator * 8) for j in range(1, GRID_STEPS + 1)]
-    for bid in instance.bids:
-        k = bisect.bisect_left(grid, bid)
-        if grid[k:k + 1] != [bid]:
-            grid.insert(k, bid)
-    return tuple(grid)
 
 
 def aligned(*vectors: Sequence[RationalLike]) -> tuple[tuple[Fraction, ...], ...]:
@@ -223,23 +210,24 @@ def check_truthful(
 ) -> PropertyVerdict:
     """Grid check: no machine gains by deviating from its profile bid.
 
-    The profile bid is treated as the true speed; every grid deviation of
-    every machine must not beat truthful reporting.  A mechanism with a
-    ``decision_key`` is run at the first point of a run of
-    ``Instance.deviation_runs`` whose key, if not None, differs from the
-    machine's last run's, and nowhere else in the run: an equal key gives
-    the machine the same outcome, which did not pay.  Any other mechanism
-    is run at every point.
+    The profile bid is treated as the true speed; every deviation of every
+    machine on the sorted ``Instance.deviation_grid`` must not beat truthful
+    reporting.  A mechanism with a ``decision_key`` is run at the first
+    point of a run of ``Instance.deviation_runs`` whose key, if not None,
+    differs from the machine's last run's, and nowhere else in the run: an
+    equal key gives the machine the same outcome, which did not pay.  Any
+    other mechanism is run at every point.
     """
-    grid = rats(deviation_grid) if deviation_grid is not None else default_grid(instance)
+    denominator, points = grid = instance.deviation_grid(deviation_grid)
+    own = scaled_by(instance.bids, denominator)
     truthful = mechanism.run(instance)
     honest = [p - b * w for p, b, w in
               zip(truthful.payments, instance.bids, truthful.allocation.workloads)]
     decision_key = getattr(mechanism, "decision_key", None)
     last = None
-    for i, run, copy in instance.deviation_runs(grid):
+    for i, lo, hi, copy in instance.deviation_runs(grid):
         true_speed = instance.bids[i]
-        run = [dev for dev in run if dev != true_speed]  # the machine's own bid
+        run = [k for k in range(lo, hi) if points[k] != own[i]]  # the machine's own bid left out
         if not run:
             continue
         first = copy(run[0])
@@ -247,18 +235,20 @@ def check_truthful(
         if key is not None and (i, key) == last:
             continue
         last = i, key
-        for dev in run if key is None else run[:1]:
-            deviated = mechanism.run(first if dev is run[0] else copy(dev))
-            gained = deviated.payments[i] - true_speed * deviated.allocation.workloads[i]
+        for k in run if key is None else run[:1]:
+            deviated = first if k == run[0] else copy(k)
+            outcome = mechanism.run(deviated)
+            gained = outcome.payments[i] - true_speed * outcome.allocation.workloads[i]
             if honest[i] < gained:
+                dev = rat_str(deviated.bids[i])
                 return _verdict(
                     "truthfulness",
                     Counterexample(
-                        f"machine {i} profits by bidding {rat_str(dev)}",
+                        f"machine {i} profits by bidding {dev}",
                         honest[i],
                         ">=",
                         gained,
-                        {"machine": i, "true_speed": rat_str(true_speed), "deviation": rat_str(dev)},
+                        {"machine": i, "true_speed": rat_str(true_speed), "deviation": dev},
                     ),
                 )
     return _verdict("truthfulness", None)
@@ -269,19 +259,20 @@ def check_monotone(
     instance: Instance,
     deviation_grid: Optional[Sequence[RationalLike]] = None,
 ) -> PropertyVerdict:
-    """Raising one's own bid never increases one's workload (grid check).  A
-    rule with a ``decision_key`` is evaluated only at the first point of a
-    run of ``Instance.deviation_runs`` whose key, if not None, differs from
-    the machine's last run's; any other rule at every point."""
-    grid = sorted(rats(deviation_grid)) if deviation_grid is not None else default_grid(instance)
+    """Raising one's own bid never increases one's workload, on the sorted
+    ``Instance.deviation_grid``.  A rule with a ``decision_key`` is
+    evaluated only at the first point of a run of ``Instance.deviation_runs``
+    whose key, if not None, differs from the machine's last run's; any
+    other rule at every point."""
+    denominator, points = grid = instance.deviation_grid(deviation_grid)
     decision_key = getattr(rule, "decision_key", None)
     prev_machine = prev_key = None
-    for i, run, copy in instance.deviation_runs(grid):
-        first = copy(run[0])
+    for i, lo, hi, copy in instance.deviation_runs(grid):
+        first = copy(lo)
         key = decision_key(first) if decision_key else None
         if key is None or (i, key) != (prev_machine, prev_key):
-            for bid in run if key is None else run[:1]:
-                w = rule(first if bid is run[0] else copy(bid)).workloads[i]
+            for k in range(lo, hi) if key is None else (lo,):
+                w = rule(first if k == lo else copy(k)).workloads[i]
                 if i == prev_machine and w > prev_w:
                     return _verdict(
                         "monotonicity",
@@ -290,11 +281,12 @@ def check_monotone(
                             w,
                             "<=",
                             prev_w,
-                            {"machine": i, "bid_low": rat_str(prev_bid), "bid_high": rat_str(bid)},
+                            {"machine": i, "bid_low": rat_str(Fraction(points[prev], denominator)),
+                             "bid_high": rat_str(Fraction(points[k], denominator))},
                         ),
                     )
-                prev_machine, prev_bid, prev_w = i, bid, w
-        prev_key, prev_bid = key, run[-1]  # the run's points share its first's workload
+                prev_machine, prev, prev_w = i, k, w
+        prev_key, prev = key, hi - 1  # the run's points share its first's workload
     return _verdict("monotonicity", None)
 
 

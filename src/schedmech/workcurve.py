@@ -134,7 +134,7 @@ def _between(lo: Fraction, hi: Fraction, k: int, d: int) -> Fraction:
     return Fraction(p * s * (d - k) + r * q * k, q * s * d)
 
 
-def _region_curve(rule, base: Instance, machine: int, cap: Fraction) -> WorkCurve:
+def region_curve(rule, base: Instance, machine: int, cap: Fraction) -> WorkCurve:
     """Machine 0's workload under ``rule`` as ``machine``'s bid varies over
     (0, cap]: one rule call at the midpoint of each region between
     consecutive points of ``rule.region_points``, equal neighbours merged.
@@ -179,7 +179,7 @@ def build_workcurve(
     the rule's support is bounded; a nonzero tail in the result means that
     promise could not be confirmed at the cap.
     """
-    return _region_curve(rule, Instance(jobs, (1, *others_bids)), 0, rat(cap))
+    return region_curve(rule, Instance(jobs, (1, *others_bids)), 0, rat(cap))
 
 
 def build_response_curve(
@@ -190,9 +190,9 @@ def build_response_curve(
 ) -> WorkCurve:
     """The first machine's workload at bid ``own_bid`` as the competitor's
     bid varies over (0, cap]: the curves the certificate for scalable
-    two-machine rules integrates on both sides of its inequality."""
+    two-machine rules (``lemma6_g``) integrates, on a fresh instance."""
     own_bid = rat(own_bid)
-    return _region_curve(rule, Instance(jobs, (own_bid, own_bid)), 1, rat(cap))
+    return region_curve(rule, Instance(jobs, (own_bid, own_bid)), 1, rat(cap))
 
 
 # ---------------------------------------------------------------------------

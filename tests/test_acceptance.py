@@ -35,7 +35,6 @@ from schedmech.properties import (
     check_local_efficiency,
     check_monotone,
     check_truthful,
-    default_grid,
 )
 from schedmech.sampling import sample_instance
 from schedmech.workcurve import build_workcurve, integrate
@@ -127,16 +126,15 @@ def test_criterion_05_pivot_mechanism_property_suite():
     failures = 0
     for _ in range(1000):
         inst = sample_instance(rng, m_max=4, n_max=6)
-        grid = default_grid(inst)
         outcome = vcg_mechanism.run(inst)
         verdicts = (
-            check_truthful(vcg_mechanism, inst, grid),
+            check_truthful(vcg_mechanism, inst),
             check_envy_free(
                 inst.bids, outcome.allocation.workloads, outcome.payments
             ),
             check_ir(inst.bids, outcome.allocation.workloads, outcome.payments),
             check_anonymous(vcg_mechanism, inst),
-            check_monotone(vcg_allocate, inst, grid),
+            check_monotone(vcg_allocate, inst),
         )
         failures += sum(0 if v else 1 for v in verdicts)
     assert failures == 0

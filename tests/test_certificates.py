@@ -24,7 +24,7 @@ from schedmech.certificates import (
     theorem5_certificate,
     theorem7_certificate,
 )
-from schedmech.core import Assignment, DomainError, Instance
+from schedmech.core import Assignment, DomainError, Instance, JobData
 from schedmech.exactlp import Constraint, solve_feasibility
 from schedmech.payments import (
     Mechanism,
@@ -182,6 +182,20 @@ class TestLemma6:
     def test_k_must_exceed_one(self):
         with pytest.raises(DomainError):
             lemma6_g(two_machine_opt, 1, (2, 1))
+
+    def test_every_curve_shares_one_job_table(self, monkeypatch):
+        """The six curves are built on copies of one instance, so the
+        subset-sum table of ``two-opt`` is built once per certificate."""
+        built = []
+        init = JobData.__init__
+
+        def counted(self, jobs):
+            built.append(jobs)
+            init(self, jobs)
+
+        monkeypatch.setattr(JobData, "__init__", counted)
+        g, report = lemma6_g(two_machine_opt, 3, (5, 3, 2, 2, 1))
+        assert report.verified and len(built) == 1
 
 
 class TestProp12:

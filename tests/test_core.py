@@ -163,9 +163,10 @@ class TestInstance:
         assert inst.total_length == Fraction(11, 2)
         assert inst.scaled_jobs == (2, (5, 4, 2))
         assert (inst.bid_order, inst.bid_exponents) == ((0, 2, 1), (0, 1, 0))
-        deviated = {bid: copy(bid) for machine, run, copy in inst.deviation_runs(["7/3", 2, Fraction(1, 4), 2])
-                    if machine == 0 for bid in run}
-        (_, [five], copy), = [run for run in inst.deviation_runs([5]) if run[0] == 2]
+        denominator, points = grid = inst.deviation_grid(["7/3", 2, Fraction(1, 4), 2])
+        deviated = {Fraction(points[k], denominator): copy(k) for machine, lo, hi, copy in inst.deviation_runs(grid)
+                    if machine == 0 for k in range(lo, hi)}
+        (_, five, _, copy), = [run for run in inst.deviation_runs(inst.deviation_grid([5])) if run[0] == 2]
         derived = [
             (inst.with_bid(0, "7/3"), (Fraction(7, 3), 2, 1)),
             (inst.with_bid(2, 5), (Fraction(3, 4), 2, 5)),
@@ -196,35 +197,36 @@ class TestInstance:
             unread = Instance((1, Fraction(5, 2), 2), bids)
             assert (got == unread, hash(got), repr(got)) == (True, hash(unread), repr(unread))
 
-    def test_deviation_runs_keep_with_bids_check_and_the_callers_grid(self):
+    def test_deviation_runs_cut_the_sorted_grid_by_bid_order_and_exponent(self):
         inst = Instance((3, 1), (2, 2, Fraction(1, 2)))
         grid = ["3", 2, Fraction(1, 2), 2, 8, Fraction(1, 2)]  # unsorted, repeated
-        runs = list(inst.deviation_runs(grid))
-        # machine by machine, each machine's grid in the caller's order
-        assert [(machine, bid) for machine, run, _ in runs for bid in run] == [
-            (machine, rat(b)) for machine in range(inst.m) for b in grid]
-        # a run ends where the bid order or a bid exponent changes: 3 and 2
-        # round to 4 and 2, and 8 puts machine 0 after machine 1
-        assert [(machine, run) for machine, run, _ in runs][:4] == [
-            (0, [3]), (0, [2]), (0, [Fraction(1, 2)]), (0, [2])]
-        for machine, run, copy in runs:
-            for bid in run:
-                got = copy(bid)
+        denominator, points = cut = inst.deviation_grid(grid)
+        # sorted, repeats kept, on one denominator that clears every bid
+        assert (denominator, points) == (2, [1, 1, 4, 4, 6, 16])
+        runs = list(inst.deviation_runs(cut))
+        # machine 0 bids 1/2 as machine 2 does, and goes first (the lower
+        # index); 2 ties machine 1 and still goes first; 3 rounds to 4,
+        # after machine 1; 8 rounds to 8
+        assert [(machine, lo, hi) for machine, lo, hi, _ in runs][:4] == [(0, 0, 2), (0, 2, 4), (0, 4, 5), (0, 5, 6)]
+        # machine 1 ties machine 0 at 2 and goes after it: 1/2 .. 2 is one run
+        assert [(lo, hi) for machine, lo, hi, _ in runs if machine == 1] == [(0, 2), (2, 4), (4, 5), (5, 6)]
+        for machine, lo, hi, copy in runs:
+            for k in range(lo, hi):
+                got = copy(k)
+                bid = Fraction(points[k], denominator)
                 assert got == inst.with_bid(machine, bid)
                 fresh = Instance(got.jobs, got.bids)
                 assert (got.bid_order, got.bid_exponents) == (fresh.bid_order, fresh.bid_exponents)
                 # the machine's own bid yields the base itself
                 assert (got is inst) == (bid == inst.bids[machine])
-        with pytest.raises(DomainError, match="^bids must be strictly positive$"):
-            next(inst.deviation_runs([0]))
-        # a bad bid raises when reached, after the run before it, as with_bid
-        # does point by point
-        lazy = inst.deviation_runs(["3/2", "5/4", -1, 3])
-        machine, run, copy = next(lazy)
-        assert (machine, run) == (0, [Fraction(3, 2), Fraction(5, 4)])
-        assert copy(Fraction(5, 4)) == inst.with_bid(0, "5/4")
-        with pytest.raises(DomainError, match="^bids must be strictly positive$"):
-            next(lazy)
+        # a bad bid raises before any run is cut, wherever it stands
+        for bad in ([0], ["3/2", "5/4", -1, 3]):
+            with pytest.raises(DomainError, match="^bids must be strictly positive$"):
+                inst.deviation_grid(bad)
+        # the default grid: j/8 of the largest bid for j = 1..64, which hold
+        # the bids 1/2 = 4/8 and 2 = 16/8 already
+        assert inst.deviation_grid() == (8, list(range(2, 130, 2)))
+        assert list(inst.deviation_runs((1, []))) == []
 
     def test_json_roundtrip_rejects_floats(self):
         inst = Instance((2, 1), (Fraction(1, 3), 2))
@@ -232,6 +234,20 @@ class TestInstance:
         assert again == inst
         with pytest.raises(DomainError):
             Instance.from_json_dict({"jobs": [2.0], "bids": ["1"]})
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"jobs": ["2", "1/x"], "bids": ["1"]}, "cannot parse rational from '1/x'"),
+        ({"jobs": ["2"], "bids": ["1", "3e2"]}, "cannot parse rational from '3e2'"),
+        ({"jobs": ["z"], "bids": ["y"]}, "cannot parse rational from 'z'"),  # jobs are read first
+        ({"jobs": [2.0], "bids": ["1"]}, "instance JSON field 'jobs' contains a float; "
+                                         "rationals must be strings or integers"),
+        ({"jobs": ["1"]}, "instance JSON missing 'bids'"),
+        ({"jobs": "1", "bids": ["1"]}, "instance JSON field 'jobs' must be a list"),
+    ])
+    def test_json_errors_name_the_bad_field_or_token(self, obj, message):
+        with pytest.raises(DomainError) as info:
+            Instance.from_json_dict(obj)
+        assert str(info.value) == message
 
 
 class TestAssignment:

@@ -2,28 +2,35 @@
 per grid point gave.
 
 The reference below is a verbatim copy of ``LptStar.__call__``,
-``VcgAllocate.__call__``, ``vcg_payments``, ``check_truthful`` and
-``check_monotone`` as they were when every rule sorted the bids and took
-``ceil_log2`` of each on every call, and every check built each deviated
-instance with ``with_bid`` and evaluated the rule at every grid point
-(with the two bid helpers they read, since removed from ``core``), and of
-``Instance.deviations``, which built a copy at every grid point before
-``Instance.deviation_runs`` cut the grid into runs of equal bid data.  The
-package must return identical copies, allocations, payments, verdicts and
-counterexamples on seeded deviation chains: tied bids, bids at 2^e and
-2^e ± 2^-k, one to six machines, the default grid and unsorted caller
-grids with repeated bids.  Further chains aim at the integer first pass of
+``VcgAllocate.__call__``, ``vcg_payments``, ``check_truthful``,
+``check_monotone`` and ``default_grid`` as they were when every rule sorted
+the bids and took ``ceil_log2`` of each on every call, and every check
+built each deviated instance with ``with_bid`` and evaluated the rule at
+every grid point of a grid of ``Fraction`` bids (with the two bid helpers
+they read, since removed from ``core``), and of ``Instance.deviations``,
+which built a copy at every grid point before ``Instance.deviation_runs``
+cut the grid into runs of equal bid data.  ``deviation_runs`` now cuts the
+sorted integer grid of ``Instance.deviation_grid`` into index ranges by
+bisection; expanded point by point, its runs must give the reference's
+copies on the sorted grid.  The package must return identical copies,
+allocations, payments, verdicts and counterexamples on seeded deviation
+chains, on the default grid and on the sorted caller grid: tied bids, bids
+at 2^e and 2^e ± 2^-k, one to six machines, and unsorted caller grids with
+repeated bids, on which a verdict passes or fails as the reference's does
+on the caller's order.  Further chains aim at the cuts of
 ``deviation_runs``: grid bids equal to two or three tied machine bids,
 large coprime denominators, and points at 2^e and 2^e ± 1/q.
 """
 
 import bisect
 import random
+import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import pytest
 
+from schedmech import core
 from schedmech.allocations import lpt_star, two_machine_opt, vcg_allocate
 from schedmech.core import (
     Assignment,
@@ -43,13 +50,27 @@ from schedmech.properties import (
     _verdict,
     check_monotone,
     check_truthful,
-    default_grid,
 )
 
 from specimens import bid_proportional_mechanism, rounded_vcg_mechanism, slowest_takes_all
 
 # ---------------------------------------------------------------------------
 # Reference: the per-point code, verbatim.
+
+
+GRID_STEPS = 64
+
+
+def default_grid(instance: Instance) -> tuple[Fraction, ...]:
+    """Deviation bids in increasing order: j/8 of the largest bid for
+    j = 1..GRID_STEPS, plus the bids."""
+    scale = max(instance.bids)
+    grid = [Fraction(scale.numerator * j, scale.denominator * 8) for j in range(1, GRID_STEPS + 1)]
+    for bid in instance.bids:
+        k = bisect.bisect_left(grid, bid)
+        if grid[k:k + 1] != [bid]:
+            grid.insert(k, bid)
+    return tuple(grid)
 
 
 def bid_order(bids: Sequence[Fraction]) -> list[int]:
@@ -290,25 +311,43 @@ def test_chains_cover_ties_powers_of_two_and_caller_grids():
                for inst, grid in chains if grid for i in range(inst.m) for b in grid) > 50
 
 
+def sorted_grid(inst, grid):
+    """The grid the reference checks on: the caller's, sorted, or the
+    reference default grid."""
+    return sorted(rats(grid)) if grid is not None else list(default_grid(inst))
+
+
+def grid_bids(inst, grid=None):
+    """``inst.deviation_grid(grid)`` as ``Fraction`` bids."""
+    denominator, points = inst.deviation_grid(grid)
+    return [Fraction(p, denominator) for p in points]
+
+
 def expand(inst, grid):
-    """``inst.deviation_runs(grid)`` point by point, as (machine, bid, copy)."""
-    return [(machine, bid, copy(bid)) for machine, run, copy in inst.deviation_runs(grid) for bid in run]
+    """``inst.deviation_runs`` on ``inst.deviation_grid(grid)`` point by
+    point, as (machine, bid, copy)."""
+    denominator, points = cut = inst.deviation_grid(grid)
+    return [(machine, Fraction(points[k], denominator), copy(k))
+            for machine, lo, hi, copy in inst.deviation_runs(cut) for k in range(lo, hi)]
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_runs_expand_to_the_reference_deviations(seed):
-    inst, grid = draw_chain(seed)
-    grid = grid if grid is not None else default_grid(inst)
-    expected = list(reference_deviations(inst, grid))
+def assert_runs_expand_to_the_reference(inst, grid):
+    expected = list(reference_deviations(inst, sorted_grid(inst, grid)))
     got = expand(inst, grid)
     assert [(machine, bid) for machine, bid, _ in got] == [(machine, bid) for machine, bid, _ in expected]
     for (_, _, copy), (_, _, reference) in zip(got, expected):
         assert copy == reference and (copy is inst) == (reference is inst)
         assert (copy.bid_order, copy.bid_exponents) == (reference.bid_order, reference.bid_exponents)
-    runs = list(inst.deviation_runs(grid))
+        fresh = Instance(copy.jobs, copy.bids)
+        assert (copy.bid_order, copy.bid_exponents) == (fresh.bid_order, fresh.bid_exponents)
+    cut = inst.deviation_grid(grid)
+    runs = list(inst.deviation_runs(cut))
+    # each machine's runs tile its grid, in order
+    for machine in range(inst.m):
+        assert [k for i, lo, hi, _ in runs if i == machine for k in range(lo, hi)] == list(range(len(cut[1])))
     data = []
-    for machine, run, copy in runs:
-        copies = [copy(bid) for bid in run]
+    for machine, lo, hi, copy in runs:
+        copies = [copy(k) for k in range(lo, hi)]
         # one run, one set of bid data, whose tuples every built copy shares
         assert len({(c.bid_order, c.bid_exponents) for c in copies}) == 1
         assert len({(id(vars(c)["_bid_order"]), id(vars(c)["_bid_exponents"]))
@@ -319,13 +358,44 @@ def test_runs_expand_to_the_reference_deviations(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_runs_expand_to_the_reference_deviations(seed):
+    inst, grid = draw_chain(seed)
+    assert_runs_expand_to_the_reference(inst, grid)
+    # the default grid holds the reference's points, on ints
+    denominator, points = inst.deviation_grid()
+    assert grid_bids(inst) == list(default_grid(inst))
+    assert all(type(p) is int for p in points) and all(denominator % b.denominator == 0 for b in inst.bids)
+
+
+# Hand-picked grids at every kind of cut: a point equal to a lower- and to a
+# higher-indexed machine's bid, tied other bids, exact powers of two below 1,
+# the own bid, repeated points, a one-point grid and a lone machine.
+CUT_CASES = [
+    ((3, 1), (1, 2, Fraction(1, 2)), [1, 2, Fraction(1, 2), Fraction(3, 2)]),
+    ((2, 1), (Fraction(3, 2), Fraction(3, 2), Fraction(3, 2), 1), [Fraction(3, 2), 1, Fraction(5, 4), 2]),
+    ((5, 2, 1), (Fraction(3, 8), Fraction(1, 4), 1), [Fraction(1, 4), Fraction(3, 8), Fraction(1, 2),
+                                                      Fraction(5, 16), Fraction(3, 4), 1]),
+    ((4, 3), (2, 2), [2, 2, 2, 1, 4, 4]),
+    ((1,), (Fraction(3, 4), 5), [Fraction(3, 4)]),
+    ((7, 2), (Fraction(5, 3),), [Fraction(1, 2), Fraction(5, 3), 2, Fraction(1, 4), 2]),
+    ((7, 2), (Fraction(5, 3),), None),
+    ((2,), (1, 1), [Fraction(1, 2) ** 40, 2 ** 40]),
+    ((3, 2), (1, 2), []),
+]
+
+
+@pytest.mark.parametrize("jobs, bids, grid", CUT_CASES)
+def test_hand_picked_cuts_expand_to_the_reference_deviations(jobs, bids, grid):
+    assert_runs_expand_to_the_reference(Instance(jobs, bids), grid)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_deviated_allocations_and_payments_equal_the_reference(seed):
     inst, grid = draw_chain(seed)
-    grid = grid if grid is not None else default_grid(inst)
     triples = expand(inst, grid)
-    # machine by machine, each machine's grid in the caller's order
+    # machine by machine, each machine's grid in sorted order
     assert [(machine, bid) for machine, bid, _ in triples] == [
-        (machine, bid) for machine in range(inst.m) for bid in rats(grid)]
+        (machine, bid) for machine in range(inst.m) for bid in sorted_grid(inst, grid)]
     for machine, bid, deviated in triples:
         reference = inst.with_bid(machine, bid)
         assert deviated == reference
@@ -343,6 +413,7 @@ def test_deviated_allocations_and_payments_equal_the_reference(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_verdicts_and_counterexamples_equal_the_reference(seed):
     inst, grid = draw_chain(seed)
+    points = sorted_grid(inst, grid)
     monotone = [(lpt_star, reference_lpt_star), (vcg_allocate, reference_vcg_allocate),
                 (slowest_takes_all, slowest_takes_all)]
     if inst.m == 2:
@@ -356,8 +427,11 @@ def test_verdicts_and_counterexamples_equal_the_reference(seed):
         (rounded_vcg_mechanism, rounded_vcg_mechanism),  # keyed; the reference reads no key
     ]
     for mechanism, reference in truthful:
-        expected = reference_check_truthful(reference, inst, grid)
-        assert check_truthful(mechanism, inst, grid) == expected
+        verdict = check_truthful(mechanism, inst, grid)
+        # the checker sorts the caller's grid: the reference's counterexample
+        # on the sorted grid, its verdict on the caller's order too
+        assert verdict == reference_check_truthful(reference, inst, points)
+        assert verdict.passed == reference_check_truthful(reference, inst, grid).passed
 
 
 def test_chains_reach_both_verdicts():
@@ -381,6 +455,18 @@ def test_a_non_positive_grid_raises_where_the_reference_raises(grid):
             reference(rule, inst, grid)
         with pytest.raises(DomainError, match="^bids must be strictly positive$"):
             check(rule, inst, grid)
+
+
+def test_a_non_positive_grid_bid_raises_before_any_run(runs):
+    """The reference fails at the caller's first bid; the checker sorts the
+    grid and refuses it before running the mechanism at all."""
+    inst = Instance((2, 1), (1, 3))
+    mechanism = bid_proportional_mechanism(lpt_star)
+    assert not reference_check_truthful(mechanism, inst, [5, 0])
+    runs.clear()
+    with pytest.raises(DomainError, match="^bids must be strictly positive$"):
+        check_truthful(mechanism, inst, [5, 0])
+    assert runs == []
 
 
 class _LengthOnly:
@@ -498,7 +584,7 @@ def test_keyed_vcg_runs_where_its_key_changes_with_the_reference_verdicts(runs):
     keyed = plain = 0
     for seed in SEEDS:
         inst, grid = draw_chain(seed)
-        grid = rats(grid) if grid is not None else default_grid(inst)
+        grid = sorted_grid(inst, grid)
         expected, reference_runs = _counted(runs, reference_check_truthful, vcg_mechanism, inst, grid)
         verdict, keyed_runs = _counted(runs, check_truthful, vcg_mechanism, inst, grid)
         assert verdict == expected
@@ -524,6 +610,7 @@ def test_a_mechanism_without_a_key_runs_at_every_point(runs, mechanism):
     assert mechanism.decision_key is None  # a keyed rule does not key the mechanism
     for seed in SEEDS:
         inst, grid = draw_chain(seed)
+        grid = sorted_grid(inst, grid)
         expected, reference_runs = _counted(runs, reference_check_truthful, mechanism, inst, grid)
         assert _counted(runs, check_truthful, mechanism, inst, grid) == (expected, reference_runs)
 
@@ -548,7 +635,7 @@ def test_a_keyed_specimen_runs_where_its_key_changes_with_the_reference_countere
     deep = 0
     for seed in SEEDS:
         inst, grid = draw_chain(seed)
-        grid = rats(grid) if grid is not None else default_grid(inst)
+        grid = sorted_grid(inst, grid)
         expected, reference_runs = _counted(runs, reference_check_truthful, rounded_vcg_mechanism, inst, grid)
         verdict, keyed_runs = _counted(runs, check_truthful, rounded_vcg_mechanism, inst, grid)
         assert verdict == expected
@@ -561,9 +648,15 @@ def test_a_keyed_specimen_runs_where_its_key_changes_with_the_reference_countere
     assert deep >= 20
 
 
-# VCG keyed on the winner, except where machine 0 wins: there its key is None.
-partly_keyed_vcg = Mechanism("vcg-partly-keyed", vcg_allocate, vcg_payments,
-                             lambda instance: instance.bid_order[0] or None)
+def _winner_at_even_exponents(instance):
+    """VCG's key where the winner's bid exponent is even, None elsewhere.
+    Along a sorted grid the winner changes at most once, but a low bidder's
+    exponent alternates, so keys come back after a None one."""
+    winner = instance.bid_order[0]
+    return None if instance.m == 1 or instance.bid_exponents[winner] % 2 else winner
+
+
+partly_keyed_vcg = Mechanism("vcg-partly-keyed", vcg_allocate, vcg_payments, _winner_at_even_exponents)
 
 
 def test_a_none_key_runs_and_counts_as_a_change(runs):
@@ -572,7 +665,7 @@ def test_a_none_key_runs_and_counts_as_a_change(runs):
     mixed = 0
     for seed in SEEDS:
         inst, grid = draw_chain(seed)
-        grid = rats(grid) if grid is not None else default_grid(inst)
+        grid = sorted_grid(inst, grid)
         verdict, keyed_runs = _counted(runs, check_truthful, partly_keyed_vcg, inst, grid)
         assert verdict == reference_check_truthful(reference_vcg_mechanism, inst, grid)
         if verdict:
@@ -585,7 +678,56 @@ def test_a_none_key_runs_and_counts_as_a_change(runs):
 
 
 # ---------------------------------------------------------------------------
-# The integer first pass of ``deviation_runs`` on its edge cases: grid bids
+# Laziness: a grid check builds a copy, and the ``Fraction`` of its bid, once
+# per run it reads a key on, never once per grid point.
+
+
+def _copies_and_core_fractions(monkeypatch, check, *args):
+    """The check's verdict, the copies ``Instance._deviated`` returned and
+    the names of the ``core`` functions that built a ``Fraction`` meanwhile."""
+    copies, made = [], []
+    deviated = Instance._deviated
+
+    def counted(self, *run_args):
+        copies.append(deviated(self, *run_args))
+        return copies[-1]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is Fraction.__new__.__code__ \
+                and frame.f_back.f_code.co_filename == core.__file__:
+            made.append(frame.f_back.f_code.co_name)
+
+    monkeypatch.setattr(Instance, "_deviated", counted)
+    sys.setprofile(profile)
+    try:
+        verdict = check(*args)
+    finally:
+        sys.setprofile(None)
+    return verdict, copies, made
+
+
+def test_grid_checks_build_one_copy_and_one_bid_per_run(monkeypatch):
+    inst = Instance((5, 3, 2, Fraction(3, 2)), (1, Fraction(3, 2), Fraction(5, 4), 3))
+    denominator, points = grid = inst.deviation_grid()
+    runs = list(inst.deviation_runs(grid))
+    assert len(runs) * 4 < inst.m * len(points)
+    own = [b.numerator * (denominator // b.denominator) for b in inst.bids]
+    # check_monotone reads the key at each run's first point, the machine's
+    # own bid included, where the copy is the instance itself
+    verdict, copies, made = _copies_and_core_fractions(monkeypatch, check_monotone, lpt_star, inst)
+    assert verdict.passed and len(copies) == len(runs)
+    at_own = sum(points[lo] == own[i] for i, lo, _, _ in runs)
+    assert sum(c is inst for c in copies) == at_own
+    assert made == ["_deviated"] * (len(runs) - at_own)
+    # check_truthful leaves the own bid out: one copy per run with another point
+    verdict, copies, made = _copies_and_core_fractions(monkeypatch, check_truthful, vcg_mechanism, inst)
+    others = sum(any(points[k] != own[i] for k in range(lo, hi)) for i, lo, hi, _ in runs)
+    assert verdict.passed and len(copies) == others and inst not in copies
+    assert made == ["_deviated"] * others
+
+
+# ---------------------------------------------------------------------------
+# The cuts of ``deviation_runs`` on their edge cases: grid bids
 # equal to two or three tied machine bids, large coprime denominators, and
 # points at 2^e and 2^e ± 1/q.
 
@@ -636,15 +778,7 @@ def test_edge_chains_cover_ties_large_denominators_and_powers_of_two():
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
 def test_edge_chains_expand_to_the_reference_deviations(seed):
-    inst, grid = draw_edge_chain(seed)
-    expected = list(reference_deviations(inst, grid))
-    got = expand(inst, grid)
-    assert [(machine, bid) for machine, bid, _ in got] == [(machine, bid) for machine, bid, _ in expected]
-    for (_, _, copy), (_, _, reference) in zip(got, expected):
-        assert copy == reference and (copy is inst) == (reference is inst)
-        assert (copy.bid_order, copy.bid_exponents) == (reference.bid_order, reference.bid_exponents)
-        fresh = Instance(copy.jobs, copy.bids)
-        assert (copy.bid_order, copy.bid_exponents) == (fresh.bid_order, fresh.bid_exponents)
+    assert_runs_expand_to_the_reference(*draw_edge_chain(seed))
 
 
 def test_ceil_log2_and_its_int_helper_agree_on_the_edge_points():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schedmech import properties
+from schedmech import core, properties
 
 from schedmech.allocations import (
     lpt_star,
@@ -28,11 +28,11 @@ from schedmech.properties import (
     check_monotone,
     check_scalable,
     check_truthful,
-    default_grid,
 )
 from schedmech.sampling import sample_instance
 
 from specimens import bid_proportional_mechanism
+from test_deviation_oracle import grid_bids
 
 F = Fraction
 
@@ -138,7 +138,7 @@ class TestTruthful:
     @given(st.integers(min_value=0, max_value=10 ** 6))
     def test_pivot_mechanism_on_random_instances(self, seed):
         inst = sample_instance(random.Random(seed), m_max=3, n_max=4)
-        assert check_truthful(vcg_mechanism, inst, default_grid(inst)).passed
+        assert check_truthful(vcg_mechanism, inst).passed
 
     def test_bid_proportional_greedy_is_manipulable(self):
         mech = bid_proportional_mechanism(lpt_star)
@@ -247,7 +247,7 @@ class TestApproxRatio:
 class TestGridAndConsistency:
     def test_default_grid_spans_and_includes_bids(self):
         inst = Instance((2, 1), (3, 8))
-        grid = default_grid(inst)
+        grid = grid_bids(inst)
         assert 3 in grid and 8 in grid
         assert max(grid) == 64 and min(grid) == 1
 
@@ -275,10 +275,11 @@ class TestGridAndConsistency:
                     bids.append(F(rng.randint(1, 40), rng.randint(1, 7)))
             inst = Instance((3, 1), bids)
             for points in (0, 1, 7, 8, 20, 64, 65):
-                monkeypatch.setattr(properties, "GRID_STEPS", points)
-                grid = default_grid(inst)
-                assert grid == self.set_and_sort_grid(inst, points), (bids, points)
-                assert all(type(g) is F for g in grid)
+                monkeypatch.setattr(core, "GRID_STEPS", points)
+                assert tuple(grid_bids(inst)) == self.set_and_sort_grid(inst, points), (bids, points)
+                denominator, grid = inst.deviation_grid()
+                assert all(type(p) is int for p in grid)
+                assert all(denominator % b.denominator == 0 for b in inst.bids)
 
     def test_grid_truthful_mechanism_has_probe_invariant_term(self):
         # consistency between the grid checker and term extraction

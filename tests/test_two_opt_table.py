@@ -14,7 +14,8 @@ import pytest
 
 from schedmech.allocations import TWO_MACHINE_BUDGET, two_machine_opt
 from schedmech.core import Assignment, BudgetExceeded, DomainError, Instance
-from schedmech.properties import default_grid
+
+from test_deviation_oracle import grid_bids
 
 # ---------------------------------------------------------------------------
 # Reference: the mask loop, verbatim.
@@ -105,7 +106,7 @@ def test_assignments_equal_the_mask_loop(chunk):
         expected = reference_two_machine_opt(inst)
         assert (got.job_to_machine, got.workloads) == (expected.job_to_machine, expected.workloads), seed
         # and at deviated bids of the same job vector, on the shared table
-        for bid in default_grid(inst)[::5]:
+        for bid in grid_bids(inst)[::5]:
             copy = inst.with_bid(seed % 2, bid)
             assert two_machine_opt(copy) == reference_two_machine_opt(copy), (seed, bid)
 
@@ -131,7 +132,7 @@ def test_every_derived_copy_shares_the_table():
         inst.with_swapped_bids(0, 1),
         inst.with_bid(0, 3).scaled(2).with_swapped_bids(1, 0),
     ]
-    copies += [copy(bid) for _, run, copy in inst.deviation_runs(default_grid(inst)) for bid in run]
+    copies += [copy(k) for _, lo, hi, copy in inst.deviation_runs(inst.deviation_grid()) for k in range(lo, hi)]
     assert len(copies) > 20
     for copy in copies:
         assert copy.job_data is inst.job_data
