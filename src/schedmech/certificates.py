@@ -31,10 +31,12 @@ from .core import (
     DomainError,
     Instance,
     RationalLike,
+    ceil_log2,
     compare,
     makespan,
     rat,
     rat_str,
+    ratio_str,
     rats,
     rounded_speed,
     scaled_to_ints,
@@ -619,14 +621,10 @@ def payment_polytope_feasible(
         payments = [potentials[v] - low + system.g[d] * load
                     for v, d, load in zip(system.var, bid_indices, system.loads)]
         _verify_witness(system.grid, system.workloads, payments, system.scale)
-        texts = [",".join(map(rat_str, b)) for b in system.profiles]
-        witness = {
-            f"p[{t % machines}]({texts[t // machines]})": rat_str(Fraction(x, system.scale))
-            for t, x in enumerate(payments)
-        }
-        return FeasibilityResult(
-            True, witness, None, len(system.profiles), len(system.rows), system.notes
-        )
+        keys = [",".join([system.texts[d] for d in idx]) for idx in system.points]
+        witness = {f"p[{t % machines}]({keys[t // machines]})": ratio_str(x, system.scale)
+                   for t, x in enumerate(payments)}
+        return FeasibilityResult(True, witness, None, len(system.profiles), len(system.rows), system.notes)
     # A simple negative cycle is irreducible by construction; the deletion
     # filter of the independent simplex must agree row for row.
     cycle = [system.constraint(row) for row in cycle]
@@ -636,14 +634,8 @@ def payment_polytope_feasible(
         raise AssertionError("simplex finds the negative cycle feasible") from None
     if rechecked != cycle:
         raise AssertionError("simplex reduces the negative cycle further")
-    return FeasibilityResult(
-        False,
-        None,
-        [c.label for c in cycle],
-        len(system.profiles),
-        len(system.rows),
-        system.notes,
-    )
+    return FeasibilityResult(False, None, [c.label for c in cycle], len(system.profiles),
+                             len(system.rows), system.notes)
 
 
 class _PolytopeRows(NamedTuple):
@@ -651,9 +643,9 @@ class _PolytopeRows(NamedTuple):
 
     Profile ``p`` is ``profiles[p]`` (in ``itertools.product`` order), at
     grid indices ``points[p]``; the rule gives it ``workloads[p]``, flat and
-    scaled to ints in ``loads`` (the grid in ``g``).  Machine ``i``'s
-    variable at ``p`` is ``var[p * machines + i]`` after the anonymity
-    merges.  Each row ``(head, tail, is_eq, rhs, label_spec)`` reads
+    scaled to ints in ``loads`` (the grid in ``g``, its ``rat_str`` texts in
+    ``texts``).  Machine ``i``'s variable at ``p`` is ``var[p * machines + i]``
+    after the anonymity merges.  Each row ``(head, tail, is_eq, rhs, label_spec)`` reads
     ``u[head] - u[tail] (== if is_eq else >=) rhs / scale``, where
     ``scale`` is the lcm of the grid denominators times the lcm of the
     workload denominators, so every ``rhs`` is an exact int.
@@ -661,6 +653,7 @@ class _PolytopeRows(NamedTuple):
     """
 
     grid: tuple
+    texts: list
     profiles: list
     points: list
     workloads: list
@@ -674,21 +667,17 @@ class _PolytopeRows(NamedTuple):
 
     def constraint(self, row) -> Constraint:
         head, tail, is_eq, rhs, (kind, p, a, b) = row
-        text = _profile_text(self.profiles[p])
+        text = tuple(self.texts[d] for d in self.points[p])
         if kind == "ANON":
             label = f"ANON profile={text} swap=({a},{b})"
         elif kind == "EF":
             label = f"EF profile={text} i={a} j={b}"
         else:
-            label = f"IC profile={text} i={a} dev={rat_str(self.grid[b])}"
+            label = f"IC profile={text} i={a} dev={self.texts[b]}"
         return Constraint(
             ((head, 1), (tail, -1)), "==" if is_eq else ">=",
             Fraction(rhs, self.scale), label,
         )
-
-
-def _profile_text(bids) -> str:
-    return str(tuple(rat_str(x) for x in bids))
 
 
 def _polytope_rows(rule, bid_grid, jobs, machines, profile_budget) -> _PolytopeRows:
@@ -709,10 +698,14 @@ def _polytope_rows(rule, bid_grid, jobs, machines, profile_budget) -> _PolytopeR
     points = list(itertools.product(range(n), repeat=machines))
     # Raising machine i's grid index by one moves strides[i] profiles on.
     strides = [n ** (machines - 1 - i) for i in range(machines)]
-    # One Instance sorts and scales the jobs; every profile shares them.
-    base = Instance(jobs, profiles[0])
-    workloads = [rule(base._with_bids(b)).workloads for b in profiles]
+    # One Instance sorts and scales the jobs; every profile shares them, and
+    # takes its bid order and exponents from its grid indices.
+    base, exponents = Instance(jobs, profiles[0]), [ceil_log2(v) for v in grid]
+    workloads = [rule(base._with_bid_data(b, tuple(sorted(range(machines), key=idx.__getitem__)),
+                                          tuple(map(exponents.__getitem__, idx)))).workloads
+                 for b, idx in zip(profiles, points)]
     grid_scale, g = scaled_to_ints(grid)
+    texts = [rat_str(v) for v in grid]
     load_scale, loads = scaled_to_ints([w for ws in workloads for w in ws])
     wi = [loads[t: t + machines] for t in range(0, len(loads), machines)]
     notes: list[str] = []
@@ -739,7 +732,7 @@ def _polytope_rows(rule, bid_grid, jobs, machines, profile_budget) -> _PolytopeR
             else:
                 notes.append(
                     f"rule workloads break anonymity at profile "
-                    f"{_profile_text(profiles[p])} swap ({k},{l})"
+                    f"{tuple(texts[d] for d in idx)} swap ({k},{l})"
                 )
                 broken_swaps.append((p, k, q, l))
     var = [find(t) for t in range(n_vars)]
@@ -764,7 +757,7 @@ def _polytope_rows(rule, bid_grid, jobs, machines, profile_budget) -> _PolytopeR
                     q = p + (d - gi) * strides[i]
                     rows.append((u[i], var[q * machines + i], False,
                                  (g[d] - g[gi]) * wi[q][i], ("IC", p, i, d)))
-    return _PolytopeRows(grid, profiles, points, workloads, g, loads,
+    return _PolytopeRows(grid, texts, profiles, points, workloads, g, loads,
                          grid_scale * load_scale, var, n_vars, rows, notes)
 
 

@@ -131,26 +131,34 @@ def cmd_allocate(args) -> int:
     return EXIT_OK
 
 
-def _check_on_instance(property_name, mechanism_name, instance, grid, budget):
-    """One property verdict (for ``ratio``, the exact approximation ratio)
-    on one instance; used by the batch fan-out."""
-    if property_name in ("ef", "ir", "truthful", "anonymous"):
-        mech = _mechanism_for(mechanism_name)
-        if property_name == "truthful":
-            return check_truthful(mech, instance, grid)
-        if property_name == "anonymous":
-            return check_anonymous(mech, instance)
-        outcome = mech.run(instance)
-        checker = check_envy_free if property_name == "ef" else check_ir
-        return checker(instance.bids, outcome.allocation.workloads, outcome.payments)
-    rule = _rule_for(mechanism_name)
-    if property_name == "ratio":
-        return approx_ratio(rule, instance, budget)
-    if property_name == "le":
-        return check_local_efficiency(instance.bids, rule(instance).workloads)
-    if property_name == "monotone":
-        return check_monotone(rule, instance, grid)
-    return check_scalable(rule, instance, SCALING_FACTORS)
+def _check_on_instance(property_name, mechanism_name, size, entry, grid, budget):
+    """One property verdict (for ``ratio``, the exact approximation ratio) on
+    the ``(place, instance)`` entry of a ``--random`` batch of ``size`` (0: an
+    instance file); used by the batch fan-out.  A batch's refusal names its instance."""
+    place, instance = entry
+    try:
+        if property_name in ("ef", "ir", "truthful", "anonymous"):
+            mech = _mechanism_for(mechanism_name)
+            if property_name == "truthful":
+                return check_truthful(mech, instance, grid)
+            if property_name == "anonymous":
+                return check_anonymous(mech, instance)
+            outcome = mech.run(instance)
+            checker = check_envy_free if property_name == "ef" else check_ir
+            return checker(instance.bids, outcome.allocation.workloads, outcome.payments)
+        rule = _rule_for(mechanism_name)
+        if property_name == "ratio":
+            return approx_ratio(rule, instance, budget)
+        if property_name == "le":
+            return check_local_efficiency(instance.bids, rule(instance).workloads)
+        if property_name == "monotone":
+            return check_monotone(rule, instance, grid)
+        return check_scalable(rule, instance, SCALING_FACTORS)
+    except DomainError as exc:
+        if size:
+            raise DomainError(f"instance {place + 1} of {size}, jobs {','.join(map(rat_str, instance.jobs))} "
+                              f"and bids {','.join(map(rat_str, instance.bids))}: {exc}") from None
+        raise
 
 
 def _refuse_batch_options(args):
@@ -204,16 +212,16 @@ def cmd_check(args) -> int:
     else:
         raise UsageError("provide an instance file or --random N")
     check = functools.partial(
-        _check_on_instance, args.property, args.mechanism,
+        _check_on_instance, args.property, args.mechanism, args.random,
         grid=getattr(args, "grid", None), budget=getattr(args, "budget", None),
     )
     workers = min(workers, len(instances))
     if workers > 1:
         from concurrent import futures
         with (ProcessPoolExecutor or futures.ProcessPoolExecutor)(max_workers=workers) as pool:
-            verdicts = list(pool.map(check, instances, chunksize=8))
+            verdicts = list(pool.map(check, enumerate(instances), chunksize=8))
     else:
-        verdicts = [check(inst) for inst in instances]
+        verdicts = list(map(check, enumerate(instances)))
     if args.property == "ratio":
         return _emit_ratios(args, instances, verdicts)
     failures = [

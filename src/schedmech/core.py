@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -73,11 +73,16 @@ def rat(value: RationalLike) -> Fraction:
 
 
 def rat_str(value: Fraction) -> str:
-    """Render a Fraction as ``"p"`` or ``"p/q"`` (the wire format)."""
-    value = Fraction(value)
+    """Render a Fraction or int as ``"p"`` or ``"p/q"`` (the wire format)."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def ratio_str(numerator: int, denominator: int) -> str:
+    """``rat_str(Fraction(numerator, denominator))`` for ints, denominator > 0."""
+    g = gcd(numerator, denominator)
+    return str(numerator // g) if g == denominator else f"{numerator // g}/{denominator // g}"
 
 
 def rats(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
@@ -219,6 +224,12 @@ class Instance:
         vars(new).update(jobs=self.jobs, job_data=self.job_data, bids=tuple(bids))
         return new
 
+    def _with_bid_data(self, bids, bid_order, bid_exponents) -> "Instance":
+        """``_with_bids`` with the ``bid_order`` and ``bid_exponents`` the caller knows."""
+        copy = self._with_bids(bids)
+        vars(copy).update(_bid_order=bid_order, _bid_exponents=bid_exponents)
+        return copy
+
     def with_bid(self, machine: int, bid: RationalLike) -> "Instance":
         """Same jobs, with machine's bid replaced (for deviation checks)."""
         bid = rat(bid)
@@ -287,9 +298,7 @@ class Instance:
             return self
         bids = list(self.bids)
         bids[machine] = Fraction(points[k], denominator)
-        copy = self._with_bids(bids)
-        vars(copy).update(_bid_order=bid_order, _bid_exponents=bid_exponents)
-        return copy
+        return self._with_bid_data(bids, bid_order, bid_exponents)
 
     def with_swapped_bids(self, k: int, l: int) -> "Instance":
         new_bids = list(self.bids)

@@ -6,8 +6,8 @@ pivot multiplies by the (positive) pivot, subtracts and divides out the
 row's gcd, fraction-free as in Bareiss (1968).  Every row stays a positive
 multiple of its ``Fraction`` form, so the pivots are those of a ``Fraction``
 tableau.  Bland's rule guarantees termination.  The solver minimizes the sum
-of artificial variables and reports a witness, re-substituted in
-``Fraction``, when that optimum is zero.
+of artificial variables and reports a witness, re-checked on ints against
+every row, when that optimum is zero.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .core import WEAK_RELATIONS, DomainError, compare
@@ -35,10 +36,6 @@ class Constraint:
         if self.relation not in WEAK_RELATIONS:
             raise DomainError(f"unknown relation {self.relation!r}")
 
-    def satisfied_by(self, x: Sequence[Fraction]) -> bool:
-        lhs = sum((c * x[i] for i, c in self.coeffs), Fraction(0))
-        return compare(lhs, self.relation, self.rhs, WEAK_RELATIONS)
-
 
 def solve_feasibility(
     n_vars: int, constraints: Sequence[Constraint]
@@ -58,6 +55,7 @@ def solve_feasibility(
     column = {i: k for k, i in enumerate(used)}
     n_cols = len(used)
     rows = []  # (int coeffs, rhs, slack sign, needs artificial, scale), rhs >= 0
+    given = []  # (int coeffs, relation, rhs): each row times its scale, as given
     for con in constraints:
         scale = lcm(con.rhs.denominator, *(c.denominator for _, c in con.coeffs))
         dense = [0] * n_cols
@@ -65,6 +63,7 @@ def solve_feasibility(
             dense[column[i]] += c.numerator * (scale // c.denominator)
         rhs = con.rhs.numerator * (scale // con.rhs.denominator)
         rel = con.relation
+        given.append((dense, rel, rhs))
         if rel == ">=":
             dense = [-c for c in dense]
             rhs = -rhs
@@ -85,10 +84,8 @@ def solve_feasibility(
     n_art = sum(1 for _, _, _, a, _ in rows if a)
     width = n_cols + n_slack + n_art
     tableau: list[list[int]] = []
-    basis: list[int] = []
-    slack_at = 0
-    art_at = 0
-    art_cols = []
+    basis, art_cols = [], []
+    slack_at = art_at = 0
     for dense, rhs, slack_sign, needs_art, scale in rows:
         row = dense + [0] * (n_slack + n_art) + [rhs]
         if slack_sign != 0:
@@ -149,14 +146,22 @@ def solve_feasibility(
 
     if obj[width] != 0:
         return None  # artificials cannot all vanish: infeasible
+    # Basic variable b is rhs / pivot in its row: an int over the lcm of the pivots.
+    basic = {b: row for b, row in zip(basis, tableau) if b < n_cols}
+    denominator = lcm(*(row[b] for b, row in basic.items()))
+    values = [basic[b][width] * (denominator // basic[b][b]) if b in basic else 0 for b in range(n_cols)]
+    _check_witness(given, values, denominator)
     x = [Fraction(0)] * n_vars
-    for r, b in enumerate(basis):
-        if b < n_cols:
-            x[used[b]] = Fraction(tableau[r][width], tableau[r][b])
-    for con in constraints:
-        if not con.satisfied_by(x):
-            raise AssertionError("witness fails a constraint; solver bug")
+    for b, value in enumerate(values):
+        x[used[b]] = Fraction(value, denominator)
     return x
+
+
+def _check_witness(given, values, denominator):
+    """Substitute ``values / denominator`` into each ``given`` row, as given."""
+    for dense, relation, rhs in given:
+        if not compare(sum(map(mul, dense, values)), relation, rhs * denominator, WEAK_RELATIONS):
+            raise AssertionError("witness fails a constraint; solver bug")
 
 
 def _primitive(row: list[int]) -> list[int]:

@@ -1,5 +1,7 @@
 import json
 import pathlib
+import random
+import re
 import shlex
 import subprocess
 import sys
@@ -11,7 +13,11 @@ from schedmech.allocations import RULES
 from schedmech.certificates import _polytope_rows
 from schedmech import cli
 from schedmech.cli import main
+from schedmech.core import rat_str
 from schedmech.exactlp import solve_feasibility
+from schedmech.payments import ef_chain_mechanism
+from schedmech.properties import check_truthful
+from schedmech.sampling import sample_instance
 
 VERDICT_SCHEMA = {
     "type": "object",
@@ -280,6 +286,27 @@ class TestCheck:
         assert run_cli(capsys, *base, "--jobs-parallel", "64") == (0, serial, "")
         assert run_cli(capsys, *base, "--jobs-parallel", "2") == (0, serial, "")
         assert started == [3, 2]
+
+    @pytest.mark.parametrize("straddle", [False, True])
+    def test_a_refusing_batch_instance_is_named_serial_and_parallel(self, capsys, instance_file, straddle):
+        """One instance on which ``opt`` is not locally efficient refuses the
+        whole batch with exit 2; the one error line names its place, jobs
+        and bids, with or without worker processes."""
+        base = ("check", "truthful", "opt:efchain", "--random", "150") + ("--straddle",) * straddle
+        code, out, err = run_cli(capsys, *base)
+        reason = "chain payments require locally efficient workloads"
+        match = re.fullmatch(rf"error: instance (\d+) of 150, jobs (\S+) and bids (\S+): {reason}\n", err)
+        assert (code, out) == (2, "") and match, err
+        place, jobs, bids = int(match[1]), match[2], match[3]
+        rng = random.Random(0)
+        drawn = [sample_instance(rng, straddle_pow2=straddle) for _ in range(place)]
+        assert (jobs, bids) == tuple(",".join(map(rat_str, v)) for v in (drawn[-1].jobs, drawn[-1].bids))
+        mechanism = ef_chain_mechanism(RULES["opt"])
+        for inst in drawn[:-1]:  # the instances before it are checked, not refused
+            check_truthful(mechanism, inst)
+        path = instance_file(jobs.split(","), bids.split(","))
+        assert run_cli(capsys, "check", "truthful", "opt:efchain", path) == (2, "", f"error: {reason}\n")
+        assert run_cli(capsys, *base, "--jobs-parallel", "2") == (code, out, err)
 
     def test_missing_inputs_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "check", "ef", "vcg")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schedmech import exactlp
-from schedmech.core import DomainError
+from schedmech.core import WEAK_RELATIONS, DomainError, compare
 from schedmech.exactlp import (
     MAX_PIVOTS,
     Constraint,
@@ -16,6 +16,14 @@ from schedmech.exactlp import (
 )
 
 F = Fraction
+
+
+# The package's earlier witness check, ``Constraint.satisfied_by``, moved
+# here when the simplex began to re-check its witness on ints: the
+# ``Fraction`` re-substitution that the integer check must agree with.
+def satisfied_by(con: Constraint, x: Sequence[Fraction]) -> bool:
+    lhs = sum((c * x[i] for i, c in con.coeffs), Fraction(0))
+    return compare(lhs, con.relation, con.rhs, WEAK_RELATIONS)
 
 
 # The simplex on a Fraction tableau, verbatim but for its name: the oracle
@@ -137,7 +145,7 @@ def fraction_solve_feasibility(
         if b < n_cols:
             x[used[b]] = tableau[r][width]
     for con in constraints:
-        if not con.satisfied_by(x):
+        if not satisfied_by(con, x):
             raise AssertionError("witness fails a constraint; solver bug")
     return x
 
@@ -319,3 +327,84 @@ def test_infeasible_subset_is_the_fraction_tableau_deletion_filter():
             expected = _deletion_filter(n, rows, fraction_solve_feasibility)
             assert irreducible_infeasible_subset(n, rows) == expected
             checked += 1
+
+
+def _difference_cycle(rng):
+    """Rows ``x[head] - x[tail] (>=|<=|==) c`` round a 2-5 variable cycle,
+    shaped like the polytope's negative cycles, over a spare variable that
+    no row names; about four in five of them are feasible."""
+    k = rng.randint(2, 5)
+    rows = []
+    for i in range(k):
+        head, tail = (i + 1) % k, i
+        rel = rng.choice((">=", ">=", "<=", "=="))
+        rhs = F(rng.randint(-6, 4), rng.choice((1, 2, 3, 4)))
+        rows.append(con([(head, F(1)), (tail, F(-1))], rel, rhs, f"c{i}"))
+    return k + 1, rows
+
+
+def test_integer_witness_check_agrees_with_the_fraction_resubstitution(monkeypatch):
+    """Every witness the simplex checks, and each copy of it with one column
+    moved by one unit (1 over the lcm of the basic pivots), passes the
+    integer check exactly when the ``Fraction`` re-substitution of the
+    removed ``Constraint.satisfied_by`` accepts it."""
+    check = exactlp._check_witness
+    seen = Counter()
+    system = {}
+
+    def compared(given, values, denominator):
+        n, rows = system["n"], system["rows"]
+        used = sorted({i for c in rows for i, _ in c.coeffs})
+        for column, step in [(None, 0)] + [(b, s) for b in range(len(values)) for s in (-1, 1)]:
+            moved = list(values)
+            if column is not None:
+                moved[column] += step
+            x = [F(0)] * n
+            for b, value in enumerate(moved):
+                x[used[b]] = F(value, denominator)
+            try:
+                check(given, moved, denominator)
+                accepted = True
+            except AssertionError:
+                accepted = False
+            assert accepted == all(satisfied_by(c, x) for c in rows), (rows, moved, denominator)
+            if column is None:
+                assert accepted
+                seen["witness"] += 1
+            else:
+                seen["moved, accepted" if accepted else "moved, refused"] += 1
+        seen["denominator > 1"] += denominator > 1
+        check(given, values, denominator)
+
+    monkeypatch.setattr(exactlp, "_check_witness", compared)
+    rng = random.Random(33)
+    for draw in range(900):
+        n, rows = _random_system(rng) if draw % 3 else _difference_cycle(rng)
+        system.update(n=n, rows=rows)
+        solve_feasibility(n, rows)
+    assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize(
+    "n, rows",
+    [
+        (2, [con([(0, F(1)), (1, F(2))], "==", 4), con([(0, F(1)), (1, F(-1))], "==", 1)]),
+        (1, [con([(0, F(3))], "==", 2)]),  # x = 2/3: one unit is 1/3
+        (3, [con([(1, F(1)), (0, F(-1))], "==", F(1, 2)), con([(2, F(1)), (1, F(-1))], "==", F(5, 3)),
+             con([(0, F(2))], "==", F(3, 4))]),
+    ],
+)
+def test_a_basic_value_off_by_one_unit_is_refused(monkeypatch, n, rows):
+    check = exactlp._check_witness
+    x = solve_feasibility(n, rows)
+    assert x is not None and all(satisfied_by(c, x) for c in rows)
+    for column in range(n):
+        for step in (-1, 1):
+            def moved(given, values, denominator):
+                shifted = list(values)
+                shifted[column] += step
+                check(given, shifted, denominator)
+
+            monkeypatch.setattr(exactlp, "_check_witness", moved)
+            with pytest.raises(AssertionError, match="witness fails a constraint"):
+                solve_feasibility(n, rows)

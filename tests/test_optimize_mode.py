@@ -45,6 +45,19 @@ def test_witness_check_rejects_a_broken_ic_row_under_O():
     assert "AssertionError: IC violated by witness" in proc.stderr
 
 
+def test_simplex_rejects_a_witness_off_by_one_unit_under_O():
+    # 3x = 2 has the one solution 2/3, an int 2 over the pivot 3; the check
+    # is handed 3/3 instead.
+    proc = run_optimized(
+        "from schedmech import exactlp\n"
+        "check = exactlp._check_witness\n"
+        "exactlp._check_witness = lambda given, values, d: check(given, [values[0] + 1], d)\n"
+        "exactlp.solve_feasibility(1, [exactlp.Constraint(((0, F(3)),), '==', F(2))])\n"
+    )
+    assert proc.returncode != 0
+    assert "AssertionError: witness fails a constraint; solver bug" in proc.stderr
+
+
 def test_package_has_no_assert_statements():
     offenders = [
         f"{path.relative_to(PACKAGE)}:{node.lineno}"

@@ -14,6 +14,8 @@ from schedmech.exactlp import Constraint
 from schedmech.payments import vcg_payments
 from schedmech.properties import Counterexample
 
+from test_exactlp import satisfied_by
+
 OPERATORS = {
     "==": operator.eq,
     "!=": operator.ne,
@@ -56,7 +58,7 @@ class TestRelationTable:
     def test_constraint_satisfied_by_matches_operator(self, relation):
         for a, b in _pairs(4):
             con = Constraint(((0, F(1)),), relation, b)
-            assert con.satisfied_by([a]) == OPERATORS[relation](a, b)
+            assert satisfied_by(con, [a]) == OPERATORS[relation](a, b)
 
     @pytest.mark.parametrize("relation", ["!=", "<", ">", "=<", ""])
     def test_counterexample_rejects_other_relations(self, relation):
