@@ -129,17 +129,13 @@ class TwoMachineOpt:
     def __call__(self, instance: Instance) -> Assignment:
         if instance.m != 2:
             raise DomainError("rule is defined for exactly two machines")
-        if 2 ** instance.n > TWO_MACHINE_BUDGET:
-            raise BudgetExceeded(
-                f"2^{instance.n} assignments exceed budget {TWO_MACHINE_BUDGET}"
-            )
+        sums, masks = _budgeted_job_data(instance).subset_sums  # machine 0's possible workloads
         b0, b1 = instance.bids
         # Workloads are scaled by D (the jobs' common denominator) and the
         # bids by b0.denominator * b1.denominator, so every key is the exact
         # key times that positive constant, as ints.
         c0 = b0.numerator * b1.denominator
         c1 = b1.numerator * b0.denominator
-        sums, masks = instance.job_data.subset_sums  # machine 0's possible workloads
         denominator, total = instance.job_data.scaled_jobs[0], sums[-1]
         # sums[k - 1] <= total * c1 / (c0 + c1) < sums[k].  Left of that point
         # the makespan is machine 1's time, strictly falling, right of it
@@ -177,19 +173,25 @@ def _two_machine_points(instance: Instance, machine: int):
     """
     if instance.m > 2:
         raise DomainError("region points are known for at most two machines")
-    if 2 ** instance.n > TWO_MACHINE_BUDGET:
-        raise BudgetExceeded(f"2^{instance.n} assignments exceed budget {TWO_MACHINE_BUDGET}")
+    job_data = _budgeted_job_data(instance)
     if instance.m == 1:
         return
     b = instance.bids[1 - machine]
     yield b
-    sums = instance.job_data.subset_sums[0]
+    sums = job_data.subset_sums[0]
     total = sums[-1]
     for k in range(len(sums) - 1, 0, -1):
         s, s_next = sums[k - 1], sums[k]
         yield Fraction(b.numerator * (total - s), b.denominator * s_next)
         if s:
             yield Fraction(b.numerator * (total - s), b.denominator * s)
+
+
+def _budgeted_job_data(instance: Instance):
+    """``instance.job_data``, refused past ``TWO_MACHINE_BUDGET`` assignments."""
+    if 2 ** instance.n > TWO_MACHINE_BUDGET:
+        raise BudgetExceeded(f"2^{instance.n} assignments exceed budget {TWO_MACHINE_BUDGET}")
+    return instance.job_data
 
 
 lpt_star = LptStar()

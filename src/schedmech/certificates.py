@@ -438,14 +438,6 @@ def lemma6_g(
         verdict = check_scalable(rule, base.with_bid(1, y), SCALING_FACTORS)
         if not verdict:
             raise DomainError(f"rule is not scalable at competitor bid {rat_str(y)}")
-    # Busy-below-k precondition: w(x, 1) > 0 for sampled x < k.
-    for j in range(1, 16):
-        x = k * Fraction(j, 16)
-        if rule(base.with_bid(0, x)).workloads[0] == 0:
-            raise DomainError(
-                f"rule idles the machine bidding {rat_str(x)} against bid 1, "
-                f"violating the busy-below-{rat_str(k)} precondition"
-            )
 
     ratio_cap = (k + 1) / (2 * k)
     samples = rats(inequality_samples)
@@ -459,6 +451,20 @@ def lemma6_g(
         a: region_curve(rule, base.with_bid(0, a).with_bid(1, a), 1, 2 * a)
         for a in dict.fromkeys((Fraction(1), *samples))
     }
+    own_curves = {a: region_curve(rule, base.with_bid(1, a), 0, 2 * k * a) for a in competitor_curves}
+    # Busy below k, exact: the rule gives machine 0 work at each of its region
+    # points in (0, k), and the a = 1 own-bid curve, which reads each point's
+    # value from the right, is nowhere 0 on (0, k).
+    one = own_curves[1]
+    points = sorted({x for x in rule.region_points(base, 0, k) if 0 < x < k})
+    pieces = zip((0, *one.breakpoints), (*one.breakpoints, k), (*one.values, one.tail))
+    idle = next(itertools.chain((x for x in points if rule(base.with_bid(0, x)).workloads[0] == 0),
+                                ((lo + min(hi, k)) / 2 for lo, hi, w in pieces if lo < k and w == 0)), None)
+    if idle is not None:
+        raise DomainError(
+            f"rule idles the machine bidding {rat_str(idle)} against bid 1, "
+            f"violating the busy-below-{rat_str(k)} precondition"
+        )
     core_integral = integrate(competitor_curves[1], 1 / k, ratio_cap)
     factor = Fraction(4) * k * k / ((k + 1) * (k + 1)) - 1
     g = factor * core_integral
@@ -479,8 +485,7 @@ def lemma6_g(
     )
     report.add("g(k) is strictly positive", g, ">", 0)
     for a in samples:
-        own_curve = region_curve(rule, base.with_bid(1, a), 0, 2 * k * a)
-        lhs = integrate(own_curve, a, k * a)
+        lhs = integrate(own_curves[a], a, k * a)
         rhs = integrate(competitor_curves[a], a / k, a) + g * a
         report.add(
             f"transfer inequality at a={rat_str(a)}",
@@ -701,8 +706,8 @@ def _polytope_rows(rule, bid_grid, jobs, machines, profile_budget) -> _PolytopeR
     # One Instance sorts and scales the jobs; every profile shares them, and
     # takes its bid order and exponents from its grid indices.
     base, exponents = Instance(jobs, profiles[0]), [ceil_log2(v) for v in grid]
-    workloads = [rule(base._with_bid_data(b, tuple(sorted(range(machines), key=idx.__getitem__)),
-                                          tuple(map(exponents.__getitem__, idx)))).workloads
+    workloads = [rule(base._with_bids(b, bid_order=tuple(sorted(range(machines), key=idx.__getitem__)),
+                                      bid_exponents=tuple(map(exponents.__getitem__, idx)))).workloads
                  for b, idx in zip(profiles, points)]
     grid_scale, g = scaled_to_ints(grid)
     texts = [rat_str(v) for v in grid]

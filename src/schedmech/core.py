@@ -201,34 +201,26 @@ class Instance:
     def m(self) -> int:
         return len(self.bids)
 
-    @property
+    @cached_property
     def bid_order(self) -> tuple[int, ...]:
         """Machine indices in nondecreasing bid order, ties to the lower
         index (the sort is stable)."""
-        if "_bid_order" not in vars(self):
-            vars(self)["_bid_order"] = tuple(sorted(range(self.m), key=self.bids.__getitem__))
-        return vars(self)["_bid_order"]
+        return tuple(sorted(range(self.m), key=self.bids.__getitem__))
 
-    @property
+    @cached_property
     def bid_exponents(self) -> tuple[int, ...]:
         """``ceil_log2`` of each bid: machine i's rounded speed is 2**e_i."""
-        if "_bid_exponents" not in vars(self):
-            vars(self)["_bid_exponents"] = tuple(map(ceil_log2, self.bids))
-        return vars(self)["_bid_exponents"]
+        return tuple(map(ceil_log2, self.bids))
 
-    def _with_bids(self, bids: list[Fraction]) -> "Instance":
+    def _with_bids(self, bids: list[Fraction], **bid_data) -> "Instance":
         """Same (already canonical) jobs with new, already validated bids;
         skips ``__init__``.  The job data is shared with this instance, not
-        computed again; the bid data is the copy's own."""
+        computed again; the bid data is the copy's own: the ``bid_order``
+        and ``bid_exponents`` the caller passes in, or computed on first
+        read."""
         new = object.__new__(Instance)
-        vars(new).update(jobs=self.jobs, job_data=self.job_data, bids=tuple(bids))
+        vars(new).update(jobs=self.jobs, job_data=self.job_data, bids=tuple(bids), **bid_data)
         return new
-
-    def _with_bid_data(self, bids, bid_order, bid_exponents) -> "Instance":
-        """``_with_bids`` with the ``bid_order`` and ``bid_exponents`` the caller knows."""
-        copy = self._with_bids(bids)
-        vars(copy).update(_bid_order=bid_order, _bid_exponents=bid_exponents)
-        return copy
 
     def with_bid(self, machine: int, bid: RationalLike) -> "Instance":
         """Same jobs, with machine's bid replaced (for deviation checks)."""
@@ -298,7 +290,7 @@ class Instance:
             return self
         bids = list(self.bids)
         bids[machine] = Fraction(points[k], denominator)
-        return self._with_bid_data(bids, bid_order, bid_exponents)
+        return self._with_bids(bids, bid_order=bid_order, bid_exponents=bid_exponents)
 
     def with_swapped_bids(self, k: int, l: int) -> "Instance":
         new_bids = list(self.bids)

@@ -25,7 +25,6 @@ from .core import (
     makespan,
     rat_str,
     rats,
-    scaled_by,
 )
 
 PERMUTATION_CHECK_LIMIT = 6
@@ -203,6 +202,22 @@ def check_ir(
     return _verdict("individual-rationality", None)
 
 
+def _grid_reads(check, instance: Instance, grid: tuple[int, Sequence[int]]):
+    """``(machine, k, copy)`` wherever a grid check reads ``check``: a run of
+    ``Instance.deviation_runs`` at its first point, unless ``check``'s
+    ``decision_key`` there is not None and equals the machine's last run's
+    (an equal key, an equal outcome), and a keyless run at every point."""
+    decision_key = getattr(check, "decision_key", None)
+    last = None
+    for i, lo, hi, copy in instance.deviation_runs(grid):
+        first = copy(lo)
+        key = decision_key(first) if decision_key else None
+        if key is None or (i, key) != last:
+            for k in range(lo, hi if key is None else lo + 1):
+                yield i, k, first if k == lo else copy(k)
+        last = i, key
+
+
 def check_truthful(
     mechanism,
     instance: Instance,
@@ -212,45 +227,30 @@ def check_truthful(
 
     The profile bid is treated as the true speed; every deviation of every
     machine on the sorted ``Instance.deviation_grid`` must not beat truthful
-    reporting.  A mechanism with a ``decision_key`` is run at the first
-    point of a run of ``Instance.deviation_runs`` whose key, if not None,
-    differs from the machine's last run's, and nowhere else in the run: an
-    equal key gives the machine the same outcome, which did not pay.  Any
-    other mechanism is run at every point.
+    reporting.  The mechanism runs at each read of ``_grid_reads`` but the
+    instance itself (the own bid), whose outcome is the truthful one, as is
+    the outcome all along a keyed run that starts there.
     """
-    denominator, points = grid = instance.deviation_grid(deviation_grid)
-    own = scaled_by(instance.bids, denominator)
+    grid = instance.deviation_grid(deviation_grid)
     truthful = mechanism.run(instance)
     honest = [p - b * w for p, b, w in
               zip(truthful.payments, instance.bids, truthful.allocation.workloads)]
-    decision_key = getattr(mechanism, "decision_key", None)
-    last = None
-    for i, lo, hi, copy in instance.deviation_runs(grid):
+    for i, _, deviated in _grid_reads(mechanism, instance, grid):
         true_speed = instance.bids[i]
-        run = [k for k in range(lo, hi) if points[k] != own[i]]  # the machine's own bid left out
-        if not run:
-            continue
-        first = copy(run[0])
-        key = decision_key(first) if decision_key else None
-        if key is not None and (i, key) == last:
-            continue
-        last = i, key
-        for k in run if key is None else run[:1]:
-            deviated = first if k == run[0] else copy(k)
-            outcome = mechanism.run(deviated)
-            gained = outcome.payments[i] - true_speed * outcome.allocation.workloads[i]
-            if honest[i] < gained:
-                dev = rat_str(deviated.bids[i])
-                return _verdict(
-                    "truthfulness",
-                    Counterexample(
-                        f"machine {i} profits by bidding {dev}",
-                        honest[i],
-                        ">=",
-                        gained,
-                        {"machine": i, "true_speed": rat_str(true_speed), "deviation": dev},
-                    ),
-                )
+        outcome = truthful if deviated is instance else mechanism.run(deviated)
+        gained = outcome.payments[i] - true_speed * outcome.allocation.workloads[i]
+        if honest[i] < gained:
+            dev = rat_str(deviated.bids[i])
+            return _verdict(
+                "truthfulness",
+                Counterexample(
+                    f"machine {i} profits by bidding {dev}",
+                    honest[i],
+                    ">=",
+                    gained,
+                    {"machine": i, "true_speed": rat_str(true_speed), "deviation": dev},
+                ),
+            )
     return _verdict("truthfulness", None)
 
 
@@ -260,33 +260,24 @@ def check_monotone(
     deviation_grid: Optional[Sequence[RationalLike]] = None,
 ) -> PropertyVerdict:
     """Raising one's own bid never increases one's workload, on the sorted
-    ``Instance.deviation_grid``.  A rule with a ``decision_key`` is
-    evaluated only at the first point of a run of ``Instance.deviation_runs``
-    whose key, if not None, differs from the machine's last run's; any
-    other rule at every point."""
+    ``Instance.deviation_grid``: each read of ``_grid_reads`` is compared
+    with the point below it, whose workload is the previous read's."""
     denominator, points = grid = instance.deviation_grid(deviation_grid)
-    decision_key = getattr(rule, "decision_key", None)
-    prev_machine = prev_key = None
-    for i, lo, hi, copy in instance.deviation_runs(grid):
-        first = copy(lo)
-        key = decision_key(first) if decision_key else None
-        if key is None or (i, key) != (prev_machine, prev_key):
-            for k in range(lo, hi) if key is None else (lo,):
-                w = rule(first if k == lo else copy(k)).workloads[i]
-                if i == prev_machine and w > prev_w:
-                    return _verdict(
-                        "monotonicity",
-                        Counterexample(
-                            f"machine {i} gains workload by raising its bid",
-                            w,
-                            "<=",
-                            prev_w,
-                            {"machine": i, "bid_low": rat_str(Fraction(points[prev], denominator)),
-                             "bid_high": rat_str(Fraction(points[k], denominator))},
-                        ),
-                    )
-                prev_machine, prev, prev_w = i, k, w
-        prev_key, prev = key, hi - 1  # the run's points share its first's workload
+    for i, k, deviated in _grid_reads(rule, instance, grid):
+        w = rule(deviated).workloads[i]
+        if k and w > prev_w:
+            return _verdict(
+                "monotonicity",
+                Counterexample(
+                    f"machine {i} gains workload by raising its bid",
+                    w,
+                    "<=",
+                    prev_w,
+                    {"machine": i, "bid_low": rat_str(Fraction(points[k - 1], denominator)),
+                     "bid_high": rat_str(Fraction(points[k], denominator))},
+                ),
+            )
+        prev_w = w
     return _verdict("monotonicity", None)
 
 

@@ -32,6 +32,7 @@ from schedmech.payments import (
     vcg_mechanism,
     vcg_payments,
 )
+from schedmech.properties import check_scalable
 
 F = Fraction
 
@@ -164,6 +165,28 @@ class TestTheorem1:
         assert F(constants["alpha"]) == F(15, 4) * f
 
 
+class IdleBetween:
+    """Machine 0 gets every job unless its bid over machine 1's lies in the
+    open interval (lo, hi), or equals lo when lo == hi; then machine 1 gets
+    them.  The rule reads only that ratio, so it is scalable, and its
+    decision changes only where the ratio passes lo or hi."""
+
+    name = "idle-between"
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
+
+    def __call__(self, instance):
+        ratio = instance.bids[0] / instance.bids[1]
+        idle = self.lo < ratio < self.hi or self.lo == ratio == self.hi
+        workloads = (F(0), instance.total_length) if idle else (instance.total_length, F(0))
+        return Assignment((int(idle),) * instance.n, workloads)
+
+    def region_points(self, instance, machine, cap):
+        b0, b1 = instance.bids
+        return (b1 * self.lo, b1 * self.hi) if machine == 0 else (b0 / self.hi, b0 / self.lo)
+
+
 class TestLemma6:
     def test_g_of_three_for_two_machine_opt(self):
         g, report = lemma6_g(two_machine_opt, 3, (2, 1))
@@ -178,6 +201,34 @@ class TestLemma6:
     def test_rounding_rule_fails_the_scalability_gate(self):
         with pytest.raises(DomainError):
             lemma6_g(lpt_star, 3, (2, 1))
+
+    def test_a_scalable_rule_idle_between_two_busy_samples_is_refused(self):
+        # The busy-below-k precondition was checked at the bids 3j/16 alone;
+        # (6/5, 5/4) lies between the samples 9/8 and 21/16.
+        assert not any(F(6, 5) <= F(3 * j, 16) <= F(5, 4) for j in range(1, 16))
+        rule = IdleBetween(F(6, 5), F(5, 4))
+        assert all(check_scalable(rule, Instance((2, 1), (1, y)), (2, F(1, 3))) for y in (F(1, 2), 1, 2))
+        with pytest.raises(DomainError, match="^rule idles the machine bidding 49/40 against bid 1, "
+                                              "violating the busy-below-3 precondition$"):
+            lemma6_g(rule, 3, (2, 1))
+
+    def test_an_idle_interval_across_k_is_named_below_k(self):
+        # idle on (5/2, 7/2): the named bid is the middle of (5/2, 3)
+        with pytest.raises(DomainError, match="^rule idles the machine bidding 11/4 against bid 1"):
+            lemma6_g(IdleBetween(F(5, 2), F(7, 2)), 3, (2, 1))
+
+    def test_a_rule_idle_only_at_a_region_point_is_refused(self):
+        # The own-bid curve reads the value at 7/5 from the right, where the
+        # machine is busy; the rule call at the region point finds it idle.
+        with pytest.raises(DomainError, match="^rule idles the machine bidding 7/5 against bid 1"):
+            lemma6_g(IdleBetween(F(7, 5), F(7, 5)), 3, (2, 1))
+
+    def test_two_opt_idle_from_bid_3_is_refused_at_k_31_10(self):
+        # w(x, 1) = 0 for x >= 3 on jobs (2, 1): no sample 31j/160 reaches 3.
+        assert two_machine_opt(Instance((2, 1), (3, 1))).workloads[0] == 0
+        with pytest.raises(DomainError, match="^rule idles the machine bidding 3 against bid 1, "
+                                              "violating the busy-below-31/10 precondition$"):
+            lemma6_g(two_machine_opt, F(31, 10), (2, 1))
 
     def test_k_must_exceed_one(self):
         with pytest.raises(DomainError):

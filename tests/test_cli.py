@@ -407,6 +407,8 @@ PINNED_LINES = {
 } | {
     "theorem5-repeated-a": "error: a value 8 is given twice\n",
     "lemma6-repeated-sample": "error: inequality sample 2 is given twice\n",
+    "lemma6-machine-idle-below-k": "error: rule idles the machine bidding 3 against bid 1, "
+                                   "violating the busy-below-31/10 precondition\n",
 }
 
 
@@ -461,6 +463,7 @@ PINNED_LINES = {
         ["certify", "theorem5", "--a", "-8"],
         ["certify", "theorem5", "--a", "8,8"],
         ["certify", "lemma6", "--samples-at", "2,2"],
+        ["certify", "lemma6", "--k", "31/10"],
     ],
     ids=["instance-file-holds-a-list", "lemma6-expected-allocation-rule",
          "instance-jobs-not-a-list", "instance-jobs-a-string",
@@ -482,7 +485,7 @@ PINNED_LINES = {
          "explicit-zero-bid", "explicit-negative-workload",
          "polytope-negative-budget", "ratio-negative-budget", "allocate-opt-zero-budget",
          "theorem5-zero-a", "theorem5-negative-a", "theorem5-repeated-a",
-         "lemma6-repeated-sample"],
+         "lemma6-repeated-sample", "lemma6-machine-idle-below-k"],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, request, argv):
     paths = {"MISSING_DIR_CSV": str(tmp_path / "missing" / "ratios.csv")}

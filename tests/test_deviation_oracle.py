@@ -250,8 +250,8 @@ def reference_deviations(self, bids):
             new_bids[machine], new_exponents[machine] = bid, exponent
             pos = less - (less > own) + bisect.bisect_left(tied, machine)
             copy = self._with_bids(new_bids)
-            vars(copy).update(_bid_order=(*others[:pos], machine, *others[pos:]),
-                              _bid_exponents=tuple(new_exponents))
+            vars(copy).update(bid_order=(*others[:pos], machine, *others[pos:]),
+                              bid_exponents=tuple(new_exponents))
             yield machine, bid, copy
 
 
@@ -350,7 +350,7 @@ def assert_runs_expand_to_the_reference(inst, grid):
         copies = [copy(k) for k in range(lo, hi)]
         # one run, one set of bid data, whose tuples every built copy shares
         assert len({(c.bid_order, c.bid_exponents) for c in copies}) == 1
-        assert len({(id(vars(c)["_bid_order"]), id(vars(c)["_bid_exponents"]))
+        assert len({(id(vars(c)["bid_order"]), id(vars(c)["bid_exponents"]))
                     for c in copies if c is not inst}) <= 1
         data.append((machine, copies[0].bid_order, copies[0].bid_exponents))
     # and each run is as long as it can be: the next one of the machine differs
@@ -570,13 +570,15 @@ def _counted(runs, check, mechanism, inst, grid):
 
 
 def _key_changes(mechanism, inst, grid):
-    """One truthful run plus, per machine, the points of its grid (own bid
-    left out) where the key is None or differs from the previous point's."""
+    """One truthful run plus, per machine, the points of its sorted grid
+    where the key is None or differs from the previous point's, but not at
+    the own bid: there the walk reads the instance itself, whose outcome is
+    the truthful one."""
     changes = 1
     for machine in range(inst.m):
-        keys = [mechanism.decision_key(inst.with_bid(machine, b))
-                for b in grid if b != inst.bids[machine]]
-        changes += sum(k == 0 or keys[k] is None or keys[k] != keys[k - 1] for k in range(len(keys)))
+        keys = [mechanism.decision_key(inst.with_bid(machine, b)) for b in grid]
+        changes += sum((k == 0 or keys[k] is None or keys[k] != keys[k - 1]) and grid[k] != inst.bids[machine]
+                       for k in range(len(keys)))
     return changes
 
 
@@ -630,8 +632,9 @@ def test_a_lone_vcg_machine_profits_by_overbidding(runs):
 
 def test_a_keyed_specimen_runs_where_its_key_changes_with_the_reference_counterexamples(runs):
     """The rounded-VCG specimen is keyed on all the bid data, so it runs once
-    per run of ``deviation_runs`` (its own bid left out), and fails where
-    the per-point reference fails, with the same counterexample."""
+    per run of ``deviation_runs`` that does not start at its own bid, and
+    fails where the per-point reference fails, with the same
+    counterexample."""
     deep = 0
     for seed in SEEDS:
         inst, grid = draw_chain(seed)
@@ -677,6 +680,68 @@ def test_a_none_key_runs_and_counts_as_a_change(runs):
     assert mixed >= 10
 
 
+def _own_bid_places(inst, grid):
+    """Per machine, where its own bid sits among the runs of
+    ``deviation_runs``: "first" of a longer run, "alone" in its run,
+    "inside" a run after its first point, or None off the grid."""
+    denominator, points = cut = inst.deviation_grid(grid)
+    places = [None] * inst.m
+    for machine, lo, hi, _ in inst.deviation_runs(cut):
+        own = [k for k in range(lo, hi) if Fraction(points[k], denominator) == inst.bids[machine]]
+        if own:
+            places[machine] = "inside" if own[0] > lo else "alone" if hi - lo == 1 else "first"
+    return places
+
+
+# The own bid at each place in a run, tied bids, a lone machine (whose VCG
+# key is None) and a caller grid that repeats the own bid.
+WALK_CASES = {
+    "own-bid-first-in-a-keyed-run": ((2, 1), (3, Fraction(5, 4)),
+                                     [Fraction(1, 2), Fraction(5, 4), Fraction(3, 2), 2, 3]),
+    "own-bid-alone-in-its-run": ((2, 1), (1, 1), None),
+    "own-bid-inside-a-run": ((2, 1), (3, Fraction(5, 4)), [Fraction(9, 8), Fraction(5, 4), Fraction(3, 2)]),
+    "tied-bids": ((3, 1, Fraction(1, 2)), (Fraction(16, 3), 1, Fraction(16, 3)), None),
+    "lone-vcg-machine": ((3, 2), (2,), None),
+    "repeated-caller-grid": ((2, 1), (1, Fraction(3, 2)),
+                             [Fraction(3, 2), 1, Fraction(3, 2), 2, 1, Fraction(1, 2), Fraction(3, 2)]),
+}
+
+
+def test_walk_cases_put_the_own_bid_where_their_names_say():
+    places = {name: _own_bid_places(Instance(jobs, bids), grid) for name, (jobs, bids, grid) in WALK_CASES.items()}
+    assert places["own-bid-first-in-a-keyed-run"][1] == "first"
+    assert places["own-bid-alone-in-its-run"][1] == "alone"
+    assert places["own-bid-inside-a-run"][1] == "inside"
+    assert vcg_mechanism.decision_key(Instance(*WALK_CASES["lone-vcg-machine"][:2])) is None
+    grid, bids = WALK_CASES["repeated-caller-grid"][2], WALK_CASES["repeated-caller-grid"][1]
+    assert all(grid.count(b) > 1 for b in bids)
+
+
+@pytest.mark.parametrize("name", WALK_CASES)
+def test_the_one_walk_gives_the_reference_verdicts_on_hand_picked_cases(runs, name):
+    jobs, bids, grid = WALK_CASES[name]
+    inst = Instance(jobs, bids)
+    points = sorted_grid(inst, grid)
+    monotone = [(lpt_star, reference_lpt_star), (vcg_allocate, reference_vcg_allocate),
+                (slowest_takes_all, slowest_takes_all)]
+    if inst.m == 2:
+        monotone.append((two_machine_opt, two_machine_opt))
+    for rule, reference in monotone:
+        assert check_monotone(rule, inst, grid) == reference_check_monotone(reference, inst, grid)
+    truthful = [
+        (vcg_mechanism, reference_vcg_mechanism),
+        (partly_keyed_vcg, reference_vcg_mechanism),
+        (rounded_vcg_mechanism, rounded_vcg_mechanism),
+        (ef_chain_mechanism(lpt_star), ef_chain_mechanism(reference_lpt_star)),
+        (bid_proportional_mechanism(lpt_star), bid_proportional_mechanism(reference_lpt_star)),
+    ]
+    for mechanism, reference in truthful:
+        verdict, keyed_runs = _counted(runs, check_truthful, mechanism, inst, grid)
+        assert verdict == reference_check_truthful(reference, inst, points)
+        if verdict and mechanism.decision_key:
+            assert keyed_runs == _key_changes(mechanism, inst, points)
+
+
 # ---------------------------------------------------------------------------
 # Laziness: a grid check builds a copy, and the ``Fraction`` of its bid, once
 # per run it reads a key on, never once per grid point.
@@ -719,11 +784,12 @@ def test_grid_checks_build_one_copy_and_one_bid_per_run(monkeypatch):
     at_own = sum(points[lo] == own[i] for i, lo, _, _ in runs)
     assert sum(c is inst for c in copies) == at_own
     assert made == ["_deviated"] * (len(runs) - at_own)
-    # check_truthful leaves the own bid out: one copy per run with another point
+    # check_truthful reads the key at the same points, and does not run the
+    # mechanism again on the instance itself
     verdict, copies, made = _copies_and_core_fractions(monkeypatch, check_truthful, vcg_mechanism, inst)
-    others = sum(any(points[k] != own[i] for k in range(lo, hi)) for i, lo, hi, _ in runs)
-    assert verdict.passed and len(copies) == others and inst not in copies
-    assert made == ["_deviated"] * others
+    assert verdict.passed and len(copies) == len(runs)
+    assert sum(c is inst for c in copies) == at_own
+    assert made == ["_deviated"] * (len(runs) - at_own)
 
 
 # ---------------------------------------------------------------------------

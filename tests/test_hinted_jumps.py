@@ -277,5 +277,7 @@ def test_region_call_counts_stay_pinned():
     rule = CountingRule(two_machine_opt)
     g, _ = lemma6_g(rule, F(3), (F(2), F(1)))
     assert g == F(5, 12)
-    # Curve calls plus lemma6_g's own precondition checks, which did not change.
-    assert rule.calls == 61
+    # Curve calls plus lemma6_g's scalability spot-check and one call at
+    # each region point below k, 1/3, 1/2, 1 and 2; the a = 1 own-bid curve
+    # is built once, for the busy-below-k precondition and the inequality.
+    assert rule.calls == 50

@@ -43,7 +43,7 @@ class Recording:
 
     def __call__(self, instance):
         known = vars(instance)
-        self.seen.append((instance.bids, known.get("_bid_order"), known.get("_bid_exponents")))
+        self.seen.append((instance.bids, known.get("bid_order"), known.get("bid_exponents")))
         return self.rule(instance)
 
 
@@ -75,22 +75,23 @@ def test_profile_copies_carry_the_bid_data_of_a_fresh_instance():
 
 
 def test_deviation_copies_and_polytope_profiles_share_one_helper(monkeypatch):
-    helper = Instance._with_bid_data
+    helper = Instance._with_bids
     callers = []
 
-    def counted(self, *args):
+    def counted(self, *args, **bid_data):
         frame = sys._getframe(1)
         while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
             frame = frame.f_back
-        callers.append(frame.f_code.co_name)
-        return helper(self, *args)
+        callers.append((frame.f_code.co_name, sorted(bid_data)))
+        return helper(self, *args, **bid_data)
 
-    monkeypatch.setattr(Instance, "_with_bid_data", counted)
+    monkeypatch.setattr(Instance, "_with_bids", counted)
     _polytope_rows(lpt_star, [1, F(3, 2), 2], [2, 1], 2, 4096)
-    assert callers == ["_polytope_rows"] * 9
+    known = ["bid_exponents", "bid_order"]  # each caller hands both in
+    assert callers == [("_polytope_rows", known)] * 9
     callers.clear()
     assert check_monotone(lpt_star, Instance([3, 2, 1], [1, F(5, 2), 4]))
-    assert callers and set(callers) == {"_deviated"}
+    assert callers and all(caller == ("_deviated", known) for caller in callers)
 
 
 def test_ratio_str_and_rat_str_give_the_parent_strings():
