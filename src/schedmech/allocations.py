@@ -72,9 +72,9 @@ class LptStar:
             workloads[machine] = Fraction(loads[source], denominator)
         return Assignment(tuple(target[i] for i in job_to_machine), tuple(workloads))
 
-    def decision_key(self, instance: Instance):
+    def decision_key(self, bid_order, bid_exponents):
         """All the allocation reads of the bids."""
-        return instance.bid_exponents, instance.bid_order
+        return bid_exponents, bid_order
 
     def region_points(self, instance: Instance, machine: int, cap):
         """The other bids, and the powers of two in [lo, cap] with
@@ -110,8 +110,8 @@ class VcgAllocate:
         workloads[winner] = instance.total_length
         return Assignment((winner,) * instance.n, tuple(workloads))
 
-    def decision_key(self, instance: Instance):
-        return instance.bid_order[0]
+    def decision_key(self, bid_order, bid_exponents):
+        return bid_order[0]
 
     def region_points(self, instance: Instance, machine: int, cap):
         """The other bids: the winner changes only where the varying bid
@@ -127,33 +127,48 @@ class TwoMachineOpt:
     machine_count = 2
 
     def __call__(self, instance: Instance) -> Assignment:
-        if instance.m != 2:
-            raise DomainError("rule is defined for exactly two machines")
-        sums, masks = _budgeted_job_data(instance).subset_sums  # machine 0's possible workloads
+        sums, masks = _two_machine_table(instance)
         b0, b1 = instance.bids
-        # Workloads are scaled by D (the jobs' common denominator) and the
-        # bids by b0.denominator * b1.denominator, so every key is the exact
-        # key times that positive constant, as ints.
-        c0 = b0.numerator * b1.denominator
-        c1 = b1.numerator * b0.denominator
-        denominator, total = instance.job_data.scaled_jobs[0], sums[-1]
-        # sums[k - 1] <= total * c1 / (c0 + c1) < sums[k].  Left of that point
-        # the makespan is machine 1's time, strictly falling, right of it
-        # machine 0's, strictly rising, so one of the two wins by (makespan,
-        # running time, mask); the running time is w0 * (c0 - c1) + constant.
-        k = bisect.bisect_right(sums, total * c1 // (c0 + c1))
-        left, right = sums[k - 1], sums[k]
-        if ((total - left) * c1, left * (c0 - c1), masks[k - 1]) > (right * c0, right * (c0 - c1), masks[k]):
-            k += 1
-        w0, best_mask = sums[k - 1], masks[k - 1]
-        return Assignment(
-            tuple(0 if best_mask >> j & 1 else 1 for j in range(instance.n)),
-            (Fraction(w0, denominator), Fraction(total - w0, denominator)),
-        )
+        k = _balance_index(sums, masks, b0.numerator * b1.denominator, b1.numerator * b0.denominator)
+        w0, mask, denominator = sums[k - 1], masks[k - 1], instance.job_data.scaled_jobs[0]
+        return Assignment(tuple(0 if mask >> j & 1 else 1 for j in range(instance.n)),
+                          (Fraction(w0, denominator), Fraction(sums[-1] - w0, denominator)))
+
+    def grid_key(self, instance: Instance, machine: int, denominator: int):
+        """``_balance_index`` with ``machine`` bidding p/denominator against
+        the other bid, as a function of the int p: the assignment is machine
+        0's ``subset_sums`` entry k - 1, so equal keys give equal ones."""
+        sums, masks = _two_machine_table(instance)
+        b = instance.bids[1 - machine]
+        fixed, scale = b.numerator * denominator, b.denominator
+        if machine == 0:
+            return lambda p: _balance_index(sums, masks, p * scale, fixed)
+        return lambda p: _balance_index(sums, masks, fixed, p * scale)
 
     def region_points(self, instance: Instance, machine: int, cap):
         """See ``_two_machine_points``."""
         return _two_machine_points(instance, machine)
+
+
+def _two_machine_table(instance: Instance) -> tuple[list[int], list[int]]:
+    """``subset_sums``, refused on other than two machines, then past the budget."""
+    if instance.m != 2:
+        raise DomainError("rule is defined for exactly two machines")
+    return _budgeted_job_data(instance).subset_sums
+
+
+def _balance_index(sums: list[int], masks: list[int], c0: int, c1: int) -> int:
+    """Two-opt's k: machine 0 takes ``sums[k - 1]``, at bids proportional to
+    the ints c0, c1.  sums[k - 1] <= total * c1 / (c0 + c1) < sums[k]; left
+    of that point machine 1's time is the makespan, falling, right of it
+    machine 0's, rising, so one side wins by (makespan, running time
+    w0 * (c0 - c1) + constant, mask), exact keys times a positive constant."""
+    total = sums[-1]
+    k = bisect.bisect_right(sums, total * c1 // (c0 + c1))
+    left, right = sums[k - 1], sums[k]
+    if ((total - left) * c1, left * (c0 - c1), masks[k - 1]) > (right * c0, right * (c0 - c1), masks[k]):
+        k += 1
+    return k
 
 
 def _two_machine_points(instance: Instance, machine: int):
@@ -161,9 +176,9 @@ def _two_machine_points(instance: Instance, machine: int):
     s < s' (``JobData.subset_sums``, scaled ints with total T), where b is
     the other machine's bid; after b, from the lowest point up.
 
-    ``TwoMachineOpt.__call__`` reads the bids through three things: the
-    balance index k, which side of it wins on makespan, and, on a makespan
-    tie, the sign of b0 − b1.  With machine 0 bidding x, k moves where
+    ``_balance_index`` reads the bids through three things: the index k
+    before its tie step, which side of it wins on makespan, and, on a
+    makespan tie, the sign of b0 − b1.  With machine 0 bidding x, k moves where
     x·s = b·(T − s) for a sum s, the makespans (T − s)·b and s'·x of the
     two sides tie at x = b·(T − s)/s', and the sign changes at x = b.
     With machine 1 bidding y, the same equations in the complementary sums

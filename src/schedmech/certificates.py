@@ -441,9 +441,9 @@ def lemma6_g(
 
     ratio_cap = (k + 1) / (2 * k)
     samples = rats(inequality_samples)
-    repeated = [a for i, a in enumerate(samples) if a in samples[:i]]
-    if repeated:
-        raise DomainError(f"inequality sample {rat_str(repeated[0])} is given twice")
+    for i, a in enumerate(samples):
+        if a <= 0 or a in samples[:i]:
+            raise DomainError(f"inequality sample {rat_str(a)} " + ("is given twice" if a > 0 else "must be positive"))
     # Machine 0's workload as the competitor's bid varies, one curve per
     # distinct own bid; the unit-bid machine's curve is the a = 1 one.  Every
     # curve is built on a copy of base, so all share its subset-sum table.

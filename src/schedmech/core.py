@@ -252,12 +252,13 @@ class Instance:
 
     def deviation_runs(
         self, grid: tuple[int, Sequence[int]]
-    ) -> Iterator[tuple[int, int, int, Callable[[int], "Instance"]]]:
-        """``(machine, lo, hi, copy)`` for every machine, machine 0's runs
-        first, over a ``deviation_grid`` ``(D, points)``: ``with_bid(machine,
-        points[k]/D)`` has the same bid data for ``lo <= k < hi`` and other
-        data on the machine's next run.  ``copy(k)`` builds that copy, with
-        the run's shared bid-data tuples; at the own bid it is this instance.
+    ) -> Iterator[tuple[int, int, int, tuple, Callable[[int], "Instance"]]]:
+        """``(machine, lo, hi, bid_data, copy)`` for every machine, machine 0's
+        runs first, over a ``deviation_grid`` ``(D, points)``:
+        ``with_bid(machine, points[k]/D)`` has the bid data ``(bid_order,
+        bid_exponents)`` for ``lo <= k < hi`` and other data on the machine's
+        next run.  ``copy(k)`` builds that copy, with the run's bid-data
+        tuples; at the own bid it is this instance.
         Cut by bisection: the bid order changes at each other bid, ties to the
         lower index (``bisect_left`` of a lower-indexed machine's bid,
         ``bisect_right`` of a higher one's), the exponent just above each
@@ -279,8 +280,8 @@ class Instance:
             for lo, hi in zip(edges, edges[1:]):
                 pos = bisect.bisect_right(cuts, lo)  # the others placed before the machine
                 exponents[machine] = ceil_log2_ints(points[lo], denominator)
-                yield machine, lo, hi, partial(self._deviated, machine, (*others[:pos], machine, *others[pos:]),
-                                               tuple(exponents), denominator, points)
+                bid_data = (*others[:pos], machine, *others[pos:]), tuple(exponents)
+                yield machine, lo, hi, bid_data, partial(self._deviated, machine, *bid_data, denominator, points)
 
     def _deviated(self, machine: int, bid_order: tuple[int, ...], bid_exponents: tuple[int, ...],
                   denominator: int, points: Sequence[int], k: int) -> "Instance":

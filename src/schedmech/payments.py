@@ -126,15 +126,15 @@ def vcg_payments(
 @dataclass
 class Mechanism:
     """An allocation rule paired with a payment scheme.  An optional
-    ``decision_key(instance)`` reads nothing but ``bid_order`` and
-    ``bid_exponents``: equal keys at two profiles that differ only in one
-    machine's bid give that machine the same workload and payment.  A key
-    of None promises nothing."""
+    ``decision_key(bid_order, bid_exponents)`` reads a profile's bid data:
+    equal keys at two profiles that differ only in one machine's bid give
+    that machine the same workload and payment.  A key of None promises
+    nothing."""
 
     name: str
     rule: Callable[[Instance], Assignment]
     payment_fn: Callable[[Instance, Assignment], Sequence[Fraction]]
-    decision_key: Optional[Callable[[Instance], Hashable]] = None
+    decision_key: Optional[Callable[[tuple[int, ...], tuple[int, ...]], Hashable]] = None
 
     def run(self, instance: Instance) -> Outcome:
         allocation = self.rule(instance)
@@ -142,12 +142,11 @@ class Mechanism:
         return Outcome(allocation, payments)
 
 
-def _vcg_decision_key(instance: Instance):
+def _vcg_decision_key(bid_order, bid_exponents):
     """The winner, or None for a lone machine, which is paid its own bid.  A
     deviating machine that wins is paid the lowest other bid, fixed along
     its own grid; one that loses gets nothing."""
-    order = instance.bid_order
-    return order[0] if len(order) > 1 else None
+    return bid_order[0] if len(bid_order) > 1 else None
 
 
 vcg_mechanism = Mechanism("vcg", vcg_allocate, vcg_payments, _vcg_decision_key)

@@ -203,19 +203,28 @@ def check_ir(
 
 
 def _grid_reads(check, instance: Instance, grid: tuple[int, Sequence[int]]):
-    """``(machine, k, copy)`` wherever a grid check reads ``check``: a run of
-    ``Instance.deviation_runs`` at its first point, unless ``check``'s
-    ``decision_key`` there is not None and equals the machine's last run's
-    (an equal key, an equal outcome), and a keyless run at every point."""
+    """``(machine, k, copy)`` wherever a grid check reads ``check``: at each
+    point of ``Instance.deviation_runs`` whose key is None or differs from
+    the machine's previous point's (an equal key, an equal outcome).  The
+    key is ``check.grid_key`` at the point's grid int, else ``check``'s
+    ``decision_key`` of the run's bid data, one key for the whole run, else
+    None."""
+    denominator, points = grid
+    grid_key = getattr(check, "grid_key", None)
     decision_key = getattr(check, "decision_key", None)
     last = None
-    for i, lo, hi, copy in instance.deviation_runs(grid):
-        first = copy(lo)
-        key = decision_key(first) if decision_key else None
-        if key is None or (i, key) != last:
-            for k in range(lo, hi if key is None else lo + 1):
-                yield i, k, first if k == lo else copy(k)
-        last = i, key
+    for i, lo, hi, bid_data, copy in instance.deviation_runs(grid):
+        if grid_key:
+            if lo == 0:  # the machine's first run
+                key_at = grid_key(instance, i, denominator)
+            keys = map(key_at, points[lo:hi])
+        else:
+            key = decision_key(*bid_data) if decision_key else None
+            keys = (key,) * (hi - lo if key is None else 1)
+        for k, key in enumerate(keys, lo):
+            if key is None or (i, key) != last:
+                yield i, k, copy(k)
+            last = i, key
 
 
 def check_truthful(

@@ -1,12 +1,13 @@
 """Test inputs the package itself never builds: random locally efficient
-profiles, a mechanism known to be untruthful, and a rule and a mechanism
-that fail the grid checks while carrying a ``decision_key``."""
+profiles, a mechanism known to be untruthful, and two rules and a mechanism
+that fail the grid checks while carrying a ``decision_key`` or a
+``grid_key``."""
 
 import random
 from fractions import Fraction
 from typing import Sequence
 
-from schedmech.allocations import vcg_allocate
+from schedmech.allocations import two_machine_opt, vcg_allocate
 from schedmech.core import Assignment, Instance
 from schedmech.payments import Mechanism
 
@@ -53,11 +54,30 @@ class SlowestTakesAll:
         workloads[winner] = instance.total_length
         return Assignment((winner,) * instance.n, tuple(workloads))
 
-    def decision_key(self, instance: Instance):
-        return instance.bid_order[-1]
+    def decision_key(self, bid_order, bid_exponents):
+        return bid_order[-1]
 
 
 slowest_takes_all = SlowestTakesAll()
+
+
+class SwappedTwoOpt:
+    """Two machines only: two-opt's assignment at the swapped bids.  Machine
+    0 takes what two-opt gives machine 0 when the machines trade bids, so
+    raising its own bid never takes work from it and gives it more wherever
+    the balance moves.  Keyed per grid point by two-opt's ``grid_key`` at the
+    swapped bids, so ``check_monotone`` reads it only where that key changes."""
+
+    name = "swapped-two-opt"
+
+    def __call__(self, instance: Instance) -> Assignment:
+        return two_machine_opt(instance.with_swapped_bids(0, 1))
+
+    def grid_key(self, instance: Instance, machine: int, denominator: int):
+        return two_machine_opt.grid_key(instance.with_swapped_bids(0, 1), 1 - machine, denominator)
+
+
+swapped_two_opt = SwappedTwoOpt()
 
 
 def _rounded_runner_up_payments(instance: Instance, allocation) -> Sequence[Fraction]:
@@ -74,5 +94,5 @@ def _rounded_runner_up_payments(instance: Instance, allocation) -> Sequence[Frac
 # Keyed on all the bid data, so ``check_truthful`` runs it once per run.
 rounded_vcg_mechanism = Mechanism(
     "vcg-rounded", vcg_allocate, _rounded_runner_up_payments,
-    lambda instance: (instance.bid_order, instance.bid_exponents),
+    lambda bid_order, bid_exponents: (bid_order, bid_exponents),
 )

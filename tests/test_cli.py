@@ -13,7 +13,7 @@ from schedmech.allocations import RULES
 from schedmech.certificates import _polytope_rows
 from schedmech import cli
 from schedmech.cli import main
-from schedmech.core import rat_str
+from schedmech.core import BudgetExceeded, DomainError, Instance, rat_str
 from schedmech.exactlp import solve_feasibility
 from schedmech.payments import ef_chain_mechanism
 from schedmech.properties import check_truthful
@@ -308,6 +308,22 @@ class TestCheck:
         assert run_cli(capsys, "check", "truthful", "opt:efchain", path) == (2, "", f"error: {reason}\n")
         assert run_cli(capsys, *base, "--jobs-parallel", "2") == (code, out, err)
 
+    @pytest.mark.parametrize("jobs, bids, code, error, line", [
+        (["2", "1"], ["1", "2", "3"], 2, DomainError, "rule is defined for exactly two machines"),
+        (["1"] * 21, ["1", "2"], 3, BudgetExceeded, "2^21 assignments exceed budget 1048576"),
+    ], ids=["three-machines", "21-jobs"])
+    def test_a_two_opt_monotone_check_refuses_as_the_rule_does(self, capsys, instance_file, jobs, bids, code,
+                                                               error, line):
+        """Two-opt's grid key refuses what the rule refuses, with its exit
+        code and line; in a batch a refused instance is named, as for any
+        other ``DomainError``."""
+        path = instance_file(jobs, bids)
+        assert run_cli(capsys, "check", "monotone", "two-opt", path) == (code, "", f"error: {line}\n")
+        with pytest.raises(error) as info:
+            cli._check_on_instance("monotone", "two-opt", 150, (4, Instance(jobs, bids)), None, None)
+        named = f"instance 5 of 150, jobs {','.join(jobs)} and bids {','.join(bids)}: " * (error is DomainError)
+        assert str(info.value) == named + line
+
     def test_missing_inputs_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "check", "ef", "vcg")
         assert code == 2
@@ -407,6 +423,8 @@ PINNED_LINES = {
 } | {
     "theorem5-repeated-a": "error: a value 8 is given twice\n",
     "lemma6-repeated-sample": "error: inequality sample 2 is given twice\n",
+    "lemma6-zero-sample": "error: inequality sample 0 must be positive\n",
+    "lemma6-zero-second-sample": "error: inequality sample 0 must be positive\n",
     "lemma6-machine-idle-below-k": "error: rule idles the machine bidding 3 against bid 1, "
                                    "violating the busy-below-31/10 precondition\n",
 }
@@ -464,6 +482,8 @@ PINNED_LINES = {
         ["certify", "theorem5", "--a", "8,8"],
         ["certify", "lemma6", "--samples-at", "2,2"],
         ["certify", "lemma6", "--k", "31/10"],
+        ["certify", "lemma6", "--k", "3", "--samples-at", "0"],
+        ["certify", "lemma6", "--k", "3", "--samples-at", "1,0"],
     ],
     ids=["instance-file-holds-a-list", "lemma6-expected-allocation-rule",
          "instance-jobs-not-a-list", "instance-jobs-a-string",
@@ -485,7 +505,8 @@ PINNED_LINES = {
          "explicit-zero-bid", "explicit-negative-workload",
          "polytope-negative-budget", "ratio-negative-budget", "allocate-opt-zero-budget",
          "theorem5-zero-a", "theorem5-negative-a", "theorem5-repeated-a",
-         "lemma6-repeated-sample", "lemma6-machine-idle-below-k"],
+         "lemma6-repeated-sample", "lemma6-machine-idle-below-k", "lemma6-zero-sample",
+         "lemma6-zero-second-sample"],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, request, argv):
     paths = {"MISSING_DIR_CSV": str(tmp_path / "missing" / "ratios.csv")}

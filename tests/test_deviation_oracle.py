@@ -52,7 +52,7 @@ from schedmech.properties import (
     check_truthful,
 )
 
-from specimens import bid_proportional_mechanism, rounded_vcg_mechanism, slowest_takes_all
+from specimens import bid_proportional_mechanism, rounded_vcg_mechanism, slowest_takes_all, swapped_two_opt
 
 # ---------------------------------------------------------------------------
 # Reference: the per-point code, verbatim.
@@ -328,7 +328,7 @@ def expand(inst, grid):
     point, as (machine, bid, copy)."""
     denominator, points = cut = inst.deviation_grid(grid)
     return [(machine, Fraction(points[k], denominator), copy(k))
-            for machine, lo, hi, copy in inst.deviation_runs(cut) for k in range(lo, hi)]
+            for machine, lo, hi, _, copy in inst.deviation_runs(cut) for k in range(lo, hi)]
 
 
 def assert_runs_expand_to_the_reference(inst, grid):
@@ -344,12 +344,12 @@ def assert_runs_expand_to_the_reference(inst, grid):
     runs = list(inst.deviation_runs(cut))
     # each machine's runs tile its grid, in order
     for machine in range(inst.m):
-        assert [k for i, lo, hi, _ in runs if i == machine for k in range(lo, hi)] == list(range(len(cut[1])))
+        assert [k for i, lo, hi, _, _ in runs if i == machine for k in range(lo, hi)] == list(range(len(cut[1])))
     data = []
-    for machine, lo, hi, copy in runs:
+    for machine, lo, hi, bid_data, copy in runs:
         copies = [copy(k) for k in range(lo, hi)]
-        # one run, one set of bid data, whose tuples every built copy shares
-        assert len({(c.bid_order, c.bid_exponents) for c in copies}) == 1
+        # one run, one set of bid data, the run's, whose tuples every built copy shares
+        assert {(c.bid_order, c.bid_exponents) for c in copies} == {bid_data}
         assert len({(id(vars(c)["bid_order"]), id(vars(c)["bid_exponents"]))
                     for c in copies if c is not inst}) <= 1
         data.append((machine, copies[0].bid_order, copies[0].bid_exponents))
@@ -416,8 +416,8 @@ def test_verdicts_and_counterexamples_equal_the_reference(seed):
     points = sorted_grid(inst, grid)
     monotone = [(lpt_star, reference_lpt_star), (vcg_allocate, reference_vcg_allocate),
                 (slowest_takes_all, slowest_takes_all)]
-    if inst.m == 2:
-        monotone.append((two_machine_opt, two_machine_opt))
+    if inst.m == 2:  # two grid-keyed rules, one monotone and one not
+        monotone += [(two_machine_opt, two_machine_opt), (swapped_two_opt, swapped_two_opt)]
     for rule, reference in monotone:
         assert check_monotone(rule, inst, grid) == reference_check_monotone(reference, inst, grid)
     truthful = [
@@ -435,15 +435,20 @@ def test_verdicts_and_counterexamples_equal_the_reference(seed):
 
 
 def test_chains_reach_both_verdicts():
-    failed = {"monotone": 0, "truthful": 0, "keyed truthful": 0}
+    failed = {"monotone": 0, "truthful": 0, "keyed truthful": 0, "grid-keyed monotone": 0}
     for seed in SEEDS:
         inst, grid = draw_chain(seed)
         failed["monotone"] += not check_monotone(slowest_takes_all, inst, grid)
         failed["truthful"] += not check_truthful(bid_proportional_mechanism(lpt_star), inst, grid)
         failed["keyed truthful"] += not check_truthful(rounded_vcg_mechanism, inst, grid)
+        if inst.m == 2:
+            failed["grid-keyed monotone"] += not check_monotone(swapped_two_opt, inst, grid)
     # one machine has no competitor to lose its work to, or to be paid against
     assert failed["monotone"] >= 80 and failed["truthful"] >= 80
     assert 30 <= failed["keyed truthful"] <= 90
+    # of the 20 two-machine chains, the swapped rule fails wherever the
+    # balance moves on the grid
+    assert failed["grid-keyed monotone"] >= 15
 
 
 @pytest.mark.parametrize("grid", [[1, 0, 2], [Fraction(-1, 2)]])
@@ -485,12 +490,17 @@ class _LengthOnly:
         raise AssertionError("the rule read a raw bid")
 
 
+def _key(check, instance):
+    """``check``'s ``decision_key`` of the instance's bid data."""
+    return check.decision_key(instance.bid_order, instance.bid_exponents)
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_rules_with_a_decision_key_read_the_bids_only_through_it(seed):
     """LPT* and VCG, run on copies whose raw bids cannot be read, return
-    what they return on fresh instances: they read nothing the key omits.
-    VCG's mechanism key reads no raw bid either, and along one machine's
-    grid an equal key gives that machine an equal workload and payment."""
+    what they return on fresh instances: they read nothing the key omits,
+    and a key reads the bid data alone.  Along one machine's grid an equal
+    VCG mechanism key gives that machine an equal workload and payment."""
     inst, grid = draw_chain(seed)
     grid = grid if grid is not None else default_grid(inst)[::7]
     # the base itself (a machine's own bid) comes last: its bids are replaced too
@@ -501,18 +511,16 @@ def test_rules_with_a_decision_key_read_the_bids_only_through_it(seed):
     for machine, copy in deviated:
         outcome = vcg_mechanism.run(Instance(copy.jobs, copy.bids))
         mine = outcome.allocation.workloads[machine], outcome.payments[machine]
-        key = machine, vcg_mechanism.decision_key(copy)
+        key = machine, _key(vcg_mechanism, copy)
         assert inst.m == 1 or by_key.setdefault(key, mine) == mine
     for copy in copies:
         fresh = Instance(copy.jobs, copy.bids)
-        keys = lpt_star.decision_key(copy), vcg_allocate.decision_key(copy), vcg_mechanism.decision_key(copy)
+        keys = _key(lpt_star, copy), _key(vcg_allocate, copy), _key(vcg_mechanism, copy)
         assert (keys[2] is None) == (inst.m == 1)
         # and the key holds all they read: equal keys, equal allocations
         for rule, key in zip((lpt_star, vcg_allocate), keys):
             assert by_key.setdefault((rule.name, key), rule(fresh)) == rule(fresh)
         vars(copy)["bids"] = _LengthOnly(fresh.m)
-        assert keys == (lpt_star.decision_key(copy), vcg_allocate.decision_key(copy),
-                        vcg_mechanism.decision_key(copy))
         assert lpt_star(copy) == lpt_star(fresh)
         assert vcg_allocate(copy) == vcg_allocate(fresh)
 
@@ -522,22 +530,38 @@ class _Counting:
 
     def __init__(self, rule, keyed):
         self.rule, self.calls = rule, 0
-        if keyed:
-            self.decision_key = rule.decision_key
+        for name in ("decision_key", "grid_key") if keyed else ():
+            if hasattr(rule, name):
+                setattr(self, name, getattr(rule, name))
 
     def __call__(self, instance):
         self.calls += 1
         return self.rule(instance)
 
 
-@pytest.mark.parametrize("seed", range(0, 120, 7))
-@pytest.mark.parametrize("rule", [lpt_star, vcg_allocate], ids=["lpt-star", "vcg"])
-def test_check_monotone_evaluates_where_the_key_changes_and_everywhere_without_one(seed, rule):
+def _point_keys(rule, inst, machine, grid):
+    """The rule's key at each point of machine's sorted grid: its
+    ``grid_key`` at the point's int, or its ``decision_key`` of a fresh
+    ``with_bid`` copy's bid data."""
+    denominator, points = inst.deviation_grid(grid)
+    if hasattr(rule, "grid_key"):
+        return list(map(rule.grid_key(inst, machine, denominator), points))
+    return [_key(rule, inst.with_bid(machine, Fraction(p, denominator))) for p in points]
+
+
+# two-opt on the two-machine chains (seed % 6 == 1)
+MONOTONE_WALKS = [pytest.param(rule, seed, id=f"{rule.name}-{seed}")
+                  for rule, seeds in ((lpt_star, range(0, 120, 7)), (vcg_allocate, range(0, 120, 7)),
+                                      (two_machine_opt, range(1, 120, 6))) for seed in seeds]
+
+
+@pytest.mark.parametrize("rule, seed", MONOTONE_WALKS)
+def test_check_monotone_evaluates_where_the_key_changes_and_everywhere_without_one(rule, seed):
     inst, grid = draw_chain(seed)
-    points = sorted(grid) if grid is not None else default_grid(inst)
+    points = inst.deviation_grid(grid)[1]
     changes = 0
     for machine in range(inst.m):
-        keys = [rule.decision_key(inst.with_bid(machine, bid)) for bid in points]
+        keys = _point_keys(rule, inst, machine, grid)
         changes += 1 + sum(a != b for a, b in zip(keys, keys[1:]))
     keyed, plain = _Counting(rule, keyed=True), _Counting(rule, keyed=False)
     assert check_monotone(keyed, inst, grid) == check_monotone(plain, inst, grid)
@@ -576,7 +600,7 @@ def _key_changes(mechanism, inst, grid):
     the truthful one."""
     changes = 1
     for machine in range(inst.m):
-        keys = [mechanism.decision_key(inst.with_bid(machine, b)) for b in grid]
+        keys = [_key(mechanism, inst.with_bid(machine, b)) for b in grid]
         changes += sum((k == 0 or keys[k] is None or keys[k] != keys[k - 1]) and grid[k] != inst.bids[machine]
                        for k in range(len(keys)))
     return changes
@@ -622,7 +646,7 @@ def test_a_lone_vcg_machine_profits_by_overbidding(runs):
     key is None, so the keyed check runs at every point."""
     inst = Instance((3, 2), (2,))
     verdict, keyed_runs = _counted(runs, check_truthful, vcg_mechanism, inst, None)
-    assert vcg_mechanism.decision_key(inst) is None
+    assert _key(vcg_mechanism, inst) is None
     assert verdict.counterexample.description == "machine 0 profits by bidding 9/4"
     assert (verdict.counterexample.lhs, verdict.counterexample.rhs) == (0, Fraction(5, 4))
     assert verdict == reference_check_truthful(reference_vcg_mechanism, inst)
@@ -651,12 +675,12 @@ def test_a_keyed_specimen_runs_where_its_key_changes_with_the_reference_countere
     assert deep >= 20
 
 
-def _winner_at_even_exponents(instance):
+def _winner_at_even_exponents(bid_order, bid_exponents):
     """VCG's key where the winner's bid exponent is even, None elsewhere.
     Along a sorted grid the winner changes at most once, but a low bidder's
     exponent alternates, so keys come back after a None one."""
-    winner = instance.bid_order[0]
-    return None if instance.m == 1 or instance.bid_exponents[winner] % 2 else winner
+    winner = bid_order[0]
+    return None if len(bid_order) == 1 or bid_exponents[winner] % 2 else winner
 
 
 partly_keyed_vcg = Mechanism("vcg-partly-keyed", vcg_allocate, vcg_payments, _winner_at_even_exponents)
@@ -674,7 +698,7 @@ def test_a_none_key_runs_and_counts_as_a_change(runs):
         if verdict:
             assert keyed_runs == _key_changes(partly_keyed_vcg, inst, grid)
             # a key that comes back after a None one
-            keys = [[partly_keyed_vcg.decision_key(inst.with_bid(i, b)) for b in grid if b != inst.bids[i]]
+            keys = [[_key(partly_keyed_vcg, inst.with_bid(i, b)) for b in grid if b != inst.bids[i]]
                     for i in range(inst.m)]
             mixed += any(None in k[1:-1] and k[0] is not None and k[-1] is not None for k in keys)
     assert mixed >= 10
@@ -686,7 +710,7 @@ def _own_bid_places(inst, grid):
     "inside" a run after its first point, or None off the grid."""
     denominator, points = cut = inst.deviation_grid(grid)
     places = [None] * inst.m
-    for machine, lo, hi, _ in inst.deviation_runs(cut):
+    for machine, lo, hi, _, _ in inst.deviation_runs(cut):
         own = [k for k in range(lo, hi) if Fraction(points[k], denominator) == inst.bids[machine]]
         if own:
             places[machine] = "inside" if own[0] > lo else "alone" if hi - lo == 1 else "first"
@@ -712,7 +736,7 @@ def test_walk_cases_put_the_own_bid_where_their_names_say():
     assert places["own-bid-first-in-a-keyed-run"][1] == "first"
     assert places["own-bid-alone-in-its-run"][1] == "alone"
     assert places["own-bid-inside-a-run"][1] == "inside"
-    assert vcg_mechanism.decision_key(Instance(*WALK_CASES["lone-vcg-machine"][:2])) is None
+    assert _key(vcg_mechanism, Instance(*WALK_CASES["lone-vcg-machine"][:2])) is None
     grid, bids = WALK_CASES["repeated-caller-grid"][2], WALK_CASES["repeated-caller-grid"][1]
     assert all(grid.count(b) > 1 for b in bids)
 
@@ -725,7 +749,7 @@ def test_the_one_walk_gives_the_reference_verdicts_on_hand_picked_cases(runs, na
     monotone = [(lpt_star, reference_lpt_star), (vcg_allocate, reference_vcg_allocate),
                 (slowest_takes_all, slowest_takes_all)]
     if inst.m == 2:
-        monotone.append((two_machine_opt, two_machine_opt))
+        monotone += [(two_machine_opt, two_machine_opt), (swapped_two_opt, swapped_two_opt)]
     for rule, reference in monotone:
         assert check_monotone(rule, inst, grid) == reference_check_monotone(reference, inst, grid)
     truthful = [
@@ -744,7 +768,7 @@ def test_the_one_walk_gives_the_reference_verdicts_on_hand_picked_cases(runs, na
 
 # ---------------------------------------------------------------------------
 # Laziness: a grid check builds a copy, and the ``Fraction`` of its bid, once
-# per run it reads a key on, never once per grid point.
+# per read, never once per grid point, and none for a run whose key repeats.
 
 
 def _copies_and_core_fractions(monkeypatch, check, *args):
@@ -771,25 +795,40 @@ def _copies_and_core_fractions(monkeypatch, check, *args):
     return verdict, copies, made
 
 
-def test_grid_checks_build_one_copy_and_one_bid_per_run(monkeypatch):
+def _reads(check, runs):
+    """The points ``_grid_reads`` reads a ``decision_key``-ed check at: the
+    first of each run whose key differs from the machine's previous run's."""
+    keys = [(i, check.decision_key(*bid_data)) for i, _, _, bid_data, _ in runs]
+    return [run[:2] for run, key, last in zip(runs, keys, [None, *keys]) if key != last]
+
+
+def test_grid_checks_build_one_copy_and_one_bid_per_read(monkeypatch):
     inst = Instance((5, 3, 2, Fraction(3, 2)), (1, Fraction(3, 2), Fraction(5, 4), 3))
     denominator, points = grid = inst.deviation_grid()
     runs = list(inst.deviation_runs(grid))
     assert len(runs) * 4 < inst.m * len(points)
     own = [b.numerator * (denominator // b.denominator) for b in inst.bids]
-    # check_monotone reads the key at each run's first point, the machine's
-    # own bid included, where the copy is the instance itself
-    verdict, copies, made = _copies_and_core_fractions(monkeypatch, check_monotone, lpt_star, inst)
-    assert verdict.passed and len(copies) == len(runs)
-    at_own = sum(points[lo] == own[i] for i, lo, _, _ in runs)
-    assert sum(c is inst for c in copies) == at_own
-    assert made == ["_deviated"] * (len(runs) - at_own)
-    # check_truthful reads the key at the same points, and does not run the
-    # mechanism again on the instance itself
-    verdict, copies, made = _copies_and_core_fractions(monkeypatch, check_truthful, vcg_mechanism, inst)
-    assert verdict.passed and len(copies) == len(runs)
-    assert sum(c is inst for c in copies) == at_own
-    assert made == ["_deviated"] * (len(runs) - at_own)
+    for check, reader in ((check_monotone, lpt_star), (check_truthful, vcg_mechanism)):
+        reads = _reads(reader, runs)
+        # LPT*'s key is all the bid data, which changes at every run; VCG's
+        # winner repeats over runs, and they build no copy
+        assert (len(reads) == len(runs)) == (reader is lpt_star)
+        verdict, copies, made = _copies_and_core_fractions(monkeypatch, check, reader, inst)
+        assert verdict.passed and len(copies) == len(reads)
+        # the machine's own bid is read as the instance itself: no Fraction
+        at_own = sum(points[lo] == own[i] for i, lo in reads)
+        assert sum(c is inst for c in copies) == at_own
+        assert made == ["_deviated"] * (len(reads) - at_own)
+    # two-opt builds a copy only where its grid key changes, which it does
+    # inside runs too
+    inst = Instance((5, 3, 2, Fraction(3, 2)), (Fraction(5, 4), 3))
+    denominator, points = grid = inst.deviation_grid()
+    changes = [(i, k) for i in range(2) for keys in [_point_keys(two_machine_opt, inst, i, None)]
+               for k in range(len(points)) if k == 0 or keys[k] != keys[k - 1]]
+    assert len(list(inst.deviation_runs(grid))) < len(changes) and len(changes) * 4 < 2 * len(points)
+    verdict, copies, made = _copies_and_core_fractions(monkeypatch, check_monotone, two_machine_opt, inst)
+    assert verdict.passed and len(copies) == len(changes)
+    assert [c.bids[i] for c, (i, _) in zip(copies, changes)] == [Fraction(points[k], denominator) for i, k in changes]
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,19 @@ when every call walked all 2^n assignment masks on ints, kept verbatim.
 The package must return identical ``Assignment``s on seeded draws: n = 1-12,
 tied bids (c0 = c1), repeated jobs, fractional lengths and bids far apart.
 The table is built once per job vector and shared by every derived copy.
+``TwoMachineOpt.grid_key``, the balance index on one machine's integer
+grid, must give the assignment ``__call__`` gives on a fresh instance at
+every point of the default grid and of a grid of two-opt's region points,
+the makespan ties among them; it refuses what ``__call__`` refuses.
 """
 
+import bisect
 import random
 from fractions import Fraction
 
 import pytest
 
-from schedmech.allocations import TWO_MACHINE_BUDGET, two_machine_opt
+from schedmech.allocations import TWO_MACHINE_BUDGET, _two_machine_points, two_machine_opt
 from schedmech.core import Assignment, BudgetExceeded, DomainError, Instance
 
 from test_deviation_oracle import grid_bids
@@ -132,7 +137,7 @@ def test_every_derived_copy_shares_the_table():
         inst.with_swapped_bids(0, 1),
         inst.with_bid(0, 3).scaled(2).with_swapped_bids(1, 0),
     ]
-    copies += [copy(k) for _, lo, hi, copy in inst.deviation_runs(inst.deviation_grid()) for k in range(lo, hi)]
+    copies += [copy(k) for _, lo, hi, _, copy in inst.deviation_runs(inst.deviation_grid()) for k in range(lo, hi)]
     assert len(copies) > 20
     for copy in copies:
         assert copy.job_data is inst.job_data
@@ -178,3 +183,83 @@ def test_the_budget_guard_raises_before_any_table_is_built():
         two_machine_opt(inst)
     assert "subset_sums" not in vars(inst.job_data)
     assert two_machine_opt(Instance([1] * 20, (1, 1))).workloads == (10, 10)
+
+
+# ---------------------------------------------------------------------------
+# The key on the integer grid.
+
+
+def assignment_from_key(instance: Instance, k: int) -> Assignment:
+    """Machine 0 takes the jobs of ``subset_sums`` entry k - 1."""
+    sums, masks = instance.job_data.subset_sums
+    denominator = instance.scaled_jobs[0]
+    return Assignment(tuple(0 if masks[k - 1] >> j & 1 else 1 for j in range(instance.n)),
+                      (Fraction(sums[k - 1], denominator), Fraction(sums[-1] - sums[k - 1], denominator)))
+
+
+# at most 7 jobs, so the mask loop can check every tie point
+KEY_SEEDS = [seed for seed in range(0, 1200, 17) if seed % 12 < 7]
+
+
+def _key_grids(inst, machine):
+    """The default grid, and a caller grid of the region points: the other
+    bid b and b·(T − s)/s' (the makespan ties) and b·(T − s)/s."""
+    return [(inst.deviation_grid(), False), (inst.deviation_grid(_two_machine_points(inst, machine)), True)]
+
+
+def test_key_draws_cover_one_job_equal_bids_and_makespan_ties():
+    draws = [draw(seed) for seed in KEY_SEEDS]
+    assert sum(inst.n == 1 for inst in draws) >= 5 and sum(inst.bids[0] == inst.bids[1] for inst in draws) >= 10
+    # points where the two sides of the balance point tie on makespan, so
+    # the running time or the mask decides
+    ties = 0
+    for inst in draws:
+        sums = inst.job_data.subset_sums[0]
+        total = sums[-1]
+        for machine in range(2):
+            (denominator, points), _ = _key_grids(inst, machine)[1]
+            for p in points:
+                bids = list(inst.bids)
+                bids[machine] = Fraction(p, denominator)
+                c0, c1 = bids[0] * total, bids[1] * total
+                k = bisect.bisect_right(sums, total * c1 / (c0 + c1))
+                ties += (total - sums[k - 1]) * c1 == sums[k] * c0
+    assert ties > 300
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_the_key_gives_the_rule_s_assignment_at_every_grid_point(seed):
+    inst = draw(seed)
+    for machine in range(2):
+        by_key = {}
+        for (denominator, points), tie_grid in _key_grids(inst, machine):
+            key_at = two_machine_opt.grid_key(inst, machine, denominator)
+            for p in points:
+                bids = list(inst.bids)
+                bids[machine] = Fraction(p, denominator)
+                fresh = Instance(inst.jobs, bids)
+                k = key_at(p)
+                got = assignment_from_key(inst, k)
+                assert got == two_machine_opt(fresh), (seed, machine, bids)
+                if tie_grid:
+                    assert got == reference_two_machine_opt(fresh), (seed, machine, bids)
+                # equal keys on one machine's grid, equal assignments
+                assert by_key.setdefault(k, got) == got
+        # the grid point equal to the other bid is on both grids
+        assert inst.bids[1 - machine] in grid_bids(inst)
+
+
+@pytest.mark.parametrize("jobs, bids, error, text", [
+    ((2, 1), (1, 2, 3), DomainError, "rule is defined for exactly two machines"),
+    ((2, 1), (1,), DomainError, "rule is defined for exactly two machines"),
+    ([1] * 21, (1, 2, 3), DomainError, "rule is defined for exactly two machines"),
+    ([1] * 21, (1, 2), BudgetExceeded, "2^21 assignments exceed budget 1048576"),
+], ids=["three-machines", "one-machine", "machines-before-budget", "budget"])
+def test_the_key_refuses_what_the_rule_refuses_before_the_table(jobs, bids, error, text):
+    inst = Instance(jobs, bids)
+    for refused in (lambda: two_machine_opt(inst), lambda: two_machine_opt.grid_key(inst, 0, 1),
+                    lambda: two_machine_opt.grid_key(inst, inst.m - 1, 8)):
+        with pytest.raises(error) as info:
+            refused()
+        assert str(info.value) == text
+    assert "subset_sums" not in vars(inst.job_data)
