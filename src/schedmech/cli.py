@@ -51,24 +51,17 @@ EXIT_BUDGET = 3
 ProcessPoolExecutor = None  # None: concurrent.futures' pool, imported only to start one
 
 
-class UsageError(Exception):
-    pass
-
-
 def _rat_list(text: str) -> list[Fraction]:
-    try:
-        values = [rat(tok) for tok in text.split(",") if tok.strip()]
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
+    values = [rat(tok) for tok in text.split(",") if tok.strip()]
     if not values:
-        raise UsageError(f"expected comma-separated rationals, got {text!r}")
+        raise DomainError(f"expected comma-separated rationals, got {text!r}")
     return values
 
 
 def _grid_list(text: str) -> list[Fraction]:
     values = _rat_list(text)
     if min(values) <= 0:
-        raise UsageError(f"--grid takes strictly positive bids, got {rat_str(min(values))}")
+        raise DomainError(f"--grid takes strictly positive bids, got {rat_str(min(values))}")
     return values
 
 
@@ -84,7 +77,7 @@ def _load_instance(path: str) -> tuple[Instance, int | None]:
             raise DomainError("instance seed must be an integer")
         return Instance.from_json_dict(payload), seed
     except (OSError, json.JSONDecodeError, DomainError) as exc:
-        raise UsageError(f"cannot read instance {path}: {exc}") from exc
+        raise DomainError(f"cannot read instance {path}: {exc}") from exc
 
 
 def _mechanism_for(name: str):
@@ -93,16 +86,16 @@ def _mechanism_for(name: str):
     base, sep, suffix = name.partition(":")
     if sep and suffix == "efchain":
         if base not in RULES:
-            raise UsageError(f"unknown rule {base!r}")
+            raise DomainError(f"unknown rule {base!r}")
         return ef_chain_mechanism(RULES[base])
-    raise UsageError(
+    raise DomainError(
         f"unknown mechanism {name!r}; use 'vcg' or '<rule>:efchain'"
     )
 
 
 def _rule_for(name: str):
     if name not in RULES:
-        raise UsageError(f"unknown rule {name!r}; choose from {sorted(RULES)}")
+        raise DomainError(f"unknown rule {name!r}; choose from {sorted(RULES)}")
     return RULES[name]
 
 
@@ -114,7 +107,7 @@ def _emit(payload):
 def cmd_allocate(args) -> int:
     for option, reader in (("seed", "at-sample"), ("budget", "opt")):
         if option in vars(args) and args.rule != reader:
-            raise UsageError(f"--{option} is read by allocate {reader} only")
+            raise DomainError(f"--{option} is read by allocate {reader} only")
     instance, file_seed = _load_instance(args.instance)
     if args.rule == "at-sample":
         seed = getattr(args, "seed", file_seed or 0)
@@ -131,29 +124,28 @@ def cmd_allocate(args) -> int:
     return EXIT_OK
 
 
-def _check_on_instance(property_name, mechanism_name, size, entry, grid, budget):
-    """One property verdict (for ``ratio``, the exact approximation ratio) on
-    the ``(place, instance)`` entry of a ``--random`` batch of ``size`` (0: an
-    instance file); used by the batch fan-out.  A batch's refusal names its instance."""
+def _check_on_instance(property_name, subject, size, entry, grid, budget):
+    """One property verdict (for ``ratio``, the exact approximation ratio) of
+    ``subject``, a mechanism or rule, on the ``(place, instance)`` entry of a
+    ``--random`` batch of ``size`` (0: an instance file); used by the batch
+    fan-out.  A batch's refusal names its instance."""
     place, instance = entry
     try:
-        if property_name in ("ef", "ir", "truthful", "anonymous"):
-            mech = _mechanism_for(mechanism_name)
-            if property_name == "truthful":
-                return check_truthful(mech, instance, grid)
-            if property_name == "anonymous":
-                return check_anonymous(mech, instance)
-            outcome = mech.run(instance)
+        if property_name == "truthful":
+            return check_truthful(subject, instance, grid)
+        if property_name == "anonymous":
+            return check_anonymous(subject, instance)
+        if property_name in ("ef", "ir"):
+            outcome = subject.run(instance)
             checker = check_envy_free if property_name == "ef" else check_ir
             return checker(instance.bids, outcome.allocation.workloads, outcome.payments)
-        rule = _rule_for(mechanism_name)
         if property_name == "ratio":
-            return approx_ratio(rule, instance, budget)
+            return approx_ratio(subject, instance, budget)
         if property_name == "le":
-            return check_local_efficiency(instance.bids, rule(instance).workloads)
+            return check_local_efficiency(instance.bids, subject(instance).workloads)
         if property_name == "monotone":
-            return check_monotone(rule, instance, grid)
-        return check_scalable(rule, instance, SCALING_FACTORS)
+            return check_monotone(subject, instance, grid)
+        return check_scalable(subject, instance, SCALING_FACTORS)
     except DomainError as exc:
         if size:
             raise DomainError(f"instance {place + 1} of {size}, jobs {','.join(map(rat_str, instance.jobs))} "
@@ -165,7 +157,7 @@ def _refuse_batch_options(args):
     batch = {"seed": "--seed", "straddle": "--straddle", "jobs_parallel": "--jobs-parallel"}
     given = [option for name, option in batch.items() if name in vars(args)]
     if given:
-        raise UsageError(f"{', '.join(given)}: read with --random N only")
+        raise DomainError(f"{', '.join(given)}: read with --random N only")
 
 
 def cmd_check_vectors(args) -> int:
@@ -175,12 +167,12 @@ def cmd_check_vectors(args) -> int:
     if vectors == [None] * len(names):
         return cmd_check(args)
     if None in vectors:
-        raise UsageError(f"explicit {args.property} check needs --" + ", --".join(names))
+        raise DomainError(f"explicit {args.property} check needs --" + ", --".join(names))
     if args.mechanism or args.instance or args.random:
-        raise UsageError("give explicit vectors or a rule with instances, not both")
+        raise DomainError("give explicit vectors or a rule with instances, not both")
     _refuse_batch_options(args)
     if min(vectors[0]) <= 0 or min(vectors[1]) < 0:  # as in an instance file
-        raise UsageError("--bids must be strictly positive and --workloads nonnegative")
+        raise DomainError("--bids must be strictly positive and --workloads nonnegative")
     checker = check_local_efficiency if args.property == "le" else check_envy_free
     verdict = checker(*vectors)
     _emit(verdict)
@@ -189,14 +181,14 @@ def cmd_check_vectors(args) -> int:
 
 def cmd_check(args) -> int:
     if not args.mechanism:
-        raise UsageError("property checks need a mechanism or rule name")
+        raise DomainError("property checks need a mechanism or rule name")
     if args.random < 0:
-        raise UsageError(f"--random takes a positive count, got {args.random}")
+        raise DomainError(f"--random takes a positive count, got {args.random}")
     workers = getattr(args, "jobs_parallel", 1)
     if workers < 1:
-        raise UsageError(f"--jobs-parallel takes a positive count, got {workers}")
+        raise DomainError(f"--jobs-parallel takes a positive count, got {workers}")
     if args.random and args.instance:
-        raise UsageError("give an instance file or --random N, not both")
+        raise DomainError("give an instance file or --random N, not both")
     if args.random:
         rng = random.Random(getattr(args, "seed", 0))
         base = args.mechanism.partition(":")[0]
@@ -210,9 +202,11 @@ def cmd_check(args) -> int:
         _refuse_batch_options(args)
         instances = [_load_instance(args.instance)[0]]
     else:
-        raise UsageError("provide an instance file or --random N")
+        raise DomainError("provide an instance file or --random N")
+    # Resolved once, so an unknown name is refused without a batch prefix.
+    resolve = _mechanism_for if args.property in ("ef", "ir", "truthful", "anonymous") else _rule_for
     check = functools.partial(
-        _check_on_instance, args.property, args.mechanism, args.random,
+        _check_on_instance, args.property, resolve(args.mechanism), args.random,
         grid=getattr(args, "grid", None), budget=getattr(args, "budget", None),
     )
     workers = min(workers, len(instances))
@@ -252,7 +246,7 @@ def _emit_ratios(args, instances, ratios) -> int:
                 writer.writeheader()
                 writer.writerows(rows)
         except OSError as exc:
-            raise UsageError(f"cannot write {args.csv}: {exc}") from exc
+            raise DomainError(f"cannot write {args.csv}: {exc}") from exc
     if len(rows) == 1 and not args.csv:
         print(rows[0]["ratio"])
     else:
@@ -292,11 +286,11 @@ def _is_option(token, spec) -> bool:
 def _convert(name, convert, text):
     if isinstance(convert, tuple) and text not in convert:
         choices = ", ".join(map(repr, convert))
-        raise UsageError(f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+        raise DomainError(f"argument {name}: invalid choice: {text!r} (choose from {choices})")
     try:
         return text if isinstance(convert, tuple) else convert(text)
     except ValueError:
-        raise UsageError(f"argument {name}: invalid {convert.__name__} value: {text!r}") from None
+        raise DomainError(f"argument {name}: invalid {convert.__name__} value: {text!r}") from None
 
 
 class OptionTable(dict):
@@ -338,17 +332,17 @@ class OptionTable(dict):
             else:
                 if not given:
                     if not tokens or _is_option(tokens[0], spec):
-                        raise UsageError(f"argument {option}: expected one argument")
+                        raise DomainError(f"argument {option}: expected one argument")
                     text = tokens.pop(0)
                 values[option] = _convert(option, spec[option][0], text)
         missing = [name for name in positionals if spec[name][1] is ABSENT]
         if missing:
-            raise UsageError("the following arguments are required: " + ", ".join(missing))
+            raise DomainError("the following arguments are required: " + ", ".join(missing))
         for name, (convert, default) in spec.items():
             if name not in values and default is not ABSENT:
                 values[name] = _convert(name, convert, default) if isinstance(default, str) else default
         if extras:
-            raise UsageError("unrecognized arguments: " + " ".join(extras))
+            raise DomainError("unrecognized arguments: " + " ".join(extras))
         dests = {name.lstrip("-").replace("-", "_"): value for name, value in values.items()}
         return SimpleNamespace(**dests, **self[path][1])
 
@@ -404,7 +398,7 @@ def main(argv=None) -> int:
         os.close(devnull)
         print("error: output closed before it was all written", file=sys.stderr)
         return EXIT_FAIL
-    except (UsageError, DomainError, BudgetExceeded) as exc:
+    except (DomainError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET if isinstance(exc, BudgetExceeded) else EXIT_USAGE
     except NotTruthfulEvidence as exc:

@@ -33,16 +33,12 @@ WEAK_RELATIONS = ("<=", ">=", "==")
 GRID_STEPS = 64  # the default deviation grid: j/8 of the largest bid, j = 1..GRID_STEPS
 
 
-class DomainError(ValueError):
-    """A scalar or argument is outside the domain an operation supports."""
-
-
-class DimensionMismatch(ValueError):
-    """Two vectors that must have equal length do not."""
+class DomainError(Exception):
+    """A scalar, argument or input is outside the domain an operation supports."""
 
 
 class BudgetExceeded(RuntimeError):
-    """An exhaustive search would exceed its configured state budget."""
+    """A search or series would exceed its budget of states, regions or terms."""
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -338,7 +334,7 @@ class Assignment:
         cls, instance: Instance, job_to_machine: Sequence[int]
     ) -> "Assignment":
         if len(job_to_machine) != instance.n:
-            raise DimensionMismatch("one machine index per job required")
+            raise DomainError("one machine index per job required")
         loads = [Fraction(0)] * instance.m
         for j, i in enumerate(job_to_machine):
             if not 0 <= i < instance.m:
@@ -396,7 +392,7 @@ class Outcome:
 
     def __post_init__(self):
         if len(self.payments) != self.allocation.m:
-            raise DimensionMismatch("one payment per machine required")
+            raise DomainError("one payment per machine required")
 
 
 def makespan(
@@ -407,7 +403,7 @@ def makespan(
     workloads = getattr(allocation, "workloads", allocation)
     speeds = rats(speeds)
     if len(workloads) != len(speeds):
-        raise DimensionMismatch(
+        raise DomainError(
             f"{len(workloads)} workloads vs {len(speeds)} speeds"
         )
     return max(rat(w) * s for w, s in zip(workloads, speeds))

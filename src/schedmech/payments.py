@@ -30,14 +30,6 @@ from .properties import aligned, local_efficiency_violation
 from .workcurve import WorkCurve, build_workcurve, integrate
 
 
-class NotLocallyEfficient(DomainError):
-    """Workloads violate the faster-machine-gets-no-less ordering."""
-
-
-class PaymentInconsistency(ValueError):
-    """A supplied workload disagrees with the bid-response curve."""
-
-
 class NotTruthfulEvidence(RuntimeError):
     """Two probe bids extracted different additive terms.
 
@@ -71,7 +63,7 @@ def ef_chain_payments(
     """
     bids, workloads = aligned(bids, workloads)
     if local_efficiency_violation(bids, workloads) is not None:
-        raise NotLocallyEfficient(
+        raise DomainError(
             "chain payments require locally efficient workloads"
         )
     order = sorted(range(len(bids)), key=lambda i: (-bids[i], i))
@@ -93,7 +85,7 @@ def truthful_payment(
     h_value, bid, workload = rat(h_value), rat(bid), rat(workload)
     at_bid = curve.value_at(bid)
     if at_bid != workload:
-        raise PaymentInconsistency(
+        raise DomainError(
             f"curve value {rat_str(at_bid)} at bid {rat_str(bid)} does not "
             f"match workload {rat_str(workload)}"
         )
@@ -152,13 +144,14 @@ def _vcg_decision_key(bid_order, bid_exponents):
 vcg_mechanism = Mechanism("vcg", vcg_allocate, vcg_payments, _vcg_decision_key)
 
 
+def _ef_chain_pay(instance: Instance, allocation) -> Sequence[Fraction]:
+    return ef_chain_payments(instance.bids, allocation.workloads)
+
+
 def ef_chain_mechanism(rule) -> Mechanism:
-    """Pair any locally efficient rule with its envy-free chain payments."""
-
-    def pay(instance: Instance, allocation) -> Sequence[Fraction]:
-        return ef_chain_payments(instance.bids, allocation.workloads)
-
-    return Mechanism(f"{getattr(rule, 'name', 'rule')}+ef-chain", rule, pay)
+    """Pair any locally efficient rule with its envy-free chain payments
+    (a module-level payment function, so the mechanism pickles)."""
+    return Mechanism(f"{getattr(rule, 'name', 'rule')}+ef-chain", rule, _ef_chain_pay)
 
 
 def _mechanism_curve(mechanism: Mechanism, jobs, others_bids, probes) -> WorkCurve:

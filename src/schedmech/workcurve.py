@@ -38,10 +38,6 @@ class CurveResolutionError(RuntimeError):
     """A curve or an integral could not be resolved exactly."""
 
 
-class DivergentIntegral(ArithmeticError):
-    """The integral to infinity of a curve with nonzero tail."""
-
-
 @dataclass(frozen=True)
 class WorkCurve:
     """Piecewise-constant bid response.
@@ -101,7 +97,7 @@ def integrate(
         raise DomainError("integration starts at a nonnegative bound")
     if hi is None:
         if curve.tail != 0:
-            raise DivergentIntegral(
+            raise DomainError(
                 f"tail value {rat_str(curve.tail)} is nonzero; integral diverges"
             )
         hi = max(curve.breakpoints, default=Fraction(0))
@@ -230,7 +226,7 @@ class CurvePiece:
         if self.hi is None:
             if n0 == n1 == 0:
                 return LogLinearValue(Fraction(0), ())
-            raise DivergentIntegral("unbounded nonzero piece")
+            raise DomainError("unbounded nonzero piece")
         lo, hi = self.lo, self.hi
         if d1 == 0:
             return LogLinearValue((n0 + n1 * (hi + lo) / 2) * (hi - lo), ())
@@ -299,6 +295,7 @@ def ln_enclosure(arg: RationalLike, eps: RationalLike) -> tuple[Fraction, Fracti
     Uses the alternating series ln(1+t) = t - t^2/2 + ... after factoring
     the argument into powers of 3/2 so that t <= 1/2; consecutive partial
     sums of an alternating series with decreasing terms bracket the limit.
+    A factor that needs more than 4096 terms raises ``BudgetExceeded``.
     """
     arg = rat(arg)
     eps = rat(eps)
@@ -328,7 +325,7 @@ def ln_enclosure(arg: RationalLike, eps: RationalLike) -> tuple[Fraction, Fracti
             sign = -sign
             term *= t
             if j > 4096:
-                raise CurveResolutionError("log series failed to converge")
+                raise BudgetExceeded("log series needs more than 4096 terms for this enclosure width")
         # partial ends after an even or odd number of terms; the next term
         # bounds the remainder with the sign of `sign`.
         tail = term / j

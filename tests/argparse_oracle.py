@@ -7,7 +7,6 @@ import argparse
 from schedmech import certificates
 from schedmech.allocations import OPT_STATE_BUDGET, RULES
 from schedmech.cli import (
-    UsageError,
     _grid_list,
     _rat_list,
     _report,
@@ -17,18 +16,18 @@ from schedmech.cli import (
     cmd_check_vectors,
     cmd_polytope,
 )
-from schedmech.core import rat
+from schedmech.core import DomainError, rat
 from schedmech.payments import vcg_mechanism
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument errors raise ``UsageError``; no abbreviations (``--m``, ``--mach``)."""
+    """Argument errors raise ``DomainError``; no abbreviations (``--m``, ``--mach``)."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
-        raise UsageError(message)
+        raise DomainError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -367,9 +367,12 @@ class TestPaymentPolytope:
         "rule, feasible", [("lpt-star", False), ("opt", False), ("vcg", True)]
     )
     def test_three_machine_grid(self, rule, feasible):
-        # 216 profiles and about 4,600 rows: infeasible here is a finite proof
-        # that the rule admits no truthful + EF + IR + anonymous payments on
-        # these jobs, and the VCG control keeps a verified witness.
+        # 216 profiles and about 4,600 rows; the VCG control keeps a verified
+        # witness.  Both infeasible cycles pass through an ANON row at a
+        # broken swap, and notes list 108 (lpt-star) and 64 (opt) of them:
+        # such a verdict shows that the rule's own workloads are not
+        # anonymous on this grid, not that IC and EF conflict (ROADMAP
+        # item 19).
         grid = (1, F(5, 4), F(3, 2), F(7, 4), 2, F(5, 2))
         result = payment_polytope_feasible(RULES[rule], grid, (3, 2, 2, 1), machines=3)
         system = _polytope_rows(RULES[rule], grid, (3, 2, 2, 1), 3, 4096)
@@ -381,6 +384,8 @@ class TestPaymentPolytope:
             by_label = {c.label: c for c in map(system.constraint, system.rows)}
             subset = [by_label[label] for label in result.infeasible_subset]
             assert _sums_to_a_contradiction(subset)
+            assert any(label.startswith("ANON ") for label in result.infeasible_subset)
+            assert len(result.notes) == {"lpt-star": 108, "opt": 64}[rule]
 
     def test_an_equality_bounds_the_difference_from_both_sides(self):
         # The package's anonymity rows come in mirrored pairs, so on its own

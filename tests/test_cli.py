@@ -320,7 +320,7 @@ class TestCheck:
         path = instance_file(jobs, bids)
         assert run_cli(capsys, "check", "monotone", "two-opt", path) == (code, "", f"error: {line}\n")
         with pytest.raises(error) as info:
-            cli._check_on_instance("monotone", "two-opt", 150, (4, Instance(jobs, bids)), None, None)
+            cli._check_on_instance("monotone", RULES["two-opt"], 150, (4, Instance(jobs, bids)), None, None)
         named = f"instance 5 of 150, jobs {','.join(jobs)} and bids {','.join(bids)}: " * (error is DomainError)
         assert str(info.value) == named + line
 
@@ -427,6 +427,14 @@ PINNED_LINES = {
     "lemma6-zero-second-sample": "error: inequality sample 0 must be positive\n",
     "lemma6-machine-idle-below-k": "error: rule idles the machine bidding 3 against bid 1, "
                                    "violating the busy-below-31/10 precondition\n",
+    # An unknown name is refused once, before any instance: no batch prefix.
+    "unknown-mechanism-in-a-batch": "error: unknown mechanism 'foo'; use 'vcg' or '<rule>:efchain'\n",
+    "unknown-rule-in-a-batch": "error: unknown rule 'bar'; choose from "
+                               "['at-expected', 'lpt-star', 'opt', 'two-opt', 'vcg']\n",
+    "unknown-chain-rule-in-a-parallel-batch": "error: unknown rule 'foo'\n",
+    "unknown-chain-rule-on-a-file": "error: unknown rule 'foo'\n",
+    "check-without-a-name": "error: property checks need a mechanism or rule name\n",
+    "polytope-zero-grid-bid": "error: grid bids must be positive\n",
 }
 
 
@@ -484,6 +492,12 @@ PINNED_LINES = {
         ["certify", "lemma6", "--k", "31/10"],
         ["certify", "lemma6", "--k", "3", "--samples-at", "0"],
         ["certify", "lemma6", "--k", "3", "--samples-at", "1,0"],
+        ["check", "truthful", "foo", "--random", "3"],
+        ["check", "monotone", "bar", "--random", "2"],
+        ["check", "ir", "foo:efchain", "--random", "2", "--jobs-parallel", "2"],
+        ["check", "ir", "foo:efchain", "VALID_JSON"],
+        ["check", "truthful"],
+        ["certify", "polytope", "--grid", "0,1"],
     ],
     ids=["instance-file-holds-a-list", "lemma6-expected-allocation-rule",
          "instance-jobs-not-a-list", "instance-jobs-a-string",
@@ -506,7 +520,9 @@ PINNED_LINES = {
          "polytope-negative-budget", "ratio-negative-budget", "allocate-opt-zero-budget",
          "theorem5-zero-a", "theorem5-negative-a", "theorem5-repeated-a",
          "lemma6-repeated-sample", "lemma6-machine-idle-below-k", "lemma6-zero-sample",
-         "lemma6-zero-second-sample"],
+         "lemma6-zero-second-sample", "unknown-mechanism-in-a-batch", "unknown-rule-in-a-batch",
+         "unknown-chain-rule-in-a-parallel-batch", "unknown-chain-rule-on-a-file",
+         "check-without-a-name", "polytope-zero-grid-bid"],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, request, argv):
     paths = {"MISSING_DIR_CSV": str(tmp_path / "missing" / "ratios.csv")}
@@ -519,6 +535,14 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, request, argv):
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert err == PINNED_LINES.get(request.node.callspec.id, err)
+
+
+def test_theorem7_tolerance_past_the_log_series_cap_exits_3_with_one_line(capsys):
+    # ln(3/2) to a width of 10^-1300 needs more than 4096 series terms; the
+    # line does not repeat the tolerance's 1,301-digit denominator.
+    code, out, err = run_cli(capsys, "certify", "theorem7", "--tol", "1/1" + "0" * 1300)
+    assert (code, out) == (3, "")
+    assert err == "error: log series needs more than 4096 terms for this enclosure width\n"
 
 
 def test_lemma6_refuses_an_expected_allocation_rule_with_the_curve_message(capsys):
@@ -637,4 +661,4 @@ def test_readme_cli_examples_parse():
     assert len(examples) >= 10
     parser = cli.build_parser()
     for argv in examples:
-        parser.parse_args(argv[1:])  # raises UsageError on any drift
+        parser.parse_args(argv[1:])  # raises DomainError on any drift

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from schedmech.core import (
     Assignment,
-    DimensionMismatch,
     DomainError,
     Instance,
     Outcome,
@@ -307,7 +306,7 @@ class TestMakespan:
         assert makespan((1, 1, 3), (3, 3, 1)) == 3
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DomainError, match="^2 workloads vs 1 speeds$"):
             makespan((1, 2), (1,))
 
     @given(
@@ -334,5 +333,5 @@ def test_utility_examples():
 def test_outcome_requires_matching_payment_vector():
     inst = Instance((1,), (1, 1))
     a = Assignment.from_map(inst, (0,))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DomainError, match="^one payment per machine required$"):
         Outcome(a, (Fraction(1),))

@@ -1,0 +1,79 @@
+"""One refusal type per exit code.
+
+The package defines exactly five exception classes.  Three reach users,
+and ``cli.main`` maps each to its exit code and one stderr line:
+``DomainError`` to 2, ``BudgetExceeded`` to 3 and ``NotTruthfulEvidence``
+to 1.  ``CurveResolutionError`` (an inexact curve at the integral gate) and
+``CertificateFailure`` stay internal: a run that raises one is a bug.
+"""
+
+import ast
+import importlib
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import schedmech
+from schedmech import cli
+from schedmech.allocations import vcg_allocate
+from schedmech.payments import Mechanism
+
+PACKAGE = Path(schedmech.__file__).resolve().parent
+
+EXCEPTION_CLASSES = {
+    "core.py:DomainError",
+    "core.py:BudgetExceeded",
+    "payments.py:NotTruthfulEvidence",
+    "workcurve.py:CurveResolutionError",
+    "certificates.py:CertificateFailure",
+}
+
+
+def defined_exception_classes():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":  # re-exports only
+            continue
+        module = importlib.import_module(f"schedmech.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                obj = getattr(module, node.name, None)
+                if isinstance(obj, type) and issubclass(obj, BaseException):
+                    found.add(f"{path.name}:{node.name}")
+    return found
+
+
+def test_the_package_defines_exactly_five_exception_classes():
+    assert defined_exception_classes() == EXCEPTION_CLASSES
+
+
+def test_main_catches_only_the_three_user_facing_types():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    main = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = set()
+    for handler in ast.walk(main):
+        if isinstance(handler, ast.ExceptHandler):
+            types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            caught.update(t.id for t in types)
+    assert caught == {"SystemExit", "BrokenPipeError", "DomainError", "BudgetExceeded", "NotTruthfulEvidence"}
+
+
+def _flat_payments(instance, allocation):
+    return (Fraction(1),) * instance.m
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["certify", "polytope", "--grid", "0,1"], 2, "error: grid bids must be positive"),
+    (["certify", "polytope", "--grid", "1,2,3", "--jobs", "1", "--machines", "9"], 3,
+     "error: 3^9 profiles exceed budget 4096"),
+    (["certify", "theorem1", "--m", "2", "--c", "1"], 1,
+     "not truthful: h(1) resolves to 1 at probe 1/2 but 4 at probe 2"),
+], ids=["DomainError", "BudgetExceeded", "NotTruthfulEvidence"])
+def test_each_user_facing_type_gives_its_exit_code_and_one_line(capsys, monkeypatch, argv, code, line):
+    # theorem1 runs vcg_mechanism; flat payments are not truthful, so the
+    # additive term differs between two probes.
+    monkeypatch.setattr(cli, "vcg_mechanism", Mechanism("flat", vcg_allocate, _flat_payments))
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", line + "\n")

@@ -26,7 +26,6 @@ from schedmech.allocations import (
 )
 from schedmech.core import (
     Assignment,
-    DimensionMismatch,
     DomainError,
     ExpectedAllocation,
     Instance,
@@ -128,7 +127,7 @@ def reference_from_distributions(
     job_distributions: Sequence[Mapping[int, Fraction]],
 ) -> ExpectedAllocation:
     if len(job_distributions) != instance.n:
-        raise DimensionMismatch("one distribution per job required")
+        raise DomainError("one distribution per job required")
     expected = [Fraction(0)] * instance.m
     dists = []
     for j, dist in enumerate(job_distributions):

@@ -22,6 +22,7 @@ import pytest
 
 import argparse_oracle
 from schedmech import cli
+from schedmech.core import DomainError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -33,7 +34,7 @@ def outcome(parser, argv):
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             args = parser.parse_args(list(argv))
-    except cli.UsageError as exc:
+    except DomainError as exc:
         return ("error", str(exc))
     except SystemExit as exc:
         assert exc.code == 0

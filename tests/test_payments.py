@@ -11,9 +11,7 @@ from schedmech.core import Assignment, DomainError, Instance
 from schedmech.payments import (
     HFunction,
     Mechanism,
-    NotLocallyEfficient,
     NotTruthfulEvidence,
-    PaymentInconsistency,
     ef_chain_mechanism,
     ef_chain_payments,
     extract_h,
@@ -46,7 +44,7 @@ class TestEfChainPayments:
         assert payments == (20, 20, 20)
 
     def test_rejects_non_locally_efficient_workloads(self):
-        with pytest.raises(NotLocallyEfficient):
+        with pytest.raises(DomainError, match="^chain payments require locally efficient workloads$"):
             ef_chain_payments((1, 2), (1, 2))
 
     def test_rejects_unequal_lengths(self):
@@ -81,7 +79,7 @@ class TestTruthfulPayment:
 
     def test_workload_must_match_curve(self):
         curve = WorkCurve((F(1),), (F(3),), F(0))
-        with pytest.raises(PaymentInconsistency):
+        with pytest.raises(DomainError, match="^curve value 3 at bid 1/2 does not match workload 2$"):
             truthful_payment(3, F(1, 2), 2, curve)
 
 
