@@ -21,6 +21,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from . import certificates
@@ -99,9 +100,29 @@ def _rule_for(name: str):
     return RULES[name]
 
 
+def _json(value, indent="\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` (whose indent runs a
+    pure-Python encoder), written directly; a float, or a key not a str, raises."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        body = ("," + inner).join(_json(item, inner) for item in value)
+        return "[" + inner + body + indent + "]" if value else "[]"
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        body = ("," + inner).join(encode_basestring_ascii(key) + ": " + _json(item, inner)
+                                  for key, item in sorted(value.items()))
+        return "{" + inner + body + indent + "}" if value else "{}"
+    raise TypeError(f"cannot write {type(value).__name__} as JSON; dict keys must be str")
+
+
 def _emit(payload):
     body = payload.to_json_dict() if hasattr(payload, "to_json_dict") else payload
-    print(json.dumps(body, indent=2, sort_keys=True))
+    print(_json(body))
 
 
 def cmd_allocate(args) -> int:
@@ -128,7 +149,7 @@ def _check_on_instance(property_name, subject, size, entry, grid, budget):
     """One property verdict (for ``ratio``, the exact approximation ratio) of
     ``subject``, a mechanism or rule, on the ``(place, instance)`` entry of a
     ``--random`` batch of ``size`` (0: an instance file); used by the batch
-    fan-out.  A batch's refusal names its instance."""
+    fan-out.  A batch's refusal or exceeded budget names its instance."""
     place, instance = entry
     try:
         if property_name == "truthful":
@@ -146,10 +167,10 @@ def _check_on_instance(property_name, subject, size, entry, grid, budget):
         if property_name == "monotone":
             return check_monotone(subject, instance, grid)
         return check_scalable(subject, instance, SCALING_FACTORS)
-    except DomainError as exc:
+    except (DomainError, BudgetExceeded) as exc:
         if size:
-            raise DomainError(f"instance {place + 1} of {size}, jobs {','.join(map(rat_str, instance.jobs))} "
-                              f"and bids {','.join(map(rat_str, instance.bids))}: {exc}") from None
+            raise type(exc)(f"instance {place + 1} of {size}, jobs {','.join(map(rat_str, instance.jobs))} "
+                            f"and bids {','.join(map(rat_str, instance.bids))}: {exc}") from None
         raise
 
 

@@ -17,7 +17,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Optional, Sequence
 
 from .core import (
@@ -107,17 +107,23 @@ def integrate(
         hi = rat(hi)
     if hi < lo:
         raise DomainError("upper bound below lower bound")
-    total = Fraction(0)
-    prev = Fraction(0)
-    for bp, v in zip(curve.breakpoints, curve.values):
-        seg_lo = max(prev, lo)
-        seg_hi = min(bp, hi)
-        if seg_hi > seg_lo:
-            total += v * (seg_hi - seg_lo)
-        prev = bp
-    if hi > max(prev, lo):
-        total += curve.tail * (hi - max(prev, lo))
-    return total
+    # Bids as ints over D, values as ints over V: the integral is an int over D*V.
+    D, (L, H, *breakpoints) = _on_ints((lo, hi, *curve.breakpoints))
+    V, (tail, *values) = _on_ints((curve.tail, *curve.values))
+    total = prev = 0
+    for b, v in zip(breakpoints, values):
+        if min(b, H) > max(prev, L):
+            total += v * (min(b, H) - max(prev, L))
+        prev = b
+    if H > max(prev, L):
+        total += tail * (H - max(prev, L))
+    return Fraction(total, D * V)
+
+
+def _on_ints(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(D, the values times D) for D the lcm of their denominators."""
+    D = lcm(*(v.denominator for v in values))
+    return D, [v.numerator * (D // v.denominator) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +299,9 @@ def ln_enclosure(arg: RationalLike, eps: RationalLike) -> tuple[Fraction, Fracti
     """Bracket ln(arg) for rational arg >= 1 to width < eps.
 
     Uses the alternating series ln(1+t) = t - t^2/2 + ... after factoring
-    the argument into powers of 3/2 so that t <= 1/2; consecutive partial
-    sums of an alternating series with decreasing terms bracket the limit.
+    the argument into k powers of 3/2 and a rest so that t <= 1/2;
+    consecutive partial sums of an alternating series with decreasing terms
+    bracket the limit.  The k equal factors share one series, summed on ints.
     A factor that needs more than 4096 terms raises ``BudgetExceeded``.
     """
     arg = rat(arg)
@@ -303,39 +310,35 @@ def ln_enclosure(arg: RationalLike, eps: RationalLike) -> tuple[Fraction, Fracti
         raise DomainError("ln_enclosure expects an argument >= 1")
     if eps <= 0:
         raise DomainError("enclosure width must be positive")
-    base = Fraction(3, 2)
-    k = 0
-    while arg > base:
-        arg /= base
-        k += 1
-    pieces = [base] * k + ([arg] if arg > 1 else [])
-    if not pieces:
-        return Fraction(0), Fraction(0)
+    n, d, k = arg.numerator, arg.denominator, 0
+    while 2 * n > 3 * d:  # arg / (3/2)^k > 3/2
+        n, d, k = 2 * n, 3 * d, k + 1
+    rest = Fraction(n - d, d)
     lo = hi = Fraction(0)
-    share = eps / len(pieces)
-    for r in pieces:
-        t = r - 1  # 0 < t <= 1/2
-        term = t
-        partial = Fraction(0)
-        j = 1
-        sign = 1
-        while term >= share / 2 or j <= 2:
-            partial += sign * term / j
-            j += 1
-            sign = -sign
-            term *= t
-            if j > 4096:
-                raise BudgetExceeded("log series needs more than 4096 terms for this enclosure width")
-        # partial ends after an even or odd number of terms; the next term
-        # bounds the remainder with the sign of `sign`.
-        tail = term / j
-        if sign > 0:
-            lo += partial
-            hi += partial + tail
-        else:
-            lo += partial - tail
-            hi += partial
+    for t, count in [(Fraction(1, 2), k)] * (k > 0) + [(rest, 1)] * (rest > 0):
+        llo, lhi = _log1p_bounds(t, eps / (k + (rest > 0)))
+        lo, hi = lo + count * llo, hi + count * lhi
     return lo, hi
+
+
+def _log1p_bounds(t: Fraction, share: Fraction) -> tuple[Fraction, Fraction]:
+    """Consecutive partial sums of ln(1 + t), 0 < t = p/q <= 1/2: the series
+    runs while its term t^j is at least share/2, and for at least 2 terms."""
+    p, q, sn, sd = t.numerator, t.denominator, share.numerator, 2 * share.denominator
+    j, pj, qj = 1, p, q  # (p/q)^j = pj/qj
+    while pj * sd >= sn * qj or j <= 2:
+        j, pj, qj = j + 1, pj * p, qj * q
+        if j > 4096:
+            raise BudgetExceeded("log series needs more than 4096 terms for this enclosure width")
+    # t - t^2/2 + ... +- t^J/J for J = j - 1, over q^J * lcm(1..J), by
+    # Horner in q; the next term, pj/(qj*j), bounds the remainder.
+    scale = lcm(*range(1, j))
+    num, pi = 0, 1
+    for i in range(1, j):
+        pi *= p
+        num = num * q + (pi if i % 2 else -pi) * (scale // i)
+    partial, tail = Fraction(num, qj // q * scale), Fraction(pj, qj * j)
+    return (partial, partial + tail) if j % 2 else (partial - tail, partial)
 
 
 def piecewise_integral(pieces: Sequence[CurvePiece]) -> LogLinearValue:
@@ -346,21 +349,21 @@ def piecewise_integral(pieces: Sequence[CurvePiece]) -> LogLinearValue:
 
 
 def _rational_roots(a2: Fraction, a1: Fraction, a0: Fraction) -> list[Fraction]:
-    """Positive rational roots of a2*x^2 + a1*x + a0 = 0."""
+    """Positive rational roots of a2*x^2 + a1*x + a0 = 0, solved on the
+    coefficients scaled to ints."""
+    a2, a1, a0 = _on_ints((a2, a1, a0))[1]
     if a2 == 0:
         if a1 == 0:
             return []
-        r = -a0 / a1
+        r = Fraction(-a0, a1)
         return [r] if r > 0 else []
     disc = a1 * a1 - 4 * a2 * a0
     if disc < 0:
         return []
-    n, d = disc.numerator, disc.denominator
-    sn, sd = isqrt(n), isqrt(d)
-    if sn * sn != n or sd * sd != d:
+    s = isqrt(disc)
+    if s * s != disc:
         return []  # irrational crossing; the fit verification would catch it
-    s = Fraction(sn, sd)
-    return [r for r in ((-a1 + s) / (2 * a2), (-a1 - s) / (2 * a2)) if r > 0]
+    return [r for r in (Fraction(-a1 + s, 2 * a2), Fraction(-a1 - s, 2 * a2)) if r > 0]
 
 
 def _linfrac_equal_roots(e1, e2) -> list[Fraction]:
@@ -438,8 +441,11 @@ def expected_workcurve(
         exprs.add((P * a, zero, one, zero))  # competitor-first average bound
         exprs.add((zero, P * a, a, one))  # two-machine harmonic bound
     candidates: set[Fraction] = {a, cap, a * L / l_min}
-    # Pour boundaries are among these roots: the capacity forms are in exprs.
-    for e1, e2 in itertools.combinations(exprs, 2):
+    # Each form on ints (both halves times one lcm), so the roots come from
+    # int coefficients.  Pour boundaries are among these roots: the capacity
+    # forms are in exprs.
+    forms = [_on_ints(e)[1] for e in exprs]
+    for e1, e2 in itertools.combinations(forms, 2):
         candidates.update(_linfrac_equal_roots(e1, e2))
     support_end = a * L / l_min
     hi_end = max(cap, support_end)

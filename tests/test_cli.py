@@ -315,14 +315,31 @@ class TestCheck:
     def test_a_two_opt_monotone_check_refuses_as_the_rule_does(self, capsys, instance_file, jobs, bids, code,
                                                                error, line):
         """Two-opt's grid key refuses what the rule refuses, with its exit
-        code and line; in a batch a refused instance is named, as for any
-        other ``DomainError``."""
+        code and line; in a batch the instance is named, as for any other
+        ``DomainError`` or ``BudgetExceeded``."""
         path = instance_file(jobs, bids)
         assert run_cli(capsys, "check", "monotone", "two-opt", path) == (code, "", f"error: {line}\n")
         with pytest.raises(error) as info:
             cli._check_on_instance("monotone", RULES["two-opt"], 150, (4, Instance(jobs, bids)), None, None)
-        named = f"instance 5 of 150, jobs {','.join(jobs)} and bids {','.join(bids)}: " * (error is DomainError)
-        assert str(info.value) == named + line
+        assert str(info.value) == f"instance 5 of 150, jobs {','.join(jobs)} and bids {','.join(bids)}: {line}"
+
+    def test_a_batch_instance_over_the_budget_is_named_serial_and_parallel(self, capsys, instance_file):
+        """The first instance whose search exceeds ``--budget`` stops the
+        batch with exit 3; its line names the instance, as a refusal's does."""
+        base = ("check", "ratio", "opt", "--random", "5", "--budget", "10")
+        code, out, err = run_cli(capsys, *base)
+        reason = r"(\d+)\^(\d+) assignments exceed state budget 10"
+        match = re.fullmatch(rf"error: instance (\d+) of 5, jobs (\S+) and bids (\S+): {reason}\n", err)
+        assert (code, out) == (3, "") and match, err
+        place, jobs, bids = int(match[1]), match[2], match[3]
+        rng = random.Random(0)
+        drawn = [sample_instance(rng) for _ in range(place)][-1]
+        assert (jobs, bids) == tuple(",".join(map(rat_str, v)) for v in (drawn.jobs, drawn.bids))
+        assert (int(match[4]), int(match[5])) == (drawn.m, drawn.n)
+        bare = err.partition(f"bids {bids}: ")[2]
+        assert run_cli(capsys, "check", "ratio", "opt", instance_file(jobs.split(","), bids.split(",")),
+                       "--budget", "10") == (3, "", f"error: {bare}")
+        assert run_cli(capsys, *base, "--jobs-parallel", "2") == (code, out, err)
 
     def test_missing_inputs_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "check", "ef", "vcg")
@@ -543,6 +560,20 @@ def test_theorem7_tolerance_past_the_log_series_cap_exits_3_with_one_line(capsys
     code, out, err = run_cli(capsys, "certify", "theorem7", "--tol", "1/1" + "0" * 1300)
     assert (code, out) == (3, "")
     assert err == "error: log series needs more than 4096 terms for this enclosure width\n"
+
+
+@pytest.mark.parametrize("denominator, code", [
+    (10 ** 1233, 3), (2 ** 4094, 3), (2 ** 4094 - 1, 0), (10 ** 1232, 0),
+], ids=["1/10^1233", "1/2^4094", "1/(2^4094-1)", "1/10^1232"])
+def test_theorem7_tolerance_is_refused_from_the_log_series_cap_down(capsys, denominator, code):
+    # ln(3/2) = ln(1 + 1/2) is summed to a width of tol/2, so its series
+    # still needs its 4096th term, and is refused, while (1/2)^4096 >= tol/4:
+    # for every tol <= 1/2^4094, which lies between 1/10^1233 and 1/10^1232.
+    got, out, err = run_cli(capsys, "certify", "theorem7", "--tol", f"1/{denominator}")
+    assert got == code
+    assert (out == "", err == "") == (code == 3, code == 0)
+    if code == 0:
+        assert json.loads(out)["verified"] is True
 
 
 def test_lemma6_refuses_an_expected_allocation_rule_with_the_curve_message(capsys):

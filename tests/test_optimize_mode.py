@@ -77,3 +77,21 @@ def test_probe_disagreement_raises_under_O():
     )
     assert proc.returncode != 0
     assert "NotTruthfulEvidence" in proc.stderr
+
+
+def test_json_writer_matches_json_dumps_and_refuses_floats_under_O():
+    # No assert survives -O: the child prints what it found.
+    proc = run_optimized(
+        "import json\n"
+        "from schedmech.cli import _json\n"
+        "value = {'b': [1, -2, {}], 'a': ('\\u00e9\\n', None, True, []), 'c': {'d': False}}\n"
+        "print(_json(value) == json.dumps(value, indent=2, sort_keys=True))\n"
+        "for bad in (1.5, {1, 2}, {1: 'a'}):\n"
+        "    try:\n"
+        "        _json(bad)\n"
+        "        print('written', bad)\n"
+        "    except TypeError:\n"
+        "        print('refused')\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\nrefused\nrefused\nrefused\n"
