@@ -26,7 +26,7 @@ from .core import (
     rat_str,
     rats,
 )
-from .properties import aligned, local_efficiency_violation
+from .properties import aligned, local_efficiency_violation, on_one_scale
 from .workcurve import WorkCurve, build_workcurve, integrate
 
 
@@ -61,17 +61,17 @@ def ef_chain_payments(
     payment 0 at workload 0, so the slowest machine is paid its full cost.
     Bid ties keep their original relative order.
     """
-    bids, workloads = aligned(bids, workloads)
-    if local_efficiency_violation(bids, workloads) is not None:
+    scale, B, W, _ = on_one_scale(*aligned(bids, workloads))
+    if local_efficiency_violation(B, W) is not None:
         raise DomainError(
             "chain payments require locally efficient workloads"
         )
-    order = sorted(range(len(bids)), key=lambda i: (-bids[i], i))
-    payments = [Fraction(0)] * len(bids)
-    prev_payment = prev_workload = Fraction(0)
+    order = sorted(range(len(B)), key=lambda i: (-B[i], i))
+    payments = [Fraction(0)] * len(B)
+    prev_payment = prev_workload = 0
     for i in order:
-        payments[i] = prev_payment + bids[i] * (workloads[i] - prev_workload)
-        prev_payment, prev_workload = payments[i], workloads[i]
+        prev_payment += B[i] * (W[i] - prev_workload)
+        payments[i], prev_workload = Fraction(prev_payment, scale), W[i]
     return tuple(payments)
 
 

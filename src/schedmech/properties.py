@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .allocations import OPT_STATE_BUDGET, opt_makespan
@@ -25,6 +27,8 @@ from .core import (
     makespan,
     rat_str,
     rats,
+    scaled_by,
+    scaled_to_ints,
 )
 
 PERMUTATION_CHECK_LIMIT = 6
@@ -90,6 +94,16 @@ def aligned(*vectors: Sequence[RationalLike]) -> tuple[tuple[Fraction, ...], ...
     return vectors
 
 
+def on_one_scale(bids: Sequence[Fraction], workloads: Sequence[Fraction],
+                 payments: Sequence[Fraction] = ()) -> tuple[int, list[int], list[int], list[int]]:
+    """``(S, B, W, P)``: ints over one scale S > 0, with bid i times workload
+    j equal to ``B[i] * W[j] / S`` and payment i to ``P[i] / S``.  Scaling
+    by S keeps every comparison and tie, so the checkers compare these."""
+    work_scale, scaled_workloads = scaled_to_ints(workloads)
+    scale = lcm(lcm(*[b.denominator for b in bids]) * work_scale, *[p.denominator for p in payments])
+    return scale, scaled_by(bids, scale // work_scale), scaled_workloads, scaled_by(payments, scale)
+
+
 def local_efficiency_violation(
     bids: Sequence[Fraction], workloads: Sequence[Fraction]
 ) -> Optional[tuple[int, int]]:
@@ -114,20 +128,20 @@ def check_local_efficiency(
     inequality, and its counterexample is the one reported.
     """
     bids, workloads = aligned(bids, workloads)
-    pair = local_efficiency_violation(bids, workloads)
+    scale, B, W, _ = on_one_scale(bids, workloads)
+    pair = local_efficiency_violation(B, W)
     ce = None
     if len(bids) <= PERMUTATION_CHECK_LIMIT:
-        base = sum((b * w for b, w in zip(bids, workloads)), Fraction(0))
-        for perm in itertools.permutations(range(len(bids))):
-            value = sum(
-                (bids[i] * workloads[p] for i, p in enumerate(perm)), Fraction(0)
-            )
+        base = sum(map(mul, B, W))
+        # permutations of the indices and of W come in the same order
+        for perm, loads in zip(itertools.permutations(range(len(W))), itertools.permutations(W)):
+            value = sum(map(mul, B, loads))
             if value < base:
                 ce = Counterexample(
                     "a permutation of the bundles lowers the total running time",
-                    base,
+                    Fraction(base, scale),
                     "<=",
-                    value,
+                    Fraction(value, scale),
                     {"permutation": list(perm)},
                 )
                 break
@@ -158,21 +172,19 @@ def check_envy_free(
     payments: Sequence[RationalLike],
 ) -> PropertyVerdict:
     """No machine prefers another's workload-payment bundle at its own bid."""
-    bids, workloads, payments = aligned(bids, workloads, payments)
-    for i in range(len(bids)):
-        own = payments[i] - bids[i] * workloads[i]
-        for j in range(len(bids)):
-            if j == i:
-                continue
-            swapped = payments[j] - bids[i] * workloads[j]
+    scale, B, W, P = on_one_scale(*aligned(bids, workloads, payments))
+    for i, b in enumerate(B):
+        own = P[i] - b * W[i]
+        for j, (p, w) in enumerate(zip(P, W)):  # j == i swaps own for own
+            swapped = p - b * w
             if own < swapped:
                 return _verdict(
                     "envy-freeness",
                     Counterexample(
                         f"machine {i} envies machine {j}",
-                        own,
+                        Fraction(own, scale),
                         ">=",
-                        swapped,
+                        Fraction(swapped, scale),
                         {"i": i, "j": j},
                     ),
                 )
@@ -185,15 +197,14 @@ def check_ir(
     payments: Sequence[RationalLike],
 ) -> PropertyVerdict:
     """Payment covers cost at the reported profile for every machine."""
-    bids, workloads, payments = aligned(bids, workloads, payments)
-    for i in range(len(bids)):
-        u = payments[i] - bids[i] * workloads[i]
-        if u < 0:
+    scale, B, W, P = on_one_scale(*aligned(bids, workloads, payments))
+    for i, (b, w, p) in enumerate(zip(B, W, P)):
+        if p < b * w:
             return _verdict(
                 "individual-rationality",
                 Counterexample(
                     f"machine {i} runs at a loss",
-                    u,
+                    Fraction(p - b * w, scale),
                     ">=",
                     Fraction(0),
                     {"i": i},

@@ -163,6 +163,30 @@ class TestCheck:
         assert (code, err) == (1, "")
         assert json.loads(out)["counterexample"]["description"] == "machine 0 envies machine 1"
 
+    @pytest.mark.parametrize(
+        "argv, verdict",
+        [
+            # Bids over 12 and workloads over 30 compare as ints over 360;
+            # 249/360 must come out reduced.
+            (["le", "--bids", "3/4,2/3", "--workloads", "5/6,1/10"],
+             ("83/120", "<=", "227/360", {"permutation": [1, 0]})),
+            (["ef", "--bids", "2/3,3/4", "--workloads", "5/6,1/10", "--payments", "0,1/7"],
+             ("-5/9", ">=", "8/105", {"i": 0, "j": 1})),
+            (["ef", "--bids", "2/3,3/4", "--workloads", "1/10,5/6", "--payments", "1/15,-1/3"],
+             ("-23/24", ">=", "-1/120", {"i": 1, "j": 0})),
+        ],
+    )
+    def test_mixed_denominator_counterexamples_print_reduced(self, capsys, argv, verdict):
+        code, out, err = run_cli(capsys, "check", *argv)
+        assert (code, err) == (1, "")
+        ce = json.loads(out)["counterexample"]
+        assert (ce["lhs"], ce["relation"], ce["rhs"], ce["context"]) == verdict
+
+    def test_mixed_denominator_vectors_pass_le(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "le", "--bids", "2/3,3/4", "--workloads", "5/6,1/10")
+        assert code == 0
+        assert json.loads(out) == {"pass": True, "property": "local-efficiency"}
+
     def test_absent_batch_options_read_as_their_defaults(self, capsys):
         plain = run_cli(capsys, "check", "monotone", "lpt-star", "--random", "4")
         spelled = run_cli(capsys, "check", "monotone", "lpt-star", "--random", "4",

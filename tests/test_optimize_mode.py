@@ -33,6 +33,40 @@ def test_verdict_rejects_a_counterexample_that_holds_under_O():
     assert "AssertionError: counterexample must re-evaluate to a violation" in proc.stderr
 
 
+def test_int_local_efficiency_still_cross_checks_the_pairwise_criterion_under_O():
+    proc = run_optimized(
+        "from schedmech import properties\n"
+        "properties.local_efficiency_violation = lambda bids, workloads: None\n"
+        "properties.check_local_efficiency((F(2, 3), F(3, 4)), (F(1, 10), F(5, 6)))\n"
+    )
+    assert proc.returncode != 0
+    assert "AssertionError: pairwise criterion and permutation enumeration disagree" in proc.stderr
+
+
+def test_verdict_refuses_counterexamples_built_on_a_wrong_scale_under_O():
+    # The int comparisons still find each violation, but lhs and rhs are
+    # built over the negated scale, so every recorded inequality holds.
+    # No assert survives -O: the child prints what each checker raised.
+    proc = run_optimized(
+        "from schedmech import properties\n"
+        "scale = properties.on_one_scale\n"
+        "def negated(*vectors):\n"
+        "    s, *ints = scale(*vectors)\n"
+        "    return (-s, *ints)\n"
+        "properties.on_one_scale = negated\n"
+        "bids, loads = (F(3, 4), F(2, 3)), (F(5, 6), F(1, 10))\n"
+        "for check, args in [(properties.check_local_efficiency, (bids, loads)),\n"
+        "                    (properties.check_envy_free, (bids, loads, (0, F(1, 7)))),\n"
+        "                    (properties.check_ir, (bids, loads, (0, 0)))]:\n"
+        "    try:\n"
+        "        print(check(*args))\n"
+        "    except AssertionError as exc:\n"
+        "        print(exc)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "counterexample must re-evaluate to a violation\n" * 3
+
+
 def test_witness_check_rejects_a_broken_ic_row_under_O():
     # One machine on the grid {1, 2}, workloads 3 and 0: paid 5 at bid 2
     # against 3 at bid 1, the bid-1 type gains by deviating, so an IC row
