@@ -4,7 +4,10 @@ All rules are pure functions of the instance; the sampling rule takes an
 explicit seeded random source so replays are deterministic.  Rules are
 small callable objects; each deterministic one declares its
 ``region_points``, the bids between which its decision cannot change, from
-which ``workcurve`` builds its exact bid-response curves.
+which ``workcurve`` builds its exact bid-response curves.  LPT*, VCG and
+two-opt decide from a key of the bids: ``decide(instance, key)`` gives
+``(job_to_machine, loads)``, the loads ints over the jobs' common
+denominator, and each one's ``__call__`` is ``decide`` at its own key.
 """
 
 from __future__ import annotations
@@ -45,36 +48,43 @@ class LptStar:
     name = "lpt-star"
 
     def __call__(self, instance: Instance) -> Assignment:
+        return Assignment.from_decision(
+            instance, self.decide(instance, self.decision_key(instance.bid_order, instance.bid_exponents)))
+
+    def decision_key(self, bid_order, bid_exponents):
+        """All the allocation reads of the bids."""
+        return bid_exponents, bid_order
+
+    def decide(self, instance: Instance, key) -> tuple[tuple[int, ...], list[int]]:
+        """``(job_to_machine, loads)`` at the ``decision_key`` ``key``, the
+        loads ints over ``instance.scaled_jobs[0]``; reads no bid of
+        ``instance``."""
         # Machine i's rounded speed is 2**exps[i].  Every key
         # (load + length) * 2**exps[i] is scaled by D * 2**-min(exps), with D
         # the jobs' common denominator, which makes it an exact int.
-        exps = instance.bid_exponents
+        exps, bid_order = key
         low = min(exps)
         shifts = [e - low for e in exps]
-        loads = [0] * instance.m
-        job_to_machine = [0] * instance.n
-        denominator, lengths = instance.scaled_jobs
-        for j, length in enumerate(lengths):
+        m = len(exps)
+        loads = [0] * m
+        greedy = []
+        for length in instance.scaled_jobs[1]:
             keys = [(load + length) << shift for load, shift in zip(loads, shifts)]
             # index finds the first of equal keys: ties go to the lowest index
             winner = keys.index(min(keys))
-            job_to_machine[j] = winner
+            greedy.append(winner)
             loads[winner] += length
         # Bundle reordering: bid order lists the rounded-speed classes by
         # increasing exponent, and so does this sort of the bundles, so the
         # k-th bundle (heaviest first within its class) goes to the k-th
         # machine of the same class; its integer load moves with it.
-        bundles = sorted(range(instance.m), key=lambda i: (exps[i], -loads[i], i))
-        target = [0] * instance.m
-        workloads = [Fraction(0)] * instance.m
-        for source, machine in zip(bundles, instance.bid_order):
+        bundles = sorted(range(m), key=lambda i: (exps[i], -loads[i], i))
+        target = [0] * m
+        workloads = [0] * m
+        for source, machine in zip(bundles, bid_order):
             target[source] = machine
-            workloads[machine] = Fraction(loads[source], denominator)
-        return Assignment(tuple(target[i] for i in job_to_machine), tuple(workloads))
-
-    def decision_key(self, bid_order, bid_exponents):
-        """All the allocation reads of the bids."""
-        return bid_exponents, bid_order
+            workloads[machine] = loads[source]
+        return tuple([target[i] for i in greedy]), workloads
 
     def region_points(self, instance: Instance, machine: int, cap):
         """The other bids, and the powers of two in [lo, cap] with
@@ -105,13 +115,18 @@ class VcgAllocate:
     name = "vcg"
 
     def __call__(self, instance: Instance) -> Assignment:
-        winner = instance.bid_order[0]
-        workloads = [Fraction(0)] * instance.m
-        workloads[winner] = instance.total_length
-        return Assignment((winner,) * instance.n, tuple(workloads))
+        return Assignment.from_decision(instance, self.decide(instance, instance.bid_order[0]))
 
     def decision_key(self, bid_order, bid_exponents):
         return bid_order[0]
+
+    def decide(self, instance: Instance, winner: int) -> tuple[tuple[int, ...], list[int]]:
+        """``(job_to_machine, loads)`` with every job on ``winner`` (the
+        ``decision_key``), the loads ints over ``instance.scaled_jobs[0]``."""
+        lengths = instance.scaled_jobs[1]
+        loads = [0] * instance.m
+        loads[winner] = sum(lengths)
+        return (winner,) * len(lengths), loads
 
     def region_points(self, instance: Instance, machine: int, cap):
         """The other bids: the winner changes only where the varying bid
@@ -130,9 +145,15 @@ class TwoMachineOpt:
         sums, masks = _two_machine_table(instance)
         b0, b1 = instance.bids
         k = _balance_index(sums, masks, b0.numerator * b1.denominator, b1.numerator * b0.denominator)
-        w0, mask, denominator = sums[k - 1], masks[k - 1], instance.job_data.scaled_jobs[0]
-        return Assignment(tuple(0 if mask >> j & 1 else 1 for j in range(instance.n)),
-                          (Fraction(w0, denominator), Fraction(sums[-1] - w0, denominator)))
+        return Assignment.from_decision(instance, self.decide(instance, k))
+
+    def decide(self, instance: Instance, k: int) -> tuple[tuple[int, ...], list[int]]:
+        """``(job_to_machine, loads)`` at the balance index k (a ``grid_key``
+        value): machine 0 takes ``subset_sums`` entry k - 1, the loads ints
+        over ``instance.scaled_jobs[0]``."""
+        sums, masks = _two_machine_table(instance)
+        w0, mask = sums[k - 1], masks[k - 1]
+        return tuple([0 if mask >> j & 1 else 1 for j in range(instance.n)]), [w0, sums[-1] - w0]
 
     def grid_key(self, instance: Instance, machine: int, denominator: int):
         """``_balance_index`` with ``machine`` bidding p/denominator against

@@ -13,9 +13,9 @@ import bisect
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -31,6 +31,7 @@ RELATIONS = {
 # The relations of a linear constraint or a counterexample inequality.
 WEAK_RELATIONS = ("<=", ">=", "==")
 GRID_STEPS = 64  # the default deviation grid: j/8 of the largest bid, j = 1..GRID_STEPS
+ZERO = Fraction(0)
 
 
 class DomainError(Exception):
@@ -248,13 +249,13 @@ class Instance:
 
     def deviation_runs(
         self, grid: tuple[int, Sequence[int]]
-    ) -> Iterator[tuple[int, int, int, tuple, Callable[[int], "Instance"]]]:
-        """``(machine, lo, hi, bid_data, copy)`` for every machine, machine 0's
-        runs first, over a ``deviation_grid`` ``(D, points)``:
+    ) -> Iterator[tuple[int, int, int, tuple[tuple[int, ...], tuple[int, ...]]]]:
+        """``(machine, lo, hi, bid_data)`` for every machine, machine 0's runs
+        first, over a ``deviation_grid`` ``(D, points)``:
         ``with_bid(machine, points[k]/D)`` has the bid data ``(bid_order,
         bid_exponents)`` for ``lo <= k < hi`` and other data on the machine's
-        next run.  ``copy(k)`` builds that copy, with the run's bid-data
-        tuples; at the own bid it is this instance.
+        next run.  No copy is built here: ``deviation_copy`` builds one on
+        request.
         Cut by bisection: the bid order changes at each other bid, ties to the
         lower index (``bisect_left`` of a lower-indexed machine's bid,
         ``bisect_right`` of a higher one's), the exponent just above each
@@ -276,17 +277,20 @@ class Instance:
             for lo, hi in zip(edges, edges[1:]):
                 pos = bisect.bisect_right(cuts, lo)  # the others placed before the machine
                 exponents[machine] = ceil_log2_ints(points[lo], denominator)
-                bid_data = (*others[:pos], machine, *others[pos:]), tuple(exponents)
-                yield machine, lo, hi, bid_data, partial(self._deviated, machine, *bid_data, denominator, points)
+                yield machine, lo, hi, ((*others[:pos], machine, *others[pos:]), tuple(exponents))
 
-    def _deviated(self, machine: int, bid_order: tuple[int, ...], bid_exponents: tuple[int, ...],
-                  denominator: int, points: Sequence[int], k: int) -> "Instance":
-        """``with_bid(machine, points[k]/denominator)`` with its known bid data."""
+    def deviation_copy(self, grid: tuple[int, Sequence[int]], machine: int,
+                       bid_data: tuple[tuple[int, ...], tuple[int, ...]], k: int) -> "Instance":
+        """``with_bid(machine, points[k]/D)`` on a ``deviation_grid``
+        ``(D, points)``, holding the ``bid_data`` of the ``deviation_runs``
+        run of k; at the machine's own bid, this instance itself."""
+        denominator, points = grid
         own = self.bids[machine]
         if points[k] * own.denominator == own.numerator * denominator:
             return self
         bids = list(self.bids)
         bids[machine] = Fraction(points[k], denominator)
+        bid_order, bid_exponents = bid_data
         return self._with_bids(bids, bid_order=bid_order, bid_exponents=bid_exponents)
 
     def with_swapped_bids(self, k: int, l: int) -> "Instance":
@@ -341,6 +345,15 @@ class Assignment:
                 raise DomainError(f"machine index {i} out of range")
             loads[i] += instance.jobs[j]
         return cls(tuple(job_to_machine), tuple(loads))
+
+    @classmethod
+    def from_decision(cls, instance: Instance, decision: tuple[tuple[int, ...], Sequence[int]]) -> "Assignment":
+        """A rule's ``decide`` result ``(job_to_machine, loads)``, its int
+        loads over the jobs' common denominator D as ``Fraction`` workloads."""
+        job_to_machine, loads = decision
+        denominator = instance.scaled_jobs[0]
+        # an idle machine's workload is one shared zero, built without a gcd
+        return cls(job_to_machine, tuple([Fraction(w, denominator) if w else ZERO for w in loads]))
 
     @property
     def m(self) -> int:

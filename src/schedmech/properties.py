@@ -214,17 +214,17 @@ def check_ir(
 
 
 def _grid_reads(check, instance: Instance, grid: tuple[int, Sequence[int]]):
-    """``(machine, k, copy)`` wherever a grid check reads ``check``: at each
-    point of ``Instance.deviation_runs`` whose key is None or differs from
-    the machine's previous point's (an equal key, an equal outcome).  The
-    key is ``check.grid_key`` at the point's grid int, else ``check``'s
-    ``decision_key`` of the run's bid data, one key for the whole run, else
-    None."""
+    """``(machine, k, key, bid_data)`` wherever a grid check reads ``check``:
+    at each point of ``Instance.deviation_runs`` whose key is None or differs
+    from the machine's previous point's (an equal key, an equal outcome),
+    with the bid data of the point's run.  The key is ``check.grid_key`` at
+    the point's grid int, else ``check``'s ``decision_key`` of the run's bid
+    data, one key for the whole run, else None."""
     denominator, points = grid
     grid_key = getattr(check, "grid_key", None)
     decision_key = getattr(check, "decision_key", None)
     last = None
-    for i, lo, hi, bid_data, copy in instance.deviation_runs(grid):
+    for i, lo, hi, bid_data in instance.deviation_runs(grid):
         if grid_key:
             if lo == 0:  # the machine's first run
                 key_at = grid_key(instance, i, denominator)
@@ -234,7 +234,7 @@ def _grid_reads(check, instance: Instance, grid: tuple[int, Sequence[int]]):
             keys = (key,) * (hi - lo if key is None else 1)
         for k, key in enumerate(keys, lo):
             if key is None or (i, key) != last:
-                yield i, k, copy(k)
+                yield i, k, key, bid_data
             last = i, key
 
 
@@ -247,15 +247,17 @@ def check_truthful(
 
     The profile bid is treated as the true speed; every deviation of every
     machine on the sorted ``Instance.deviation_grid`` must not beat truthful
-    reporting.  The mechanism runs at each read of ``_grid_reads`` but the
-    instance itself (the own bid), whose outcome is the truthful one, as is
-    the outcome all along a keyed run that starts there.
+    reporting.  The mechanism runs on the ``Instance.deviation_copy`` of each
+    read of ``_grid_reads`` but the instance itself (the own bid), whose
+    outcome is the truthful one, as is the outcome all along a keyed run that
+    starts there.
     """
     grid = instance.deviation_grid(deviation_grid)
     truthful = mechanism.run(instance)
     honest = [p - b * w for p, b, w in
               zip(truthful.payments, instance.bids, truthful.allocation.workloads)]
-    for i, _, deviated in _grid_reads(mechanism, instance, grid):
+    for i, k, _, bid_data in _grid_reads(mechanism, instance, grid):
+        deviated = instance.deviation_copy(grid, i, bid_data, k)
         true_speed = instance.bids[i]
         outcome = truthful if deviated is instance else mechanism.run(deviated)
         gained = outcome.payments[i] - true_speed * outcome.allocation.workloads[i]
@@ -281,18 +283,26 @@ def check_monotone(
 ) -> PropertyVerdict:
     """Raising one's own bid never increases one's workload, on the sorted
     ``Instance.deviation_grid``: each read of ``_grid_reads`` is compared
-    with the point below it, whose workload is the previous read's."""
+    with the point below it, whose workload is the previous read's.  A rule
+    with ``decide(instance, key)``, which keys every read, is read at the
+    read's key, as an int load over the jobs' common denominator D, with no
+    copy; any other rule runs on the read's ``Instance.deviation_copy``."""
     denominator, points = grid = instance.deviation_grid(deviation_grid)
-    for i, k, deviated in _grid_reads(rule, instance, grid):
-        w = rule(deviated).workloads[i]
+    decide = getattr(rule, "decide", None)
+    scale = instance.scaled_jobs[0] if decide else 1
+    for i, k, key, bid_data in _grid_reads(rule, instance, grid):
+        if decide:
+            w = decide(instance, key)[1][i]
+        else:
+            w = rule(instance.deviation_copy(grid, i, bid_data, k)).workloads[i]
         if k and w > prev_w:
             return _verdict(
                 "monotonicity",
                 Counterexample(
                     f"machine {i} gains workload by raising its bid",
-                    w,
+                    Fraction(w, scale),
                     "<=",
-                    prev_w,
+                    Fraction(prev_w, scale),
                     {"machine": i, "bid_low": rat_str(Fraction(points[k - 1], denominator)),
                      "bid_high": rat_str(Fraction(points[k], denominator))},
                 ),

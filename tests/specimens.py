@@ -1,7 +1,7 @@
 """Test inputs the package itself never builds: random locally efficient
 profiles, a mechanism known to be untruthful, and two rules and a mechanism
 that fail the grid checks while carrying a ``decision_key`` or a
-``grid_key``."""
+``grid_key``, one of them with a ``decide``."""
 
 import random
 from fractions import Fraction
@@ -44,7 +44,9 @@ def bid_proportional_mechanism(rule) -> Mechanism:
 class SlowestTakesAll:
     """Everything to the highest bid, ties to the highest index: far from
     monotone, and keyed on the bid order, so the keyed path of
-    ``check_monotone`` must report the per-point counterexamples."""
+    ``check_monotone`` must report the per-point counterexamples.  It has a
+    ``decide`` too, so ``check_monotone`` reads it on ints, with no copy,
+    and its counterexamples there are pinned against the copy path's."""
 
     name = "slowest-takes-all"
 
@@ -56,6 +58,12 @@ class SlowestTakesAll:
 
     def decision_key(self, bid_order, bid_exponents):
         return bid_order[-1]
+
+    def decide(self, instance: Instance, winner: int):
+        lengths = instance.scaled_jobs[1]
+        loads = [0] * instance.m
+        loads[winner] = sum(lengths)
+        return (winner,) * len(lengths), loads
 
 
 slowest_takes_all = SlowestTakesAll()

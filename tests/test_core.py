@@ -163,9 +163,10 @@ class TestInstance:
         assert inst.scaled_jobs == (2, (5, 4, 2))
         assert (inst.bid_order, inst.bid_exponents) == ((0, 2, 1), (0, 1, 0))
         denominator, points = grid = inst.deviation_grid(["7/3", 2, Fraction(1, 4), 2])
-        deviated = {Fraction(points[k], denominator): copy(k) for machine, lo, hi, _, copy in inst.deviation_runs(grid)
-                    if machine == 0 for k in range(lo, hi)}
-        (_, five, _, _, copy), = [run for run in inst.deviation_runs(inst.deviation_grid([5])) if run[0] == 2]
+        deviated = {Fraction(points[k], denominator): inst.deviation_copy(grid, 0, bid_data, k)
+                    for machine, lo, hi, bid_data in inst.deviation_runs(grid) if machine == 0 for k in range(lo, hi)}
+        five_grid = inst.deviation_grid([5])
+        (_, five, _, five_data), = [run for run in inst.deviation_runs(five_grid) if run[0] == 2]
         derived = [
             (inst.with_bid(0, "7/3"), (Fraction(7, 3), 2, 1)),
             (inst.with_bid(2, 5), (Fraction(3, 4), 2, 5)),
@@ -174,7 +175,7 @@ class TestInstance:
             (deviated[Fraction(7, 3)], (Fraction(7, 3), 2, 1)),
             (deviated[2], (2, 2, 1)),
             (deviated[Fraction(1, 4)], (Fraction(1, 4), 2, 1)),
-            (copy(five), (Fraction(3, 4), 2, 5)),
+            (inst.deviation_copy(five_grid, 2, five_data, five), (Fraction(3, 4), 2, 5)),
         ]
         for got, bids in derived:
             fresh = Instance((1, Fraction(5, 2), 2), bids)
@@ -206,12 +207,12 @@ class TestInstance:
         # machine 0 bids 1/2 as machine 2 does, and goes first (the lower
         # index); 2 ties machine 1 and still goes first; 3 rounds to 4,
         # after machine 1; 8 rounds to 8
-        assert [(machine, lo, hi) for machine, lo, hi, _, _ in runs][:4] == [(0, 0, 2), (0, 2, 4), (0, 4, 5), (0, 5, 6)]
+        assert [(machine, lo, hi) for machine, lo, hi, _ in runs][:4] == [(0, 0, 2), (0, 2, 4), (0, 4, 5), (0, 5, 6)]
         # machine 1 ties machine 0 at 2 and goes after it: 1/2 .. 2 is one run
-        assert [(lo, hi) for machine, lo, hi, _, _ in runs if machine == 1] == [(0, 2), (2, 4), (4, 5), (5, 6)]
-        for machine, lo, hi, bid_data, copy in runs:
+        assert [(lo, hi) for machine, lo, hi, _ in runs if machine == 1] == [(0, 2), (2, 4), (4, 5), (5, 6)]
+        for machine, lo, hi, bid_data in runs:
             for k in range(lo, hi):
-                got = copy(k)
+                got = inst.deviation_copy(cut, machine, bid_data, k)
                 bid = Fraction(points[k], denominator)
                 assert got == inst.with_bid(machine, bid)
                 fresh = Instance(got.jobs, got.bids)

@@ -327,8 +327,8 @@ def expand(inst, grid):
     """``inst.deviation_runs`` on ``inst.deviation_grid(grid)`` point by
     point, as (machine, bid, copy)."""
     denominator, points = cut = inst.deviation_grid(grid)
-    return [(machine, Fraction(points[k], denominator), copy(k))
-            for machine, lo, hi, _, copy in inst.deviation_runs(cut) for k in range(lo, hi)]
+    return [(machine, Fraction(points[k], denominator), inst.deviation_copy(cut, machine, bid_data, k))
+            for machine, lo, hi, bid_data in inst.deviation_runs(cut) for k in range(lo, hi)]
 
 
 def assert_runs_expand_to_the_reference(inst, grid):
@@ -344,10 +344,10 @@ def assert_runs_expand_to_the_reference(inst, grid):
     runs = list(inst.deviation_runs(cut))
     # each machine's runs tile its grid, in order
     for machine in range(inst.m):
-        assert [k for i, lo, hi, _, _ in runs if i == machine for k in range(lo, hi)] == list(range(len(cut[1])))
+        assert [k for i, lo, hi, _ in runs if i == machine for k in range(lo, hi)] == list(range(len(cut[1])))
     data = []
-    for machine, lo, hi, bid_data, copy in runs:
-        copies = [copy(k) for k in range(lo, hi)]
+    for machine, lo, hi, bid_data in runs:
+        copies = [inst.deviation_copy(cut, machine, bid_data, k) for k in range(lo, hi)]
         # one run, one set of bid data, the run's, whose tuples every built copy shares
         assert {(c.bid_order, c.bid_exponents) for c in copies} == {bid_data}
         assert len({(id(vars(c)["bid_order"]), id(vars(c)["bid_exponents"]))
@@ -710,7 +710,7 @@ def _own_bid_places(inst, grid):
     "inside" a run after its first point, or None off the grid."""
     denominator, points = cut = inst.deviation_grid(grid)
     places = [None] * inst.m
-    for machine, lo, hi, _, _ in inst.deviation_runs(cut):
+    for machine, lo, hi, _ in inst.deviation_runs(cut):
         own = [k for k in range(lo, hi) if Fraction(points[k], denominator) == inst.bids[machine]]
         if own:
             places[machine] = "inside" if own[0] > lo else "alone" if hi - lo == 1 else "first"
@@ -768,25 +768,27 @@ def test_the_one_walk_gives_the_reference_verdicts_on_hand_picked_cases(runs, na
 
 # ---------------------------------------------------------------------------
 # Laziness: a grid check builds a copy, and the ``Fraction`` of its bid, once
-# per read, never once per grid point, and none for a run whose key repeats.
+# per read, never once per grid point, and none for a run whose key repeats;
+# a rule with ``decide`` is read at its key and builds neither.
 
 
-def _copies_and_core_fractions(monkeypatch, check, *args):
-    """The check's verdict, the copies ``Instance._deviated`` returned and
-    the names of the ``core`` functions that built a ``Fraction`` meanwhile."""
+def _copies_and_fractions(monkeypatch, check, *args):
+    """The check's verdict, the copies ``Instance.deviation_copy`` returned
+    and the functions, as ``(module, name)``, that built a ``Fraction``
+    meanwhile (``"core"`` for ``schedmech.core``)."""
     copies, made = [], []
-    deviated = Instance._deviated
+    deviation_copy = Instance.deviation_copy
 
-    def counted(self, *run_args):
-        copies.append(deviated(self, *run_args))
+    def counted(self, *copy_args):
+        copies.append(deviation_copy(self, *copy_args))
         return copies[-1]
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code is Fraction.__new__.__code__ \
-                and frame.f_back.f_code.co_filename == core.__file__:
-            made.append(frame.f_back.f_code.co_name)
+        if event == "call" and frame.f_code is Fraction.__new__.__code__:
+            caller = frame.f_back.f_code
+            made.append(("core" if caller.co_filename == core.__file__ else caller.co_filename, caller.co_name))
 
-    monkeypatch.setattr(Instance, "_deviated", counted)
+    monkeypatch.setattr(Instance, "deviation_copy", counted)
     sys.setprofile(profile)
     try:
         verdict = check(*args)
@@ -798,7 +800,7 @@ def _copies_and_core_fractions(monkeypatch, check, *args):
 def _reads(check, runs):
     """The points ``_grid_reads`` reads a ``decision_key``-ed check at: the
     first of each run whose key differs from the machine's previous run's."""
-    keys = [(i, check.decision_key(*bid_data)) for i, _, _, bid_data, _ in runs]
+    keys = [(i, check.decision_key(*bid_data)) for i, _, _, bid_data in runs]
     return [run[:2] for run, key, last in zip(runs, keys, [None, *keys]) if key != last]
 
 
@@ -808,27 +810,34 @@ def test_grid_checks_build_one_copy_and_one_bid_per_read(monkeypatch):
     runs = list(inst.deviation_runs(grid))
     assert len(runs) * 4 < inst.m * len(points)
     own = [b.numerator * (denominator // b.denominator) for b in inst.bids]
-    for check, reader in ((check_monotone, lpt_star), (check_truthful, vcg_mechanism)):
+    # a rule with ``decide`` passes on its int loads: no copy, no Fraction
+    for rule in (lpt_star, vcg_allocate):
+        assert _copies_and_fractions(monkeypatch, check_monotone, rule, inst)[1:] == ([], [])
+    # LPT* without its ``decide``, and the VCG mechanism, run on copies
+    for check, reader in ((check_monotone, _Counting(lpt_star, keyed=True)), (check_truthful, vcg_mechanism)):
         reads = _reads(reader, runs)
         # LPT*'s key is all the bid data, which changes at every run; VCG's
         # winner repeats over runs, and they build no copy
-        assert (len(reads) == len(runs)) == (reader is lpt_star)
-        verdict, copies, made = _copies_and_core_fractions(monkeypatch, check, reader, inst)
+        assert (len(reads) == len(runs)) == (check is check_monotone)
+        verdict, copies, made = _copies_and_fractions(monkeypatch, check, reader, inst)
         assert verdict.passed and len(copies) == len(reads)
         # the machine's own bid is read as the instance itself: no Fraction
         at_own = sum(points[lo] == own[i] for i, lo in reads)
         assert sum(c is inst for c in copies) == at_own
-        assert made == ["_deviated"] * (len(reads) - at_own)
-    # two-opt builds a copy only where its grid key changes, which it does
-    # inside runs too
+        assert made.count(("core", "deviation_copy")) == len(reads) - at_own
+        assert ("core", "with_bid") not in made
+    # two-opt without its ``decide`` builds a copy only where its grid key
+    # changes, which it does inside runs too; with it, none
     inst = Instance((5, 3, 2, Fraction(3, 2)), (Fraction(5, 4), 3))
     denominator, points = grid = inst.deviation_grid()
     changes = [(i, k) for i in range(2) for keys in [_point_keys(two_machine_opt, inst, i, None)]
                for k in range(len(points)) if k == 0 or keys[k] != keys[k - 1]]
     assert len(list(inst.deviation_runs(grid))) < len(changes) and len(changes) * 4 < 2 * len(points)
-    verdict, copies, made = _copies_and_core_fractions(monkeypatch, check_monotone, two_machine_opt, inst)
+    unkeyed = _Counting(two_machine_opt, keyed=True)
+    verdict, copies, made = _copies_and_fractions(monkeypatch, check_monotone, unkeyed, inst)
     assert verdict.passed and len(copies) == len(changes)
     assert [c.bids[i] for c, (i, _) in zip(copies, changes)] == [Fraction(points[k], denominator) for i, k in changes]
+    assert _copies_and_fractions(monkeypatch, check_monotone, two_machine_opt, inst)[1:] == ([], [])
 
 
 # ---------------------------------------------------------------------------

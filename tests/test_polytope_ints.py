@@ -1,7 +1,7 @@
 """The payment polytope on grid indices and ints, against what it replaced.
 
 Each grid profile's copy gets its ``bid_order`` and ``bid_exponents`` from
-its grid indices, through the helper ``Instance._deviated`` uses too; they
+its grid indices, through the helper ``Instance.deviation_copy`` uses too; they
 must be those of a fresh ``Instance`` at that profile.  The witness text is
 rendered from each payment's int over the scale and from per-grid-value
 texts; it must be the text that ``rat_str`` of a ``Fraction`` gave, with
@@ -20,7 +20,8 @@ from schedmech import certificates
 from schedmech.allocations import RULES, lpt_star, vcg_allocate
 from schedmech.certificates import _polytope_rows, payment_polytope_feasible
 from schedmech.core import Instance, rat_str, ratio_str
-from schedmech.properties import check_monotone
+from schedmech.payments import ef_chain_mechanism
+from schedmech.properties import check_truthful
 
 F = Fraction
 
@@ -90,8 +91,8 @@ def test_deviation_copies_and_polytope_profiles_share_one_helper(monkeypatch):
     known = ["bid_exponents", "bid_order"]  # each caller hands both in
     assert callers == [("_polytope_rows", known)] * 9
     callers.clear()
-    assert check_monotone(lpt_star, Instance([3, 2, 1], [1, F(5, 2), 4]))
-    assert callers and all(caller == ("_deviated", known) for caller in callers)
+    check_truthful(ef_chain_mechanism(lpt_star), Instance([3, 2, 1], [1, F(5, 2), 4]))
+    assert callers and all(caller == ("deviation_copy", known) for caller in callers)
 
 
 def test_ratio_str_and_rat_str_give_the_parent_strings():

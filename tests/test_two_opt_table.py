@@ -137,7 +137,9 @@ def test_every_derived_copy_shares_the_table():
         inst.with_swapped_bids(0, 1),
         inst.with_bid(0, 3).scaled(2).with_swapped_bids(1, 0),
     ]
-    copies += [copy(k) for _, lo, hi, _, copy in inst.deviation_runs(inst.deviation_grid()) for k in range(lo, hi)]
+    grid = inst.deviation_grid()
+    copies += [inst.deviation_copy(grid, machine, bid_data, k)
+               for machine, lo, hi, bid_data in inst.deviation_runs(grid) for k in range(lo, hi)]
     assert len(copies) > 20
     for copy in copies:
         assert copy.job_data is inst.job_data
