@@ -5,9 +5,11 @@ explicit seeded random source so replays are deterministic.  Rules are
 small callable objects; each deterministic one declares its
 ``region_points``, the bids between which its decision cannot change, from
 which ``workcurve`` builds its exact bid-response curves.  LPT*, VCG and
-two-opt decide from a key of the bids: ``decide(instance, key)`` gives
-``(job_to_machine, loads)``, the loads ints over the jobs' common
-denominator, and each one's ``__call__`` is ``decide`` at its own key.
+two-opt decide from a key: ``key(instance, (bid_order, bid_exponents))`` is
+a function of the profile's int bids (over one scale; only ``key_reads_bids``
+ones read them), ``decide(instance, key)`` gives ``(job_to_machine, loads)``,
+the loads ints over the jobs' common denominator, and ``__call__`` gives
+what ``decide`` gives at its own key.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .core import (
     Assignment,
     BudgetExceeded,
     DomainError,
+    ZERO,
     ExpectedAllocation,
     Instance,
     ceil_log2,
@@ -48,21 +51,19 @@ class LptStar:
     name = "lpt-star"
 
     def __call__(self, instance: Instance) -> Assignment:
-        return Assignment.from_decision(
-            instance, self.decide(instance, self.decision_key(instance.bid_order, instance.bid_exponents)))
+        return Assignment.from_decision(instance, self.decide(instance, (instance.bid_order, instance.bid_exponents)))
 
-    def decision_key(self, bid_order, bid_exponents):
-        """All the allocation reads of the bids."""
-        return bid_exponents, bid_order
+    def key(self, instance: Instance, bid_data):
+        """The bid data: all the allocation reads of the bids."""
+        return lambda bids: bid_data
 
     def decide(self, instance: Instance, key) -> tuple[tuple[int, ...], list[int]]:
-        """``(job_to_machine, loads)`` at the ``decision_key`` ``key``, the
-        loads ints over ``instance.scaled_jobs[0]``; reads no bid of
-        ``instance``."""
+        """``(job_to_machine, loads)`` at ``key``, the loads ints over
+        ``instance.scaled_jobs[0]``; reads no bid of ``instance``."""
         # Machine i's rounded speed is 2**exps[i].  Every key
         # (load + length) * 2**exps[i] is scaled by D * 2**-min(exps), with D
         # the jobs' common denominator, which makes it an exact int.
-        exps, bid_order = key
+        bid_order, exps = key
         low = min(exps)
         shifts = [e - low for e in exps]
         m = len(exps)
@@ -115,14 +116,17 @@ class VcgAllocate:
     name = "vcg"
 
     def __call__(self, instance: Instance) -> Assignment:
-        return Assignment.from_decision(instance, self.decide(instance, instance.bid_order[0]))
+        winner, workloads = instance.bid_order[0], [ZERO] * instance.m
+        workloads[winner] = instance.total_length
+        return Assignment((winner,) * instance.n, tuple(workloads))
 
-    def decision_key(self, bid_order, bid_exponents):
-        return bid_order[0]
+    def key(self, instance: Instance, bid_data):
+        """The winner."""
+        return lambda bids: bid_data[0][0]
 
     def decide(self, instance: Instance, winner: int) -> tuple[tuple[int, ...], list[int]]:
         """``(job_to_machine, loads)`` with every job on ``winner`` (the
-        ``decision_key``), the loads ints over ``instance.scaled_jobs[0]``."""
+        key), the loads ints over ``instance.scaled_jobs[0]``."""
         lengths = instance.scaled_jobs[1]
         loads = [0] * instance.m
         loads[winner] = sum(lengths)
@@ -140,31 +144,26 @@ class TwoMachineOpt:
 
     name = "two-opt"
     machine_count = 2
+    key_reads_bids = True
 
     def __call__(self, instance: Instance) -> Assignment:
-        sums, masks = _two_machine_table(instance)
+        sums, masks = table = _two_machine_table(instance)
         b0, b1 = instance.bids
         k = _balance_index(sums, masks, b0.numerator * b1.denominator, b1.numerator * b0.denominator)
-        return Assignment.from_decision(instance, self.decide(instance, k))
+        return Assignment.from_decision(instance, self.decide(instance, k, table))
 
-    def decide(self, instance: Instance, k: int) -> tuple[tuple[int, ...], list[int]]:
-        """``(job_to_machine, loads)`` at the balance index k (a ``grid_key``
-        value): machine 0 takes ``subset_sums`` entry k - 1, the loads ints
-        over ``instance.scaled_jobs[0]``."""
-        sums, masks = _two_machine_table(instance)
-        w0, mask = sums[k - 1], masks[k - 1]
-        return tuple([0 if mask >> j & 1 else 1 for j in range(instance.n)]), [w0, sums[-1] - w0]
-
-    def grid_key(self, instance: Instance, machine: int, denominator: int):
-        """``_balance_index`` with ``machine`` bidding p/denominator against
-        the other bid, as a function of the int p: the assignment is machine
+    def key(self, instance: Instance, bid_data):
+        """``_balance_index`` at the two int bids: the assignment is machine
         0's ``subset_sums`` entry k - 1, so equal keys give equal ones."""
         sums, masks = _two_machine_table(instance)
-        b = instance.bids[1 - machine]
-        fixed, scale = b.numerator * denominator, b.denominator
-        if machine == 0:
-            return lambda p: _balance_index(sums, masks, p * scale, fixed)
-        return lambda p: _balance_index(sums, masks, fixed, p * scale)
+        return lambda bids: _balance_index(sums, masks, *bids)
+
+    def decide(self, instance: Instance, k: int, table=None) -> tuple[tuple[int, ...], list[int]]:
+        """``(job_to_machine, loads)`` at the balance index k: machine 0 takes
+        entry k - 1 of ``table``, ``subset_sums`` unless ``__call__`` read it."""
+        sums, masks = table or _two_machine_table(instance)
+        w0, mask = sums[k - 1], masks[k - 1]
+        return tuple([0 if mask >> j & 1 else 1 for j in range(instance.n)]), [w0, sums[-1] - w0]
 
     def region_points(self, instance: Instance, machine: int, cap):
         """See ``_two_machine_points``."""

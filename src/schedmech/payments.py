@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .allocations import vcg_allocate
 from .core import (
@@ -62,17 +62,19 @@ def ef_chain_payments(
     Bid ties keep their original relative order.
     """
     scale, B, W, _ = on_one_scale(*aligned(bids, workloads))
+    return tuple(Fraction(p, scale) for p in _chain(B, W))
+
+
+def _chain(B: Sequence[int], W: Sequence[int]) -> list[int]:
+    """``ef_chain_payments`` on ints, over the scale of B[i] * W[i]."""
     if local_efficiency_violation(B, W) is not None:
-        raise DomainError(
-            "chain payments require locally efficient workloads"
-        )
-    order = sorted(range(len(B)), key=lambda i: (-B[i], i))
-    payments = [Fraction(0)] * len(B)
+        raise DomainError("chain payments require locally efficient workloads")
+    payments = [0] * len(B)
     prev_payment = prev_workload = 0
-    for i in order:
+    for i in sorted(range(len(B)), key=lambda i: (-B[i], i)):
         prev_payment += B[i] * (W[i] - prev_workload)
-        payments[i], prev_workload = Fraction(prev_payment, scale), W[i]
-    return tuple(payments)
+        payments[i], prev_workload = prev_payment, W[i]
+    return payments
 
 
 def truthful_payment(
@@ -117,16 +119,14 @@ def vcg_payments(
 
 @dataclass
 class Mechanism:
-    """An allocation rule paired with a payment scheme.  An optional
-    ``decision_key(bid_order, bid_exponents)`` reads a profile's bid data:
-    equal keys at two profiles that differ only in one machine's bid give
-    that machine the same workload and payment.  A key of None promises
-    nothing."""
+    """An allocation rule paired with a payment scheme.  A keyed one has a
+    rule's ``key`` (equal keys where only machine i's bid differs: equal
+    workload and payment for i; None promises nothing) and ``decide(instance,
+    key, bids)``: int loads over D and payments over D times the bids' scale."""
 
     name: str
     rule: Callable[[Instance], Assignment]
     payment_fn: Callable[[Instance, Assignment], Sequence[Fraction]]
-    decision_key: Optional[Callable[[tuple[int, ...], tuple[int, ...]], Hashable]] = None
 
     def run(self, instance: Instance) -> Outcome:
         allocation = self.rule(instance)
@@ -134,24 +134,49 @@ class Mechanism:
         return Outcome(allocation, payments)
 
 
-def _vcg_decision_key(bid_order, bid_exponents):
-    """The winner, or None for a lone machine, which is paid its own bid.  A
-    deviating machine that wins is paid the lowest other bid, fixed along
-    its own grid; one that loses gets nothing."""
-    return bid_order[0] if len(bid_order) > 1 else None
+class VcgMechanism(Mechanism):
+    """``vcg_payments`` on the winner (None: a lone machine, paid its bid): a
+    deviating winner gets the lowest other bid, fixed on its grid; a loser 0."""
+
+    def key(self, instance: Instance, bid_data):
+        return self.rule.key(instance, bid_data) if instance.m > 1 else lambda bids: None
+
+    def decide(self, instance: Instance, winner, bids) -> tuple[list[int], list[int]]:
+        winner = winner or 0  # None: the lone machine
+        loads = self.rule.decide(instance, winner)[1]
+        payments = [0] * len(bids)
+        payments[winner] = min(bids[:winner] + bids[winner + 1:] or bids) * loads[winner]
+        return loads, payments
 
 
-vcg_mechanism = Mechanism("vcg", vcg_allocate, vcg_payments, _vcg_decision_key)
+vcg_mechanism = VcgMechanism("vcg", vcg_allocate, vcg_payments)
 
 
 def _ef_chain_pay(instance: Instance, allocation) -> Sequence[Fraction]:
     return ef_chain_payments(instance.bids, allocation.workloads)
 
 
+class EfChainMechanism(Mechanism):
+    """A rule with ``decide`` and its chain payments, which move with every
+    bid, so the key holds the bids too."""
+
+    key_reads_bids = True
+
+    def key(self, instance: Instance, bid_data):
+        rule_key = self.rule.key(instance, bid_data)
+        return lambda bids: (rule_key(bids), tuple(bids))
+
+    def decide(self, instance: Instance, key, bids) -> tuple[list[int], list[int]]:
+        loads = self.rule.decide(instance, key[0])[1]
+        return loads, _chain(bids, loads)
+
+
 def ef_chain_mechanism(rule) -> Mechanism:
     """Pair any locally efficient rule with its envy-free chain payments
-    (a module-level payment function, so the mechanism pickles)."""
-    return Mechanism(f"{getattr(rule, 'name', 'rule')}+ef-chain", rule, _ef_chain_pay)
+    (a module-level payment function, so the mechanism pickles), keyed when
+    the rule has ``decide``."""
+    kind = EfChainMechanism if hasattr(rule, "decide") else Mechanism
+    return kind(f"{getattr(rule, 'name', 'rule')}+ef-chain", rule, _ef_chain_pay)
 
 
 def _mechanism_curve(mechanism: Mechanism, jobs, others_bids, probes) -> WorkCurve:

@@ -20,12 +20,15 @@ from typing import Optional, Sequence
 from .allocations import OPT_STATE_BUDGET, opt_makespan
 from .core import (
     WEAK_RELATIONS,
+    ZERO,
     DomainError,
     Instance,
     RationalLike,
+    ceil_log2_ints,
     compare,
     makespan,
     rat_str,
+    ratio_str,
     rats,
     scaled_by,
     scaled_to_ints,
@@ -196,46 +199,69 @@ def check_ir(
     workloads: Sequence[RationalLike],
     payments: Sequence[RationalLike],
 ) -> PropertyVerdict:
-    """Payment covers cost at the reported profile for every machine."""
-    scale, B, W, P = on_one_scale(*aligned(bids, workloads, payments))
-    for i, (b, w, p) in enumerate(zip(B, W, P)):
-        if p < b * w:
+    """Payment covers cost at the reported profile for every machine,
+    compared on each machine's own cross-multiplied ints."""
+    for i, (b, w, p) in enumerate(zip(*aligned(bids, workloads, payments))):
+        if p.numerator * b.denominator * w.denominator < b.numerator * w.numerator * p.denominator:
             return _verdict(
                 "individual-rationality",
-                Counterexample(
-                    f"machine {i} runs at a loss",
-                    Fraction(p - b * w, scale),
-                    ">=",
-                    Fraction(0),
-                    {"i": i},
-                ),
+                Counterexample(f"machine {i} runs at a loss", p - b * w, ">=", ZERO, {"i": i}),
             )
     return _verdict("individual-rationality", None)
 
 
 def _grid_reads(check, instance: Instance, grid: tuple[int, Sequence[int]]):
-    """``(machine, k, key, bid_data)`` wherever a grid check reads ``check``:
-    at each point of ``Instance.deviation_runs`` whose key is None or differs
-    from the machine's previous point's (an equal key, an equal outcome),
-    with the bid data of the point's run.  The key is ``check.grid_key`` at
-    the point's grid int, else ``check``'s ``decision_key`` of the run's bid
-    data, one key for the whole run, else None."""
+    """``(machine, k, key, bid_data, bids)`` at each point of
+    ``Instance.deviation_runs`` whose key is None or differs from the
+    machine's previous point's (an equal key, an equal outcome), ``bids`` the
+    point's ints over D (one list a run, updated in place).  The key is
+    ``check.key`` of the run's bid data at them, else None, read once a run
+    unless it reads the bids (``key_reads_bids``)."""
     denominator, points = grid
-    grid_key = getattr(check, "grid_key", None)
-    decision_key = getattr(check, "decision_key", None)
-    last = None
+    key_of = getattr(check, "key", lambda instance, bid_data: lambda bids: None)
+    per_point = getattr(check, "key_reads_bids", False)
+    own, last = scaled_by(instance.bids, denominator), None
     for i, lo, hi, bid_data in instance.deviation_runs(grid):
-        if grid_key:
-            if lo == 0:  # the machine's first run
-                key_at = grid_key(instance, i, denominator)
-            keys = map(key_at, points[lo:hi])
-        else:
-            key = decision_key(*bid_data) if decision_key else None
-            keys = (key,) * (hi - lo if key is None else 1)
-        for k, key in enumerate(keys, lo):
+        bids, key_at = own[:], key_of(instance, bid_data)
+        for k in range(lo, hi):
+            bids[i] = points[k]
+            if per_point or k == lo:
+                key = key_at(bids)
             if key is None or (i, key) != last:
-                yield i, k, key, bid_data
-            last = i, key
+                yield i, k, key, bid_data, bids
+                last = i, key
+            if key is not None and not per_point:
+                break
+
+
+def _reader(check, instance: Instance, denominator: int):
+    """``(read, bids, loads, payments)``: ``read(bids, bid_data, copy)`` is
+    ``check``'s loads over D and payments over D times ``denominator`` (None
+    for a rule) at the int ``bids`` (any scale for a rule) and ``copy()``; the
+    rest are the instance's, from one run of ``check``, which ``decide`` must
+    give at the instance's key.  Without ``decide``, it runs on the copy."""
+    scale, is_mechanism, has_decide = instance.scaled_jobs[0], hasattr(check, "run"), hasattr(check, "decide")
+    base = check.run(instance) if is_mechanism else check(instance)
+
+    def scaled(result):
+        payments = [p * scale * denominator for p in result.payments] if is_mechanism else None
+        return [w * scale for w in getattr(result, "allocation", result).workloads], payments
+
+    def read(bids, bid_data, copy):
+        if not has_decide:
+            return scaled(check.run(copy()) if is_mechanism else check(copy()))
+        key = check.key(instance, bid_data)(bids)
+        return check.decide(instance, key, bids) if is_mechanism else (check.decide(instance, key)[1], None)
+
+    bids = scaled_by(instance.bids, denominator)
+    if not has_decide:
+        return read, bids, *scaled(base)
+    loads, payments = read(bids, (instance.bid_order, instance.bid_exponents), None)
+    exact = getattr(base, "allocation", base).workloads + (base.payments if is_mechanism else ())
+    ints, scales = loads + (payments or []), [scale] * len(loads) + [scale * denominator] * len(exact)
+    if len(exact) != len(ints) or any(f.numerator * s != v * f.denominator for f, v, s in zip(exact, ints, scales)):
+        raise AssertionError(f"{check.name}: decide at the instance's own key disagrees with the run")
+    return read, bids, loads, payments
 
 
 def check_truthful(
@@ -247,32 +273,22 @@ def check_truthful(
 
     The profile bid is treated as the true speed; every deviation of every
     machine on the sorted ``Instance.deviation_grid`` must not beat truthful
-    reporting.  The mechanism runs on the ``Instance.deviation_copy`` of each
-    read of ``_grid_reads`` but the instance itself (the own bid), whose
-    outcome is the truthful one, as is the outcome all along a keyed run that
-    starts there.
+    reporting.  The mechanism runs once, on the instance (each own bid's
+    outcome), and ``_reader`` reads it at every other read of ``_grid_reads``.
     """
-    grid = instance.deviation_grid(deviation_grid)
-    truthful = mechanism.run(instance)
-    honest = [p - b * w for p, b, w in
-              zip(truthful.payments, instance.bids, truthful.allocation.workloads)]
-    for i, k, _, bid_data in _grid_reads(mechanism, instance, grid):
-        deviated = instance.deviation_copy(grid, i, bid_data, k)
-        true_speed = instance.bids[i]
-        outcome = truthful if deviated is instance else mechanism.run(deviated)
-        gained = outcome.payments[i] - true_speed * outcome.allocation.workloads[i]
+    denominator, points = grid = instance.deviation_grid(deviation_grid)
+    read, own, loads, payments = _reader(mechanism, instance, denominator)
+    honest = [p - b * w for p, b, w in zip(payments, own, loads)]
+    for i, k, _, bid_data, bids in _grid_reads(mechanism, instance, grid):
+        if points[k] == own[i]:
+            continue
+        loads, payments = read(bids, bid_data, lambda: instance.deviation_copy(grid, i, bid_data, k))
+        gained = payments[i] - own[i] * loads[i]
         if honest[i] < gained:
-            dev = rat_str(deviated.bids[i])
-            return _verdict(
-                "truthfulness",
-                Counterexample(
-                    f"machine {i} profits by bidding {dev}",
-                    honest[i],
-                    ">=",
-                    gained,
-                    {"machine": i, "true_speed": rat_str(true_speed), "deviation": dev},
-                ),
-            )
+            dev, scale = ratio_str(points[k], denominator), instance.scaled_jobs[0] * denominator
+            return _verdict("truthfulness", Counterexample(
+                f"machine {i} profits by bidding {dev}", Fraction(honest[i], scale), ">=", Fraction(gained, scale),
+                {"machine": i, "true_speed": rat_str(instance.bids[i]), "deviation": dev}))
     return _verdict("truthfulness", None)
 
 
@@ -286,13 +302,17 @@ def check_monotone(
     with the point below it, whose workload is the previous read's.  A rule
     with ``decide(instance, key)``, which keys every read, is read at the
     read's key, as an int load over the jobs' common denominator D, with no
-    copy; any other rule runs on the read's ``Instance.deviation_copy``."""
+    copy, and once per key in a check; any other rule runs on the read's
+    ``Instance.deviation_copy``."""
     denominator, points = grid = instance.deviation_grid(deviation_grid)
     decide = getattr(rule, "decide", None)
     scale = instance.scaled_jobs[0] if decide else 1
-    for i, k, key, bid_data in _grid_reads(rule, instance, grid):
+    loads_at = {}
+    for i, k, key, bid_data, _ in _grid_reads(rule, instance, grid):
         if decide:
-            w = decide(instance, key)[1][i]
+            if key not in loads_at:
+                loads_at[key] = decide(instance, key)[1]
+            w = loads_at[key][i]
         else:
             w = rule(instance.deviation_copy(grid, i, bid_data, k)).workloads[i]
         if k and w > prev_w:
@@ -315,61 +335,53 @@ def check_anonymous(mechanism, instance: Instance) -> PropertyVerdict:
     """Swapping a unique bid with any other swaps workloads (and payments).
 
     Accepts either a mechanism (payments included in the check) or a bare
-    allocation rule.  Profiles without a unique bid are vacuously fine.
+    allocation rule.  Profiles without a unique bid are vacuously fine.  The
+    mechanism or rule runs once, on the instance, and ``_reader`` reads each
+    swap of the int bids, sorted again (relabelling the old order is wrong
+    where bids tie).
     """
-    is_mechanism = hasattr(mechanism, "run")
-
-    def evaluate(inst):
-        if is_mechanism:
-            outcome = mechanism.run(inst)
-            return outcome.allocation.workloads, outcome.payments
-        return mechanism(inst).workloads, None
-
-    base_w, base_p = evaluate(instance)
+    denominator = lcm(*[b.denominator for b in instance.bids])
+    read, bids, base_w, base_p = _reader(mechanism, instance, denominator)
+    scales = instance.scaled_jobs[0], instance.scaled_jobs[0] * denominator
     for k in range(instance.m):
-        if instance.bids.count(instance.bids[k]) != 1:
+        if bids.count(bids[k]) != 1:
             continue
         for l in range(instance.m):
             if l == k:
                 continue
-            swapped_w, swapped_p = evaluate(instance.with_swapped_bids(k, l))
-            checks = [("workload", base_w[k], swapped_w[l])]
+            swapped, exponents = bids[:], list(instance.bid_exponents)
+            swapped[k], swapped[l], exponents[k], exponents[l] = swapped[l], swapped[k], exponents[l], exponents[k]
+            order = tuple(sorted(range(instance.m), key=swapped.__getitem__))
+            swapped_w, swapped_p = read(swapped, (order, tuple(exponents)), lambda: instance.with_swapped_bids(k, l))
+            checks = [("workload", base_w[k], swapped_w[l], scales[0])]
             if base_p is not None:
-                checks.append(("payment", base_p[k], swapped_p[l]))
-            for label, expected, actual in checks:
+                checks.append(("payment", base_p[k], swapped_p[l], scales[1]))
+            for label, expected, actual, scale in checks:
                 if expected != actual:
-                    return _verdict(
-                        "anonymity",
-                        Counterexample(
-                            f"{label} does not follow the bid swap ({k},{l})",
-                            actual,
-                            "==",
-                            expected,
-                            {"k": k, "l": l},
-                        ),
-                    )
+                    return _verdict("anonymity", Counterexample(
+                        f"{label} does not follow the bid swap ({k},{l})", Fraction(actual, scale), "==",
+                        Fraction(expected, scale), {"k": k, "l": l}))
     return _verdict("anonymity", None)
 
 
 def check_scalable(
     rule, instance: Instance, scalars: Sequence[RationalLike]
 ) -> PropertyVerdict:
-    """Workloads are unchanged when all bids are scaled by each constant."""
-    base = rule(instance).workloads
+    """Workloads are unchanged when all bids are scaled by each constant,
+    read by ``_reader`` at the scaled int bids, the bid order kept."""
+    scale = lcm(*[b.denominator for b in instance.bids])
+    read, bids, base, _ = _reader(rule, instance, scale)
     for c in rats(scalars):
-        scaled = rule(instance.scaled(c)).workloads
+        if c <= 0:
+            raise DomainError("scaling factor must be positive")
+        scaled_bids = [b * c.numerator for b in bids]
+        exponents = tuple(ceil_log2_ints(b, scale * c.denominator) for b in scaled_bids)
+        scaled = read(scaled_bids, (instance.bid_order, exponents), lambda: instance.scaled(c))[0]
         if scaled != base:
-            idx = next(i for i in range(len(base)) if base[i] != scaled[i])
-            return _verdict(
-                "scalability",
-                Counterexample(
-                    f"workload of machine {idx} changes under scaling by {rat_str(c)}",
-                    scaled[idx],
-                    "==",
-                    base[idx],
-                    {"scale": rat_str(c), "machine": idx},
-                ),
-            )
+            idx, load_scale = next(i for i in range(len(base)) if base[i] != scaled[i]), instance.scaled_jobs[0]
+            return _verdict("scalability", Counterexample(
+                f"workload of machine {idx} changes under scaling by {rat_str(c)}", Fraction(scaled[idx], load_scale),
+                "==", Fraction(base[idx], load_scale), {"scale": rat_str(c), "machine": idx}))
     return _verdict("scalability", None)
 
 

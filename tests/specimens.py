@@ -1,7 +1,7 @@
 """Test inputs the package itself never builds: random locally efficient
 profiles, a mechanism known to be untruthful, and two rules and a mechanism
-that fail the grid checks while carrying a ``decision_key`` or a
-``grid_key``, one of them with a ``decide``."""
+that fail the grid checks while carrying a ``key``, one of them with a
+``decide``."""
 
 import random
 from fractions import Fraction
@@ -56,8 +56,8 @@ class SlowestTakesAll:
         workloads[winner] = instance.total_length
         return Assignment((winner,) * instance.n, tuple(workloads))
 
-    def decision_key(self, bid_order, bid_exponents):
-        return bid_order[-1]
+    def key(self, instance: Instance, bid_data):
+        return lambda bids: bid_data[0][-1]
 
     def decide(self, instance: Instance, winner: int):
         lengths = instance.scaled_jobs[1]
@@ -73,16 +73,18 @@ class SwappedTwoOpt:
     """Two machines only: two-opt's assignment at the swapped bids.  Machine
     0 takes what two-opt gives machine 0 when the machines trade bids, so
     raising its own bid never takes work from it and gives it more wherever
-    the balance moves.  Keyed per grid point by two-opt's ``grid_key`` at the
+    the balance moves.  Keyed per grid point by two-opt's ``key`` at the
     swapped bids, so ``check_monotone`` reads it only where that key changes."""
 
     name = "swapped-two-opt"
+    key_reads_bids = True
 
     def __call__(self, instance: Instance) -> Assignment:
         return two_machine_opt(instance.with_swapped_bids(0, 1))
 
-    def grid_key(self, instance: Instance, machine: int, denominator: int):
-        return two_machine_opt.grid_key(instance.with_swapped_bids(0, 1), 1 - machine, denominator)
+    def key(self, instance: Instance, bid_data):
+        swapped = two_machine_opt.key(instance, None)
+        return lambda bids: swapped(bids[::-1])
 
 
 swapped_two_opt = SwappedTwoOpt()
@@ -99,8 +101,12 @@ def _rounded_runner_up_payments(instance: Instance, allocation) -> Sequence[Frac
     return tuple(payments)
 
 
-# Keyed on all the bid data, so ``check_truthful`` runs it once per run.
-rounded_vcg_mechanism = Mechanism(
-    "vcg-rounded", vcg_allocate, _rounded_runner_up_payments,
-    lambda bid_order, bid_exponents: (bid_order, bid_exponents),
-)
+class BidDataKeyed(Mechanism):
+    """Keyed on all the bid data, with no ``decide``, so ``check_truthful``
+    runs it once per run."""
+
+    def key(self, instance: Instance, bid_data):
+        return lambda bids: bid_data
+
+
+rounded_vcg_mechanism = BidDataKeyed("vcg-rounded", vcg_allocate, _rounded_runner_up_payments)

@@ -42,13 +42,18 @@ from schedmech.core import (
     rat,
     rat_str,
     rats,
+    scaled_by,
+    scaled_to_ints,
 )
-from schedmech.payments import Mechanism, ef_chain_mechanism, vcg_mechanism, vcg_payments
+from schedmech.payments import EfChainMechanism, Mechanism, VcgMechanism, ef_chain_mechanism, vcg_mechanism, vcg_payments
 from schedmech.properties import (
+    SCALING_FACTORS,
     Counterexample,
     PropertyVerdict,
     _verdict,
+    check_anonymous,
     check_monotone,
+    check_scalable,
     check_truthful,
 )
 
@@ -490,9 +495,11 @@ class _LengthOnly:
         raise AssertionError("the rule read a raw bid")
 
 
-def _key(check, instance):
-    """``check``'s ``decision_key`` of the instance's bid data."""
-    return check.decision_key(instance.bid_order, instance.bid_exponents)
+def _key(check, instance, denominator=None):
+    """``check``'s ``key`` at the instance's bids, as ints over
+    ``denominator`` (default: their own), and bid data."""
+    bids = scaled_by(instance.bids, denominator) if denominator else scaled_to_ints(instance.bids)[1]
+    return check.key(instance, (instance.bid_order, instance.bid_exponents))(bids)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -530,7 +537,7 @@ class _Counting:
 
     def __init__(self, rule, keyed):
         self.rule, self.calls = rule, 0
-        for name in ("decision_key", "grid_key") if keyed else ():
+        for name in ("key", "key_reads_bids") if keyed else ():
             if hasattr(rule, name):
                 setattr(self, name, getattr(rule, name))
 
@@ -540,13 +547,10 @@ class _Counting:
 
 
 def _point_keys(rule, inst, machine, grid):
-    """The rule's key at each point of machine's sorted grid: its
-    ``grid_key`` at the point's int, or its ``decision_key`` of a fresh
-    ``with_bid`` copy's bid data."""
+    """The rule's key at each point of machine's sorted grid, on a fresh
+    ``with_bid`` copy's bids over the grid's denominator and bid data."""
     denominator, points = inst.deviation_grid(grid)
-    if hasattr(rule, "grid_key"):
-        return list(map(rule.grid_key(inst, machine, denominator), points))
-    return [_key(rule, inst.with_bid(machine, Fraction(p, denominator))) for p in points]
+    return [_key(rule, inst.with_bid(machine, Fraction(p, denominator)), denominator) for p in points]
 
 
 # two-opt on the two-machine chains (seed % 6 == 1)
@@ -587,6 +591,19 @@ def runs(monkeypatch):
     return names
 
 
+@pytest.fixture
+def decides(monkeypatch):
+    """The names of the keyed mechanisms ``decide`` is called on."""
+    names = []
+    for kind in (VcgMechanism, EfChainMechanism):
+        def counted(self, *args, decide=kind.decide):
+            names.append(self.name)
+            return decide(self, *args)
+
+        monkeypatch.setattr(kind, "decide", counted)
+    return names
+
+
 def _counted(runs, check, mechanism, inst, grid):
     runs.clear()
     verdict = check(mechanism, inst, grid)
@@ -594,25 +611,28 @@ def _counted(runs, check, mechanism, inst, grid):
 
 
 def _key_changes(mechanism, inst, grid):
-    """One truthful run plus, per machine, the points of its sorted grid
-    where the key is None or differs from the previous point's, but not at
-    the own bid: there the walk reads the instance itself, whose outcome is
-    the truthful one."""
-    changes = 1
+    """One read of the instance plus, per machine, the points of its sorted
+    grid where the key is None or differs from the previous point's, but not
+    at the own bid, whose outcome is the instance's."""
+    changes, denominator = 1, inst.deviation_grid(grid)[0]
     for machine in range(inst.m):
-        keys = [_key(mechanism, inst.with_bid(machine, b)) for b in grid]
+        keys = [_key(mechanism, inst.with_bid(machine, b), denominator) for b in grid]
         changes += sum((k == 0 or keys[k] is None or keys[k] != keys[k - 1]) and grid[k] != inst.bids[machine]
                        for k in range(len(keys)))
     return changes
 
 
-def test_keyed_vcg_runs_where_its_key_changes_with_the_reference_verdicts(runs):
+def test_keyed_vcg_runs_where_its_key_changes_with_the_reference_verdicts(runs, decides):
+    """VCG runs once, on the instance, and ``decide`` reads it there and
+    wherever its key changes."""
     keyed = plain = 0
     for seed in SEEDS:
         inst, grid = draw_chain(seed)
         grid = sorted_grid(inst, grid)
         expected, reference_runs = _counted(runs, reference_check_truthful, vcg_mechanism, inst, grid)
-        verdict, keyed_runs = _counted(runs, check_truthful, vcg_mechanism, inst, grid)
+        runs.clear()
+        verdict, keyed_runs = _counted(decides, check_truthful, vcg_mechanism, inst, grid)
+        assert runs == ["vcg"]
         assert verdict == expected
         assert verdict == reference_check_truthful(reference_vcg_mechanism, inst, grid)
         assert keyed_runs <= reference_runs
@@ -630,10 +650,12 @@ def _flat_payments(instance, allocation):
     Mechanism("flat", vcg_allocate, _flat_payments),
     Mechanism("vcg-unkeyed", vcg_allocate, vcg_payments),
     bid_proportional_mechanism(vcg_allocate),
-    ef_chain_mechanism(lpt_star),
+    ef_chain_mechanism(reference_lpt_star),
 ], ids=["flat", "vcg-unkeyed", "bid-cost", "ef-chain"])
 def test_a_mechanism_without_a_key_runs_at_every_point(runs, mechanism):
-    assert mechanism.decision_key is None  # a keyed rule does not key the mechanism
+    # a keyed rule does not key the mechanism; an EF chain is keyed only
+    # on a rule with ``decide``
+    assert not hasattr(mechanism, "key")
     for seed in SEEDS:
         inst, grid = draw_chain(seed)
         grid = sorted_grid(inst, grid)
@@ -641,16 +663,17 @@ def test_a_mechanism_without_a_key_runs_at_every_point(runs, mechanism):
         assert _counted(runs, check_truthful, mechanism, inst, grid) == (expected, reference_runs)
 
 
-def test_a_lone_vcg_machine_profits_by_overbidding(runs):
+def test_a_lone_vcg_machine_profits_by_overbidding(runs, decides):
     """One machine is paid its own bid times L, so every overbid pays; its
-    key is None, so the keyed check runs at every point."""
+    key is None, so the keyed check reads it at every point."""
     inst = Instance((3, 2), (2,))
-    verdict, keyed_runs = _counted(runs, check_truthful, vcg_mechanism, inst, None)
+    verdict, keyed_runs = _counted(decides, check_truthful, vcg_mechanism, inst, None)
+    assert runs == ["vcg"]
     assert _key(vcg_mechanism, inst) is None
     assert verdict.counterexample.description == "machine 0 profits by bidding 9/4"
     assert (verdict.counterexample.lhs, verdict.counterexample.rhs) == (0, Fraction(5, 4))
     assert verdict == reference_check_truthful(reference_vcg_mechanism, inst)
-    # the truthful run, the seven bids below 2 and the failing 9/4
+    # the instance, the seven bids below 2 and the failing 9/4
     assert keyed_runs == 9
 
 
@@ -675,15 +698,18 @@ def test_a_keyed_specimen_runs_where_its_key_changes_with_the_reference_countere
     assert deep >= 20
 
 
-def _winner_at_even_exponents(bid_order, bid_exponents):
-    """VCG's key where the winner's bid exponent is even, None elsewhere.
-    Along a sorted grid the winner changes at most once, but a low bidder's
-    exponent alternates, so keys come back after a None one."""
-    winner = bid_order[0]
-    return None if len(bid_order) == 1 or bid_exponents[winner] % 2 else winner
+class _PartlyKeyedVcg(Mechanism):
+    """VCG's key where the winner's bid exponent is even, None elsewhere, and
+    no ``decide``.  Along a sorted grid the winner changes at most once, but
+    a low bidder's exponent alternates, so keys come back after a None one."""
+
+    def key(self, instance, bid_data):
+        bid_order, bid_exponents = bid_data
+        winner = bid_order[0]
+        return lambda bids: None if len(bid_order) == 1 or bid_exponents[winner] % 2 else winner
 
 
-partly_keyed_vcg = Mechanism("vcg-partly-keyed", vcg_allocate, vcg_payments, _winner_at_even_exponents)
+partly_keyed_vcg = _PartlyKeyedVcg("vcg-partly-keyed", vcg_allocate, vcg_payments)
 
 
 def test_a_none_key_runs_and_counts_as_a_change(runs):
@@ -742,7 +768,7 @@ def test_walk_cases_put_the_own_bid_where_their_names_say():
 
 
 @pytest.mark.parametrize("name", WALK_CASES)
-def test_the_one_walk_gives_the_reference_verdicts_on_hand_picked_cases(runs, name):
+def test_the_one_walk_gives_the_reference_verdicts_on_hand_picked_cases(runs, decides, name):
     jobs, bids, grid = WALK_CASES[name]
     inst = Instance(jobs, bids)
     points = sorted_grid(inst, grid)
@@ -760,16 +786,20 @@ def test_the_one_walk_gives_the_reference_verdicts_on_hand_picked_cases(runs, na
         (bid_proportional_mechanism(lpt_star), bid_proportional_mechanism(reference_lpt_star)),
     ]
     for mechanism, reference in truthful:
-        verdict, keyed_runs = _counted(runs, check_truthful, mechanism, inst, grid)
+        runs.clear()
+        # a mechanism with ``decide`` runs once and is read by ``decide``
+        verdict, keyed_reads = _counted(decides, check_truthful, mechanism, inst, grid)
+        reads = keyed_reads if hasattr(mechanism, "decide") else len(runs)
+        assert len(runs) == 1 or not hasattr(mechanism, "decide")
         assert verdict == reference_check_truthful(reference, inst, points)
-        if verdict and mechanism.decision_key:
-            assert keyed_runs == _key_changes(mechanism, inst, points)
+        if verdict and hasattr(mechanism, "key"):
+            assert reads == _key_changes(mechanism, inst, points)
 
 
 # ---------------------------------------------------------------------------
 # Laziness: a grid check builds a copy, and the ``Fraction`` of its bid, once
 # per read, never once per grid point, and none for a run whose key repeats;
-# a rule with ``decide`` is read at its key and builds neither.
+# a rule or mechanism with ``decide`` is read at its key and builds neither.
 
 
 def _copies_and_fractions(monkeypatch, check, *args):
@@ -797,11 +827,18 @@ def _copies_and_fractions(monkeypatch, check, *args):
     return verdict, copies, made
 
 
-def _reads(check, runs):
-    """The points ``_grid_reads`` reads a ``decision_key``-ed check at: the
+def _reads(check, inst, runs):
+    """The points ``_grid_reads`` reads a check keyed on the bid data at: the
     first of each run whose key differs from the machine's previous run's."""
-    keys = [(i, check.decision_key(*bid_data)) for i, _, _, bid_data in runs]
+    keys = [(i, check.key(inst, bid_data)(None)) for i, _, _, bid_data in runs]
     return [run[:2] for run, key, last in zip(runs, keys, [None, *keys]) if key != last]
+
+
+class _WinnerKeyed(Mechanism):
+    """VCG keyed on its winner, with no ``decide``, so it runs on copies."""
+
+    def key(self, instance, bid_data):
+        return lambda bids: bid_data[0][0]
 
 
 def test_grid_checks_build_one_copy_and_one_bid_per_read(monkeypatch):
@@ -813,17 +850,20 @@ def test_grid_checks_build_one_copy_and_one_bid_per_read(monkeypatch):
     # a rule with ``decide`` passes on its int loads: no copy, no Fraction
     for rule in (lpt_star, vcg_allocate):
         assert _copies_and_fractions(monkeypatch, check_monotone, rule, inst)[1:] == ([], [])
-    # LPT* without its ``decide``, and the VCG mechanism, run on copies
-    for check, reader in ((check_monotone, _Counting(lpt_star, keyed=True)), (check_truthful, vcg_mechanism)):
-        reads = _reads(reader, runs)
+    # LPT* without its ``decide``, and VCG keyed without one, run on copies
+    keyed_vcg = _WinnerKeyed("vcg-winner-keyed", vcg_allocate, vcg_payments)
+    for check, reader in ((check_monotone, _Counting(lpt_star, keyed=True)), (check_truthful, keyed_vcg)):
+        reads = _reads(reader, inst, runs)
         # LPT*'s key is all the bid data, which changes at every run; VCG's
         # winner repeats over runs, and they build no copy
         assert (len(reads) == len(runs)) == (check is check_monotone)
         verdict, copies, made = _copies_and_fractions(monkeypatch, check, reader, inst)
-        assert verdict.passed and len(copies) == len(reads)
-        # the machine's own bid is read as the instance itself: no Fraction
+        # the machine's own bid is read as the instance itself, no Fraction;
+        # the truthful check reads the instance's outcome there, no copy
         at_own = sum(points[lo] == own[i] for i, lo in reads)
-        assert sum(c is inst for c in copies) == at_own
+        skipped = at_own if check is check_truthful else 0
+        assert verdict.passed and len(copies) == len(reads) - skipped
+        assert sum(c is inst for c in copies) == at_own - skipped
         assert made.count(("core", "deviation_copy")) == len(reads) - at_own
         assert ("core", "with_bid") not in made
     # two-opt without its ``decide`` builds a copy only where its grid key
@@ -838,6 +878,48 @@ def test_grid_checks_build_one_copy_and_one_bid_per_read(monkeypatch):
     assert verdict.passed and len(copies) == len(changes)
     assert [c.bids[i] for c, (i, _) in zip(copies, changes)] == [Fraction(points[k], denominator) for i, k in changes]
     assert _copies_and_fractions(monkeypatch, check_monotone, two_machine_opt, inst)[1:] == ([], [])
+
+
+UNDERBIDS = [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
+
+
+def test_keyed_checks_run_once_and_build_no_copy(monkeypatch):
+    """A passing ``check_truthful``, ``check_anonymous`` or ``check_scalable``
+    on VCG, on the EF chain of LPT*, VCG or two-opt, or on two-opt or VCG
+    itself runs the mechanism or the rule once, on the instance, builds no
+    ``Instance``, and reads every other profile through ``decide``.  The EF
+    chains pass on a grid of underbids."""
+    built, calls = [], []
+
+    def counted(cls, name, log, entry):
+        method = getattr(cls, name)
+
+        def wrapper(self, *args, **kwargs):
+            log.append(entry(self))
+            return method(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for name in ("__init__", "_with_bids"):
+        counted(Instance, name, built, lambda self, name=name: name)
+    for cls in (Mechanism, type(lpt_star), type(vcg_allocate), type(two_machine_opt)):
+        counted(cls, "run" if cls is Mechanism else "__call__", calls, lambda self: self.name)
+    four = Instance((5, 3, 2, Fraction(3, 2)), (1, Fraction(3, 2), Fraction(5, 4), 3))
+    two = Instance((5, 3, 2, Fraction(3, 2)), (Fraction(5, 4), 3))
+    ef_lpt, ef_vcg, ef_two = (ef_chain_mechanism(rule) for rule in (lpt_star, vcg_allocate, two_machine_opt))
+    cases = [(check_truthful, vcg_mechanism, four, (None,)), (check_truthful, vcg_mechanism, two, (None,))]
+    cases += [(check_truthful, m, inst, (UNDERBIDS,)) for m, inst in ((ef_lpt, four), (ef_vcg, four), (ef_two, two))]
+    cases += [(check_anonymous, subject, inst, ()) for subject, inst in (
+        (vcg_mechanism, four), (ef_lpt, four), (ef_vcg, four), (ef_two, two), (two_machine_opt, two),
+        (vcg_allocate, four), (lpt_star, four))]
+    cases += [(check_scalable, rule, inst, (SCALING_FACTORS,)) for rule, inst in ((two_machine_opt, two),
+                                                                                  (vcg_allocate, four))]
+    for check, subject, inst, args in cases:
+        built.clear(), calls.clear()
+        assert check(subject, inst, *args).passed
+        assert built == []
+        rule = getattr(subject, "rule", subject)
+        assert calls == ([subject.name] if rule is not subject else []) + [rule.name]
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,8 @@ def test_verdict_refuses_counterexamples_built_on_a_wrong_scale_under_O():
     # The int comparisons still find each violation, but lhs and rhs are
     # built over the negated scale, so every recorded inequality holds.
     # No assert survives -O: the child prints what each checker raised.
+    # check_ir compares each machine on its own cross-multiplied ints, with
+    # no shared scale, so it still reports the loss.
     proc = run_optimized(
         "from schedmech import properties\n"
         "scale = properties.on_one_scale\n"
@@ -56,15 +58,17 @@ def test_verdict_refuses_counterexamples_built_on_a_wrong_scale_under_O():
         "properties.on_one_scale = negated\n"
         "bids, loads = (F(3, 4), F(2, 3)), (F(5, 6), F(1, 10))\n"
         "for check, args in [(properties.check_local_efficiency, (bids, loads)),\n"
-        "                    (properties.check_envy_free, (bids, loads, (0, F(1, 7)))),\n"
-        "                    (properties.check_ir, (bids, loads, (0, 0)))]:\n"
+        "                    (properties.check_envy_free, (bids, loads, (0, F(1, 7))))]:\n"
         "    try:\n"
         "        print(check(*args))\n"
         "    except AssertionError as exc:\n"
         "        print(exc)\n"
+        "print(properties.check_ir(bids, loads, (0, 0)).counterexample.to_json_dict())\n"
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "counterexample must re-evaluate to a violation\n" * 3
+    assert proc.stdout == ("counterexample must re-evaluate to a violation\n" * 2
+                           + "{'description': 'machine 0 runs at a loss', 'lhs': '-5/8', 'relation': '>=', "
+                           "'rhs': '0', 'context': {'i': 0}}\n")
 
 
 def test_witness_check_rejects_a_broken_ic_row_under_O():
@@ -90,6 +94,40 @@ def test_simplex_rejects_a_witness_off_by_one_unit_under_O():
     )
     assert proc.returncode != 0
     assert "AssertionError: witness fails a constraint; solver bug" in proc.stderr
+
+
+def test_keyed_checkers_refuse_a_decide_that_disagrees_with_the_run_under_O():
+    # Each planted ``decide`` is off by one unit at every key, so the base
+    # cross-check of each checker that reads it refuses.
+    proc = run_optimized(
+        "from schedmech.allocations import VcgAllocate, vcg_allocate\n"
+        "from schedmech.core import Instance\n"
+        "from schedmech.payments import VcgMechanism, vcg_payments\n"
+        "from schedmech.properties import check_anonymous, check_scalable, check_truthful, SCALING_FACTORS\n"
+        "class OverpaidVcg(VcgMechanism):\n"
+        "    def decide(self, instance, key, bids):\n"
+        "        loads, payments = super().decide(instance, key, bids)\n"
+        "        return loads, [p + 1 for p in payments]\n"
+        "class Overloaded(VcgAllocate):\n"
+        "    def decide(self, instance, winner):\n"
+        "        job_to_machine, loads = super().decide(instance, winner)\n"
+        "        loads[winner] += 1\n"
+        "        return job_to_machine, loads\n"
+        "planted = OverpaidVcg('overpaid-vcg', vcg_allocate, vcg_payments)\n"
+        "instance = Instance((3, 2), (1, F(5, 2)))\n"
+        "for check in (lambda: check_truthful(planted, instance), lambda: check_anonymous(planted, instance),\n"
+        "              lambda: check_scalable(Overloaded(), instance, SCALING_FACTORS)):\n"
+        "    try:\n"
+        "        print(check())\n"
+        "    except AssertionError as exc:\n"
+        "        print(exc)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "overpaid-vcg: decide at the instance's own key disagrees with the run",
+        "overpaid-vcg: decide at the instance's own key disagrees with the run",
+        "vcg: decide at the instance's own key disagrees with the run",
+    ]
 
 
 def test_package_has_no_assert_statements():

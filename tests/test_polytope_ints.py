@@ -20,7 +20,7 @@ from schedmech import certificates
 from schedmech.allocations import RULES, lpt_star, vcg_allocate
 from schedmech.certificates import _polytope_rows, payment_polytope_feasible
 from schedmech.core import Instance, rat_str, ratio_str
-from schedmech.payments import ef_chain_mechanism
+from schedmech.payments import Mechanism, vcg_payments
 from schedmech.properties import check_truthful
 
 F = Fraction
@@ -91,7 +91,8 @@ def test_deviation_copies_and_polytope_profiles_share_one_helper(monkeypatch):
     known = ["bid_exponents", "bid_order"]  # each caller hands both in
     assert callers == [("_polytope_rows", known)] * 9
     callers.clear()
-    check_truthful(ef_chain_mechanism(lpt_star), Instance([3, 2, 1], [1, F(5, 2), 4]))
+    # a mechanism without ``decide`` runs on deviation copies
+    check_truthful(Mechanism("vcg-unkeyed", vcg_allocate, vcg_payments), Instance([3, 2, 1], [1, F(5, 2), 4]))
     assert callers and all(caller == ("deviation_copy", known) for caller in callers)
 
 

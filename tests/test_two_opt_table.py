@@ -5,8 +5,8 @@ when every call walked all 2^n assignment masks on ints, kept verbatim.
 The package must return identical ``Assignment``s on seeded draws: n = 1-12,
 tied bids (c0 = c1), repeated jobs, fractional lengths and bids far apart.
 The table is built once per job vector and shared by every derived copy.
-``TwoMachineOpt.grid_key``, the balance index on one machine's integer
-grid, must give the assignment ``__call__`` gives on a fresh instance at
+``TwoMachineOpt.key``, the balance index at int bids, read on one
+machine's integer grid, must give the assignment ``__call__`` gives on a fresh instance at
 every point of the default grid and of a grid of two-opt's region points,
 the makespan ties among them; it refuses what ``__call__`` refuses.
 """
@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from schedmech.allocations import TWO_MACHINE_BUDGET, _two_machine_points, two_machine_opt
-from schedmech.core import Assignment, BudgetExceeded, DomainError, Instance
+from schedmech.core import Assignment, BudgetExceeded, DomainError, Instance, scaled_by
 
 from test_deviation_oracle import grid_bids
 
@@ -235,12 +235,12 @@ def test_the_key_gives_the_rule_s_assignment_at_every_grid_point(seed):
     for machine in range(2):
         by_key = {}
         for (denominator, points), tie_grid in _key_grids(inst, machine):
-            key_at = two_machine_opt.grid_key(inst, machine, denominator)
+            ints = scaled_by(inst.bids, denominator)
             for p in points:
                 bids = list(inst.bids)
-                bids[machine] = Fraction(p, denominator)
+                bids[machine], ints[machine] = Fraction(p, denominator), p
                 fresh = Instance(inst.jobs, bids)
-                k = key_at(p)
+                k = two_machine_opt.key(inst, None)(ints)
                 got = assignment_from_key(inst, k)
                 assert got == two_machine_opt(fresh), (seed, machine, bids)
                 if tie_grid:
@@ -259,8 +259,8 @@ def test_the_key_gives_the_rule_s_assignment_at_every_grid_point(seed):
 ], ids=["three-machines", "one-machine", "machines-before-budget", "budget"])
 def test_the_key_refuses_what_the_rule_refuses_before_the_table(jobs, bids, error, text):
     inst = Instance(jobs, bids)
-    for refused in (lambda: two_machine_opt(inst), lambda: two_machine_opt.grid_key(inst, 0, 1),
-                    lambda: two_machine_opt.grid_key(inst, inst.m - 1, 8)):
+    for refused in (lambda: two_machine_opt(inst), lambda: two_machine_opt.key(inst, None),
+                    lambda: two_machine_opt.decide(inst, 1)):
         with pytest.raises(error) as info:
             refused()
         assert str(info.value) == text
