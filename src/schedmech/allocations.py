@@ -244,7 +244,7 @@ def _at_lower_bound_ints(instance: Instance) -> tuple[int, int, int, list[int]]:
     each bound times D * E * K (the denominator) is an int; unit = K * Q.
     """
     denominator, lengths = instance.scaled_jobs
-    scale, speeds = scaled_to_ints([instance.bids[i] for i in instance.bid_order])
+    scale, speeds = instance.scaled_bids[0], sorted(instance.scaled_bids[1])  # sorted: the bids in bid order
     q = lcm(*speeds)
     inverses = [q // s for s in speeds]
     harmonics = list(itertools.accumulate(inverses))
@@ -359,7 +359,7 @@ def opt_makespan(
     if m ** n > budget:
         raise BudgetExceeded(f"{m}^{n} assignments exceed state budget {budget}")
     denominator, lengths = instance.scaled_jobs
-    scale, speeds = scaled_to_ints(instance.bids)
+    scale, speeds = instance.scaled_bids
     # The water-filling level over machines c is (remaining + loads) * Q /
     # sum(Q // S_c), with Q the lcm of the speeds S: compared cross-multiplied.
     q = lcm(*speeds)

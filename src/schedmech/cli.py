@@ -49,7 +49,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-ProcessPoolExecutor = None  # None: concurrent.futures' pool, imported only to start one
 
 
 def _rat_list(text: str) -> list[Fraction]:
@@ -233,7 +232,7 @@ def cmd_check(args) -> int:
     workers = min(workers, len(instances))
     if workers > 1:
         from concurrent import futures
-        with (ProcessPoolExecutor or futures.ProcessPoolExecutor)(max_workers=workers) as pool:
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             verdicts = list(pool.map(check, enumerate(instances), chunksize=8))
     else:
         verdicts = list(map(check, enumerate(instances)))

@@ -168,8 +168,8 @@ class Instance:
     tuple.  All lengths and bids must be strictly positive.  The job data
     every rule reads (``job_data``) is built once here and shared by
     reference with every derived instance.  Neither it nor each instance's
-    own bid data (``bid_order``, ``bid_exponents``) takes part in equality,
-    hashing or ``repr``.
+    own bid data (``bid_order``, ``bid_exponents``, ``scaled_bids``) takes
+    part in equality, hashing, ``repr`` or JSON.
     """
 
     jobs: tuple[Fraction, ...]
@@ -205,6 +205,11 @@ class Instance:
         return tuple(sorted(range(self.m), key=self.bids.__getitem__))
 
     @cached_property
+    def scaled_bids(self) -> tuple[int, list[int]]:
+        """``scaled_to_ints`` of the bids: E, their common denominator (derived only here), and each times E."""
+        return scaled_to_ints(self.bids)
+
+    @cached_property
     def bid_exponents(self) -> tuple[int, ...]:
         """``ceil_log2`` of each bid: machine i's rounded speed is 2**e_i."""
         return tuple(map(ceil_log2, self.bids))
@@ -233,15 +238,14 @@ class Instance:
         that clears every bid too.  By default j/8 of the largest bid for
         j = 1..GRID_STEPS plus the bids, each value once; a caller's ``bids``
         keep their repeats, and a non-positive one raises here."""
-        denominators = [b.denominator for b in self.bids]
         if bids is None:
             scale = max(self.bids)
-            denominator = lcm(8 * scale.denominator, *denominators)
+            denominator = lcm(8 * scale.denominator, self.scaled_bids[0])
             step = scale.numerator * (denominator // (8 * scale.denominator))
             points = {*range(step, (GRID_STEPS + 1) * step, step), *scaled_by(self.bids, denominator)}
         else:
             bids = rats(bids)
-            denominator = lcm(*denominators, *(b.denominator for b in bids))
+            denominator = lcm(self.scaled_bids[0], *(b.denominator for b in bids))
             points = scaled_by(bids, denominator)
             if points and min(points) <= 0:
                 raise DomainError("bids must be strictly positive")

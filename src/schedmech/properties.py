@@ -253,7 +253,8 @@ def _reader(check, instance: Instance, denominator: int):
         key = check.key(instance, bid_data)(bids)
         return check.decide(instance, key, bids) if is_mechanism else (check.decide(instance, key)[1], None)
 
-    bids = scaled_by(instance.bids, denominator)
+    bid_scale, own = instance.scaled_bids  # denominator is a multiple of bid_scale
+    bids = [b * (denominator // bid_scale) for b in own]
     if not has_decide:
         return read, bids, *scaled(base)
     loads, payments = read(bids, (instance.bid_order, instance.bid_exponents), None)
@@ -340,7 +341,7 @@ def check_anonymous(mechanism, instance: Instance) -> PropertyVerdict:
     swap of the int bids, sorted again (relabelling the old order is wrong
     where bids tie).
     """
-    denominator = lcm(*[b.denominator for b in instance.bids])
+    denominator = instance.scaled_bids[0]
     read, bids, base_w, base_p = _reader(mechanism, instance, denominator)
     scales = instance.scaled_jobs[0], instance.scaled_jobs[0] * denominator
     for k in range(instance.m):
@@ -369,7 +370,7 @@ def check_scalable(
 ) -> PropertyVerdict:
     """Workloads are unchanged when all bids are scaled by each constant,
     read by ``_reader`` at the scaled int bids, the bid order kept."""
-    scale = lcm(*[b.denominator for b in instance.bids])
+    scale = instance.scaled_bids[0]
     read, bids, base, _ = _reader(rule, instance, scale)
     for c in rats(scalars):
         if c <= 0:

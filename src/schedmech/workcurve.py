@@ -28,6 +28,7 @@ from .core import (
     rat,
     rat_str,
     rats,
+    scaled_to_ints,
 )
 
 # Most regions a bid-response curve may have on (0, cap]: one rule call each.
@@ -108,8 +109,8 @@ def integrate(
     if hi < lo:
         raise DomainError("upper bound below lower bound")
     # Bids as ints over D, values as ints over V: the integral is an int over D*V.
-    D, (L, H, *breakpoints) = _on_ints((lo, hi, *curve.breakpoints))
-    V, (tail, *values) = _on_ints((curve.tail, *curve.values))
+    D, (L, H, *breakpoints) = scaled_to_ints((lo, hi, *curve.breakpoints))
+    V, (tail, *values) = scaled_to_ints((curve.tail, *curve.values))
     total = prev = 0
     for b, v in zip(breakpoints, values):
         if min(b, H) > max(prev, L):
@@ -118,12 +119,6 @@ def integrate(
     if H > max(prev, L):
         total += tail * (H - max(prev, L))
     return Fraction(total, D * V)
-
-
-def _on_ints(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(D, the values times D) for D the lcm of their denominators."""
-    D = lcm(*(v.denominator for v in values))
-    return D, [v.numerator * (D // v.denominator) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +346,7 @@ def piecewise_integral(pieces: Sequence[CurvePiece]) -> LogLinearValue:
 def _rational_roots(a2: Fraction, a1: Fraction, a0: Fraction) -> list[Fraction]:
     """Positive rational roots of a2*x^2 + a1*x + a0 = 0, solved on the
     coefficients scaled to ints."""
-    a2, a1, a0 = _on_ints((a2, a1, a0))[1]
+    a2, a1, a0 = scaled_to_ints((a2, a1, a0))[1]
     if a2 == 0:
         if a1 == 0:
             return []
@@ -444,7 +439,7 @@ def expected_workcurve(
     # Each form on ints (both halves times one lcm), so the roots come from
     # int coefficients.  Pour boundaries are among these roots: the capacity
     # forms are in exprs.
-    forms = [_on_ints(e)[1] for e in exprs]
+    forms = [scaled_to_ints(e)[1] for e in exprs]
     for e1, e2 in itertools.combinations(forms, 2):
         candidates.update(_linfrac_equal_roots(e1, e2))
     support_end = a * L / l_min

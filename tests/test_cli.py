@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import pathlib
 import random
@@ -304,7 +305,7 @@ class TestCheck:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         base = ("check", "le", "lpt-star", "--random", "3", "--seed", "11")
         _, serial, _ = run_cli(capsys, *base)
         assert run_cli(capsys, *base, "--jobs-parallel", "64") == (0, serial, "")

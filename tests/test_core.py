@@ -162,6 +162,7 @@ class TestInstance:
         assert inst.total_length == Fraction(11, 2)
         assert inst.scaled_jobs == (2, (5, 4, 2))
         assert (inst.bid_order, inst.bid_exponents) == ((0, 2, 1), (0, 1, 0))
+        assert inst.scaled_bids == (4, [3, 8, 4])  # cached before any copy is built
         denominator, points = grid = inst.deviation_grid(["7/3", 2, Fraction(1, 4), 2])
         deviated = {Fraction(points[k], denominator): inst.deviation_copy(grid, 0, bid_data, k)
                     for machine, lo, hi, bid_data in inst.deviation_runs(grid) if machine == 0 for k in range(lo, hi)}
@@ -192,6 +193,7 @@ class TestInstance:
             # the bid data is the copy's own, never the base's
             assert got.bid_order == fresh.bid_order
             assert got.bid_exponents == fresh.bid_exponents
+            assert got.scaled_bids == fresh.scaled_bids
             assert got != inst  # equality reads the jobs and bids only
             # equality, hashing and repr ignore the bid data, read or not
             unread = Instance((1, Fraction(5, 2), 2), bids)
