@@ -223,8 +223,9 @@ def cmd_check(args) -> int:
         instances = [_load_instance(args.instance)[0]]
     else:
         raise DomainError("provide an instance file or --random N")
-    # Resolved once, so an unknown name is refused without a batch prefix.
-    resolve = _mechanism_for if args.property in ("ef", "ir", "truthful", "anonymous") else _rule_for
+    # Resolved once, so an unknown name is refused without a batch prefix; anonymity takes a rule too.
+    rule_ok = args.property == "anonymous" and args.mechanism in RULES.keys() - {"vcg"}
+    resolve = _mechanism_for if args.property in ("ef", "ir", "truthful", "anonymous") and not rule_ok else _rule_for
     check = functools.partial(
         _check_on_instance, args.property, resolve(args.mechanism), args.random,
         grid=getattr(args, "grid", None), budget=getattr(args, "budget", None),

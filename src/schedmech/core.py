@@ -239,10 +239,10 @@ class Instance:
         j = 1..GRID_STEPS plus the bids, each value once; a caller's ``bids``
         keep their repeats, and a non-positive one raises here."""
         if bids is None:
-            scale = max(self.bids)
-            denominator = lcm(8 * scale.denominator, self.scaled_bids[0])
+            scale, (bid_scale, own) = max(self.bids), self.scaled_bids
+            denominator = lcm(8 * scale.denominator, bid_scale)
             step = scale.numerator * (denominator // (8 * scale.denominator))
-            points = {*range(step, (GRID_STEPS + 1) * step, step), *scaled_by(self.bids, denominator)}
+            points = {*range(step, (GRID_STEPS + 1) * step, step), *(b * (denominator // bid_scale) for b in own)}
         else:
             bids = rats(bids)
             denominator = lcm(self.scaled_bids[0], *(b.denominator for b in bids))
@@ -252,27 +252,26 @@ class Instance:
         return denominator, sorted(points)
 
     def deviation_runs(
-        self, grid: tuple[int, Sequence[int]]
+        self, grid: tuple[int, Sequence[int]], own: Sequence[int]
     ) -> Iterator[tuple[int, int, int, tuple[tuple[int, ...], tuple[int, ...]]]]:
         """``(machine, lo, hi, bid_data)`` for every machine, machine 0's runs
-        first, over a ``deviation_grid`` ``(D, points)``:
-        ``with_bid(machine, points[k]/D)`` has the bid data ``(bid_order,
-        bid_exponents)`` for ``lo <= k < hi`` and other data on the machine's
-        next run.  No copy is built here: ``deviation_copy`` builds one on
-        request.
+        first, over a ``deviation_grid`` ``(D, points)`` and ``own``, the bids
+        over D (``scaled_bids`` times D // E): ``with_bid(machine,
+        points[k]/D)`` has the bid data ``(bid_order, bid_exponents)`` for
+        ``lo <= k < hi`` and other data on the machine's next run.  No copy is
+        built here: ``deviation_copy`` builds one on request.
         Cut by bisection: the bid order changes at each other bid, ties to the
         lower index (``bisect_left`` of a lower-indexed machine's bid,
         ``bisect_right`` of a higher one's), the exponent just above each
         2**e (``bisect_right`` of floor(2**e * D), as ceil_log2(2**e) = e)."""
         denominator, points = grid
-        scaled = scaled_by(self.bids, denominator)
         starts, k = [], 0  # where each exponent's points start
         while k < len(points):
             starts.append(k)
             e = ceil_log2_ints(points[k], denominator)
             k = bisect.bisect_right(points, denominator << e if e >= 0 else denominator >> -e, k)
-        left = [bisect.bisect_left(points, s) for s in scaled]
-        right = [bisect.bisect_right(points, s) for s in scaled]
+        left = [bisect.bisect_left(points, s) for s in own]
+        right = [bisect.bisect_right(points, s) for s in own]
         for machine in range(self.m):
             others = [j for j in self.bid_order if j != machine]
             cuts = [left[j] if j < machine else right[j] for j in others]  # nondecreasing

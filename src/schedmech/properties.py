@@ -210,18 +210,17 @@ def check_ir(
     return _verdict("individual-rationality", None)
 
 
-def _grid_reads(check, instance: Instance, grid: tuple[int, Sequence[int]]):
+def _grid_reads(check, instance: Instance, grid: tuple[int, Sequence[int]], own: list[int]):
     """``(machine, k, key, bid_data, bids)`` at each point of
     ``Instance.deviation_runs`` whose key is None or differs from the
     machine's previous point's (an equal key, an equal outcome), ``bids`` the
-    point's ints over D (one list a run, updated in place).  The key is
-    ``check.key`` of the run's bid data at them, else None, read once a run
-    unless it reads the bids (``key_reads_bids``)."""
-    denominator, points = grid
+    instance's ints over D, ``own``, at the point (one list a run, updated in
+    place).  The key is ``check.key`` of the run's bid data at them, else
+    None, read once a run unless it reads the bids (``key_reads_bids``)."""
+    points = grid[1]
     key_of = getattr(check, "key", lambda instance, bid_data: lambda bids: None)
-    per_point = getattr(check, "key_reads_bids", False)
-    own, last = scaled_by(instance.bids, denominator), None
-    for i, lo, hi, bid_data in instance.deviation_runs(grid):
+    per_point, last = getattr(check, "key_reads_bids", False), None
+    for i, lo, hi, bid_data in instance.deviation_runs(grid, own):
         bids, key_at = own[:], key_of(instance, bid_data)
         for k in range(lo, hi):
             bids[i] = points[k]
@@ -234,12 +233,12 @@ def _grid_reads(check, instance: Instance, grid: tuple[int, Sequence[int]]):
                 break
 
 
-def _reader(check, instance: Instance, denominator: int):
-    """``(read, bids, loads, payments)``: ``read(bids, bid_data, copy)`` is
-    ``check``'s loads over D and payments over D times ``denominator`` (None
-    for a rule) at the int ``bids`` (any scale for a rule) and ``copy()``; the
-    rest are the instance's, from one run of ``check``, which ``decide`` must
-    give at the instance's key.  Without ``decide``, it runs on the copy."""
+def _reader(check, instance: Instance, denominator: int, bids: list[int]):
+    """``(read, loads, payments)``: ``read(bids, key, copy)`` is ``check``'s
+    loads over D and payments over D times ``denominator`` (None for a rule)
+    at the int ``bids`` (any scale for a rule) and their ``key``; without
+    ``decide``, on ``copy()``.  The rest are the instance's, at its ``bids``
+    over ``denominator``: one run of ``check``, which ``decide`` must match."""
     scale, is_mechanism, has_decide = instance.scaled_jobs[0], hasattr(check, "run"), hasattr(check, "decide")
     base = check.run(instance) if is_mechanism else check(instance)
 
@@ -247,22 +246,19 @@ def _reader(check, instance: Instance, denominator: int):
         payments = [p * scale * denominator for p in result.payments] if is_mechanism else None
         return [w * scale for w in getattr(result, "allocation", result).workloads], payments
 
-    def read(bids, bid_data, copy):
+    def read(bids, key, copy):
         if not has_decide:
             return scaled(check.run(copy()) if is_mechanism else check(copy()))
-        key = check.key(instance, bid_data)(bids)
         return check.decide(instance, key, bids) if is_mechanism else (check.decide(instance, key)[1], None)
 
-    bid_scale, own = instance.scaled_bids  # denominator is a multiple of bid_scale
-    bids = [b * (denominator // bid_scale) for b in own]
     if not has_decide:
-        return read, bids, *scaled(base)
-    loads, payments = read(bids, (instance.bid_order, instance.bid_exponents), None)
+        return read, *scaled(base)
+    loads, payments = read(bids, check.key(instance, (instance.bid_order, instance.bid_exponents))(bids), None)
     exact = getattr(base, "allocation", base).workloads + (base.payments if is_mechanism else ())
     ints, scales = loads + (payments or []), [scale] * len(loads) + [scale * denominator] * len(exact)
     if len(exact) != len(ints) or any(f.numerator * s != v * f.denominator for f, v, s in zip(exact, ints, scales)):
         raise AssertionError(f"{check.name}: decide at the instance's own key disagrees with the run")
-    return read, bids, loads, payments
+    return read, loads, payments
 
 
 def check_truthful(
@@ -275,15 +271,15 @@ def check_truthful(
     The profile bid is treated as the true speed; every deviation of every
     machine on the sorted ``Instance.deviation_grid`` must not beat truthful
     reporting.  The mechanism runs once, on the instance (each own bid's
-    outcome), and ``_reader`` reads it at every other read of ``_grid_reads``.
-    """
+    outcome); ``_reader`` reads each other read of ``_grid_reads`` at its key."""
     denominator, points = grid = instance.deviation_grid(deviation_grid)
-    read, own, loads, payments = _reader(mechanism, instance, denominator)
+    own = [b * (denominator // instance.scaled_bids[0]) for b in instance.scaled_bids[1]]  # E divides D
+    read, loads, payments = _reader(mechanism, instance, denominator, own)
     honest = [p - b * w for p, b, w in zip(payments, own, loads)]
-    for i, k, _, bid_data, bids in _grid_reads(mechanism, instance, grid):
+    for i, k, key, bid_data, bids in _grid_reads(mechanism, instance, grid, own):
         if points[k] == own[i]:
             continue
-        loads, payments = read(bids, bid_data, lambda: instance.deviation_copy(grid, i, bid_data, k))
+        loads, payments = read(bids, key, lambda: instance.deviation_copy(grid, i, bid_data, k))
         gained = payments[i] - own[i] * loads[i]
         if honest[i] < gained:
             dev, scale = ratio_str(points[k], denominator), instance.scaled_jobs[0] * denominator
@@ -306,10 +302,11 @@ def check_monotone(
     copy, and once per key in a check; any other rule runs on the read's
     ``Instance.deviation_copy``."""
     denominator, points = grid = instance.deviation_grid(deviation_grid)
+    own = [b * (denominator // instance.scaled_bids[0]) for b in instance.scaled_bids[1]]  # E divides D
     decide = getattr(rule, "decide", None)
     scale = instance.scaled_jobs[0] if decide else 1
     loads_at = {}
-    for i, k, key, bid_data, _ in _grid_reads(rule, instance, grid):
+    for i, k, key, bid_data, _ in _grid_reads(rule, instance, grid, own):
         if decide:
             if key not in loads_at:
                 loads_at[key] = decide(instance, key)[1]
@@ -341,9 +338,9 @@ def check_anonymous(mechanism, instance: Instance) -> PropertyVerdict:
     swap of the int bids, sorted again (relabelling the old order is wrong
     where bids tie).
     """
-    denominator = instance.scaled_bids[0]
-    read, bids, base_w, base_p = _reader(mechanism, instance, denominator)
-    scales = instance.scaled_jobs[0], instance.scaled_jobs[0] * denominator
+    denominator, bids = instance.scaled_bids
+    read, base_w, base_p = _reader(mechanism, instance, denominator, bids)
+    key_of, scales = getattr(mechanism, "key", None), (instance.scaled_jobs[0], instance.scaled_jobs[0] * denominator)
     for k in range(instance.m):
         if bids.count(bids[k]) != 1:
             continue
@@ -353,7 +350,8 @@ def check_anonymous(mechanism, instance: Instance) -> PropertyVerdict:
             swapped, exponents = bids[:], list(instance.bid_exponents)
             swapped[k], swapped[l], exponents[k], exponents[l] = swapped[l], swapped[k], exponents[l], exponents[k]
             order = tuple(sorted(range(instance.m), key=swapped.__getitem__))
-            swapped_w, swapped_p = read(swapped, (order, tuple(exponents)), lambda: instance.with_swapped_bids(k, l))
+            key = key_of and key_of(instance, (order, tuple(exponents)))(swapped)
+            swapped_w, swapped_p = read(swapped, key, lambda: instance.with_swapped_bids(k, l))
             checks = [("workload", base_w[k], swapped_w[l], scales[0])]
             if base_p is not None:
                 checks.append(("payment", base_p[k], swapped_p[l], scales[1]))
@@ -370,14 +368,16 @@ def check_scalable(
 ) -> PropertyVerdict:
     """Workloads are unchanged when all bids are scaled by each constant,
     read by ``_reader`` at the scaled int bids, the bid order kept."""
-    scale = instance.scaled_bids[0]
-    read, bids, base, _ = _reader(rule, instance, scale)
+    scale, bids = instance.scaled_bids
+    read, base, _ = _reader(rule, instance, scale, bids)
+    key_of = getattr(rule, "key", None)
     for c in rats(scalars):
         if c <= 0:
             raise DomainError("scaling factor must be positive")
         scaled_bids = [b * c.numerator for b in bids]
         exponents = tuple(ceil_log2_ints(b, scale * c.denominator) for b in scaled_bids)
-        scaled = read(scaled_bids, (instance.bid_order, exponents), lambda: instance.scaled(c))[0]
+        key = key_of and key_of(instance, (instance.bid_order, exponents))(scaled_bids)
+        scaled = read(scaled_bids, key, lambda: instance.scaled(c))[0]
         if scaled != base:
             idx, load_scale = next(i for i in range(len(base)) if base[i] != scaled[i]), instance.scaled_jobs[0]
             return _verdict("scalability", Counterexample(

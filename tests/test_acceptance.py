@@ -10,6 +10,8 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from schedmech.allocations import (
     at_lower_bound,
@@ -25,7 +27,7 @@ from schedmech.certificates import (
     theorem1_harness,
     theorem7_certificate,
 )
-from schedmech.core import Assignment, Instance, makespan, rat, rat_str
+from schedmech.core import Assignment, Instance, rat, rat_str
 from schedmech.exactlp import solve_feasibility
 from schedmech.payments import ef_chain_payments, vcg_mechanism
 from schedmech.properties import (
@@ -92,28 +94,31 @@ def test_criterion_03_binning_expected_integral():
     announce(3, elapsed, "pieces, 7/2 rational part, total within 1e-6")
 
 
+def _over_one_scale(values):
+    """``(S, ints)``: the values' least common denominator S and each times S."""
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 def test_criterion_04_harness_ratio_two_m_minus_one_over_m():
     start = time.monotonic()
     for m in range(2, 7):
         report = theorem1_harness(vcg_mechanism, m, 1, F(1, 2))
         assert report.verified
         assert F(report.constants["ratio"]) == F(2 * m - 1, m)
-        # independent brute force over every job placement
+        # independent brute force over every job placement, on int lengths
+        # over the jobs' scale D and int bids over theirs, E: each makespan
+        # is its int over D * E, so the ints compare as the makespans do
         alpha = F(report.constants["alpha"])
         inst = Instance([m] + [1] * (m - 1), [m * alpha] * (m - 1) + [alpha])
-        brute = min(
-            makespan(
-                [
-                    sum(
-                        (inst.jobs[j] for j in range(inst.n) if combo[j] == i),
-                        F(0),
-                    )
-                    for i in range(m)
-                ],
-                inst.bids,
-            )
-            for combo in itertools.product(range(m), repeat=inst.n)
-        )
+        (D, lengths), (E, speeds) = map(_over_one_scale, (inst.jobs, inst.bids))
+        spans = []
+        for combo in itertools.product(range(m), repeat=inst.n):
+            loads = [0] * m
+            for j, i in enumerate(combo):
+                loads[i] += lengths[j]
+            spans.append(max(map(mul, loads, speeds)))
+        brute = F(min(spans), D * E)
         assert F(report.constants["opt"]) == brute == m * alpha
     elapsed = time.monotonic() - start
     assert elapsed < 5.0

@@ -10,14 +10,14 @@ import sys
 import jsonschema
 import pytest
 
-from schedmech.allocations import RULES
+from schedmech.allocations import RULES, two_machine_opt
 from schedmech.certificates import _polytope_rows
 from schedmech import cli
 from schedmech.cli import main
 from schedmech.core import BudgetExceeded, DomainError, Instance, rat_str
 from schedmech.exactlp import solve_feasibility
 from schedmech.payments import ef_chain_mechanism
-from schedmech.properties import check_truthful
+from schedmech.properties import check_anonymous, check_truthful
 from schedmech.sampling import sample_instance
 
 VERDICT_SCHEMA = {
@@ -72,6 +72,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_check_anonymous_takes_a_bare_rule(capsys):
+    # a rule other than vcg is read as the rule; vcg and <rule>:efchain stay mechanisms
+    code, out, err = run_cli(capsys, "check", "anonymous", "two-opt", "--random", "50")
+    assert (code, err) == (0, "")
+    rng = random.Random(0)  # the default --seed, on two machines as two-opt needs
+    instances = [sample_instance(rng, m_min=2, m_max=2) for _ in range(50)]
+    verdicts = [check_anonymous(two_machine_opt, inst) for inst in instances]
+    assert json.loads(out) == {
+        "property": "anonymous", "mechanism": "two-opt", "instances": 50, "pass": all(verdicts),
+        "failures": [{"instance": inst.to_json_dict(), "verdict": verdict.to_json_dict()}
+                     for inst, verdict in zip(instances, verdicts) if not verdict.passed],
+    }
+    assert all(verdicts)
 
 
 class TestAllocate:

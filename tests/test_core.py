@@ -14,6 +14,7 @@ from schedmech.core import (
     rat,
     rat_str,
     rounded_speed,
+    scaled_by,
     utility,
 )
 from test_integer_kernels import reference_from_distributions
@@ -165,9 +166,11 @@ class TestInstance:
         assert inst.scaled_bids == (4, [3, 8, 4])  # cached before any copy is built
         denominator, points = grid = inst.deviation_grid(["7/3", 2, Fraction(1, 4), 2])
         deviated = {Fraction(points[k], denominator): inst.deviation_copy(grid, 0, bid_data, k)
-                    for machine, lo, hi, bid_data in inst.deviation_runs(grid) if machine == 0 for k in range(lo, hi)}
+                    for machine, lo, hi, bid_data in inst.deviation_runs(grid, scaled_by(inst.bids, denominator))
+                    if machine == 0 for k in range(lo, hi)}
         five_grid = inst.deviation_grid([5])
-        (_, five, _, five_data), = [run for run in inst.deviation_runs(five_grid) if run[0] == 2]
+        five_runs = inst.deviation_runs(five_grid, scaled_by(inst.bids, five_grid[0]))
+        (_, five, _, five_data), = [run for run in five_runs if run[0] == 2]
         derived = [
             (inst.with_bid(0, "7/3"), (Fraction(7, 3), 2, 1)),
             (inst.with_bid(2, 5), (Fraction(3, 4), 2, 5)),
@@ -205,7 +208,7 @@ class TestInstance:
         denominator, points = cut = inst.deviation_grid(grid)
         # sorted, repeats kept, on one denominator that clears every bid
         assert (denominator, points) == (2, [1, 1, 4, 4, 6, 16])
-        runs = list(inst.deviation_runs(cut))
+        runs = list(inst.deviation_runs(cut, [4, 4, 1]))  # the bids over D
         # machine 0 bids 1/2 as machine 2 does, and goes first (the lower
         # index); 2 ties machine 1 and still goes first; 3 rounds to 4,
         # after machine 1; 8 rounds to 8
@@ -229,7 +232,7 @@ class TestInstance:
         # the default grid: j/8 of the largest bid for j = 1..64, which hold
         # the bids 1/2 = 4/8 and 2 = 16/8 already
         assert inst.deviation_grid() == (8, list(range(2, 130, 2)))
-        assert list(inst.deviation_runs((1, []))) == []
+        assert list(inst.deviation_runs((2, []), [4, 4, 1])) == []
 
     def test_json_roundtrip_rejects_floats(self):
         inst = Instance((2, 1), (Fraction(1, 3), 2))

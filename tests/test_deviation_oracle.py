@@ -333,7 +333,8 @@ def expand(inst, grid):
     point, as (machine, bid, copy)."""
     denominator, points = cut = inst.deviation_grid(grid)
     return [(machine, Fraction(points[k], denominator), inst.deviation_copy(cut, machine, bid_data, k))
-            for machine, lo, hi, bid_data in inst.deviation_runs(cut) for k in range(lo, hi)]
+            for machine, lo, hi, bid_data in inst.deviation_runs(cut, scaled_by(inst.bids, denominator))
+            for k in range(lo, hi)]
 
 
 def assert_runs_expand_to_the_reference(inst, grid):
@@ -346,7 +347,7 @@ def assert_runs_expand_to_the_reference(inst, grid):
         fresh = Instance(copy.jobs, copy.bids)
         assert (copy.bid_order, copy.bid_exponents) == (fresh.bid_order, fresh.bid_exponents)
     cut = inst.deviation_grid(grid)
-    runs = list(inst.deviation_runs(cut))
+    runs = list(inst.deviation_runs(cut, scaled_by(inst.bids, cut[0])))
     # each machine's runs tile its grid, in order
     for machine in range(inst.m):
         assert [k for i, lo, hi, _ in runs if i == machine for k in range(lo, hi)] == list(range(len(cut[1])))
@@ -736,7 +737,7 @@ def _own_bid_places(inst, grid):
     "inside" a run after its first point, or None off the grid."""
     denominator, points = cut = inst.deviation_grid(grid)
     places = [None] * inst.m
-    for machine, lo, hi, _ in inst.deviation_runs(cut):
+    for machine, lo, hi, _ in inst.deviation_runs(cut, scaled_by(inst.bids, denominator)):
         own = [k for k in range(lo, hi) if Fraction(points[k], denominator) == inst.bids[machine]]
         if own:
             places[machine] = "inside" if own[0] > lo else "alone" if hi - lo == 1 else "first"
@@ -834,6 +835,24 @@ def _reads(check, inst, runs):
     return [run[:2] for run, key, last in zip(runs, keys, [None, *keys]) if key != last]
 
 
+@pytest.mark.parametrize("mechanism, inst", [
+    (vcg_mechanism, Instance((5, 3, 2, Fraction(3, 2)), (1, Fraction(3, 2), Fraction(5, 4), 3))),
+    # chain payments on two-opt pass the truthful check on one job, where the
+    # job's machine changes at the other bid
+    (ef_chain_mechanism(two_machine_opt), Instance((1,), (1, 1))),
+], ids=["vcg", "two-opt-efchain"])
+def test_a_truthful_check_keys_each_run_once_and_no_read_again(monkeypatch, mechanism, inst):
+    """``_grid_reads`` hands each read its key: the mechanism's ``key`` is
+    called once at the instance and once per run, never per read."""
+    calls, key = [], mechanism.key
+    monkeypatch.setattr(mechanism, "key", lambda instance, bid_data: calls.append(bid_data) or key(instance, bid_data))
+    assert check_truthful(mechanism, inst).passed
+    denominator, points = grid = inst.deviation_grid()
+    runs = list(inst.deviation_runs(grid, scaled_by(inst.bids, denominator)))
+    assert inst.m >= 2 and len(runs) > inst.m  # the winner or balance changes on some machine's grid
+    assert calls == [(inst.bid_order, inst.bid_exponents)] + [bid_data for *_, bid_data in runs]
+
+
 class _WinnerKeyed(Mechanism):
     """VCG keyed on its winner, with no ``decide``, so it runs on copies."""
 
@@ -844,9 +863,9 @@ class _WinnerKeyed(Mechanism):
 def test_grid_checks_build_one_copy_and_one_bid_per_read(monkeypatch):
     inst = Instance((5, 3, 2, Fraction(3, 2)), (1, Fraction(3, 2), Fraction(5, 4), 3))
     denominator, points = grid = inst.deviation_grid()
-    runs = list(inst.deviation_runs(grid))
+    own = scaled_by(inst.bids, denominator)
+    runs = list(inst.deviation_runs(grid, own))
     assert len(runs) * 4 < inst.m * len(points)
-    own = [b.numerator * (denominator // b.denominator) for b in inst.bids]
     # a rule with ``decide`` passes on its int loads: no copy, no Fraction
     for rule in (lpt_star, vcg_allocate):
         assert _copies_and_fractions(monkeypatch, check_monotone, rule, inst)[1:] == ([], [])
@@ -872,7 +891,8 @@ def test_grid_checks_build_one_copy_and_one_bid_per_read(monkeypatch):
     denominator, points = grid = inst.deviation_grid()
     changes = [(i, k) for i in range(2) for keys in [_point_keys(two_machine_opt, inst, i, None)]
                for k in range(len(points)) if k == 0 or keys[k] != keys[k - 1]]
-    assert len(list(inst.deviation_runs(grid))) < len(changes) and len(changes) * 4 < 2 * len(points)
+    runs = list(inst.deviation_runs(grid, scaled_by(inst.bids, denominator)))
+    assert len(runs) < len(changes) and len(changes) * 4 < 2 * len(points)
     unkeyed = _Counting(two_machine_opt, keyed=True)
     verdict, copies, made = _copies_and_fractions(monkeypatch, check_monotone, unkeyed, inst)
     assert verdict.passed and len(copies) == len(changes)

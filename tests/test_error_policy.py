@@ -9,6 +9,7 @@ to 1.  ``CurveResolutionError`` (an inexact curve at the integral gate) and
 
 import ast
 import importlib
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,10 @@ import pytest
 import schedmech
 from schedmech import cli
 from schedmech.allocations import vcg_allocate
+from schedmech.core import ZERO, Assignment, DomainError, Instance
 from schedmech.payments import Mechanism
+from schedmech.properties import check_scalable
+from schedmech.workcurve import LogLinearValue, WorkCurve, build_workcurve, integrate
 
 PACKAGE = Path(schedmech.__file__).resolve().parent
 
@@ -77,3 +81,21 @@ def test_each_user_facing_type_gives_its_exit_code_and_one_line(capsys, monkeypa
     assert cli.main(argv) == code
     out, err = capsys.readouterr()
     assert (out, err) == ("", line + "\n")
+
+
+_INST = Instance((2, 1), (1, Fraction(3, 2)))
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: _INST.scaled(0), "scaling factor must be positive"),
+    (lambda: check_scalable(vcg_allocate, _INST, [0]), "scaling factor must be positive"),
+    (lambda: Assignment.from_map(_INST, [0]), "one machine index per job required"),
+    (lambda: WorkCurve((Fraction(1),), (), ZERO), "need one value per breakpoint interval"),
+    (lambda: integrate(WorkCurve((), (), ZERO), -1, None), "integration starts at a nonnegative bound"),
+    (lambda: build_workcurve(vcg_allocate, [1], [2, 1], 0), "cap must be positive"),
+    (lambda: LogLinearValue(ZERO, ()).enclosure(0), "enclosure width must be positive"),
+], ids=["scaled", "check-scalable", "from-map", "workcurve-lengths", "integrate-below-zero",
+        "build-workcurve-cap", "enclosure-width"])
+def test_public_refusals_raise_a_domain_error(refused, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        refused()

@@ -139,7 +139,8 @@ def test_every_derived_copy_shares_the_table():
     ]
     grid = inst.deviation_grid()
     copies += [inst.deviation_copy(grid, machine, bid_data, k)
-               for machine, lo, hi, bid_data in inst.deviation_runs(grid) for k in range(lo, hi)]
+               for machine, lo, hi, bid_data in inst.deviation_runs(grid, scaled_by(inst.bids, grid[0]))
+               for k in range(lo, hi)]
     assert len(copies) > 20
     for copy in copies:
         assert copy.job_data is inst.job_data
