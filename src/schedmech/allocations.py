@@ -92,7 +92,7 @@ class LptStar:
         lo = b·l/(2L), for b the least other bid, l the shortest job and L
         the total length.
 
-        The decision reads only ``decision_key``: the varying bid x moves
+        The decision reads only ``key``: the varying bid x moves
         in the bid order only at another bid, and its exponent changes only
         at a power of two.  Below lo, x rounds to less than 2x < b·l/L, so
         it is alone in its rounded-speed class and its key with every job

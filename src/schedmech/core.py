@@ -1,10 +1,12 @@
 """Exact data model for strategic scheduling on related machines.
 
 Machines bid a speed (time per unit of length, so smaller means faster),
-jobs have lengths, and an allocation maps jobs to machines.  Every scalar
-in this package is an exact ``fractions.Fraction``: tie-breaking, the
-breakpoints of bid-response step functions and the certificate arithmetic
-all rely on exact comparisons, so floats are rejected at the boundary.
+jobs have lengths, and an allocation maps jobs to machines.  The API takes
+and returns exact ``fractions.Fraction``s, and inside, ints over the common
+denominators of ``Instance.scaled_jobs`` and ``Instance.scaled_bids``:
+tie-breaking, the breakpoints of bid-response step functions and the
+certificate arithmetic all rely on exact comparisons, so floats are rejected
+at the boundary.
 """
 
 from __future__ import annotations
@@ -258,8 +260,8 @@ class Instance:
         first, over a ``deviation_grid`` ``(D, points)`` and ``own``, the bids
         over D (``scaled_bids`` times D // E): ``with_bid(machine,
         points[k]/D)`` has the bid data ``(bid_order, bid_exponents)`` for
-        ``lo <= k < hi`` and other data on the machine's next run.  No copy is
-        built here: ``deviation_copy`` builds one on request.
+        ``lo <= k < hi`` and other data on the machine's next run; no copy is
+        built here.
         Cut by bisection: the bid order changes at each other bid, ties to the
         lower index (``bisect_left`` of a lower-indexed machine's bid,
         ``bisect_right`` of a higher one's), the exponent just above each
@@ -281,20 +283,6 @@ class Instance:
                 pos = bisect.bisect_right(cuts, lo)  # the others placed before the machine
                 exponents[machine] = ceil_log2_ints(points[lo], denominator)
                 yield machine, lo, hi, ((*others[:pos], machine, *others[pos:]), tuple(exponents))
-
-    def deviation_copy(self, grid: tuple[int, Sequence[int]], machine: int,
-                       bid_data: tuple[tuple[int, ...], tuple[int, ...]], k: int) -> "Instance":
-        """``with_bid(machine, points[k]/D)`` on a ``deviation_grid``
-        ``(D, points)``, holding the ``bid_data`` of the ``deviation_runs``
-        run of k; at the machine's own bid, this instance itself."""
-        denominator, points = grid
-        own = self.bids[machine]
-        if points[k] * own.denominator == own.numerator * denominator:
-            return self
-        bids = list(self.bids)
-        bids[machine] = Fraction(points[k], denominator)
-        bid_order, bid_exponents = bid_data
-        return self._with_bids(bids, bid_order=bid_order, bid_exponents=bid_exponents)
 
     def with_swapped_bids(self, k: int, l: int) -> "Instance":
         new_bids = list(self.bids)

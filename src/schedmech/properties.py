@@ -4,8 +4,9 @@ and the exact approximation ratio.
 
 Every failed check carries a counterexample with both sides of the violated
 inequality as exact rationals, so verdicts can be re-checked independently.
-Truthfulness and monotonicity are grid checks: a continuum check is
-impossible, a grid gives counterexample power.
+Truthfulness and monotonicity are grid checks: a grid gives counterexample
+power, but a rule that misbehaves only between grid points passes.  The
+four checks that read other profiles read them through one ``_reader``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .core import (
     WEAK_RELATIONS,
     ZERO,
     DomainError,
+    ExpectedAllocation,
     Instance,
     RationalLike,
     ceil_log2_ints,
@@ -210,14 +212,19 @@ def check_ir(
     return _verdict("individual-rationality", None)
 
 
-def _grid_reads(check, instance: Instance, grid: tuple[int, Sequence[int]], own: list[int]):
-    """``(machine, k, key, bid_data, bids)`` at each point of
+def _grid_reads(check, instance: Instance, deviation_grid: Optional[Sequence[RationalLike]]):
+    """First ``((D, points), own, loads, payments)``: the sorted
+    ``Instance.deviation_grid``, the instance's bids over D and its outcome,
+    from ``_reader``.  Then ``(machine, k, loads, payments)`` at each point of
     ``Instance.deviation_runs`` whose key is None or differs from the
-    machine's previous point's (an equal key, an equal outcome), ``bids`` the
-    instance's ints over D, ``own``, at the point (one list a run, updated in
-    place).  The key is ``check.key`` of the run's bid data at them, else
+    machine's previous point's (an equal key, an equal outcome): the
+    instance's outcome at the machine's own bid, else ``_reader``'s read.  The
+    key is ``check.key`` of the run's bid data at the point's int bids, else
     None, read once a run unless it reads the bids (``key_reads_bids``)."""
-    points = grid[1]
+    denominator, points = grid = instance.deviation_grid(deviation_grid)
+    own = [b * (denominator // instance.scaled_bids[0]) for b in instance.scaled_bids[1]]  # E divides D
+    read, *outcome = _reader(check, instance, denominator, own)
+    yield grid, own, *outcome
     key_of = getattr(check, "key", lambda instance, bid_data: lambda bids: None)
     per_point, last = getattr(check, "key_reads_bids", False), None
     for i, lo, hi, bid_data in instance.deviation_runs(grid, own):
@@ -227,7 +234,8 @@ def _grid_reads(check, instance: Instance, grid: tuple[int, Sequence[int]], own:
             if per_point or k == lo:
                 key = key_at(bids)
             if key is None or (i, key) != last:
-                yield i, k, key, bid_data, bids
+                copy = lambda: instance.with_bid(i, Fraction(points[k], denominator))
+                yield i, k, *(outcome if points[k] == own[i] else read(bids, key, copy))
                 last = i, key
             if key is not None and not per_point:
                 break
@@ -237,10 +245,12 @@ def _reader(check, instance: Instance, denominator: int, bids: list[int]):
     """``(read, loads, payments)``: ``read(bids, key, copy)`` is ``check``'s
     loads over D and payments over D times ``denominator`` (None for a rule)
     at the int ``bids`` (any scale for a rule) and their ``key``; without
-    ``decide``, on ``copy()``.  The rest are the instance's, at its ``bids``
+    ``decide``, on ``copy()``.  A rule's ``decide`` reads no bids, so its
+    loads are kept per key.  The rest are the instance's, at its ``bids``
     over ``denominator``: one run of ``check``, which ``decide`` must match."""
     scale, is_mechanism, has_decide = instance.scaled_jobs[0], hasattr(check, "run"), hasattr(check, "decide")
     base = check.run(instance) if is_mechanism else check(instance)
+    loads_at = {}
 
     def scaled(result):
         payments = [p * scale * denominator for p in result.payments] if is_mechanism else None
@@ -249,7 +259,11 @@ def _reader(check, instance: Instance, denominator: int, bids: list[int]):
     def read(bids, key, copy):
         if not has_decide:
             return scaled(check.run(copy()) if is_mechanism else check(copy()))
-        return check.decide(instance, key, bids) if is_mechanism else (check.decide(instance, key)[1], None)
+        if is_mechanism:
+            return check.decide(instance, key, bids)
+        if key not in loads_at:
+            loads_at[key] = check.decide(instance, key)[1]
+        return loads_at[key], None
 
     if not has_decide:
         return read, *scaled(base)
@@ -270,16 +284,11 @@ def check_truthful(
 
     The profile bid is treated as the true speed; every deviation of every
     machine on the sorted ``Instance.deviation_grid`` must not beat truthful
-    reporting.  The mechanism runs once, on the instance (each own bid's
-    outcome); ``_reader`` reads each other read of ``_grid_reads`` at its key."""
-    denominator, points = grid = instance.deviation_grid(deviation_grid)
-    own = [b * (denominator // instance.scaled_bids[0]) for b in instance.scaled_bids[1]]  # E divides D
-    read, loads, payments = _reader(mechanism, instance, denominator, own)
+    reporting, compared at each read of ``_grid_reads``."""
+    reads = _grid_reads(mechanism, instance, deviation_grid)
+    (denominator, points), own, loads, payments = next(reads)
     honest = [p - b * w for p, b, w in zip(payments, own, loads)]
-    for i, k, key, bid_data, bids in _grid_reads(mechanism, instance, grid, own):
-        if points[k] == own[i]:
-            continue
-        loads, payments = read(bids, key, lambda: instance.deviation_copy(grid, i, bid_data, k))
+    for i, k, loads, payments in reads:
         gained = payments[i] - own[i] * loads[i]
         if honest[i] < gained:
             dev, scale = ratio_str(points[k], denominator), instance.scaled_jobs[0] * denominator
@@ -296,36 +305,24 @@ def check_monotone(
 ) -> PropertyVerdict:
     """Raising one's own bid never increases one's workload, on the sorted
     ``Instance.deviation_grid``: each read of ``_grid_reads`` is compared
-    with the point below it, whose workload is the previous read's.  A rule
-    with ``decide(instance, key)``, which keys every read, is read at the
-    read's key, as an int load over the jobs' common denominator D, with no
-    copy, and once per key in a check; any other rule runs on the read's
-    ``Instance.deviation_copy``."""
-    denominator, points = grid = instance.deviation_grid(deviation_grid)
-    own = [b * (denominator // instance.scaled_bids[0]) for b in instance.scaled_bids[1]]  # E divides D
-    decide = getattr(rule, "decide", None)
-    scale = instance.scaled_jobs[0] if decide else 1
-    loads_at = {}
-    for i, k, key, bid_data, _ in _grid_reads(rule, instance, grid, own):
-        if decide:
-            if key not in loads_at:
-                loads_at[key] = decide(instance, key)[1]
-            w = loads_at[key][i]
-        else:
-            w = rule(instance.deviation_copy(grid, i, bid_data, k)).workloads[i]
-        if k and w > prev_w:
+    with the point below it, whose workload is the previous read's."""
+    reads = _grid_reads(rule, instance, deviation_grid)
+    (denominator, points), *_ = next(reads)
+    for i, k, loads, _ in reads:
+        if k and loads[i] > prev_w:
+            scale = instance.scaled_jobs[0]
             return _verdict(
                 "monotonicity",
                 Counterexample(
                     f"machine {i} gains workload by raising its bid",
-                    Fraction(w, scale),
+                    Fraction(loads[i], scale),
                     "<=",
                     Fraction(prev_w, scale),
                     {"machine": i, "bid_low": rat_str(Fraction(points[k - 1], denominator)),
                      "bid_high": rat_str(Fraction(points[k], denominator))},
                 ),
             )
-        prev_w = w
+        prev_w = loads[i]
     return _verdict("monotonicity", None)
 
 
@@ -387,7 +384,10 @@ def check_scalable(
 
 
 def approx_ratio(rule, instance: Instance, budget: int = OPT_STATE_BUDGET) -> Fraction:
-    """Exact ratio of the rule's makespan to the optimum, with bids as speeds."""
+    """Exact ratio of the rule's makespan to the optimum, with bids as speeds;
+    the rule must return an assignment, as expected workloads have no makespan."""
     allocation = rule(instance)
+    if isinstance(allocation, ExpectedAllocation):
+        raise DomainError(f"{rule.name} returns expected workloads, not an assignment: it has no makespan ratio")
     _, opt = opt_makespan(instance, budget)
     return makespan(allocation, instance.bids) / opt

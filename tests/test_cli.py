@@ -303,6 +303,16 @@ class TestCheck:
         assert code == 0 and len(json.loads(serial)["ratios"]) == 12
         assert run_cli(capsys, *base, "--jobs-parallel", "2") == (code, serial, "")
 
+    def test_ratio_refuses_expected_workloads(self, capsys, instance_file):
+        """``at-expected`` gives expected workloads, which are no schedule:
+        on jobs 20,19,18,4,3 and bids 16/3,4 their makespan is 256/259 of the
+        optimum.  One instance or a batch exits 2 with one line."""
+        path = instance_file(["20", "19", "18", "4", "3"], ["16/3", "4"])
+        reason = "at-expected returns expected workloads, not an assignment: it has no makespan ratio\n"
+        assert run_cli(capsys, "check", "ratio", "at-expected", path) == (2, "", f"error: {reason}")
+        code, out, err = run_cli(capsys, "check", "ratio", "at-expected", "--random", "30", "--seed", "3")
+        assert (code, out) == (2, "") and err.startswith("error: instance 1 of 30, ") and err.endswith(reason)
+
     def test_parallel_workers_capped_at_the_batch_size(self, capsys, monkeypatch):
         started = []
 

@@ -14,7 +14,6 @@ from schedmech.core import (
     rat,
     rat_str,
     rounded_speed,
-    scaled_by,
     utility,
 )
 from test_integer_kernels import reference_from_distributions
@@ -164,13 +163,9 @@ class TestInstance:
         assert inst.scaled_jobs == (2, (5, 4, 2))
         assert (inst.bid_order, inst.bid_exponents) == ((0, 2, 1), (0, 1, 0))
         assert inst.scaled_bids == (4, [3, 8, 4])  # cached before any copy is built
-        denominator, points = grid = inst.deviation_grid(["7/3", 2, Fraction(1, 4), 2])
-        deviated = {Fraction(points[k], denominator): inst.deviation_copy(grid, 0, bid_data, k)
-                    for machine, lo, hi, bid_data in inst.deviation_runs(grid, scaled_by(inst.bids, denominator))
-                    if machine == 0 for k in range(lo, hi)}
-        five_grid = inst.deviation_grid([5])
-        five_runs = inst.deviation_runs(five_grid, scaled_by(inst.bids, five_grid[0]))
-        (_, five, _, five_data), = [run for run in five_runs if run[0] == 2]
+        denominator, points = inst.deviation_grid(["7/3", 2, Fraction(1, 4), 2])
+        # a grid check's copies: ``with_bid`` at a grid point's Fraction
+        deviated = {bid: inst.with_bid(0, bid) for bid in (Fraction(p, denominator) for p in points)}
         derived = [
             (inst.with_bid(0, "7/3"), (Fraction(7, 3), 2, 1)),
             (inst.with_bid(2, 5), (Fraction(3, 4), 2, 5)),
@@ -179,7 +174,6 @@ class TestInstance:
             (deviated[Fraction(7, 3)], (Fraction(7, 3), 2, 1)),
             (deviated[2], (2, 2, 1)),
             (deviated[Fraction(1, 4)], (Fraction(1, 4), 2, 1)),
-            (inst.deviation_copy(five_grid, 2, five_data, five), (Fraction(3, 4), 2, 5)),
         ]
         for got, bids in derived:
             fresh = Instance((1, Fraction(5, 2), 2), bids)
@@ -217,14 +211,10 @@ class TestInstance:
         assert [(lo, hi) for machine, lo, hi, _ in runs if machine == 1] == [(0, 2), (2, 4), (4, 5), (5, 6)]
         for machine, lo, hi, bid_data in runs:
             for k in range(lo, hi):
-                got = inst.deviation_copy(cut, machine, bid_data, k)
-                bid = Fraction(points[k], denominator)
-                assert got == inst.with_bid(machine, bid)
+                got = inst.with_bid(machine, Fraction(points[k], denominator))
                 fresh = Instance(got.jobs, got.bids)
-                # the run's bid data, which the copy holds
+                # the run's bid data is the copy's, computed afresh
                 assert (got.bid_order, got.bid_exponents) == (fresh.bid_order, fresh.bid_exponents) == bid_data
-                # the machine's own bid yields the base itself
-                assert (got is inst) == (bid == inst.bids[machine])
         # a bad bid raises before any run is cut, wherever it stands
         for bad in ([0], ["3/2", "5/4", -1, 3]):
             with pytest.raises(DomainError, match="^bids must be strictly positive$"):

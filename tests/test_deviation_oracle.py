@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import pytest
 
-from schedmech import core
+from schedmech import core, properties
 from schedmech.allocations import lpt_star, two_machine_opt, vcg_allocate
 from schedmech.core import (
     Assignment,
@@ -330,11 +330,12 @@ def grid_bids(inst, grid=None):
 
 def expand(inst, grid):
     """``inst.deviation_runs`` on ``inst.deviation_grid(grid)`` point by
-    point, as (machine, bid, copy)."""
+    point, as (machine, bid, copy), the copy a grid check's: ``with_bid`` at
+    the point's ``Fraction``."""
     denominator, points = cut = inst.deviation_grid(grid)
-    return [(machine, Fraction(points[k], denominator), inst.deviation_copy(cut, machine, bid_data, k))
-            for machine, lo, hi, bid_data in inst.deviation_runs(cut, scaled_by(inst.bids, denominator))
-            for k in range(lo, hi)]
+    return [(machine, bid, inst.with_bid(machine, bid))
+            for machine, lo, hi, _ in inst.deviation_runs(cut, scaled_by(inst.bids, denominator))
+            for bid in (Fraction(points[k], denominator) for k in range(lo, hi))]
 
 
 def assert_runs_expand_to_the_reference(inst, grid):
@@ -342,7 +343,7 @@ def assert_runs_expand_to_the_reference(inst, grid):
     got = expand(inst, grid)
     assert [(machine, bid) for machine, bid, _ in got] == [(machine, bid) for machine, bid, _ in expected]
     for (_, _, copy), (_, _, reference) in zip(got, expected):
-        assert copy == reference and (copy is inst) == (reference is inst)
+        assert copy == reference
         assert (copy.bid_order, copy.bid_exponents) == (reference.bid_order, reference.bid_exponents)
         fresh = Instance(copy.jobs, copy.bids)
         assert (copy.bid_order, copy.bid_exponents) == (fresh.bid_order, fresh.bid_exponents)
@@ -353,11 +354,9 @@ def assert_runs_expand_to_the_reference(inst, grid):
         assert [k for i, lo, hi, _ in runs if i == machine for k in range(lo, hi)] == list(range(len(cut[1])))
     data = []
     for machine, lo, hi, bid_data in runs:
-        copies = [inst.deviation_copy(cut, machine, bid_data, k) for k in range(lo, hi)]
-        # one run, one set of bid data, the run's, whose tuples every built copy shares
+        copies = [inst.with_bid(machine, Fraction(cut[1][k], cut[0])) for k in range(lo, hi)]
+        # one run, one set of bid data, the run's: each copy's own, computed afresh
         assert {(c.bid_order, c.bid_exponents) for c in copies} == {bid_data}
-        assert len({(id(vars(c)["bid_order"]), id(vars(c)["bid_exponents"]))
-                    for c in copies if c is not inst}) <= 1
         data.append((machine, copies[0].bid_order, copies[0].bid_exponents))
     # and each run is as long as it can be: the next one of the machine differs
     assert all(a != b for a, b in zip(data, data[1:]))
@@ -407,8 +406,6 @@ def test_deviated_allocations_and_payments_equal_the_reference(seed):
         assert deviated == reference
         fresh = Instance(reference.jobs, reference.bids)
         assert (deviated.bid_order, deviated.bid_exponents) == (fresh.bid_order, fresh.bid_exponents)
-        # a machine's own bid yields the base itself, any other bid a copy
-        assert (deviated is inst) == (bid == inst.bids[machine])
         lpt = lpt_star(deviated)
         assert lpt == reference_lpt_star(reference)
         vcg = vcg_allocate(deviated)
@@ -512,7 +509,7 @@ def test_rules_with_a_decision_key_read_the_bids_only_through_it(seed):
     inst, grid = draw_chain(seed)
     grid = grid if grid is not None else default_grid(inst)[::7]
     # the base itself (a machine's own bid) comes last: its bids are replaced too
-    deviated = [(machine, d) for machine, _, d in expand(inst, grid) if d is not inst]
+    deviated = [(machine, d) for machine, _, d in expand(inst, grid) if d != inst]
     copies = [d for _, d in deviated]
     copies += [inst.with_swapped_bids(0, inst.m - 1), inst.scaled(Fraction(3, 2)), inst]
     by_key = {}
@@ -562,15 +559,18 @@ MONOTONE_WALKS = [pytest.param(rule, seed, id=f"{rule.name}-{seed}")
 
 @pytest.mark.parametrize("rule, seed", MONOTONE_WALKS)
 def test_check_monotone_evaluates_where_the_key_changes_and_everywhere_without_one(rule, seed):
+    """One run at the instance, then one at each read off the machine's own
+    bid: each point where the key changes, or each point without a key."""
     inst, grid = draw_chain(seed)
-    points = inst.deviation_grid(grid)[1]
-    changes = 0
+    denominator, points = inst.deviation_grid(grid)
+    changes = off_own = 0
     for machine in range(inst.m):
-        keys = _point_keys(rule, inst, machine, grid)
-        changes += 1 + sum(a != b for a, b in zip(keys, keys[1:]))
+        keys, own = _point_keys(rule, inst, machine, grid), inst.bids[machine] * denominator
+        changes += sum((k == 0 or keys[k] != keys[k - 1]) and p != own for k, p in enumerate(points))
+        off_own += sum(p != own for p in points)
     keyed, plain = _Counting(rule, keyed=True), _Counting(rule, keyed=False)
     assert check_monotone(keyed, inst, grid) == check_monotone(plain, inst, grid)
-    assert (keyed.calls, plain.calls) == (changes, inst.m * len(points))
+    assert (keyed.calls, plain.calls) == (1 + changes, 1 + off_own)
 
 
 # ---------------------------------------------------------------------------
@@ -799,27 +799,28 @@ def test_the_one_walk_gives_the_reference_verdicts_on_hand_picked_cases(runs, de
 
 # ---------------------------------------------------------------------------
 # Laziness: a grid check builds a copy, and the ``Fraction`` of its bid, once
-# per read, never once per grid point, and none for a run whose key repeats;
-# a rule or mechanism with ``decide`` is read at its key and builds neither.
+# per read off the machine's own bid, never once per grid point, and none for
+# a run whose key repeats; a rule or mechanism with ``decide`` is read at its
+# key and builds neither.
 
 
 def _copies_and_fractions(monkeypatch, check, *args):
-    """The check's verdict, the copies ``Instance.deviation_copy`` returned
-    and the functions, as ``(module, name)``, that built a ``Fraction``
-    meanwhile (``"core"`` for ``schedmech.core``)."""
+    """The check's verdict, the copies ``Instance.with_bid`` returned and the
+    functions, as ``(module, name)``, that built a ``Fraction`` meanwhile
+    (``"core"`` and ``"properties"`` for those modules of the package)."""
     copies, made = [], []
-    deviation_copy = Instance.deviation_copy
+    with_bid, modules = Instance.with_bid, {core.__file__: "core", properties.__file__: "properties"}
 
     def counted(self, *copy_args):
-        copies.append(deviation_copy(self, *copy_args))
+        copies.append(with_bid(self, *copy_args))
         return copies[-1]
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code is Fraction.__new__.__code__:
             caller = frame.f_back.f_code
-            made.append(("core" if caller.co_filename == core.__file__ else caller.co_filename, caller.co_name))
+            made.append((modules.get(caller.co_filename, caller.co_filename), caller.co_name))
 
-    monkeypatch.setattr(Instance, "deviation_copy", counted)
+    monkeypatch.setattr(Instance, "with_bid", counted)
     sys.setprofile(profile)
     try:
         verdict = check(*args)
@@ -860,15 +861,24 @@ class _WinnerKeyed(Mechanism):
         return lambda bids: bid_data[0][0]
 
 
+def _one_run_fractions(monkeypatch, rule, inst):
+    """The functions that build a ``Fraction`` in one run of the rule on the
+    instance, its caches warm."""
+    rule(inst)
+    return _copies_and_fractions(monkeypatch, rule, inst)[2]
+
+
 def test_grid_checks_build_one_copy_and_one_bid_per_read(monkeypatch):
     inst = Instance((5, 3, 2, Fraction(3, 2)), (1, Fraction(3, 2), Fraction(5, 4), 3))
     denominator, points = grid = inst.deviation_grid()
     own = scaled_by(inst.bids, denominator)
     runs = list(inst.deviation_runs(grid, own))
     assert len(runs) * 4 < inst.m * len(points)
-    # a rule with ``decide`` passes on its int loads: no copy, no Fraction
+    # a rule with ``decide`` passes on its int loads: no copy, and no
+    # Fraction but those of its one run on the instance
     for rule in (lpt_star, vcg_allocate):
-        assert _copies_and_fractions(monkeypatch, check_monotone, rule, inst)[1:] == ([], [])
+        fractions = _one_run_fractions(monkeypatch, rule, inst)
+        assert _copies_and_fractions(monkeypatch, check_monotone, rule, inst)[1:] == ([], fractions)
     # LPT* without its ``decide``, and VCG keyed without one, run on copies
     keyed_vcg = _WinnerKeyed("vcg-winner-keyed", vcg_allocate, vcg_payments)
     for check, reader in ((check_monotone, _Counting(lpt_star, keyed=True)), (check_truthful, keyed_vcg)):
@@ -877,13 +887,13 @@ def test_grid_checks_build_one_copy_and_one_bid_per_read(monkeypatch):
         # winner repeats over runs, and they build no copy
         assert (len(reads) == len(runs)) == (check is check_monotone)
         verdict, copies, made = _copies_and_fractions(monkeypatch, check, reader, inst)
-        # the machine's own bid is read as the instance itself, no Fraction;
-        # the truthful check reads the instance's outcome there, no copy
-        at_own = sum(points[lo] == own[i] for i, lo in reads)
-        skipped = at_own if check is check_truthful else 0
-        assert verdict.passed and len(copies) == len(reads) - skipped
-        assert sum(c is inst for c in copies) == at_own - skipped
-        assert made.count(("core", "deviation_copy")) == len(reads) - at_own
+        # a read at the machine's own bid takes the instance's outcome: no
+        # copy and no Fraction; any other builds one of each
+        off_own = [(i, k) for i, k in reads if points[k] != own[i]]
+        assert verdict.passed
+        assert [c.bids[i] for c, (i, _) in zip(copies, off_own)] == [Fraction(points[k], denominator)
+                                                                      for i, k in off_own]
+        assert len(copies) == made.count(("properties", "<lambda>")) == len(off_own)
         assert ("core", "with_bid") not in made
     # two-opt without its ``decide`` builds a copy only where its grid key
     # changes, which it does inside runs too; with it, none
@@ -893,22 +903,24 @@ def test_grid_checks_build_one_copy_and_one_bid_per_read(monkeypatch):
                for k in range(len(points)) if k == 0 or keys[k] != keys[k - 1]]
     runs = list(inst.deviation_runs(grid, scaled_by(inst.bids, denominator)))
     assert len(runs) < len(changes) and len(changes) * 4 < 2 * len(points)
+    off_own = [(i, k) for i, k in changes if Fraction(points[k], denominator) != inst.bids[i]]
     unkeyed = _Counting(two_machine_opt, keyed=True)
     verdict, copies, made = _copies_and_fractions(monkeypatch, check_monotone, unkeyed, inst)
-    assert verdict.passed and len(copies) == len(changes)
-    assert [c.bids[i] for c, (i, _) in zip(copies, changes)] == [Fraction(points[k], denominator) for i, k in changes]
-    assert _copies_and_fractions(monkeypatch, check_monotone, two_machine_opt, inst)[1:] == ([], [])
+    assert verdict.passed and len(copies) == len(off_own)
+    assert [c.bids[i] for c, (i, _) in zip(copies, off_own)] == [Fraction(points[k], denominator) for i, k in off_own]
+    fractions = _one_run_fractions(monkeypatch, two_machine_opt, inst)
+    assert _copies_and_fractions(monkeypatch, check_monotone, two_machine_opt, inst)[1:] == ([], fractions)
 
 
 UNDERBIDS = [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
 
 
 def test_keyed_checks_run_once_and_build_no_copy(monkeypatch):
-    """A passing ``check_truthful``, ``check_anonymous`` or ``check_scalable``
-    on VCG, on the EF chain of LPT*, VCG or two-opt, or on two-opt or VCG
-    itself runs the mechanism or the rule once, on the instance, builds no
-    ``Instance``, and reads every other profile through ``decide``.  The EF
-    chains pass on a grid of underbids."""
+    """A passing grid, anonymity or scalability check on VCG, on the EF chain
+    of LPT*, VCG or two-opt, or on LPT*, two-opt or VCG itself runs the
+    mechanism or the rule once, on the instance, builds no ``Instance``, and
+    reads every other profile through ``decide``.  The EF chains pass on a
+    grid of underbids."""
     built, calls = [], []
 
     def counted(cls, name, log, entry):
@@ -934,6 +946,8 @@ def test_keyed_checks_run_once_and_build_no_copy(monkeypatch):
         (vcg_allocate, four), (lpt_star, four))]
     cases += [(check_scalable, rule, inst, (SCALING_FACTORS,)) for rule, inst in ((two_machine_opt, two),
                                                                                   (vcg_allocate, four))]
+    cases += [(check_monotone, rule, inst, (None,)) for rule, inst in ((lpt_star, four), (vcg_allocate, four),
+                                                                        (two_machine_opt, two))]
     for check, subject, inst, args in cases:
         built.clear(), calls.clear()
         assert check(subject, inst, *args).passed

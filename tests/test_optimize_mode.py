@@ -103,7 +103,8 @@ def test_keyed_checkers_refuse_a_decide_that_disagrees_with_the_run_under_O():
         "from schedmech.allocations import VcgAllocate, vcg_allocate\n"
         "from schedmech.core import Instance\n"
         "from schedmech.payments import VcgMechanism, vcg_payments\n"
-        "from schedmech.properties import check_anonymous, check_scalable, check_truthful, SCALING_FACTORS\n"
+        "from schedmech.properties import check_anonymous, check_monotone, check_scalable, check_truthful,"
+        " SCALING_FACTORS\n"
         "class OverpaidVcg(VcgMechanism):\n"
         "    def decide(self, instance, key, bids):\n"
         "        loads, payments = super().decide(instance, key, bids)\n"
@@ -116,7 +117,8 @@ def test_keyed_checkers_refuse_a_decide_that_disagrees_with_the_run_under_O():
         "planted = OverpaidVcg('overpaid-vcg', vcg_allocate, vcg_payments)\n"
         "instance = Instance((3, 2), (1, F(5, 2)))\n"
         "for check in (lambda: check_truthful(planted, instance), lambda: check_anonymous(planted, instance),\n"
-        "              lambda: check_scalable(Overloaded(), instance, SCALING_FACTORS)):\n"
+        "              lambda: check_scalable(Overloaded(), instance, SCALING_FACTORS),\n"
+        "              lambda: check_monotone(Overloaded(), instance)):\n"
         "    try:\n"
         "        print(check())\n"
         "    except AssertionError as exc:\n"
@@ -126,6 +128,7 @@ def test_keyed_checkers_refuse_a_decide_that_disagrees_with_the_run_under_O():
     assert proc.stdout.splitlines() == [
         "overpaid-vcg: decide at the instance's own key disagrees with the run",
         "overpaid-vcg: decide at the instance's own key disagrees with the run",
+        "vcg: decide at the instance's own key disagrees with the run",
         "vcg: decide at the instance's own key disagrees with the run",
     ]
 

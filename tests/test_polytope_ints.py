@@ -1,7 +1,7 @@
 """The payment polytope on grid indices and ints, against what it replaced.
 
 Each grid profile's copy gets its ``bid_order`` and ``bid_exponents`` from
-its grid indices, through the helper ``Instance.deviation_copy`` uses too; they
+its grid indices, through the copy constructor ``Instance._with_bids``; they
 must be those of a fresh ``Instance`` at that profile.  The witness text is
 rendered from each payment's int over the scale and from per-grid-value
 texts; it must be the text that ``rat_str`` of a ``Fraction`` gave, with
@@ -91,9 +91,10 @@ def test_deviation_copies_and_polytope_profiles_share_one_helper(monkeypatch):
     known = ["bid_exponents", "bid_order"]  # each caller hands both in
     assert callers == [("_polytope_rows", known)] * 9
     callers.clear()
-    # a mechanism without ``decide`` runs on deviation copies
+    # a mechanism without ``decide`` runs on ``with_bid`` copies, whose
+    # bid data is their own: only the polytope hands bid data in
     check_truthful(Mechanism("vcg-unkeyed", vcg_allocate, vcg_payments), Instance([3, 2, 1], [1, F(5, 2), 4]))
-    assert callers and all(caller == ("deviation_copy", known) for caller in callers)
+    assert callers and all(caller == ("with_bid", []) for caller in callers)
 
 
 def test_ratio_str_and_rat_str_give_the_parent_strings():

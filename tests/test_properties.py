@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 from schedmech import core, properties
 
 from schedmech.allocations import (
+    at_fractional,
     lpt_star,
+    opt_makespan,
     two_machine_opt,
     vcg_allocate,
 )
-from schedmech.core import Assignment, DomainError, Instance
+from schedmech.core import Assignment, DomainError, Instance, makespan
 from schedmech.payments import (
     Mechanism,
     extract_h,
@@ -242,6 +244,13 @@ class TestApproxRatio:
     def test_greedy_seven_sixths_instance(self):
         inst = Instance((3, 3, 2, 2, 2), (1, 1))
         assert approx_ratio(lpt_star, inst) == F(7, 6)
+
+    def test_expected_workloads_have_no_ratio(self):
+        # their makespan is no schedule's: here 256/259 of the optimum
+        inst = Instance((20, 19, 18, 4, 3), (F(16, 3), 4))
+        assert makespan(at_fractional(inst), inst.bids) / opt_makespan(inst)[1] == F(256, 259)
+        with pytest.raises(DomainError, match="^at-expected returns expected workloads, not an assignment"):
+            approx_ratio(at_fractional, inst)
 
 
 class TestGridAndConsistency:

@@ -137,10 +137,8 @@ def test_every_derived_copy_shares_the_table():
         inst.with_swapped_bids(0, 1),
         inst.with_bid(0, 3).scaled(2).with_swapped_bids(1, 0),
     ]
-    grid = inst.deviation_grid()
-    copies += [inst.deviation_copy(grid, machine, bid_data, k)
-               for machine, lo, hi, bid_data in inst.deviation_runs(grid, scaled_by(inst.bids, grid[0]))
-               for k in range(lo, hi)]
+    denominator, points = inst.deviation_grid()
+    copies += [inst.with_bid(machine, Fraction(p, denominator)) for machine in range(inst.m) for p in points]
     assert len(copies) > 20
     for copy in copies:
         assert copy.job_data is inst.job_data
