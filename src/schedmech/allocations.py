@@ -51,7 +51,7 @@ class LptStar:
     name = "lpt-star"
 
     def __call__(self, instance: Instance) -> Assignment:
-        return Assignment.from_decision(instance, self.decide(instance, (instance.bid_order, instance.bid_exponents)))
+        return Assignment.from_decision(instance, self.decide(instance, instance.bid_data))
 
     def key(self, instance: Instance, bid_data):
         """The bid data: all the allocation reads of the bids."""
@@ -244,7 +244,7 @@ def _at_lower_bound_ints(instance: Instance) -> tuple[int, int, int, list[int]]:
     each bound times D * E * K (the denominator) is an int; unit = K * Q.
     """
     denominator, lengths = instance.scaled_jobs
-    scale, speeds = instance.scaled_bids[0], sorted(instance.scaled_bids[1])  # sorted: the bids in bid order
+    scale, speeds = instance.scaled_bids[0], [instance.scaled_bids[1][i] for i in instance.bid_order]
     q = lcm(*speeds)
     inverses = [q // s for s in speeds]
     harmonics = list(itertools.accumulate(inverses))

@@ -31,7 +31,6 @@ from .core import (
     DomainError,
     Instance,
     RationalLike,
-    ceil_log2,
     compare,
     makespan,
     rat,
@@ -647,7 +646,8 @@ class _PolytopeRows(NamedTuple):
     """The grid payment polytope on integers.
 
     Profile ``p`` is ``profiles[p]`` (in ``itertools.product`` order), at
-    grid indices ``points[p]``; the rule gives it ``workloads[p]``, flat and
+    grid indices ``points[p]``; the rule gives it ``workloads[p]`` (run on a
+    ``_with_bids`` copy, which derives its own bid data), flat and
     scaled to ints in ``loads`` (the grid in ``g``, its ``rat_str`` texts in
     ``texts``).  Machine ``i``'s variable at ``p`` is ``var[p * machines + i]``
     after the anonymity merges.  Each row ``(head, tail, is_eq, rhs, label_spec)`` reads
@@ -703,12 +703,10 @@ def _polytope_rows(rule, bid_grid, jobs, machines, profile_budget) -> _PolytopeR
     points = list(itertools.product(range(n), repeat=machines))
     # Raising machine i's grid index by one moves strides[i] profiles on.
     strides = [n ** (machines - 1 - i) for i in range(machines)]
-    # One Instance sorts and scales the jobs; every profile shares them, and
-    # takes its bid order and exponents from its grid indices.
-    base, exponents = Instance(jobs, profiles[0]), [ceil_log2(v) for v in grid]
-    workloads = [rule(base._with_bids(b, bid_order=tuple(sorted(range(machines), key=idx.__getitem__)),
-                                      bid_exponents=tuple(map(exponents.__getitem__, idx)))).workloads
-                 for b, idx in zip(profiles, points)]
+    # One Instance sorts and scales the jobs; every profile's copy shares
+    # them and derives its own bid data from its bids.
+    base = Instance(jobs, profiles[0])
+    workloads = [rule(base._with_bids(b)).workloads for b in profiles]
     grid_scale, g = scaled_to_ints(grid)
     texts = [rat_str(v) for v in grid]
     load_scale, loads = scaled_to_ints([w for ws in workloads for w in ws])

@@ -121,6 +121,12 @@ def ceil_log2_ints(p: int, q: int) -> int:
     return e
 
 
+def bid_data_of(denominator: int, bids: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(bid_order, bid_exponents)`` of the bids ``bids[i]/denominator``: the machines
+    by nondecreasing bid, ties to the lower index (a stable sort), and ``ceil_log2`` of each."""
+    return tuple(sorted(range(len(bids)), key=bids.__getitem__)), tuple([ceil_log2_ints(b, denominator) for b in bids])
+
+
 def compare(lhs, relation: str, rhs, accepted=RELATIONS) -> bool:
     """``lhs relation rhs``; DomainError for a relation outside ``accepted``."""
     if relation not in accepted:
@@ -169,9 +175,9 @@ class Instance:
     indices throughout the package refer to positions in that sorted
     tuple.  All lengths and bids must be strictly positive.  The job data
     every rule reads (``job_data``) is built once here and shared by
-    reference with every derived instance.  Neither it nor each instance's
-    own bid data (``bid_order``, ``bid_exponents``, ``scaled_bids``) takes
-    part in equality, hashing, ``repr`` or JSON.
+    reference with every derived instance.  Its bid data (``scaled_bids``,
+    then ``bid_data``: ``bid_order`` and ``bid_exponents``) is its own, and
+    none of it takes part in equality, hashing, ``repr`` or JSON.
     """
 
     jobs: tuple[Fraction, ...]
@@ -201,29 +207,25 @@ class Instance:
         return len(self.bids)
 
     @cached_property
-    def bid_order(self) -> tuple[int, ...]:
-        """Machine indices in nondecreasing bid order, ties to the lower
-        index (the sort is stable)."""
-        return tuple(sorted(range(self.m), key=self.bids.__getitem__))
-
-    @cached_property
     def scaled_bids(self) -> tuple[int, list[int]]:
         """``scaled_to_ints`` of the bids: E, their common denominator (derived only here), and each times E."""
         return scaled_to_ints(self.bids)
 
     @cached_property
-    def bid_exponents(self) -> tuple[int, ...]:
-        """``ceil_log2`` of each bid: machine i's rounded speed is 2**e_i."""
-        return tuple(map(ceil_log2, self.bids))
+    def bid_data(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``bid_data_of`` the ``scaled_bids``: what every rule key reads of the bids."""
+        return bid_data_of(*self.scaled_bids)
 
-    def _with_bids(self, bids: list[Fraction], **bid_data) -> "Instance":
+    bid_order = property(lambda self: self.bid_data[0])  # machines by bid, ties to the lower index
+    bid_exponents = property(lambda self: self.bid_data[1])  # machine i's rounded speed is 2**e_i
+
+    def _with_bids(self, bids: list[Fraction]) -> "Instance":
         """Same (already canonical) jobs with new, already validated bids;
         skips ``__init__``.  The job data is shared with this instance, not
-        computed again; the bid data is the copy's own: the ``bid_order``
-        and ``bid_exponents`` the caller passes in, or computed on first
-        read."""
+        computed again; the bid data (``scaled_bids``, ``bid_data``) is the
+        copy's own, derived from its bids on first read."""
         new = object.__new__(Instance)
-        vars(new).update(jobs=self.jobs, job_data=self.job_data, bids=tuple(bids), **bid_data)
+        vars(new).update(jobs=self.jobs, job_data=self.job_data, bids=tuple(bids))
         return new
 
     def with_bid(self, machine: int, bid: RationalLike) -> "Instance":

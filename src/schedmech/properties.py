@@ -26,7 +26,7 @@ from .core import (
     ExpectedAllocation,
     Instance,
     RationalLike,
-    ceil_log2_ints,
+    bid_data_of,
     compare,
     makespan,
     rat_str,
@@ -267,7 +267,7 @@ def _reader(check, instance: Instance, denominator: int, bids: list[int]):
 
     if not has_decide:
         return read, *scaled(base)
-    loads, payments = read(bids, check.key(instance, (instance.bid_order, instance.bid_exponents))(bids), None)
+    loads, payments = read(bids, check.key(instance, instance.bid_data)(bids), None)
     exact = getattr(base, "allocation", base).workloads + (base.payments if is_mechanism else ())
     ints, scales = loads + (payments or []), [scale] * len(loads) + [scale * denominator] * len(exact)
     if len(exact) != len(ints) or any(f.numerator * s != v * f.denominator for f, v, s in zip(exact, ints, scales)):
@@ -332,8 +332,8 @@ def check_anonymous(mechanism, instance: Instance) -> PropertyVerdict:
     Accepts either a mechanism (payments included in the check) or a bare
     allocation rule.  Profiles without a unique bid are vacuously fine.  The
     mechanism or rule runs once, on the instance, and ``_reader`` reads each
-    swap of the int bids, sorted again (relabelling the old order is wrong
-    where bids tie).
+    swap of the int bids, at the key of its ``bid_data_of`` (relabelling the
+    old order is wrong where bids tie).
     """
     denominator, bids = instance.scaled_bids
     read, base_w, base_p = _reader(mechanism, instance, denominator, bids)
@@ -344,10 +344,9 @@ def check_anonymous(mechanism, instance: Instance) -> PropertyVerdict:
         for l in range(instance.m):
             if l == k:
                 continue
-            swapped, exponents = bids[:], list(instance.bid_exponents)
-            swapped[k], swapped[l], exponents[k], exponents[l] = swapped[l], swapped[k], exponents[l], exponents[k]
-            order = tuple(sorted(range(instance.m), key=swapped.__getitem__))
-            key = key_of and key_of(instance, (order, tuple(exponents)))(swapped)
+            swapped = bids[:]
+            swapped[k], swapped[l] = swapped[l], swapped[k]
+            key = key_of and key_of(instance, bid_data_of(denominator, swapped))(swapped)
             swapped_w, swapped_p = read(swapped, key, lambda: instance.with_swapped_bids(k, l))
             checks = [("workload", base_w[k], swapped_w[l], scales[0])]
             if base_p is not None:
@@ -364,7 +363,7 @@ def check_scalable(
     rule, instance: Instance, scalars: Sequence[RationalLike]
 ) -> PropertyVerdict:
     """Workloads are unchanged when all bids are scaled by each constant,
-    read by ``_reader`` at the scaled int bids, the bid order kept."""
+    read by ``_reader`` at the scaled int bids and the key of their ``bid_data_of``."""
     scale, bids = instance.scaled_bids
     read, base, _ = _reader(rule, instance, scale, bids)
     key_of = getattr(rule, "key", None)
@@ -372,8 +371,7 @@ def check_scalable(
         if c <= 0:
             raise DomainError("scaling factor must be positive")
         scaled_bids = [b * c.numerator for b in bids]
-        exponents = tuple(ceil_log2_ints(b, scale * c.denominator) for b in scaled_bids)
-        key = key_of and key_of(instance, (instance.bid_order, exponents))(scaled_bids)
+        key = key_of and key_of(instance, bid_data_of(scale * c.denominator, scaled_bids))(scaled_bids)
         scaled = read(scaled_bids, key, lambda: instance.scaled(c))[0]
         if scaled != base:
             idx, load_scale = next(i for i in range(len(base)) if base[i] != scaled[i]), instance.scaled_jobs[0]

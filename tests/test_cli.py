@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import os
 import pathlib
 import random
 import re
@@ -19,6 +20,10 @@ from schedmech.exactlp import solve_feasibility
 from schedmech.payments import ef_chain_mechanism
 from schedmech.properties import check_anonymous, check_truthful
 from schedmech.sampling import sample_instance
+
+# ``python -m schedmech.cli`` in a child process imports this package.
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(pathlib.Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH")]))}
 
 VERDICT_SCHEMA = {
     "type": "object",
@@ -659,6 +664,7 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "schedmech.cli", "certify", "theorem5", "--a", "8"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verified"] is True
@@ -671,6 +677,7 @@ def test_polytope_budget_refuses_a_huge_machine_count_at_once():
         capture_output=True,
         text=True,
         timeout=20,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 3
     assert proc.stdout == ""
@@ -700,6 +707,7 @@ def test_closed_output_pipe_exits_1_with_one_error_line():
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        env=CHILD_ENV,
     ) as proc:
         assert proc.stdout.readline() == "{\n"
         proc.stdout.close()

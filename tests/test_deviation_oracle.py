@@ -255,8 +255,7 @@ def reference_deviations(self, bids):
             new_bids[machine], new_exponents[machine] = bid, exponent
             pos = less - (less > own) + bisect.bisect_left(tied, machine)
             copy = self._with_bids(new_bids)
-            vars(copy).update(bid_order=(*others[:pos], machine, *others[pos:]),
-                              bid_exponents=tuple(new_exponents))
+            vars(copy)["bid_data"] = (*others[:pos], machine, *others[pos:]), tuple(new_exponents)
             yield machine, bid, copy
 
 
