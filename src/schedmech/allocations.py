@@ -6,10 +6,11 @@ small callable objects; each deterministic one declares its
 ``region_points``, the bids between which its decision cannot change, from
 which ``workcurve`` builds its exact bid-response curves.  LPT*, VCG and
 two-opt decide from a key: ``key(instance, (bid_order, bid_exponents))`` is
-a function of the profile's int bids (over one scale; only ``key_reads_bids``
-ones read them), ``decide(instance, key)`` gives ``(job_to_machine, loads)``,
-the loads ints over the jobs' common denominator, and ``__call__`` gives
-what ``decide`` gives at its own key.
+a function of the profile's int bids (over one scale; ``key_reads_bids`` ones
+read them, VCG's the bid order only: ``key_reads_order_only``),
+``decide(instance, key)`` gives ``(job_to_machine, loads)``, the loads ints
+over the jobs' common denominator, and ``__call__`` gives what ``decide``
+gives at its own key.
 """
 
 from __future__ import annotations
@@ -114,6 +115,7 @@ class VcgAllocate:
     minimizer); ties go to the lowest index."""
 
     name = "vcg"
+    key_reads_order_only = True
 
     def __call__(self, instance: Instance) -> Assignment:
         winner, workloads = instance.bid_order[0], [ZERO] * instance.m

@@ -68,15 +68,15 @@ def _grid_list(text: str) -> list[Fraction]:
 def _load_instance(path: str) -> tuple[Instance, int | None]:
     """Instance plus the file's optional default sampling seed."""
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
+        with open(path, "rb") as fh:
+            payload = json.loads(fh.read().decode())  # strict UTF-8: a BOM or UTF-16 file is refused
         if not isinstance(payload, dict):
             raise DomainError("instance JSON must be an object")
         seed = payload.get("seed")
         if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
             raise DomainError("instance seed must be an integer")
         return Instance.from_json_dict(payload), seed
-    except (OSError, json.JSONDecodeError, DomainError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, DomainError) as exc:
         raise DomainError(f"cannot read instance {path}: {exc}") from exc
 
 

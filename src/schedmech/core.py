@@ -15,7 +15,6 @@ import bisect
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -51,23 +50,25 @@ def rat(value: RationalLike) -> Fraction:
     (finite decimal expansions only, no exponent notation).  Floats are
     rejected: binary floats would silently break exactness.
     """
-    if isinstance(value, Fraction):
+    if type(value) is Fraction:  # exact types first: isinstance(value, Fraction) goes through ABCMeta
         return value
-    if isinstance(value, bool):
-        raise DomainError(f"not a rational scalar: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         try:
             num, slash, den = value.strip().partition("/")
             if value.isascii() and num[num[:1] in "+-":].isdigit() and (den.isdigit() or not slash):
-                return Fraction(int(num), int(den or 1))  # "p" or "p/q": no regex parse
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))  # no regex parse
             if "e" in value.lower():
                 # Fraction("1e999999999") would compute 10**999999999.
                 raise ValueError("exponent notation")
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"cannot parse rational from {value!r}") from exc
+    if isinstance(value, bool):
+        raise DomainError(f"not a rational scalar: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
     raise DomainError(f"refusing inexact type {type(value).__name__!r}: {value!r}")
 
 
@@ -85,7 +86,7 @@ def ratio_str(numerator: int, denominator: int) -> str:
 
 
 def rats(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    return tuple(rat(v) for v in values)
+    return tuple(map(rat, values))
 
 
 def scaled_to_ints(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -143,17 +144,27 @@ def rounded_speed(b: RationalLike) -> Fraction:
     return Fraction(2) ** ceil_log2(b)
 
 
-class JobData:
-    """A canonical job vector's ``scaled_jobs`` (``scaled_to_ints`` of the
-    jobs), ``total_length`` and, built on first use, ``subset_sums``; held
-    by reference by an instance and every instance derived from it."""
+class _Cached:
+    """``functools.cached_property`` without the lock Python 3.11 takes on each
+    first read: the value goes into the object's ``vars``, which later reads find."""
 
-    def __init__(self, jobs: tuple[Fraction, ...]):
-        denominator, lengths = scaled_to_ints(jobs)
-        self.scaled_jobs = denominator, tuple(lengths)
+    def __init__(self, derive):
+        self.derive, self.__doc__ = derive, derive.__doc__
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else vars(obj).setdefault(self.derive.__name__, self.derive(obj))
+
+
+class JobData:
+    """A canonical job vector's ``scaled_jobs`` (``(D, lengths)``, the ints
+    the constructor sorted), ``total_length`` and, built on first use,
+    ``subset_sums``; held by reference by an instance and its copies."""
+
+    def __init__(self, denominator: int, lengths: tuple[int, ...]):
+        self.scaled_jobs = denominator, lengths
         self.total_length = Fraction(sum(lengths), denominator)
 
-    @cached_property
+    @_Cached
     def subset_sums(self) -> tuple[list[int], list[int]]:
         """``(sums, masks)``: the distinct subset sums of the scaled lengths,
         ascending, each with the lowest bitmask (bit j for job j) reaching
@@ -173,11 +184,12 @@ class Instance:
 
     Jobs are canonicalized to nonincreasing order at construction; job
     indices throughout the package refer to positions in that sorted
-    tuple.  All lengths and bids must be strictly positive.  The job data
-    every rule reads (``job_data``) is built once here and shared by
-    reference with every derived instance.  Its bid data (``scaled_bids``,
-    then ``bid_data``: ``bid_order`` and ``bid_exponents``) is its own, and
-    none of it takes part in equality, hashing, ``repr`` or JSON.
+    tuple.  All lengths and bids must be strictly positive; both are scaled
+    to ints once, and checked and sorted on those.  The job data every rule
+    reads (``job_data``) is built once here and shared by reference with
+    every derived instance.  Its bid data (``scaled_bids``, primed here,
+    then ``bid_data``: ``bid_order`` and ``bid_exponents``) is its own,
+    cached without a lock, and outside equality, hashing, ``repr`` and JSON.
     """
 
     jobs: tuple[Fraction, ...]
@@ -186,17 +198,19 @@ class Instance:
     total_length = property(lambda self: self.job_data.total_length)
 
     def __init__(self, jobs: Sequence[RationalLike], bids: Sequence[RationalLike]):
-        jobs_t = tuple(sorted(rats(jobs), reverse=True))
-        bids_t = rats(bids)
-        if not jobs_t:
+        jobs, bids = rats(jobs), rats(bids)
+        if not jobs:
             raise DomainError("instance needs at least one job")
-        if not bids_t:
+        if not bids:
             raise DomainError("instance needs at least one machine")
-        if jobs_t[-1] <= 0:
+        denominator, lengths = scaled_to_ints(jobs)
+        if min(lengths) <= 0:
             raise DomainError("job lengths must be strictly positive")
-        if min(bids_t) <= 0:
+        vars(self)["bids"] = bids
+        if min(self.scaled_bids[1]) <= 0:
             raise DomainError("bids must be strictly positive")
-        vars(self).update(jobs=jobs_t, bids=bids_t, job_data=JobData(jobs_t))
+        lengths, jobs = zip(*sorted(zip(lengths, jobs), key=operator.itemgetter(0), reverse=True))  # stable
+        vars(self).update(jobs=jobs, job_data=JobData(denominator, lengths))
 
     @property
     def n(self) -> int:
@@ -206,12 +220,12 @@ class Instance:
     def m(self) -> int:
         return len(self.bids)
 
-    @cached_property
+    @_Cached
     def scaled_bids(self) -> tuple[int, list[int]]:
         """``scaled_to_ints`` of the bids: E, their common denominator (derived only here), and each times E."""
         return scaled_to_ints(self.bids)
 
-    @cached_property
+    @_Cached
     def bid_data(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """``bid_data_of`` the ``scaled_bids``: what every rule key reads of the bids."""
         return bid_data_of(*self.scaled_bids)
@@ -256,8 +270,8 @@ class Instance:
         return denominator, sorted(points)
 
     def deviation_runs(
-        self, grid: tuple[int, Sequence[int]], own: Sequence[int]
-    ) -> Iterator[tuple[int, int, int, tuple[tuple[int, ...], tuple[int, ...]]]]:
+        self, grid: tuple[int, Sequence[int]], own: Sequence[int], order_only: bool = False
+    ) -> Iterator[tuple[int, int, int, tuple[tuple[int, ...], Optional[tuple[int, ...]]]]]:
         """``(machine, lo, hi, bid_data)`` for every machine, machine 0's runs
         first, over a ``deviation_grid`` ``(D, points)`` and ``own``, the bids
         over D (``scaled_bids`` times D // E): ``with_bid(machine,
@@ -267,13 +281,14 @@ class Instance:
         Cut by bisection: the bid order changes at each other bid, ties to the
         lower index (``bisect_left`` of a lower-indexed machine's bid,
         ``bisect_right`` of a higher one's), the exponent just above each
-        2**e (``bisect_right`` of floor(2**e * D), as ceil_log2(2**e) = e)."""
+        2**e (``bisect_right`` of floor(2**e * D), as ceil_log2(2**e) = e);
+        with ``order_only``, at the other bids alone, the exponents None."""
         denominator, points = grid
-        starts, k = [], 0  # where each exponent's points start
-        while k < len(points):
-            starts.append(k)
+        starts, k = {0}, 0  # where each exponent's points start
+        while k < len(points) and not order_only:
             e = ceil_log2_ints(points[k], denominator)
             k = bisect.bisect_right(points, denominator << e if e >= 0 else denominator >> -e, k)
+            starts.add(k)
         left = [bisect.bisect_left(points, s) for s in own]
         right = [bisect.bisect_right(points, s) for s in own]
         for machine in range(self.m):
@@ -284,7 +299,8 @@ class Instance:
             for lo, hi in zip(edges, edges[1:]):
                 pos = bisect.bisect_right(cuts, lo)  # the others placed before the machine
                 exponents[machine] = ceil_log2_ints(points[lo], denominator)
-                yield machine, lo, hi, ((*others[:pos], machine, *others[pos:]), tuple(exponents))
+                order = (*others[:pos], machine, *others[pos:])
+                yield machine, lo, hi, (order, None if order_only else tuple(exponents))
 
     def with_swapped_bids(self, k: int, l: int) -> "Instance":
         new_bids = list(self.bids)

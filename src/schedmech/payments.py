@@ -138,6 +138,8 @@ class VcgMechanism(Mechanism):
     """``vcg_payments`` on the winner (None: a lone machine, paid its bid): a
     deviating winner gets the lowest other bid, fixed on its grid; a loser 0."""
 
+    key_reads_order_only = True
+
     def key(self, instance: Instance, bid_data):
         return self.rule.key(instance, bid_data) if instance.m > 1 else lambda bids: None
 

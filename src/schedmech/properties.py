@@ -216,18 +216,18 @@ def _grid_reads(check, instance: Instance, deviation_grid: Optional[Sequence[Rat
     """First ``((D, points), own, loads, payments)``: the sorted
     ``Instance.deviation_grid``, the instance's bids over D and its outcome,
     from ``_reader``.  Then ``(machine, k, loads, payments)`` at each point of
-    ``Instance.deviation_runs`` whose key is None or differs from the
-    machine's previous point's (an equal key, an equal outcome): the
-    instance's outcome at the machine's own bid, else ``_reader``'s read.  The
-    key is ``check.key`` of the run's bid data at the point's int bids, else
-    None, read once a run unless it reads the bids (``key_reads_bids``)."""
+    ``Instance.deviation_runs`` (``order_only`` if ``key_reads_order_only``)
+    whose key is None or differs from the machine's last (equal keys, equal
+    outcomes): the instance's outcome at its own bid, else ``_reader``'s
+    read.  The key is ``check.key`` of the run's bid data at the point's int
+    bids, else None, read once a run unless it reads them (``key_reads_bids``)."""
     denominator, points = grid = instance.deviation_grid(deviation_grid)
     own = [b * (denominator // instance.scaled_bids[0]) for b in instance.scaled_bids[1]]  # E divides D
     read, *outcome = _reader(check, instance, denominator, own)
     yield grid, own, *outcome
     key_of = getattr(check, "key", lambda instance, bid_data: lambda bids: None)
     per_point, last = getattr(check, "key_reads_bids", False), None
-    for i, lo, hi, bid_data in instance.deviation_runs(grid, own):
+    for i, lo, hi, bid_data in instance.deviation_runs(grid, own, getattr(check, "key_reads_order_only", False)):
         bids, key_at = own[:], key_of(instance, bid_data)
         for k in range(lo, hi):
             bids[i] = points[k]

@@ -240,9 +240,9 @@ class TestLemma6:
         built = []
         init = JobData.__init__
 
-        def counted(self, jobs):
-            built.append(jobs)
-            init(self, jobs)
+        def counted(self, denominator, lengths):
+            built.append(lengths)
+            init(self, denominator, lengths)
 
         monkeypatch.setattr(JobData, "__init__", counted)
         g, report = lemma6_g(two_machine_opt, 3, (5, 3, 2, 2, 1))

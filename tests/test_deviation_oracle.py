@@ -843,14 +843,62 @@ def _reads(check, inst, runs):
 ], ids=["vcg", "two-opt-efchain"])
 def test_a_truthful_check_keys_each_run_once_and_no_read_again(monkeypatch, mechanism, inst):
     """``_grid_reads`` hands each read its key: the mechanism's ``key`` is
-    called once at the instance and once per run, never per read."""
+    called once at the instance and once per run, never per read; VCG's key
+    reads the bid order only, so its runs are those of the order."""
     calls, key = [], mechanism.key
     monkeypatch.setattr(mechanism, "key", lambda instance, bid_data: calls.append(bid_data) or key(instance, bid_data))
     assert check_truthful(mechanism, inst).passed
     denominator, points = grid = inst.deviation_grid()
-    runs = list(inst.deviation_runs(grid, scaled_by(inst.bids, denominator)))
+    order_only = mechanism is vcg_mechanism
+    runs = list(inst.deviation_runs(grid, scaled_by(inst.bids, denominator), order_only))
     assert inst.m >= 2 and len(runs) > inst.m  # the winner or balance changes on some machine's grid
     assert calls == [(inst.bid_order, inst.bid_exponents)] + [bid_data for *_, bid_data in runs]
+
+
+def _exponent_starts(inst, grid):
+    """The points of the sorted grid whose rounded speed differs from the
+    point before's: where a key that reads the exponents can change."""
+    denominator, points = inst.deviation_grid(grid)
+    exponents = [ceil_log2(Fraction(p, denominator)) for p in points]
+    return {k for k in range(1, len(points)) if exponents[k] != exponents[k - 1]}
+
+
+def _walked_runs(monkeypatch, check, subject, inst, grid):
+    """Per machine, the ``(lo, hi)`` of each run ``check`` walks."""
+    walked, runs = [], Instance.deviation_runs
+    monkeypatch.setattr(Instance, "deviation_runs", lambda self, *args: (
+        walked.append(run) or run for run in runs(self, *args)))
+    check(subject, inst, grid)
+    monkeypatch.setattr(Instance, "deviation_runs", runs)
+    return {i: [(lo, hi) for j, lo, hi, _ in walked if j == i] for i in {i for i, *_ in walked}}
+
+
+def test_an_order_only_key_walks_the_runs_of_the_bid_order(monkeypatch):
+    """VCG's key reads the bid order only (``key_reads_order_only``): its runs
+    are cut at the other bids and nowhere else, one order each, with no
+    exponents.  The specimens ``vcg-rounded`` and ``vcg-partly-keyed``, whose
+    keys read the exponents too, keep a run boundary at every power of two."""
+    skipped = kept = 0
+    for seed in SEEDS:
+        inst, grid = draw_chain(seed)
+        denominator, points = cut = inst.deviation_grid(grid)
+        own = scaled_by(inst.bids, denominator)
+        for machine, lo, hi, (order, exponents) in inst.deviation_runs(cut, own, True):
+            assert exponents is None
+            assert {inst.with_bid(machine, Fraction(points[k], denominator)).bid_order for k in range(lo, hi)} == {order}
+        starts = _exponent_starts(inst, grid)
+        for check, subject in ((check_truthful, vcg_mechanism), (check_monotone, vcg_allocate)):
+            for i, walked in _walked_runs(monkeypatch, check, subject, inst, grid).items():
+                orders = [inst.with_bid(i, Fraction(p, denominator)).bid_order for p in points]
+                assert walked[0][0] == 0 and walked[-1][1] == len(points)  # VCG passes both checks
+                assert {lo for lo, _ in walked[1:]} == {k for k in range(1, len(points)) if orders[k] != orders[k - 1]}
+                skipped += len(starts - {lo for lo, _ in walked})
+        for specimen in (rounded_vcg_mechanism, partly_keyed_vcg):
+            for i, walked in _walked_runs(monkeypatch, check_truthful, specimen, inst, grid).items():
+                inside = starts & set(range(walked[0][0] + 1, walked[-1][1]))
+                assert inside <= {lo for lo, _ in walked}
+                kept += len(inside)
+    assert skipped > 2000 and kept > 2000
 
 
 class _WinnerKeyed(Mechanism):

@@ -83,6 +83,20 @@ def test_each_user_facing_type_gives_its_exit_code_and_one_line(capsys, monkeypa
     assert (out, err) == ("", line + "\n")
 
 
+@pytest.mark.parametrize("data, reason", [
+    (b'{"jobs": ["1"], "bids": ["1\xff"]}', "'utf-8' codec can't decode byte 0xff in position 27: invalid start byte"),
+    (b"\xff\xfe" + '{"jobs": ["1"], "bids": ["1"]}'.encode("utf-16-le"),
+     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b'\xef\xbb\xbf{"jobs": ["1"], "bids": ["1"]}',
+     "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+], ids=["invalid-utf-8", "utf-16-bom", "utf-8-bom"])
+def test_an_instance_file_that_is_not_plain_utf_8_is_refused_with_one_line(capsys, tmp_path, data, reason):
+    path = tmp_path / "instance.json"
+    path.write_bytes(data)
+    assert cli.main(["check", "ir", "vcg", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot read instance {path}: {reason}\n")
+
+
 _INST = Instance((2, 1), (1, Fraction(3, 2)))
 
 

@@ -5,13 +5,19 @@ of the denominators of ``instance.bids`` or ``self.bids``, and ``workcurve``
 defines no common-denominator helper of its own: it scales through
 ``core.scaled_to_ints``.  No module, ``core.py`` included, scales the
 ``Fraction`` bids to ints with ``scaled_by``: the int bids over any multiple
-D of their scale E are ``scaled_bids`` times D // E.
+D of their scale E are ``scaled_bids`` times D // E.  Inside ``core.py``
+the bids are scaled in one function, ``scaled_bids``, which the constructor
+primes and a copy runs on its first read: ``Instance.__init__`` scales only
+the jobs itself, and no ``lcm`` reads ``self.bids``.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import schedmech
+from schedmech import core
+from schedmech.core import Instance
 
 PACKAGE = Path(schedmech.__file__).resolve().parent
 
@@ -61,6 +67,33 @@ def workcurve_denominator_helpers():
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
         and any(_reads_denominators(call) for call in _calls(func))
     ]
+
+
+def core_scalings():
+    """``(function, argument)`` of each ``scaled_to_ints`` call in ``core.py``."""
+    return sorted((func.name, ast.unparse(call.args[0])) for func in ast.walk(_trees()["core.py"])
+                  if isinstance(func, ast.FunctionDef) for call in _calls(func, "scaled_to_ints"))
+
+
+def test_core_scales_the_bids_in_scaled_bids_only():
+    assert core_scalings() == [("__init__", "jobs"), ("scaled_bids", "self.bids")]
+    assert [call.lineno for call in _calls(_trees()["core.py"]) if _reads_bids(call)] == []
+
+
+def test_the_constructor_and_copies_share_that_one_derivation(monkeypatch):
+    callers, scaled_to_ints = [], core.scaled_to_ints
+
+    def spy(values):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return scaled_to_ints(values)
+
+    monkeypatch.setattr(core, "scaled_to_ints", spy)
+    inst = Instance(["3/2", 1], ["5/4", 2, "1/3"])
+    assert callers == ["__init__", "scaled_bids"] and inst.scaled_bids == (12, [15, 24, 4])
+    for copy in (inst.with_bid(1, "7/5"), inst.with_swapped_bids(0, 2), inst.scaled(3)):
+        callers.clear()
+        assert copy.scaled_bids == scaled_to_ints(copy.bids) and copy.scaled_bids is copy.scaled_bids
+        assert callers == ["scaled_bids"]
 
 
 def test_only_core_derives_the_bids_common_denominator():
