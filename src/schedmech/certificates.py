@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .allocations import (
     at_fractional,
@@ -31,6 +30,7 @@ from .core import (
     DomainError,
     Instance,
     RationalLike,
+    Record,
     compare,
     makespan,
     rat,
@@ -64,14 +64,16 @@ class CertificateFailure(RuntimeError):
     """An exact computation came out different from the certified shape."""
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(Record):
     """One exact comparison; ``holds`` is recomputed, never stored."""
 
     label: str
     lhs: Fraction
     relation: str
     rhs: Fraction
+
+    def __init__(self, label: str, lhs: Fraction, relation: str, rhs: Fraction):
+        self.__dict__.update(label=label, lhs=lhs, relation=relation, rhs=rhs)
 
     @property
     def holds(self) -> bool:
@@ -87,13 +89,15 @@ class CheckRecord:
         }
 
 
-@dataclass
-class CertificateReport:
+class CertificateReport(Record, frozen=False):
     name: str
     inputs: dict
     constants: dict
-    checks: list[CheckRecord] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    checks: list[CheckRecord]
+    notes: list[str]
+
+    def __init__(self, name: str, inputs: dict, constants: dict):
+        self.name, self.inputs, self.constants, self.checks, self.notes = name, inputs, constants, [], []
 
     @property
     def verified(self) -> bool:
@@ -109,29 +113,24 @@ class CertificateReport:
         return self.add(label, 1 if ok else 0, "==", 1)
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "inputs": self.inputs,
-            "constants": self.constants,
-            "checks": [c.to_json_dict() for c in self.checks],
-            "notes": self.notes,
-            "verified": self.verified,
-        }
+        """The report with each check's ``holds``, each compared once here."""
+        checks = [c.to_json_dict() for c in self.checks]
+        return dict(zip(self._fields, self._values()), checks=checks, verified=all(c["holds"] for c in checks))
 
-    def to_text(self) -> str:
-        lines = [f"certificate {self.name}: {'VERIFIED' if self.verified else 'FAILED'}"]
-        for key, value in self.inputs.items():
-            lines.append(f"  input {key} = {value}")
-        for key, value in self.constants.items():
-            lines.append(f"  const {key} = {value}")
-        for c in self.checks:
-            mark = "ok " if c.holds else "BAD"
-            lines.append(
-                f"  [{mark}] {c.label}: {rat_str(c.lhs)} {c.relation} {rat_str(c.rhs)}"
-            )
-        for note in self.notes:
-            lines.append(f"  note: {note}")
-        return "\n".join(lines)
+
+def report_text(body: dict) -> str:
+    """A ``CertificateReport.to_json_dict`` as text, compared no further."""
+    lines = [f"certificate {body['name']}: {'VERIFIED' if body['verified'] else 'FAILED'}"]
+    for key, value in body["inputs"].items():
+        lines.append(f"  input {key} = {value}")
+    for key, value in body["constants"].items():
+        lines.append(f"  const {key} = {value}")
+    for c in body["checks"]:
+        mark = "ok " if c["holds"] else "BAD"
+        lines.append(f"  [{mark}] {c['label']}: {c['lhs']} {c['relation']} {c['rhs']}")
+    for note in body["notes"]:
+        lines.append(f"  note: {note}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +567,7 @@ def prop12_verify(
 # Finite-grid payment polytope
 
 
-@dataclass
-class FeasibilityResult:
+class FeasibilityResult(Record, frozen=False):
     """Outcome of the grid polytope solve.
 
     Grid feasibility is one-directional evidence: the constraints on a grid
@@ -585,8 +583,7 @@ class FeasibilityResult:
     notes: list[str]
 
     def to_json_dict(self) -> dict:
-        # Not ``dataclasses.asdict``: it deep-copies every witness entry.
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(zip(self._fields, self._values()))
 
 
 def payment_polytope_feasible(
@@ -642,7 +639,7 @@ def payment_polytope_feasible(
                              len(system.rows), system.notes)
 
 
-class _PolytopeRows(NamedTuple):
+class _PolytopeRows(Record):
     """The grid payment polytope on integers.
 
     Profile ``p`` is ``profiles[p]`` (in ``itertools.product`` order), at

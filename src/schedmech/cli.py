@@ -13,7 +13,6 @@ line), 3 resource budget exceeded.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import os
@@ -261,6 +260,7 @@ def _emit_ratios(args, instances, ratios) -> int:
         for inst, ratio in zip(instances, ratios)
     ]
     if args.csv:
+        import csv  # read by --csv only
         try:
             with open(args.csv, "w", newline="") as fh:
                 writer = csv.DictWriter(fh, fieldnames=["rule", "m", "n", "ratio"])
@@ -276,13 +276,10 @@ def _emit_ratios(args, instances, ratios) -> int:
 
 
 def _report(args) -> int:
-    """Build the certificate's report (``args.report``) and print it."""
-    report = args.report(args)
-    if args.text:
-        print(report.to_text())
-    else:
-        _emit(report)
-    return EXIT_OK if report.verified else EXIT_FAIL
+    """Print the certificate's report (``args.report``), each check compared once."""
+    body = args.report(args).to_json_dict()
+    print(certificates.report_text(body) if args.text else _json(body))
+    return EXIT_OK if body["verified"] else EXIT_FAIL
 
 
 def cmd_polytope(args) -> int:

@@ -7,13 +7,17 @@ denominators of ``Instance.scaled_jobs`` and ``Instance.scaled_bids``:
 tie-breaking, the breakpoints of bid-response step functions and the
 certificate arithmetic all rely on exact comparisons, so floats are rejected
 at the boundary.
+
+Records derive from ``Record``, which does what ``@dataclass`` did for them
+without what every command paid for it at start-up: importing ``dataclasses``
+loads ``inspect``, ``dis`` and ``ast``, and the decorator writes each class's
+methods by ``exec``.
 """
 
 from __future__ import annotations
 
 import bisect
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -155,6 +159,43 @@ class _Cached:
         return self if obj is None else vars(obj).setdefault(self.derive.__name__, self.derive(obj))
 
 
+class Record:
+    """Fields are a subclass's annotated names; ``==`` (same class only), ``hash``
+    and ``repr`` read them as a frozen ``@dataclass`` did.  ``frozen=False`` leaves
+    assignment open and the record unhashable.  A record with defaults, a check or
+    many instances writes its fields in its own ``__init__``."""
+
+    _fields = ()
+
+    def __init_subclass__(cls, frozen: bool = True):
+        cls._fields = (*cls._fields, *vars(cls).get("__annotations__", ()))
+        if not frozen:
+            cls.__setattr__, cls.__delattr__, cls.__hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, *args, **kwargs):
+        values = dict(zip(self._fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(self._fields) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(self._fields)}")
+        self.__dict__.update(values)
+
+    def _values(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self._fields))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, self._fields, self._values()))})"
+
+
 class JobData:
     """A canonical job vector's ``scaled_jobs`` (``(D, lengths)``, the ints
     the constructor sorted), ``total_length`` and, built on first use,
@@ -178,8 +219,7 @@ class JobData:
         return sums, [table[total] for total in sums]
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """Job lengths plus a bid profile; the universe every rule acts on.
 
     Jobs are canonicalized to nonincreasing order at construction; job
@@ -335,12 +375,14 @@ class Instance:
         return cls(obj["jobs"], obj["bids"])
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(Record):
     """A deterministic job-to-machine map with derived workloads."""
 
     job_to_machine: tuple[int, ...]
     workloads: tuple[Fraction, ...]
+
+    def __init__(self, job_to_machine: tuple[int, ...], workloads: tuple[Fraction, ...]):
+        self.__dict__.update(job_to_machine=job_to_machine, workloads=workloads)
 
     @classmethod
     def from_map(
@@ -375,12 +417,14 @@ class Assignment:
         }
 
 
-@dataclass(frozen=True)
-class ExpectedAllocation:
+class ExpectedAllocation(Record):
     """Per-machine expected workloads with per-job machine distributions."""
 
     expected_workloads: tuple[Fraction, ...]
     job_distributions: tuple[tuple[tuple[int, Fraction], ...], ...]
+
+    def __init__(self, expected_workloads, job_distributions):
+        self.__dict__.update(expected_workloads=expected_workloads, job_distributions=job_distributions)
 
     @property
     def m(self) -> int:
@@ -405,16 +449,16 @@ class ExpectedAllocation:
 Allocation = Union[Assignment, ExpectedAllocation]
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(Record):
     """What a mechanism hands back: an allocation plus payments."""
 
     allocation: Allocation
     payments: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if len(self.payments) != self.allocation.m:
+    def __init__(self, allocation: Allocation, payments: tuple[Fraction, ...]):
+        if len(payments) != allocation.m:
             raise DomainError("one payment per machine required")
+        self.__dict__.update(allocation=allocation, payments=payments)
 
 
 def makespan(

@@ -12,19 +12,17 @@ every row, when that optimum is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .core import WEAK_RELATIONS, DomainError, compare
+from .core import WEAK_RELATIONS, DomainError, Record, compare
 
 MAX_PIVOTS = 200_000
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     """coeffs . x  (relation)  rhs over nonnegative variables."""
 
     coeffs: tuple[tuple[int, Fraction], ...]
@@ -32,9 +30,10 @@ class Constraint:
     rhs: Fraction
     label: str = ""
 
-    def __post_init__(self):
-        if self.relation not in WEAK_RELATIONS:
-            raise DomainError(f"unknown relation {self.relation!r}")
+    def __init__(self, coeffs: tuple[tuple[int, Fraction], ...], relation: str, rhs: Fraction, label: str = ""):
+        if relation not in WEAK_RELATIONS:
+            raise DomainError(f"unknown relation {relation!r}")
+        self.__dict__.update(coeffs=coeffs, relation=relation, rhs=rhs, label=label)
 
 
 def solve_feasibility(

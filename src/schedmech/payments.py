@@ -11,7 +11,6 @@ the mechanism is not truthful).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -22,6 +21,7 @@ from .core import (
     Instance,
     Outcome,
     RationalLike,
+    Record,
     rat,
     rat_str,
     rats,
@@ -117,8 +117,7 @@ def vcg_payments(
     return tuple(winner_only)
 
 
-@dataclass
-class Mechanism:
+class Mechanism(Record, frozen=False):
     """An allocation rule paired with a payment scheme.  A keyed one has a
     rule's ``key`` (equal keys where only machine i's bid differs: equal
     workload and payment for i; None promises nothing) and ``decide(instance,
@@ -235,8 +234,7 @@ LOW_PROBE_FACTORS = (Fraction(1, 2), Fraction(1, 3))
 HIGH_PROBE_FACTOR = Fraction(2)
 
 
-@dataclass
-class HFunction:
+class HFunction(Record, frozen=False):
     """Additive-term evaluations for an (assumed) truthful mechanism.
 
     Values are represented extensionally: certificates only ever need h at

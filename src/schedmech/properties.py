@@ -12,7 +12,6 @@ four checks that read other profiles read them through one ``_reader``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -26,6 +25,7 @@ from .core import (
     ExpectedAllocation,
     Instance,
     RationalLike,
+    Record,
     bid_data_of,
     compare,
     makespan,
@@ -41,8 +41,7 @@ PERMUTATION_CHECK_LIMIT = 6
 SCALING_FACTORS = (Fraction(2), Fraction(1, 3), Fraction(7, 5))
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     """A violated inequality, reproducible from its exact pieces."""
 
     description: str
@@ -56,19 +55,15 @@ class Counterexample:
         return not compare(self.lhs, self.relation, self.rhs, WEAK_RELATIONS)
 
     def to_json_dict(self) -> dict:
-        return {
-            "description": self.description,
-            "lhs": rat_str(self.lhs),
-            "relation": self.relation,
-            "rhs": rat_str(self.rhs),
-            "context": self.context,
-        }
+        return dict(zip(self._fields, self._values()), lhs=rat_str(self.lhs), rhs=rat_str(self.rhs))
 
 
-@dataclass(frozen=True)
-class PropertyVerdict:
+class PropertyVerdict(Record):
     prop: str
     counterexample: Optional[Counterexample] = None
+
+    def __init__(self, prop: str, counterexample: Optional[Counterexample] = None):
+        self.__dict__.update(prop=prop, counterexample=counterexample)
 
     @property
     def passed(self) -> bool:

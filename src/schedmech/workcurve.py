@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from typing import Optional, Sequence
@@ -25,6 +24,7 @@ from .core import (
     DomainError,
     Instance,
     RationalLike,
+    Record,
     rat,
     rat_str,
     rats,
@@ -39,8 +39,7 @@ class CurveResolutionError(RuntimeError):
     """A curve or an integral could not be resolved exactly."""
 
 
-@dataclass(frozen=True)
-class WorkCurve:
+class WorkCurve(Record):
     """Piecewise-constant bid response.
 
     ``values[j]`` holds on the open interval (breakpoints[j-1], breakpoints[j])
@@ -60,14 +59,16 @@ class WorkCurve:
     tail: Fraction
     approximate: bool = False
 
-    def __post_init__(self):
-        if len(self.values) != len(self.breakpoints):
+    def __init__(self, breakpoints: tuple[Fraction, ...], values: tuple[Fraction, ...], tail: Fraction,
+                 approximate: bool = False):
+        if len(values) != len(breakpoints):
             raise DomainError("need one value per breakpoint interval")
         prev = Fraction(0)
-        for x in self.breakpoints:
+        for x in breakpoints:
             if x <= prev:
                 raise DomainError("breakpoints must be strictly increasing and positive")
             prev = x
+        self.__dict__.update(breakpoints=breakpoints, values=values, tail=tail, approximate=approximate)
 
     def value_at(self, x: RationalLike) -> Fraction:
         x = rat(x)
@@ -196,8 +197,7 @@ def build_response_curve(
 # Symbolic expected curves (fractional binning rule)
 
 
-@dataclass(frozen=True)
-class CurvePiece:
+class CurvePiece(Record):
     """One regime of an expected-workload curve on (lo, hi]: the
     linear-fractional form (n0 + n1*x)/(d0 + d1*x), with ``params`` =
     (n0, n1, d0, d1) scaled so that d1 = 1, or d0 = 1 when d1 = 0; equal
@@ -209,12 +209,13 @@ class CurvePiece:
     hi: Optional[Fraction]
     params: tuple[Fraction, Fraction, Fraction, Fraction]
 
-    def __post_init__(self):
-        if self.params[3] != 1 and self.params[2:] != (1, 0):
-            shown = [rat_str(p) for p in self.params]
+    def __init__(self, lo: Fraction, hi: Optional[Fraction], params: tuple[Fraction, Fraction, Fraction, Fraction]):
+        if params[3] != 1 and params[2:] != (1, 0):
+            shown = [rat_str(p) for p in params]
             raise DomainError(f"piece params {shown} need d1 = 1, or d0 = 1 when d1 = 0")
-        if self.params[3] == 1 and self.params[2] + self.lo <= 0:
+        if params[3] == 1 and params[2] + lo <= 0:
             raise DomainError("a piece's denominator d0 + x must be positive on it")
+        self.__dict__.update(lo=lo, hi=hi, params=params)
 
     def value_at(self, x: Fraction) -> Fraction:
         n0, n1, d0, d1 = self.params
@@ -248,8 +249,7 @@ class CurvePiece:
         }
 
 
-@dataclass(frozen=True)
-class LogLinearValue:
+class LogLinearValue(Record):
     """rational + sum of coef*ln(arg) with rational coefs and args > 1."""
 
     rational: Fraction

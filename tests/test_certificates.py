@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from schedmech import certificates, cli
 from schedmech.allocations import (
     RULES,
     lpt_star,
@@ -20,6 +21,7 @@ from schedmech.certificates import (
     lemma6_g,
     payment_polytope_feasible,
     prop12_verify,
+    report_text,
     theorem1_harness,
     theorem5_certificate,
     theorem7_certificate,
@@ -66,11 +68,23 @@ class TestReportPlumbing:
         parsed = json.loads(payload)
         assert parsed["checks"][0]["holds"] is True
         assert parsed["checks"][1]["holds"] is False
-        assert "fails" in report.to_text()
+        assert parsed["verified"] is False
+        assert "[BAD] fails: 1 > 2" in report_text(parsed)
 
     def test_check_record_recomputes(self):
         assert CheckRecord("x", F(13, 4), ">", F(3)).holds
         assert not CheckRecord("x", F(3), ">", F(13, 4)).holds
+
+    @pytest.mark.parametrize("text", [False, True])
+    def test_a_printed_report_compares_each_check_once(self, monkeypatch, capsys, text):
+        """The JSON, the text and the exit code all read one comparison per check."""
+        calls = []
+        compare = certificates.compare
+        monkeypatch.setattr(certificates, "compare", lambda *args: calls.append(args) or compare(*args))
+        assert cli.main(["certify", "theorem5", *(["--text"] * text)]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        checks = out.count("\n  [ok ]") if text else len(json.loads(out)["checks"])
+        assert len(calls) == checks > 0
 
 
 class TestTheorem5:
