@@ -404,6 +404,7 @@ def opt_makespan(
             loads[i] -= length
 
     dfs(0, 0)
+    del dfs  # it holds itself through its closure cell: a cycle only the collector would free
     workloads = tuple(Fraction(load, denominator) for load in best_loads)
     return Assignment(tuple(best_assignment), workloads), Fraction(best, denominator * scale)
 

@@ -342,17 +342,6 @@ class Instance(Record):
                 order = (*others[:pos], machine, *others[pos:])
                 yield machine, lo, hi, (order, None if order_only else tuple(exponents))
 
-    def with_swapped_bids(self, k: int, l: int) -> "Instance":
-        new_bids = list(self.bids)
-        new_bids[k], new_bids[l] = new_bids[l], new_bids[k]
-        return self._with_bids(new_bids)
-
-    def scaled(self, c: RationalLike) -> "Instance":
-        c = rat(c)
-        if c <= 0:
-            raise DomainError("scaling factor must be positive")
-        return self._with_bids([b * c for b in self.bids])
-
     def to_json_dict(self) -> dict:
         return {
             "jobs": [rat_str(l) for l in self.jobs],

@@ -6,7 +6,7 @@ Every failed check carries a counterexample with both sides of the violated
 inequality as exact rationals, so verdicts can be re-checked independently.
 Truthfulness and monotonicity are grid checks: a grid gives counterexample
 power, but a rule that misbehaves only between grid points passes.  The
-four checks that read other profiles read them through one ``_reader``.
+four checks that read other profiles read them, at int bids, through one ``_reader``.
 """
 
 from __future__ import annotations
@@ -214,8 +214,8 @@ def _grid_reads(check, instance: Instance, deviation_grid: Optional[Sequence[Rat
     ``Instance.deviation_runs`` (``order_only`` if ``key_reads_order_only``)
     whose key is None or differs from the machine's last (equal keys, equal
     outcomes): the instance's outcome at its own bid, else ``_reader``'s
-    read.  The key is ``check.key`` of the run's bid data at the point's int
-    bids, else None, read once a run unless it reads them (``key_reads_bids``)."""
+    read at the bids and key.  The key is ``check.key`` of the run's bid data
+    at the point's int bids, else None, read once a run unless it reads them (``key_reads_bids``)."""
     denominator, points = grid = instance.deviation_grid(deviation_grid)
     own = [b * (denominator // instance.scaled_bids[0]) for b in instance.scaled_bids[1]]  # E divides D
     read, *outcome = _reader(check, instance, denominator, own)
@@ -229,20 +229,19 @@ def _grid_reads(check, instance: Instance, deviation_grid: Optional[Sequence[Rat
             if per_point or k == lo:
                 key = key_at(bids)
             if key is None or (i, key) != last:
-                copy = lambda: instance.with_bid(i, Fraction(points[k], denominator))
-                yield i, k, *(outcome if points[k] == own[i] else read(bids, key, copy))
+                yield i, k, *(outcome if points[k] == own[i] else read(bids, key))
                 last = i, key
             if key is not None and not per_point:
                 break
 
 
-def _reader(check, instance: Instance, denominator: int, bids: list[int]):
-    """``(read, loads, payments)``: ``read(bids, key, copy)`` is ``check``'s
-    loads over D and payments over D times ``denominator`` (None for a rule)
-    at the int ``bids`` (any scale for a rule) and their ``key``; without
-    ``decide``, on ``copy()``.  A rule's ``decide`` reads no bids, so its
-    loads are kept per key.  The rest are the instance's, at its ``bids``
-    over ``denominator``: one run of ``check``, which ``decide`` must match."""
+def _reader(check, instance: Instance, denominator: int, own: list[int]):
+    """``(read, loads, payments)``: ``read(bids, key=None)`` is ``check``'s loads over D and
+    payments over D times ``denominator`` (None for a rule) at the int ``bids`` over ``denominator``
+    and their ``key``, else that of their ``bid_data_of``; without ``decide``, on a copy that keeps
+    the instance's bid wherever ``bids`` keeps ``own``.  A rule's ``decide`` reads no bids, so its
+    loads are kept per key.  The rest are the instance's, at ``own``: one run of ``check``, which
+    ``decide`` must match."""
     scale, is_mechanism, has_decide = instance.scaled_jobs[0], hasattr(check, "run"), hasattr(check, "decide")
     base = check.run(instance) if is_mechanism else check(instance)
     loads_at = {}
@@ -251,9 +250,13 @@ def _reader(check, instance: Instance, denominator: int, bids: list[int]):
         payments = [p * scale * denominator for p in result.payments] if is_mechanism else None
         return [w * scale for w in getattr(result, "allocation", result).workloads], payments
 
-    def read(bids, key, copy):
+    def read(bids, key=None):
         if not has_decide:
-            return scaled(check.run(copy()) if is_mechanism else check(copy()))
+            copy = instance._with_bids([f if b == o else Fraction(b, denominator)
+                                        for f, b, o in zip(instance.bids, bids, own)])
+            return scaled(check.run(copy) if is_mechanism else check(copy))
+        if key is None:
+            key = check.key(instance, bid_data_of(denominator, bids))(bids)
         if is_mechanism:
             return check.decide(instance, key, bids)
         if key not in loads_at:
@@ -262,7 +265,7 @@ def _reader(check, instance: Instance, denominator: int, bids: list[int]):
 
     if not has_decide:
         return read, *scaled(base)
-    loads, payments = read(bids, check.key(instance, instance.bid_data)(bids), None)
+    loads, payments = read(own)
     exact = getattr(base, "allocation", base).workloads + (base.payments if is_mechanism else ())
     ints, scales = loads + (payments or []), [scale] * len(loads) + [scale * denominator] * len(exact)
     if len(exact) != len(ints) or any(f.numerator * s != v * f.denominator for f, v, s in zip(exact, ints, scales)):
@@ -327,12 +330,12 @@ def check_anonymous(mechanism, instance: Instance) -> PropertyVerdict:
     Accepts either a mechanism (payments included in the check) or a bare
     allocation rule.  Profiles without a unique bid are vacuously fine.  The
     mechanism or rule runs once, on the instance, and ``_reader`` reads each
-    swap of the int bids, at the key of its ``bid_data_of`` (relabelling the
-    old order is wrong where bids tie).
+    swap of the int bids, at its own key (relabelling the old order is wrong
+    where bids tie).
     """
     denominator, bids = instance.scaled_bids
     read, base_w, base_p = _reader(mechanism, instance, denominator, bids)
-    key_of, scales = getattr(mechanism, "key", None), (instance.scaled_jobs[0], instance.scaled_jobs[0] * denominator)
+    scales = instance.scaled_jobs[0], instance.scaled_jobs[0] * denominator
     for k in range(instance.m):
         if bids.count(bids[k]) != 1:
             continue
@@ -341,8 +344,7 @@ def check_anonymous(mechanism, instance: Instance) -> PropertyVerdict:
                 continue
             swapped = bids[:]
             swapped[k], swapped[l] = swapped[l], swapped[k]
-            key = key_of and key_of(instance, bid_data_of(denominator, swapped))(swapped)
-            swapped_w, swapped_p = read(swapped, key, lambda: instance.with_swapped_bids(k, l))
+            swapped_w, swapped_p = read(swapped)
             checks = [("workload", base_w[k], swapped_w[l], scales[0])]
             if base_p is not None:
                 checks.append(("payment", base_p[k], swapped_p[l], scales[1]))
@@ -358,16 +360,14 @@ def check_scalable(
     rule, instance: Instance, scalars: Sequence[RationalLike]
 ) -> PropertyVerdict:
     """Workloads are unchanged when all bids are scaled by each constant,
-    read by ``_reader`` at the scaled int bids and the key of their ``bid_data_of``."""
-    scale, bids = instance.scaled_bids
-    read, base, _ = _reader(rule, instance, scale, bids)
-    key_of = getattr(rule, "key", None)
-    for c in rats(scalars):
-        if c <= 0:
-            raise DomainError("scaling factor must be positive")
-        scaled_bids = [b * c.numerator for b in bids]
-        key = key_of and key_of(instance, bid_data_of(scale * c.denominator, scaled_bids))(scaled_bids)
-        scaled = read(scaled_bids, key, lambda: instance.scaled(c))[0]
+    read by ``_reader`` at the scaled int bids, all over one denominator."""
+    scalars, (scale, bids) = rats(scalars), instance.scaled_bids
+    if any(c <= 0 for c in scalars):
+        raise DomainError("scaling factor must be positive")
+    common = lcm(*(c.denominator for c in scalars))
+    read, base, _ = _reader(rule, instance, scale * common, [b * common for b in bids])
+    for c in scalars:
+        scaled = read([b * c.numerator * (common // c.denominator) for b in bids])[0]
         if scaled != base:
             idx, load_scale = next(i for i in range(len(base)) if base[i] != scaled[i]), instance.scaled_jobs[0]
             return _verdict("scalability", Counterexample(

@@ -80,7 +80,7 @@ class SwappedTwoOpt:
     key_reads_bids = True
 
     def __call__(self, instance: Instance) -> Assignment:
-        return two_machine_opt(instance.with_swapped_bids(0, 1))
+        return two_machine_opt(instance._with_bids(instance.bids[::-1]))
 
     def key(self, instance: Instance, bid_data):
         swapped = two_machine_opt.key(instance, None)

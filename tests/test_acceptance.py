@@ -194,7 +194,7 @@ def test_criterion_09_lower_bound_homogeneity():
     for _ in range(100):
         inst = sample_instance(rng)
         c = F(rng.randint(1, 24), rng.randint(1, 24))
-        assert at_lower_bound(inst.scaled(c)) == c * at_lower_bound(inst)
+        assert at_lower_bound(Instance(inst.jobs, [b * c for b in inst.bids])) == c * at_lower_bound(inst)
     elapsed = time.monotonic() - start
     announce(9, elapsed, "100 random (bids, scale) pairs, exact equality")
 

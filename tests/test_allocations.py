@@ -221,7 +221,7 @@ class TestAtLowerBound:
     def test_homogeneous_in_the_bids(self, seed, c):
         rng = random.Random(seed)
         inst = sample_instance(rng)
-        assert at_lower_bound(inst.scaled(c)) == c * at_lower_bound(inst)
+        assert at_lower_bound(Instance(inst.jobs, [b * c for b in inst.bids])) == c * at_lower_bound(inst)
 
 
 class TestAtFractional:
@@ -438,15 +438,15 @@ class TestScalability:
             inst = sample_instance(rng, m_min=2, m_max=2, n_max=5)
             for c in (2, Fraction(1, 3), Fraction(7, 5)):
                 assert (
-                    two_machine_opt(inst.scaled(c)).workloads
+                    two_machine_opt(Instance(inst.jobs, [b * c for b in inst.bids])).workloads
                     == two_machine_opt(inst).workloads
                 )
                 assert (
-                    vcg_allocate(inst.scaled(c)).workloads
+                    vcg_allocate(Instance(inst.jobs, [b * c for b in inst.bids])).workloads
                     == vcg_allocate(inst).workloads
                 )
 
     def test_rounding_breaks_scale_invariance(self):
         inst = Instance((2, 1), (3, 8))
-        scaled = inst.scaled(Fraction(2, 3))
+        scaled = Instance(inst.jobs, [b * Fraction(2, 3) for b in inst.bids])
         assert lpt_star(inst).workloads != lpt_star(scaled).workloads

@@ -1,4 +1,5 @@
 import concurrent.futures
+import gc
 import json
 import os
 import pathlib
@@ -730,6 +731,47 @@ def test_repeated_calls_give_the_same_results(capsys, instance_file):
     first = [run_cli(capsys, *argv)[:2] for argv in calls]
     assert first[3][0] == 2
     assert [run_cli(capsys, *argv)[:2] for argv in calls] == first
+
+
+def test_commands_that_search_the_optimum_leave_no_cyclic_garbage(capsys, instance_file):
+    """Every object the commands make is freed by reference counting: with
+    the cycle collector off, none is left for ``gc.collect`` to find."""
+    path = instance_file([3, 2, 1], [1, 2])
+    calls = [["check", "ratio", "lpt-star", path], ["allocate", "opt", path],
+             ["certify", "polytope", "--rule", "opt"], ["certify", "theorem1"]]
+    gc.collect()
+    gc.disable()
+    try:
+        codes = [main(argv) for argv in calls]
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert (codes, left) == ([0] * len(calls), 0)
+    capsys.readouterr()
+
+
+# ``check`` on an expected-workload rule, its outcome an ``ExpectedAllocation``
+# with payments: a check that reads other profiles runs it on copies, as it
+# has no ``decide``.
+@pytest.mark.parametrize("argv, code, failures", [
+    (["truthful", "at-expected:efchain", "FILE"], 1, [{
+        "instance": {"bids": ["1", "2"], "jobs": ["3", "2", "1"]},
+        "verdict": {"counterexample": {"context": {"deviation": "5/4", "machine": 0, "true_speed": "1"},
+                                       "description": "machine 0 profits by bidding 5/4", "lhs": "2",
+                                       "relation": ">=", "rhs": "69/26"},
+                    "pass": False, "property": "truthfulness"}}]),
+    (["anonymous", "at-expected:efchain", "FILE"], 0, []),
+    (["ef", "at-expected:efchain", "FILE"], 0, []),
+    (["ir", "at-expected:efchain", "FILE"], 0, []),
+    (["anonymous", "at-expected", "--random", "30", "--seed", "1"], 0, []),
+    (["scalable", "at-expected", "--random", "30", "--seed", "1"], 0, []),
+], ids=["truthful-efchain", "anonymous-efchain", "ef-efchain", "ir-efchain", "anonymous-random", "scalable-random"])
+def test_checks_of_an_expected_allocation_print_pinned_verdicts(capsys, instance_file, argv, code, failures):
+    path = instance_file([3, 2, 1], [1, 2])
+    argv = [path if arg == "FILE" else arg for arg in argv]
+    expected = {"failures": failures, "instances": 30 if "--random" in argv else 1, "mechanism": argv[1],
+                "pass": not failures, "property": argv[0]}
+    assert run_cli(capsys, "check", *argv) == (code, json.dumps(expected, indent=2, sort_keys=True) + "\n", "")
 
 
 def test_certificate_help_lists_only_its_own_options(capsys):

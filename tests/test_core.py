@@ -148,8 +148,8 @@ class TestInstance:
     def test_with_bid_and_scaled(self):
         inst = Instance((2, 1), (1, 2))
         assert inst.with_bid(0, 5).bids == (5, 2)
-        assert inst.scaled(Fraction(1, 2)).bids == (Fraction(1, 2), 1)
-        assert inst.with_swapped_bids(0, 1).bids == (2, 1)
+        assert inst._with_bids([b / 2 for b in inst.bids]).bids == (Fraction(1, 2), 1)
+        assert inst._with_bids(inst.bids[::-1]).bids == (2, 1)
 
     @pytest.mark.parametrize("bid", [0, -1, Fraction(-1, 2), "0", 0.5, True, False])
     def test_with_bid_rejects_bad_bids(self, bid):
@@ -169,8 +169,9 @@ class TestInstance:
         derived = [
             (inst.with_bid(0, "7/3"), (Fraction(7, 3), 2, 1)),
             (inst.with_bid(2, 5), (Fraction(3, 4), 2, 5)),
-            (inst.with_swapped_bids(0, 2), (1, 2, Fraction(3, 4))),
-            (inst.scaled(Fraction(2, 3)), (Fraction(1, 2), Fraction(4, 3), Fraction(2, 3))),
+            (inst._with_bids(inst.bids[::-1]), (1, 2, Fraction(3, 4))),
+            (inst._with_bids([b * Fraction(2, 3) for b in inst.bids]),
+             (Fraction(1, 2), Fraction(4, 3), Fraction(2, 3))),
             (deviated[Fraction(7, 3)], (Fraction(7, 3), 2, 1)),
             (deviated[2], (2, 2, 1)),
             (deviated[Fraction(1, 4)], (Fraction(1, 4), 2, 1)),

@@ -510,7 +510,8 @@ def test_rules_with_a_decision_key_read_the_bids_only_through_it(seed):
     # the base itself (a machine's own bid) comes last: its bids are replaced too
     deviated = [(machine, d) for machine, _, d in expand(inst, grid) if d != inst]
     copies = [d for _, d in deviated]
-    copies += [inst.with_swapped_bids(0, inst.m - 1), inst.scaled(Fraction(3, 2)), inst]
+    copies += [inst._with_bids([inst.bids[{0: inst.m - 1, inst.m - 1: 0}.get(i, i)] for i in range(inst.m)]),
+               inst._with_bids([b * Fraction(3, 2) for b in inst.bids]), inst]
     by_key = {}
     for machine, copy in deviated:
         outcome = vcg_mechanism.run(Instance(copy.jobs, copy.bids))
@@ -804,14 +805,14 @@ def test_the_one_walk_gives_the_reference_verdicts_on_hand_picked_cases(runs, de
 
 
 def _copies_and_fractions(monkeypatch, check, *args):
-    """The check's verdict, the copies ``Instance.with_bid`` returned and the
+    """The check's verdict, the copies ``Instance._with_bids`` returned and the
     functions, as ``(module, name)``, that built a ``Fraction`` meanwhile
     (``"core"`` and ``"properties"`` for those modules of the package)."""
     copies, made = [], []
-    with_bid, modules = Instance.with_bid, {core.__file__: "core", properties.__file__: "properties"}
+    with_bids, modules = Instance._with_bids, {core.__file__: "core", properties.__file__: "properties"}
 
     def counted(self, *copy_args):
-        copies.append(with_bid(self, *copy_args))
+        copies.append(with_bids(self, *copy_args))
         return copies[-1]
 
     def profile(frame, event, arg):
@@ -819,7 +820,7 @@ def _copies_and_fractions(monkeypatch, check, *args):
             caller = frame.f_back.f_code
             made.append((modules.get(caller.co_filename, caller.co_filename), caller.co_name))
 
-    monkeypatch.setattr(Instance, "with_bid", counted)
+    monkeypatch.setattr(Instance, "_with_bids", counted)
     sys.setprofile(profile)
     try:
         verdict = check(*args)
@@ -935,13 +936,15 @@ def test_grid_checks_build_one_copy_and_one_bid_per_read(monkeypatch):
         assert (len(reads) == len(runs)) == (check is check_monotone)
         verdict, copies, made = _copies_and_fractions(monkeypatch, check, reader, inst)
         # a read at the machine's own bid takes the instance's outcome: no
-        # copy and no Fraction; any other builds one of each
+        # copy and no Fraction; any other builds one of each, in the reader,
+        # and keeps the instance's Fraction for every other machine
         off_own = [(i, k) for i, k in reads if points[k] != own[i]]
         assert verdict.passed
         assert [c.bids[i] for c, (i, _) in zip(copies, off_own)] == [Fraction(points[k], denominator)
                                                                       for i, k in off_own]
-        assert len(copies) == made.count(("properties", "<lambda>")) == len(off_own)
-        assert ("core", "with_bid") not in made
+        assert all(c.bids[j] is inst.bids[j] for c, (i, _) in zip(copies, off_own) for j in range(inst.m) if j != i)
+        assert len(copies) == sum(module == "properties" for module, _ in made) == len(off_own)
+        assert not {("core", "with_bid"), ("core", "_with_bids")} & set(made)
     # two-opt without its ``decide`` builds a copy only where its grid key
     # changes, which it does inside runs too; with it, none
     inst = Instance((5, 3, 2, Fraction(3, 2)), (Fraction(5, 4), 3))

@@ -17,7 +17,7 @@ import pytest
 
 import schedmech
 from schedmech import cli
-from schedmech.allocations import vcg_allocate
+from schedmech.allocations import lpt_star, vcg_allocate
 from schedmech.core import ZERO, Assignment, DomainError, Instance
 from schedmech.payments import Mechanism
 from schedmech.properties import check_scalable
@@ -101,15 +101,18 @@ _INST = Instance((2, 1), (1, Fraction(3, 2)))
 
 
 @pytest.mark.parametrize("refused, message", [
-    (lambda: _INST.scaled(0), "scaling factor must be positive"),
     (lambda: check_scalable(vcg_allocate, _INST, [0]), "scaling factor must be positive"),
+    # refused before any read, though the rule fails at the first factor
+    (lambda: check_scalable(lpt_star, Instance((3, 2, 2, 1), (1, Fraction(3, 2), Fraction(5, 2))),
+                            [Fraction(1, 3), 0]),
+     "scaling factor must be positive"),
     (lambda: Assignment.from_map(_INST, [0]), "one machine index per job required"),
     (lambda: WorkCurve((Fraction(1),), (), ZERO), "need one value per breakpoint interval"),
     (lambda: integrate(WorkCurve((), (), ZERO), -1, None), "integration starts at a nonnegative bound"),
     (lambda: build_workcurve(vcg_allocate, [1], [2, 1], 0), "cap must be positive"),
     (lambda: LogLinearValue(ZERO, ()).enclosure(0), "enclosure width must be positive"),
-], ids=["scaled", "check-scalable", "from-map", "workcurve-lengths", "integrate-below-zero",
-        "build-workcurve-cap", "enclosure-width"])
+], ids=["check-scalable", "check-scalable-after-a-failing-factor", "from-map", "workcurve-lengths",
+        "integrate-below-zero", "build-workcurve-cap", "enclosure-width"])
 def test_public_refusals_raise_a_domain_error(refused, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         refused()

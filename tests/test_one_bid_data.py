@@ -191,10 +191,12 @@ def test_bid_data_of_is_the_earlier_derivation():
         assert instance.bid_data == want == (instance.bid_order, instance.bid_exponents), bids
         # over a multiple of the scale, as a scalability check reads scaled ints
         c = F(rng.randint(1, 9), rng.randint(1, 9))
-        assert bid_data_of(scale * c.denominator, [b * c.numerator for b in ints]) == parent_bid_data(instance.scaled(c))
+        scaled = instance._with_bids([b * c for b in instance.bids])
+        assert bid_data_of(scale * c.denominator, [b * c.numerator for b in ints]) == parent_bid_data(scaled)
         # and every copy derives its own
         k, l = rng.randrange(m), rng.randrange(m)
-        for copy in (instance.with_swapped_bids(k, l), instance.with_bid(k, draw_bid(rng)[1]), instance.scaled(c)):
+        for copy in (instance._with_bids([instance.bids[{k: l, l: k}.get(i, i)] for i in range(m)]),
+                     instance.with_bid(k, draw_bid(rng)[1]), scaled):
             assert copy.bid_data == parent_bid_data(copy), copy.bids
         seen[f"m = {m}"] += 1
         seen["tied bids"] += len(set(bids)) < m

@@ -90,7 +90,7 @@ def test_the_constructor_and_copies_share_that_one_derivation(monkeypatch):
     monkeypatch.setattr(core, "scaled_to_ints", spy)
     inst = Instance(["3/2", 1], ["5/4", 2, "1/3"])
     assert callers == ["__init__", "scaled_bids"] and inst.scaled_bids == (12, [15, 24, 4])
-    for copy in (inst.with_bid(1, "7/5"), inst.with_swapped_bids(0, 2), inst.scaled(3)):
+    for copy in (inst.with_bid(1, "7/5"), inst._with_bids(inst.bids[::-1]), inst._with_bids([3 * b for b in inst.bids])):
         callers.clear()
         assert copy.scaled_bids == scaled_to_ints(copy.bids) and copy.scaled_bids is copy.scaled_bids
         assert callers == ["scaled_bids"]

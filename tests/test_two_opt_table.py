@@ -133,9 +133,9 @@ def test_every_derived_copy_shares_the_table():
     copies = [
         inst.with_bid(1, 9),
         inst.with_bid(0, "1/8"),
-        inst.scaled(Fraction(5, 4)),
-        inst.with_swapped_bids(0, 1),
-        inst.with_bid(0, 3).scaled(2).with_swapped_bids(1, 0),
+        inst._with_bids([b * Fraction(5, 4) for b in inst.bids]),
+        inst._with_bids(inst.bids[::-1]),
+        inst.with_bid(0, 3)._with_bids([Fraction(14, 3), 6]),
     ]
     denominator, points = inst.deviation_grid()
     copies += [inst.with_bid(machine, Fraction(p, denominator)) for machine in range(inst.m) for p in points]
